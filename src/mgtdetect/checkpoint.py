@@ -8,7 +8,8 @@ model reproduces its parameters exactly.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
-checkpoint behind.
+checkpoint behind.  The file gets the mode a plain ``open`` would give it
+(0666 less the umask), not the 0600 of the temporary file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ FORMAT_VERSION = 1
 MODEL_KINDS = ("neural", "gbt", "knn", "svm", "ensemble")
 
 
+def _current_umask() -> int:
+    # The umask can only be read by setting it, so set it back at once.
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to path so readers see either the old file or the new one."""
     path = Path(path)
@@ -33,6 +41,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp_name, 0o666 & ~_current_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -2,8 +2,27 @@
 
 The kernel between two strings counts distinct shared n-grams for every n
 in a configured range and sums the counts.  That is an inner product in
-the binary n-gram indicator space, so Gram matrices are positive
-semidefinite; with cosine normalization the diagonal is exactly 1.
+the binary n-gram indicator space (the spectrum feature map of Leslie,
+Eskin & Noble, PSB 2002), so Gram matrices are positive semidefinite;
+with cosine normalization the diagonal is exactly 1.
+
+Gram rows and SVM decisions are not computed pair by pair.  An
+``_NgramIndex`` interns the distinct n-grams of a fixed list of texts
+(the training texts, or a model's support texts) to integer ids, one
+vocabulary for every n, and keeps for each id the sorted postings of the
+texts that contain it.  A query's n-grams are then looked up once, and
+one ``np.bincount`` over their postings gives the exact integer count of
+n-grams it shares with every indexed text; the cost grows with the
+postings the query touches, not with the number of texts times the query
+length.  ``spectrum_kernel`` stays as the pairwise reference.
+
+The normalization ``raw / sqrt(self_x * self_y)`` and the decision's sum
+are computed as in the pairwise form: element-wise float64 division and
+square root round exactly like their scalar forms, and the decision adds
+the support terms one by one, in support order, because ``np.dot`` or
+``np.sum`` would add them in another order and change the last bits.
+Gram matrices, SMO solutions and probabilities are therefore identical
+to the pairwise evaluation.
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
@@ -13,7 +32,8 @@ training is deterministic for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -91,6 +111,69 @@ def spectrum_kernel(x: str, y: str, cfg: KernelConfig = KernelConfig()) -> float
     return raw / math.sqrt(self_x * self_y)
 
 
+class _NgramIndex:
+    """Interned n-grams of a fixed list of texts, indexed both ways.
+
+    Ids come from one vocabulary over every n in the range: CHAR grams of
+    different lengths are different strings and WORD grams of different
+    lengths are different tuples, so they never collide, and a text's
+    self kernel is its number of distinct ids.  Both directions are flat
+    arrays with offsets: the ids of text t are
+    ``text_grams[text_offsets[t]:text_offsets[t + 1]]`` and the texts that
+    hold id g are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
+    """
+
+    def __init__(self, texts: Sequence[str], cfg: KernelConfig):
+        vocab: dict = {}
+        ids: list[int] = []
+        sizes = []
+        for text in texts:
+            sets = ngram_sets(text, cfg)
+            ids.extend(vocab.setdefault(g, len(vocab)) for grams in sets for g in grams)
+            sizes.append(sum(map(len, sets)))
+        self.vocab = vocab
+        self.selfs = np.array(sizes, dtype=np.float64)
+        self.text_grams = np.array(ids, dtype=np.int32)
+        self.text_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(np.array(sizes, dtype=np.int64), out=self.text_offsets[1:])
+        owners = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        self.gram_texts = owners[np.argsort(self.text_grams, kind="stable")]
+        self.gram_offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+        counts = np.bincount(self.text_grams, minlength=len(vocab))
+        np.cumsum(counts, out=self.gram_offsets[1:])
+
+    def grams_of(self, t: int) -> np.ndarray:
+        return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
+
+    def query_ids(self, sets: tuple[frozenset, ...]) -> np.ndarray:
+        """Ids of the query's n-grams that occur in some indexed text."""
+        get = self.vocab.get
+        ids = [i for grams in sets for g in grams if (i := get(g)) is not None]
+        return np.array(ids, dtype=np.int64)
+
+    def shared_counts(self, ids: np.ndarray) -> np.ndarray:
+        """Exact count of the given distinct ids that each indexed text holds."""
+        starts = self.gram_offsets[ids]
+        lengths = self.gram_offsets[ids + 1] - starts
+        # Flat positions of every posting of every id, without a Python loop:
+        # the k-th posting of an id sits at its start plus k.
+        firsts = np.cumsum(lengths) - lengths
+        positions = np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
+        return np.bincount(self.gram_texts[positions], minlength=len(self.selfs))
+
+    def kernels(self, shared: np.ndarray, self_q: float, normalize: bool) -> np.ndarray:
+        """Kernel of a query with every indexed text, from its shared counts."""
+        raw = shared.astype(np.float64)
+        if not normalize:
+            return raw
+        values = np.zeros(len(self.selfs), dtype=np.float64)
+        if self_q == 0:
+            return values
+        nonempty = self.selfs > 0
+        values[nonempty] = raw[nonempty] / np.sqrt(self_q * self.selfs[nonempty])
+        return values
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric Gram matrix with document ids in row order."""
@@ -129,23 +212,13 @@ def kernel_matrix(
         ids = [str(i) for i in range(n)]
     if len(ids) != n:
         raise DataError(f"{len(ids)} ids for {n} texts")
-    all_sets = [ngram_sets(t, cfg) for t in texts]
-    selfs = np.array([_raw_kernel(s, s) for s in all_sets], dtype=np.float64)
-    gram = np.zeros((n, n), dtype=np.float64)
+    index = _NgramIndex(texts, cfg)
+    gram = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        for j in range(i, n):
-            raw = float(_raw_kernel(all_sets[i], all_sets[j]))
-            if cfg.normalize:
-                if selfs[i] == 0 or selfs[j] == 0:
-                    value = 0.0
-                elif i == j:
-                    value = 1.0
-                else:
-                    value = raw / math.sqrt(selfs[i] * selfs[j])
-            else:
-                value = raw
-            gram[i, j] = value
-            gram[j, i] = value
+        shared = index.shared_counts(index.grams_of(i))
+        gram[i] = index.kernels(shared, index.selfs[i], cfg.normalize)
+        if cfg.normalize and index.selfs[i] > 0:
+            gram[i, i] = 1.0
     return KernelMatrix(matrix=gram, ids=tuple(ids))
 
 
@@ -160,11 +233,24 @@ class SvmModel:
     texts: tuple[str, ...]
     alphas: np.ndarray  # full alpha vector, for inspection
     labels: np.ndarray  # full +-1 label vector
+    # Index over the support texts per kernel config, built on first use.
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _support_index(self, cfg: KernelConfig) -> _NgramIndex:
+        index = self._indexes.get(cfg)
+        if index is None:
+            index = _NgramIndex([self.texts[i] for i in self.support_indices], cfg)
+            self._indexes[cfg] = index
+        return index
 
     def decision(self, text: str, cfg: KernelConfig) -> float:
+        index = self._support_index(cfg)
+        sets = ngram_sets(text, cfg)
+        shared = index.shared_counts(index.query_ids(sets))
+        terms = self.dual_coef * index.kernels(shared, sum(map(len, sets)), cfg.normalize)
         total = self.bias
-        for idx, coef in zip(self.support_indices, self.dual_coef):
-            total += coef * spectrum_kernel(self.texts[idx], text, cfg)
+        for term in terms.tolist():  # left fold in support order, as pairwise
+            total += term
         return float(total)
 
 
@@ -255,6 +341,14 @@ def svm_train(
             num_changed += 1
         if num_changed == 0:
             break
+    else:
+        # Not in the training log, which must stay deterministic.
+        warnings.warn(
+            f"SMO stopped at the sweep limit of {max_passes} sweeps before a sweep "
+            "changed nothing; the solution may not meet the KKT tolerance",
+            UserWarning,
+            stacklevel=2,
+        )
 
     support = tuple(int(i) for i in np.flatnonzero(alpha > _SUPPORT_EPS))
     dual_coef = np.array([alpha[i] * y[i] for i in support], dtype=np.float64)
@@ -267,10 +361,6 @@ def svm_train(
         alphas=alpha,
         labels=y,
     )
-
-
-def svm_decision(model: SvmModel, text: str, cfg: KernelConfig = KernelConfig()) -> float:
-    return model.decision(text, cfg)
 
 
 def svm_predict_proba(model: SvmModel, text: str, cfg: KernelConfig = KernelConfig()) -> float:

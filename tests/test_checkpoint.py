@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -109,3 +110,15 @@ class TestAtomicWrite:
         path = tmp_path / "t.txt"
         atomic_write_text(path, "payload")
         assert os.listdir(tmp_path) == ["t.txt"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "t.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(path, "payload")
+            atomic_write_text(path, "payload, again")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_bytes() == b"payload, again"

@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from mgtdetect import kernels
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.kernels import (
     KernelConfig,
@@ -286,3 +288,111 @@ class TestNgramSets:
     def test_word_sets(self):
         cfg = KernelConfig(ngram_min=1, ngram_max=1, unit=NgramUnit.WORD)
         assert ngram_sets("a b a", cfg) == (frozenset({("a",), ("b",)}),)
+
+
+# test_04's six configs: CHAR and WORD, normalized and not.
+EXACTNESS_CONFIGS = [
+    KernelConfig(),
+    KernelConfig(normalize=False),
+    KernelConfig(ngram_min=1, ngram_max=2),
+    KernelConfig(ngram_min=2, ngram_max=6, normalize=False),
+    KernelConfig(ngram_min=1, ngram_max=2, unit=NgramUnit.WORD),
+    KernelConfig(ngram_min=1, ngram_max=3, unit=NgramUnit.WORD, normalize=False),
+]
+
+
+def edge_case_texts(cfg, seed, n=16):
+    """Random texts plus an empty one, one too short for any n-gram and a
+    duplicate."""
+    rnd = random.Random(seed)
+    texts = [random_text(rnd, max_len=40) for _ in range(n)]
+    if cfg.unit is NgramUnit.WORD:
+        short = " ".join(["ab"] * (cfg.ngram_min - 1))
+    else:
+        short = "abcdefg"[: cfg.ngram_min - 1]
+    return texts + ["", short, texts[3]]
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestIndexedKernelsAreExact:
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_kernel_matrix_equals_pairwise_matrix(self, cfg):
+        texts = edge_case_texts(cfg, seed=11)
+        expected = np.array(
+            [[spectrum_kernel(x, y, cfg) for y in texts] for x in texts]
+        )
+        km = kernel_matrix(texts, cfg)
+        assert np.all(km.matrix == expected)
+
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_decision_equals_pairwise_left_fold(self, cfg):
+        texts = edge_case_texts(cfg, seed=23)
+        labels = [1 if i % 2 else -1 for i in range(len(texts))]
+        model = svm_train(kernel_matrix(texts, cfg), labels, C=1.0, texts=texts, seed=5)
+        assert model.support_indices
+        rnd = random.Random(31)
+        queries = [random_text(rnd, max_len=40) for _ in range(8)] + ["", "XYZWQRST"]
+        assert all(spectrum_kernel(t, "XYZWQRST", cfg) == 0 for t in texts)
+        restored = svm_from_jsonable(svm_to_jsonable(model))
+        for query in queries:
+            expected = model.bias
+            for idx, coef in zip(model.support_indices, model.dual_coef):
+                expected += coef * spectrum_kernel(texts[idx], query, cfg)
+            assert bits(model.decision(query, cfg)) == bits(expected)
+            assert bits(restored.decision(query, cfg)) == bits(expected)
+
+
+class TestKernelWork:
+    """n-gram sets are built once per text and never intersected pair by pair."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        work = {"ngram_sets": 0, "pair_intersections": 0}
+        ngram_sets_ = kernels.ngram_sets
+        raw_kernel = kernels._raw_kernel
+
+        def counting_ngram_sets(text, cfg):
+            work["ngram_sets"] += 1
+            return ngram_sets_(text, cfg)
+
+        def counting_raw_kernel(sets_x, sets_y):
+            work["pair_intersections"] += sets_x is not sets_y
+            return raw_kernel(sets_x, sets_y)
+
+        monkeypatch.setattr(kernels, "ngram_sets", counting_ngram_sets)
+        monkeypatch.setattr(kernels, "_raw_kernel", counting_raw_kernel)
+        return work
+
+    def test_scoring_builds_each_support_and_query_once(self, work):
+        texts, labels = separable_texts()
+        model = svm_train(kernel_matrix(texts), labels, C=1.0, texts=texts)
+        s = len(model.support_indices)
+        queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
+        work.update(ngram_sets=0, pair_intersections=0)
+        for query in queries:
+            svm_predict_proba(model, query)
+        assert s > 1
+        assert work == {"ngram_sets": s + len(queries), "pair_intersections": 0}
+
+    def test_kernel_matrix_builds_each_text_once(self, work):
+        texts = edge_case_texts(KernelConfig(), seed=3)
+        kernel_matrix(texts)
+        assert work == {"ngram_sets": len(texts), "pair_intersections": 0}
+
+
+class TestSmoSweepLimit:
+    def test_warns_when_stopped_at_the_sweep_limit(self):
+        texts, labels = separable_texts()
+        km = kernel_matrix(texts)
+        with pytest.warns(UserWarning, match="sweep limit of 1 sweeps"):
+            svm_train(km, labels, C=1.0, texts=texts, max_passes=1)
+
+    def test_silent_when_a_sweep_changes_nothing(self):
+        texts, labels = separable_texts()
+        km = kernel_matrix(texts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svm_train(km, labels, C=1.0, texts=texts)

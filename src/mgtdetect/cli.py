@@ -22,13 +22,18 @@ import dataclasses
 import json
 import sys
 
-from .checkpoint import atomic_write_text
+from .checkpoint import MODEL_KINDS, atomic_write_text
 from .config import AppConfig, load_config
 from .corpus import Corpus, Language, load_tsv, merge_bilingual, summarize
-from .embeddings import load_embeddings
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
-from .pipeline import build_raw_features, load_model, save_model, train_model
+from .pipeline import (
+    build_raw_features,
+    embeddings_table,
+    load_model,
+    save_model,
+    train_model,
+)
 from .readability import format_feature_matrix
 
 LABEL_NAMES = {0: "human", 1: "generated"}
@@ -66,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--model",
         default="ensemble",
-        choices=("neural", "gbt", "knn", "svm", "ensemble"),
+        choices=MODEL_KINDS,
         help="detector kind to train",
     )
     p.add_argument("--output", required=True, help="checkpoint path to write")
@@ -128,8 +133,9 @@ def _config(args) -> AppConfig:
 def _cmd_featurize(args) -> int:
     cfg = _config(args)
     corpus = _load_corpora(args.corpus)
-    table = load_embeddings(cfg.embeddings_path) if cfg.embeddings_path else None
-    ids, names, matrix = build_raw_features(corpus, cfg.embedder, table)
+    ids, names, matrix = build_raw_features(
+        corpus, cfg.embedder, embeddings_table(cfg.embeddings_path)
+    )
     atomic_write_text(args.output, format_feature_matrix(ids, names, matrix))
     print(f"wrote {len(ids)} feature rows to {args.output}", file=sys.stderr)
     return 0

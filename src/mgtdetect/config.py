@@ -5,12 +5,9 @@ so an empty or absent file configures the documented behavior.  Unknown
 sections and unknown keys are rejected rather than ignored; a typo in a
 tuning knob should fail loudly, not silently run the defaults.
 
-Two environment variables apply after the file is parsed:
-
-* ``MGTDETECT_SEED`` overrides every seed in the configuration at once,
-  which gives scripts a single lever for reproducibility sweeps.
-* ``MGTDETECT_THREADS`` must be a positive integer.  It is validated and
-  recorded for forward compatibility; current model code is single-threaded.
+One environment variable applies after the file is parsed:
+``MGTDETECT_SEED`` overrides every seed in the configuration at once,
+which gives scripts a single lever for reproducibility sweeps.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
+from .checkpoint import MODEL_KINDS
 from .corpus import SplitSpec
 from .embeddings import FallbackEmbedderConfig
 from .ensemble import THRESHOLD_RULES
@@ -30,9 +28,8 @@ from .neural import MtlConfig, TrainConfig, VatConfig
 from .shallow import GbtGrid
 
 SEED_ENV_VAR = "MGTDETECT_SEED"
-THREADS_ENV_VAR = "MGTDETECT_THREADS"
 
-BASE_MODEL_NAMES = ("neural", "gbt", "knn", "svm")
+BASE_MODEL_NAMES = tuple(kind for kind in MODEL_KINDS if kind != "ensemble")
 
 DEFAULT_SVM_SCALE_WARNING = 5000
 DEFAULT_ENSEMBLE_BASES = ("neural", "gbt", "knn")
@@ -95,7 +92,6 @@ class AppConfig:
     knn_k: int = 10
     gbt_grid: GbtGrid = GbtGrid()
     ensemble: EnsembleSettings = EnsembleSettings()
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.hidden < 1:
@@ -294,20 +290,8 @@ def _build(values: dict[str, dict[str, object]]) -> AppConfig:
 
 
 def apply_env(cfg: AppConfig, environ: Mapping[str, str] | None = None) -> AppConfig:
-    """Fold the environment overrides into a parsed configuration."""
+    """Fold the ``MGTDETECT_SEED`` override into a parsed configuration."""
     env = os.environ if environ is None else environ
-    threads = cfg.threads
-    raw_threads = env.get(THREADS_ENV_VAR)
-    if raw_threads is not None:
-        try:
-            threads = int(raw_threads)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw_threads!r}"
-            ) from exc
-        if threads < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be positive, got {threads}")
-    cfg = dataclasses.replace(cfg, threads=threads)
     raw_seed = env.get(SEED_ENV_VAR)
     if raw_seed is None:
         return cfg

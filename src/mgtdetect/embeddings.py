@@ -23,7 +23,6 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ConfigError, DataError
-from .readability import FeatureVector
 
 _SIGN_BIT = 1 << 63
 _BUCKET_MASK = _SIGN_BIT - 1
@@ -31,10 +30,15 @@ _BUCKET_MASK = _SIGN_BIT - 1
 
 @dataclass
 class EmbeddingTable:
-    """Vectors of one fixed dimension, keyed by document id."""
+    """Vectors of one fixed dimension, keyed by document id.
+
+    ``sha256`` is the hex digest of the file the table was read from; it is
+    empty for a table built in memory.
+    """
 
     dim: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    sha256: str = ""
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -61,7 +65,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"embedding file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    raw = path.read_bytes()
+    lines = raw.decode("utf-8").splitlines()
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in enumerate(lines, start=1):
@@ -87,7 +92,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         vectors[doc_id] = vec
     if dim is None:
         raise DataError(f"{path}: no vectors in embedding file")
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(dim=dim, vectors=vectors, sha256=hashlib.sha256(raw).hexdigest())
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -173,17 +178,3 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
     hasher = _GramHasher(cfg)
     vectors = {doc.id: _embed_text(doc.text, cfg, hasher) for doc in corpus}
     return EmbeddingTable(dim=cfg.dim, vectors=vectors)
-
-
-def concat_features(readability: FeatureVector, embedding: np.ndarray) -> FeatureVector:
-    """Layout contract: readability block first, embedding block second.
-
-    Embedding components are named ``emb_0 .. emb_{d-1}``.  Callers decide
-    on scaling; this function only concatenates.
-    """
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.ndim != 1:
-        raise DataError(f"embedding must be 1-d, got shape {embedding.shape}")
-    names = readability.names + tuple(f"emb_{i}" for i in range(embedding.shape[0]))
-    values = np.concatenate([readability.values, embedding])
-    return FeatureVector(names=names, values=values)

@@ -24,9 +24,7 @@ from .shallow import (
     GbtGrid,
     GbtHyperparams,
     GbtModel,
-    gbt_from_jsonable,
     gbt_predict_proba_many,
-    gbt_to_jsonable,
     grid_search,
 )
 
@@ -179,33 +177,3 @@ def ensemble_predict_labels(
 ) -> np.ndarray:
     probs = ensemble_predict_proba(model, probs_by_base)
     return (probs >= model.threshold).astype(np.int64)
-
-
-def ensemble_to_jsonable(model: EnsembleModel) -> dict:
-    return {
-        "base_names": list(model.base_names),
-        "base_thresholds": list(model.base_thresholds),
-        "meta_model": gbt_to_jsonable(model.meta_model),
-        "meta_hyperparams": {
-            "n_estimators": model.meta_hyperparams.n_estimators,
-            "max_depth": model.meta_hyperparams.max_depth,
-            "learning_rate": model.meta_hyperparams.learning_rate,
-        },
-        "threshold": model.threshold,
-    }
-
-
-def ensemble_from_jsonable(data: dict) -> EnsembleModel:
-    try:
-        hp = data["meta_hyperparams"]
-        return EnsembleModel(
-            base_names=tuple(data["base_names"]),
-            base_thresholds=tuple(float(t) for t in data["base_thresholds"]),
-            meta_model=gbt_from_jsonable(data["meta_model"]),
-            meta_hyperparams=GbtHyperparams(
-                int(hp["n_estimators"]), int(hp["max_depth"]), float(hp["learning_rate"])
-            ),
-            threshold=float(data["threshold"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed ensemble model: {exc}") from exc

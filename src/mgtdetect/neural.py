@@ -18,7 +18,6 @@ parameter tensor including biases, matching the common framework default.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 import numpy as np
 
@@ -620,8 +619,3 @@ def params_from_jsonable(data: dict) -> MlpParams:
     if params.w_lang is not None and params.w_lang.shape != (params.W1.shape[1],):
         raise DataError("malformed network weights: language head shape mismatch")
     return params
-
-
-def clone_config_with(cfg: TrainConfig, **updates) -> TrainConfig:
-    """Convenience for overriding a couple of fields on a frozen config."""
-    return dataclasses.replace(cfg, **updates)

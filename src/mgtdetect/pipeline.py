@@ -10,24 +10,29 @@ language and compared directly as character n-gram sets.
 
 Document embeddings come from a seeded hashing embedder by default; a
 table of precomputed vectors keyed by document id can be supplied instead,
-in which case every document scored later must appear in the table.
+in which case every document scored later must appear in the table, and
+checkpoints pin the table file's SHA-256 so a changed file is refused.
 
 Training always carves a validation split off the provided corpus: the
 network uses it for early stopping, the boosted trees for grid selection,
 and every model reports a validation score in the training log.  Ensemble
 training first reserves a stratified holdout for stacking calibration, so
 the meta-learner never sees base training documents.
+
+Each base kind is one entry of ``_KINDS``, and its name one entry of
+``checkpoint.MODEL_KINDS``, where every other module reads kind names.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import AppConfig
+from .config import BASE_MODEL_NAMES, AppConfig
 from .corpus import Corpus, Language, SplitSpec, split
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import (
@@ -45,7 +50,6 @@ from .errors import ConfigError, DataError
 from .evaluation import macro_f1
 from .kernels import (
     KernelConfig,
-    SvmModel,
     kernel_config_from_jsonable,
     kernel_config_to_jsonable,
     kernel_matrix,
@@ -56,7 +60,6 @@ from .kernels import (
 )
 from .neural import (
     LabeledSet,
-    MlpParams,
     params_from_jsonable,
     params_to_jsonable,
     predict_proba as neural_predict_proba,
@@ -71,8 +74,6 @@ from .readability import (
 )
 from .shallow import (
     GbtHyperparams,
-    GbtModel,
-    KnnModel,
     gbt_from_jsonable,
     gbt_predict_proba_many,
     gbt_to_jsonable,
@@ -111,31 +112,38 @@ def build_raw_features(
     return tuple(ids), feature_names(vectors.dim), np.array(rows, dtype=np.float64)
 
 
+def embeddings_table(path: str) -> EmbeddingTable | None:
+    """The precomputed embeddings at ``path``; None selects the hashing embedder."""
+    return load_embeddings(path) if path else None
+
+
 @dataclass(frozen=True)
 class Featurizer:
-    """Embedding settings plus the scaler fitted on the training corpus."""
+    """Embedding settings plus the scaler fitted on the training corpus.
+
+    ``table`` holds the precomputed embeddings named by ``embeddings_path``,
+    read once when the featurizer is fitted or loaded; checkpoints store the
+    path and the file's digest, not the vectors.
+    """
 
     embedder: FallbackEmbedderConfig
     embeddings_path: str
     scaler: ScalerParams
-
-    def _table(self) -> EmbeddingTable | None:
-        if not self.embeddings_path:
-            return None
-        return load_embeddings(self.embeddings_path)
+    table: EmbeddingTable | None = field(default=None, repr=False, compare=False)
 
     def features(self, corpus: Corpus) -> np.ndarray:
-        _, _, raw = build_raw_features(corpus, self.embedder, self._table())
+        _, _, raw = build_raw_features(corpus, self.embedder, self.table)
         return transform(raw, self.scaler)
 
 
 def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> Featurizer:
-    table = load_embeddings(cfg.embeddings_path) if cfg.embeddings_path else None
+    table = embeddings_table(cfg.embeddings_path)
     _, _, raw = build_raw_features(corpus, cfg.embedder, table)
     return Featurizer(
         embedder=cfg.embedder,
         embeddings_path=cfg.embeddings_path,
         scaler=fit_scaler(raw),
+        table=table,
     )
 
 
@@ -154,34 +162,34 @@ def _scaler_from_jsonable(data: dict) -> ScalerParams:
 
 
 def _featurizer_to_jsonable(featurizer: Featurizer) -> dict:
-    return {
-        "embedder": {
-            "dim": featurizer.embedder.dim,
-            "ngram_min": featurizer.embedder.ngram_min,
-            "ngram_max": featurizer.embedder.ngram_max,
-            "seed": featurizer.embedder.seed,
-        },
+    data = {
+        "embedder": asdict(featurizer.embedder),
         "embeddings_path": featurizer.embeddings_path,
-        "scaler": _scaler_to_jsonable(featurizer.scaler),
     }
+    if featurizer.embeddings_path:
+        data["embeddings_sha256"] = featurizer.table.sha256
+    data["scaler"] = _scaler_to_jsonable(featurizer.scaler)
+    return data
 
 
 def _featurizer_from_jsonable(data: dict) -> Featurizer:
     try:
         emb = data["embedder"]
         embedder = FallbackEmbedderConfig(
-            dim=int(emb["dim"]),
-            ngram_min=int(emb["ngram_min"]),
-            ngram_max=int(emb["ngram_max"]),
-            seed=int(emb["seed"]),
+            *(int(emb[key]) for key in ("dim", "ngram_min", "ngram_max", "seed"))
         )
-        return Featurizer(
-            embedder=embedder,
-            embeddings_path=str(data.get("embeddings_path", "")),
-            scaler=_scaler_from_jsonable(data["scaler"]),
-        )
+        path = str(data.get("embeddings_path", ""))
+        pinned = str(data["embeddings_sha256"]) if path else ""
+        scaler = _scaler_from_jsonable(data["scaler"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed featurizer settings: {exc}") from exc
+    table = embeddings_table(path)
+    if table is not None and table.sha256 != pinned:
+        raise DataError(
+            f"embeddings file {path} has sha256 {table.sha256}, but the model "
+            f"was trained on a file with sha256 {pinned}"
+        )
+    return Featurizer(embedder=embedder, embeddings_path=path, scaler=scaler, table=table)
 
 
 def _require_labels(corpus: Corpus) -> np.ndarray:
@@ -198,50 +206,150 @@ def _preprocessed_texts(corpus: Corpus) -> list[str]:
     return [preprocess(doc.text, PrepConfig(language=doc.language)) for doc in corpus]
 
 
-@dataclass(frozen=True)
-class NeuralBase:
-    params: MlpParams
-    featurizer: Featurizer
-
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return neural_predict_proba(self.params, self.featurizer.features(corpus))
+# A fit takes (prep, train, y_train, val, y_val, cfg, log) and returns the
+# model; a score takes (model, prep, corpus).  ``prep`` is the shared
+# Featurizer or a KernelConfig.  Layer functions are named in these bodies,
+# never stored, so each call looks them up in this module when it runs.
 
 
-@dataclass(frozen=True)
-class KnnBase:
-    model: KnnModel
-    featurizer: Featurizer
-
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return knn_predict_proba_many(self.model, self.featurizer.features(corpus))
+def _train_val_features(featurizer: Featurizer, train: Corpus, val: Corpus):
+    # Every vector-space kind featurizes both parts, knn included although it
+    # only fits on the first; sharing one featurization per run is separate.
+    return featurizer.features(train), featurizer.features(val)
 
 
-@dataclass(frozen=True)
-class GbtBase:
-    model: GbtModel
-    featurizer: Featurizer
+def _fit_neural(featurizer, train, y_train, val, y_val, cfg, log):
+    x_train, x_val = _train_val_features(featurizer, train, val)
+    y_lang = _language_codes(train) if cfg.mtl.enabled else None
+    params, epochs = neural_train(
+        LabeledSet(x_train, y_train.astype(np.float64), y_lang),
+        LabeledSet(x_val, y_val.astype(np.float64)),
+        mtl=cfg.mtl,
+        vat=cfg.vat,
+        cfg=cfg.train,
+        hidden=cfg.hidden,
+    )
+    for record in epochs:
+        log.append({"event": "epoch", "model": "neural", **record.to_json_dict()})
+    return params
 
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return gbt_predict_proba_many(self.model, self.featurizer.features(corpus))
+
+def _fit_gbt(featurizer, train, y_train, val, y_val, cfg, log):
+    x_train, x_val = _train_val_features(featurizer, train, val)
+    model, hyperparams = grid_search(x_train, y_train, x_val, y_val, cfg.gbt_grid)
+    log.append({"event": "grid_selected", "model": "gbt", **hyperparams._asdict()})
+    return model
 
 
-@dataclass(frozen=True)
-class SvmBase:
-    model: SvmModel
-    kernel: KernelConfig
+def _fit_knn(featurizer, train, y_train, val, y_val, cfg, log):
+    x_train, _ = _train_val_features(featurizer, train, val)
+    return knn_fit(x_train, y_train, k=cfg.knn_k)
 
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        texts = _preprocessed_texts(corpus)
-        return np.array(
-            [svm_predict_proba(self.model, text, self.kernel) for text in texts],
-            dtype=np.float64,
+
+def _fit_svm(kernel, train, y_train, val, y_val, cfg, log):
+    texts = _preprocessed_texts(train)
+    if len(texts) > cfg.svm.scale_warning_threshold:
+        warnings.warn(
+            f"svm training on {len(texts)} documents builds a dense "
+            f"{len(texts)}x{len(texts)} kernel matrix; consider a smaller corpus",
+            stacklevel=3,
         )
+    gram = kernel_matrix(texts, kernel)
+    pm1 = np.where(y_train == 1, 1.0, -1.0)
+    model = svm_train(gram, pm1, C=cfg.svm.C, texts=texts, seed=cfg.svm.seed)
+    log.append(
+        {"event": "trained", "model": "svm", "support_vectors": len(model.support_indices)}
+    )
+    return model
+
+
+def _score_svm(model, kernel, corpus):
+    texts = _preprocessed_texts(corpus)
+    return np.array(
+        [svm_predict_proba(model, text, kernel) for text in texts], dtype=np.float64
+    )
+
+
+class _Prep(NamedTuple):
+    """A base's input preparation: its payload key and its codec."""
+
+    key: str
+    to_jsonable: Callable[[object], dict]
+    from_jsonable: Callable[[dict], object]
+
+
+_FEATURIZER = _Prep("featurizer", _featurizer_to_jsonable, _featurizer_from_jsonable)
+_KERNEL = _Prep("kernel", kernel_config_to_jsonable, kernel_config_from_jsonable)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one base kind fits, scores and is stored in a payload."""
+
+    fit: Callable[..., object]
+    score: Callable[[object, object, Corpus], np.ndarray]
+    model_key: str
+    model_to_jsonable: Callable[[object], dict]
+    model_from_jsonable: Callable[[dict], object]
+    prep: _Prep = _FEATURIZER
+
+
+_KINDS: dict[str, _Kind] = {
+    "neural": _Kind(
+        _fit_neural,
+        lambda params, featurizer, corpus: neural_predict_proba(
+            params, featurizer.features(corpus)
+        ),
+        "params",
+        params_to_jsonable,
+        params_from_jsonable,
+    ),
+    "gbt": _Kind(
+        _fit_gbt,
+        lambda model, featurizer, corpus: gbt_predict_proba_many(
+            model, featurizer.features(corpus)
+        ),
+        "model",
+        gbt_to_jsonable,
+        gbt_from_jsonable,
+    ),
+    "knn": _Kind(
+        _fit_knn,
+        lambda model, featurizer, corpus: knn_predict_proba_many(
+            model, featurizer.features(corpus)
+        ),
+        "model",
+        knn_to_jsonable,
+        knn_from_jsonable,
+    ),
+    "svm": _Kind(
+        _fit_svm, _score_svm, "model", svm_to_jsonable, svm_from_jsonable, prep=_KERNEL
+    ),
+}
+
+if tuple(_KINDS) != BASE_MODEL_NAMES:
+    raise ImportError(
+        f"pipeline defines base kinds {tuple(_KINDS)}, "
+        f"but checkpoint.MODEL_KINDS lists {BASE_MODEL_NAMES}"
+    )
+
+
+@dataclass(frozen=True)
+class BaseAdapter:
+    """One fitted base: its kind, its model and its input preparation."""
+
+    kind: str
+    model: object
+    prep: Featurizer | KernelConfig
+
+    def predict_proba(self, corpus: Corpus) -> np.ndarray:
+        return _KINDS[self.kind].score(self.model, self.prep, corpus)
 
 
 @dataclass(frozen=True)
 class EnsembleBase:
     model: EnsembleModel
-    bases: dict[str, object]
+    bases: dict[str, BaseAdapter]
 
     def predict_proba(self, corpus: Corpus) -> np.ndarray:
         probs = {name: base.predict_proba(corpus) for name, base in self.bases.items()}
@@ -261,85 +369,24 @@ class TrainedModel:
         return (self.predict_proba(corpus) >= self.threshold).astype(np.int64)
 
 
+def _shared_featurizer(kinds, train_part: Corpus, cfg: AppConfig) -> Featurizer | None:
+    """One featurizer fitted for every vector-space kind among ``kinds``."""
+    uses = any(_KINDS[kind].prep is _FEATURIZER for kind in kinds)
+    return fit_featurizer(train_part, cfg) if uses else None
+
+
 def _train_base(
-    kind: str,
-    train_corpus: Corpus,
-    val_corpus: Corpus,
-    cfg: AppConfig,
-    featurizer: Featurizer | None,
-    log: list[dict],
-):
+    kind: str, train: Corpus, val: Corpus, cfg: AppConfig, featurizer, log: list[dict]
+) -> BaseAdapter:
     """Fit one base on the training part, reporting validation macro-F1."""
-    y_train = _require_labels(train_corpus)
-    y_val = _require_labels(val_corpus)
-    if kind == "svm":
-        texts = _preprocessed_texts(train_corpus)
-        if len(texts) > cfg.svm.scale_warning_threshold:
-            warnings.warn(
-                f"svm training on {len(texts)} documents builds a dense "
-                f"{len(texts)}x{len(texts)} kernel matrix; consider a smaller corpus",
-                stacklevel=2,
-            )
-        kernel_cfg = KernelConfig()
-        gram = kernel_matrix(texts, kernel_cfg)
-        pm1 = np.where(y_train == 1, 1.0, -1.0)
-        model = svm_train(gram, pm1, C=cfg.svm.C, texts=texts, seed=cfg.svm.seed)
-        adapter = SvmBase(model=model, kernel=kernel_cfg)
-        log.append(
-            {
-                "event": "trained",
-                "model": "svm",
-                "support_vectors": len(model.support_indices),
-            }
-        )
-    else:
-        assert featurizer is not None
-        x_train = featurizer.features(train_corpus)
-        x_val = featurizer.features(val_corpus)
-        if kind == "neural":
-            y_lang = _language_codes(train_corpus) if cfg.mtl.enabled else None
-            params, epochs = neural_train(
-                LabeledSet(x_train, y_train.astype(np.float64), y_lang),
-                LabeledSet(x_val, y_val.astype(np.float64)),
-                mtl=cfg.mtl,
-                vat=cfg.vat,
-                cfg=cfg.train,
-                hidden=cfg.hidden,
-            )
-            for record in epochs:
-                entry = {"event": "epoch", "model": "neural"}
-                entry.update(record.to_json_dict())
-                log.append(entry)
-            adapter = NeuralBase(params=params, featurizer=featurizer)
-        elif kind == "gbt":
-            model, hyperparams = grid_search(
-                x_train, y_train, x_val, y_val, cfg.gbt_grid
-            )
-            log.append(
-                {
-                    "event": "grid_selected",
-                    "model": "gbt",
-                    "n_estimators": hyperparams.n_estimators,
-                    "max_depth": hyperparams.max_depth,
-                    "learning_rate": hyperparams.learning_rate,
-                }
-            )
-            adapter = GbtBase(model=model, featurizer=featurizer)
-        elif kind == "knn":
-            adapter = KnnBase(
-                model=knn_fit(x_train, y_train, k=cfg.knn_k), featurizer=featurizer
-            )
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
-    val_probs = adapter.predict_proba(val_corpus)
-    val_preds = (val_probs >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
-    log.append(
-        {
-            "event": "validation",
-            "model": kind,
-            "macro_f1": macro_f1(y_val, val_preds),
-        }
-    )
+    y_train = _require_labels(train)
+    y_val = _require_labels(val)
+    spec = _KINDS[kind]
+    prep = featurizer if spec.prep is _FEATURIZER else KernelConfig()
+    model = spec.fit(prep, train, y_train, val, y_val, cfg, log)
+    adapter = BaseAdapter(kind=kind, model=model, prep=prep)
+    preds = (adapter.predict_proba(val) >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
+    log.append({"event": "validation", "model": kind, "macro_f1": macro_f1(y_val, preds)})
     return adapter
 
 
@@ -349,12 +396,10 @@ def train_model(kind: str, corpus: Corpus, cfg: AppConfig) -> tuple[TrainedModel
     log: list[dict] = []
     if kind == "ensemble":
         return _train_ensemble_model(corpus, cfg, log)
-    if kind not in ("neural", "gbt", "knn", "svm"):
+    if kind not in _KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     train_part, val_part = split(corpus, cfg.split)
-    featurizer = None
-    if kind != "svm":
-        featurizer = fit_featurizer(train_part, cfg)
+    featurizer = _shared_featurizer((kind,), train_part, cfg)
     adapter = _train_base(kind, train_part, val_part, cfg, featurizer, log)
     return TrainedModel(kind=kind, adapter=adapter), log
 
@@ -371,17 +416,12 @@ def _train_ensemble_model(
     )
     fit_part, holdout = split(corpus, holdout_spec)
     train_part, val_part = split(fit_part, cfg.split)
-    featurizer = None
-    if any(base != "svm" for base in cfg.ensemble.bases):
-        featurizer = fit_featurizer(train_part, cfg)
-    bases: dict[str, object] = {}
-    for base_kind in cfg.ensemble.bases:
-        bases[base_kind] = _train_base(
-            base_kind, train_part, val_part, cfg, featurizer, log
-        )
-    holdout_probs = {
-        name: base.predict_proba(holdout) for name, base in bases.items()
+    featurizer = _shared_featurizer(cfg.ensemble.bases, train_part, cfg)
+    bases = {
+        kind: _train_base(kind, train_part, val_part, cfg, featurizer, log)
+        for kind in cfg.ensemble.bases
     }
+    holdout_probs = {name: base.predict_proba(holdout) for name, base in bases.items()}
     model = train_ensemble(
         holdout_probs,
         _require_labels(holdout),
@@ -400,66 +440,32 @@ def _train_ensemble_model(
                 for name, threshold in zip(model.base_names, model.base_thresholds)
             },
             "threshold": model.threshold,
-            "meta_hyperparams": {
-                "n_estimators": model.meta_hyperparams.n_estimators,
-                "max_depth": model.meta_hyperparams.max_depth,
-                "learning_rate": model.meta_hyperparams.learning_rate,
-            },
+            "meta_hyperparams": model.meta_hyperparams._asdict(),
         }
     )
     adapter = EnsembleBase(model=model, bases=bases)
     return TrainedModel(kind="ensemble", adapter=adapter, threshold=model.threshold), log
 
 
-def _adapter_payload(kind: str, adapter) -> dict:
-    if kind == "neural":
-        return {
-            "params": params_to_jsonable(adapter.params),
-            "featurizer": _featurizer_to_jsonable(adapter.featurizer),
-        }
-    if kind == "knn":
-        return {
-            "model": knn_to_jsonable(adapter.model),
-            "featurizer": _featurizer_to_jsonable(adapter.featurizer),
-        }
-    if kind == "gbt":
-        return {
-            "model": gbt_to_jsonable(adapter.model),
-            "featurizer": _featurizer_to_jsonable(adapter.featurizer),
-        }
-    if kind == "svm":
-        return {
-            "model": svm_to_jsonable(adapter.model),
-            "kernel": kernel_config_to_jsonable(adapter.kernel),
-        }
-    raise ConfigError(f"unknown model kind {kind!r}")
+def _adapter_payload(adapter: BaseAdapter, threshold: float) -> dict:
+    spec = _KINDS[adapter.kind]
+    return {
+        spec.model_key: spec.model_to_jsonable(adapter.model),
+        spec.prep.key: spec.prep.to_jsonable(adapter.prep),
+        "threshold": threshold,
+    }
 
 
-def _adapter_from_payload(kind: str, payload: dict):
+def _adapter_from_payload(kind: str, payload: dict) -> BaseAdapter:
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise DataError(f"unknown model kind {kind!r}")
     try:
-        if kind == "neural":
-            return NeuralBase(
-                params=params_from_jsonable(payload["params"]),
-                featurizer=_featurizer_from_jsonable(payload["featurizer"]),
-            )
-        if kind == "knn":
-            return KnnBase(
-                model=knn_from_jsonable(payload["model"]),
-                featurizer=_featurizer_from_jsonable(payload["featurizer"]),
-            )
-        if kind == "gbt":
-            return GbtBase(
-                model=gbt_from_jsonable(payload["model"]),
-                featurizer=_featurizer_from_jsonable(payload["featurizer"]),
-            )
-        if kind == "svm":
-            return SvmBase(
-                model=svm_from_jsonable(payload["model"]),
-                kernel=kernel_config_from_jsonable(payload["kernel"]),
-            )
+        model = spec.model_from_jsonable(payload[spec.model_key])
+        prep = spec.prep.from_jsonable(payload[spec.prep.key])
     except KeyError as exc:
         raise DataError(f"checkpoint payload is missing {exc}") from exc
-    raise DataError(f"unknown model kind {kind!r}")
+    return BaseAdapter(kind=kind, model=model, prep=prep)
 
 
 MANIFEST_FILENAME = "manifest.json"
@@ -481,29 +487,23 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     bundle.mkdir(parents=True, exist_ok=True)
     base_files: dict[str, str] = {}
     for name, base_threshold in zip(inner.base_names, inner.base_thresholds):
-        payload = _adapter_payload(name, adapter.bases[name])
-        payload["threshold"] = base_threshold
+        payload = _adapter_payload(adapter.bases[name], base_threshold)
         filename = f"{name}.json"
         save_checkpoint(bundle / filename, name, payload)
         base_files[name] = filename
     save_checkpoint(
         bundle / META_FILENAME, "gbt", {"model": gbt_to_jsonable(inner.meta_model)}
     )
-    feature_names = []
-    for name in inner.base_names:
-        feature_names.append(f"{name}_probability")
-        feature_names.append(f"{name}_vote")
+    feature_names = [
+        f"{name}_{column}" for name in inner.base_names for column in ("probability", "vote")
+    ]
     manifest = {
         "base_names": list(inner.base_names),
         "base_files": base_files,
         "base_thresholds": list(inner.base_thresholds),
         "meta_file": META_FILENAME,
         "meta_feature_names": feature_names,
-        "meta_hyperparams": {
-            "n_estimators": inner.meta_hyperparams.n_estimators,
-            "max_depth": inner.meta_hyperparams.max_depth,
-            "learning_rate": inner.meta_hyperparams.learning_rate,
-        },
+        "meta_hyperparams": inner.meta_hyperparams._asdict(),
         "threshold": model.threshold,
     }
     save_checkpoint(bundle / MANIFEST_FILENAME, "ensemble", manifest)
@@ -521,9 +521,7 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         meta_file = str(manifest["meta_file"])
         hp = manifest["meta_hyperparams"]
         meta_hyperparams = GbtHyperparams(
-            n_estimators=int(hp["n_estimators"]),
-            max_depth=int(hp["max_depth"]),
-            learning_rate=float(hp["learning_rate"]),
+            int(hp["n_estimators"]), int(hp["max_depth"]), float(hp["learning_rate"])
         )
         threshold = float(manifest["threshold"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -569,9 +567,7 @@ def save_model(model: TrainedModel, path) -> None:
     if model.kind == "ensemble":
         _save_ensemble_bundle(model, path)
         return
-    payload = _adapter_payload(model.kind, model.adapter)
-    payload["threshold"] = model.threshold
-    save_checkpoint(path, model.kind, payload)
+    save_checkpoint(path, model.kind, _adapter_payload(model.adapter, model.threshold))
 
 
 def load_model(path) -> TrainedModel:
@@ -584,8 +580,4 @@ def load_model(path) -> TrainedModel:
             "pass the bundle directory, not a file inside it"
         )
     threshold = float(payload.get("threshold", DEFAULT_DECISION_THRESHOLD))
-    return TrainedModel(
-        kind=kind,
-        adapter=_adapter_from_payload(kind, payload),
-        threshold=threshold,
-    )
+    return TrainedModel(kind, _adapter_from_payload(kind, payload), threshold)

@@ -241,15 +241,12 @@ def gbt_train(
     n_estimators: int = 3,
     max_depth: int = 5,
     learning_rate: float = 1e-3,
-    seed: int = 0,
 ) -> GbtModel:
     """Boosted regression trees on the logistic-loss residuals.
 
     The raw score starts at the log-odds of the training prior.  The exact
-    greedy fit has no random component; ``seed`` is accepted for interface
-    stability and ignored.
+    greedy fit has no random component, so it takes no seed.
     """
-    del seed
     x = _check_features(x, "gbt training matrix")
     labels = _check_binary_labels(y, x.shape[0])
     if n_estimators < 1:

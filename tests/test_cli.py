@@ -364,10 +364,6 @@ class TestExitCodes:
         )
         assert code == 1
 
-    def test_bad_threads_env_is_1(self, workdir, monkeypatch):
-        monkeypatch.setenv("MGTDETECT_THREADS", "zero")
-        assert _run("summarize", "--corpus", f"en={workdir / 'small.tsv'}") == 1
-
     def test_missing_checkpoint_is_2(self, workdir, tmp_path):
         code = _run(
             "predict",

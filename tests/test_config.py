@@ -37,7 +37,6 @@ class TestDefaults:
         assert cfg.svm.C == 1.0
         assert cfg.ensemble.bases == ("neural", "gbt", "knn")
         assert cfg.ensemble.threshold_rule == "sum_to_one"
-        assert cfg.threads == 1
 
     def test_empty_file_equals_defaults(self, tmp_path):
         path = write_config(tmp_path, "")
@@ -165,14 +164,6 @@ class TestEnvironment:
         assert cfg.train.seed == 99
         assert cfg.svm.seed == 99
         assert cfg.ensemble.seed == 99
-
-    def test_threads_parsed_and_validated(self):
-        cfg = apply_env(AppConfig(), environ={"MGTDETECT_THREADS": "4"})
-        assert cfg.threads == 4
-        with pytest.raises(ConfigError):
-            apply_env(AppConfig(), environ={"MGTDETECT_THREADS": "0"})
-        with pytest.raises(ConfigError):
-            apply_env(AppConfig(), environ={"MGTDETECT_THREADS": "two"})
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,14 +7,12 @@ from mgtdetect.corpus import Corpus, Document, Language
 from mgtdetect.embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
-    concat_features,
     embed_corpus,
     fallback_embed,
     load_embeddings,
     save_embeddings,
 )
 from mgtdetect.errors import ConfigError, DataError
-from mgtdetect.readability import readability_features
 
 
 def en_doc(text, doc_id="d"):
@@ -161,19 +159,3 @@ class TestEmbeddingFiles:
         path.write_text("\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_embeddings(path)
-
-
-class TestConcatFeatures:
-    def test_layout_readability_then_embedding(self):
-        stats = readability_features(en_doc("The cat sat on the mat."))
-        vec = concat_features(stats.as_vector(), np.array([0.5, -0.5]))
-        assert vec.names[:2] == ("words", "sentences")
-        assert vec.names[-2:] == ("emb_0", "emb_1")
-        assert vec.values.shape == (12,)
-        assert vec.values[-2] == 0.5
-        assert vec.values[-1] == -0.5
-
-    def test_rejects_matrix_embedding(self):
-        stats = readability_features(en_doc("The cat sat."))
-        with pytest.raises(DataError):
-            concat_features(stats.as_vector(), np.zeros((2, 2)))

@@ -1,14 +1,11 @@
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mgtdetect.ensemble import (
-    ensemble_from_jsonable,
     ensemble_predict_labels,
     ensemble_predict_proba,
-    ensemble_to_jsonable,
     meta_features,
     select_threshold,
     train_ensemble,
@@ -232,23 +229,3 @@ class TestEnsemblePredict:
             ensemble_predict_labels(model, probs),
             (scores >= model.threshold).astype(np.int64),
         )
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        probs, labels = complementary_bases()
-        model = train_ensemble(probs, labels, grid=SMALL_GRID)
-        blob = json.loads(json.dumps(ensemble_to_jsonable(model)))
-        restored = ensemble_from_jsonable(blob)
-        assert restored.base_names == model.base_names
-        assert restored.base_thresholds == model.base_thresholds
-        assert restored.threshold == model.threshold
-        assert restored.meta_hyperparams == model.meta_hyperparams
-        np.testing.assert_array_equal(
-            ensemble_predict_proba(restored, probs),
-            ensemble_predict_proba(model, probs),
-        )
-
-    def test_malformed_blob_rejected(self):
-        with pytest.raises(DataError):
-            ensemble_from_jsonable({"base_names": ["a"]})

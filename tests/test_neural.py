@@ -19,7 +19,6 @@ from mgtdetect.neural import (
     backward,
     batch_loss,
     bce_loss,
-    clone_config_with,
     forward,
     init_params,
     make_dropout_mask,
@@ -577,12 +576,6 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(early_stopping_patience=0)
-
-    def test_clone_with_updates(self):
-        cfg = clone_config_with(TrainConfig(), epochs=7, seed=99)
-        assert cfg.epochs == 7
-        assert cfg.seed == 99
-        assert cfg.learning_rate == TrainConfig().learning_rate
 
 
 class TestSerialization:

@@ -1,11 +1,12 @@
 """End-to-end wiring: feature assembly, training dispatch, model checkpoints."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from mgtdetect.checkpoint import load_checkpoint
+from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
 from mgtdetect.config import AppConfig, EnsembleSettings, SvmSettings
 from mgtdetect.corpus import Corpus, SplitSpec, split
 from mgtdetect.embeddings import (
@@ -33,6 +34,14 @@ from mgtdetect.shallow import GbtGrid
 from synthdata import synthetic_corpus
 
 SMALL_EMBEDDER = FallbackEmbedderConfig(dim=16, ngram_min=3, ngram_max=4, seed=0)
+
+# Payload keys of each base kind, in checkpoint order (before "threshold").
+PAYLOAD_KEYS = {
+    "neural": ("params", "featurizer"),
+    "gbt": ("model", "featurizer"),
+    "knn": ("model", "featurizer"),
+    "svm": ("model", "kernel"),
+}
 
 
 def fast_config() -> AppConfig:
@@ -142,6 +151,44 @@ class TestFeaturizer:
         with pytest.raises(DataError, match="no embedding"):
             fit_featurizer(base_corpus, cfg)
 
+    def test_checkpoint_pins_the_embeddings_file(self, base_corpus, tmp_path):
+        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
+        vectors = tmp_path / "vectors.tsv"
+        save_embeddings(table, vectors)
+        cfg = dataclasses.replace(fast_config(), embeddings_path=str(vectors))
+        model, _ = train_model("knn", base_corpus, cfg)
+        path = tmp_path / "knn.json"
+        save_model(model, path)
+        _, payload = load_checkpoint(path)
+        digest = hashlib.sha256(vectors.read_bytes()).hexdigest()
+        assert payload["featurizer"]["embeddings_sha256"] == digest
+
+        loaded = load_model(path)
+        np.testing.assert_array_equal(
+            loaded.predict_proba(base_corpus), model.predict_proba(base_corpus)
+        )
+        resaved = tmp_path / "again.json"
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+        del payload["featurizer"]["embeddings_sha256"]
+        save_checkpoint(resaved, "knn", payload)
+        with pytest.raises(DataError, match="malformed featurizer"):
+            load_model(resaved)
+
+        first = next(iter(base_corpus)).id
+        table.vectors[first] = -table.vectors[first]
+        save_embeddings(table, vectors)
+        with pytest.raises(DataError, match="vectors.tsv"):
+            load_model(path)
+
+    def test_no_digest_without_an_embeddings_file(self, base_corpus, tmp_path):
+        model, _ = train_model("knn", base_corpus, fast_config())
+        path = tmp_path / "knn.json"
+        save_model(model, path)
+        _, payload = load_checkpoint(path)
+        assert list(payload["featurizer"]) == ["embedder", "embeddings_path", "scaler"]
+
 
 class TestTrainModel:
     @pytest.mark.parametrize("kind", ["neural", "gbt", "knn", "svm"])
@@ -214,6 +261,19 @@ class TestModelCheckpoints:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["neural", "gbt", "knn", "svm"])
+    def test_payload_missing_model_key_rejected(self, base_corpus, tmp_path, kind):
+        model_key, prep_key = PAYLOAD_KEYS[kind]
+        model, _ = train_model(kind, base_corpus, fast_config())
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        _, payload = load_checkpoint(path)
+        assert list(payload) == [model_key, prep_key, "threshold"]
+        del payload[model_key]
+        save_checkpoint(path, kind, payload)
+        with pytest.raises(DataError, match="missing"):
+            load_model(path)
 
     def test_retrain_writes_identical_checkpoint(self, base_corpus, tmp_path):
         paths = []
@@ -330,6 +390,16 @@ class TestEnsembleTraining:
         with pytest.raises(DataError, match="not a directory"):
             save_model(model, path)
 
+    def test_manifest_without_meta_hyperparams_rejected(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        _, manifest = load_checkpoint(path / "manifest.json")
+        del manifest["meta_hyperparams"]
+        save_checkpoint(path / "manifest.json", "ensemble", manifest)
+        with pytest.raises(DataError, match="malformed ensemble manifest"):
+            load_model(path)
+
     def test_flat_file_claiming_ensemble_kind_rejected(self, trained, tmp_path):
         model, _ = trained
         path = tmp_path / "bundle"
@@ -355,6 +425,42 @@ class TestEnsembleTraining:
             probs = base.predict_proba(holdout)
             expected = select_threshold(probs, labels, "youden")
             assert inner.base_thresholds[inner.base_names.index(name)] == expected
+
+
+class TestSvmEnsemble:
+    @pytest.fixture(scope="class")
+    def svm_knn(self, wide_corpus):
+        cfg = dataclasses.replace(
+            fast_config(), ensemble=EnsembleSettings(bases=("svm", "knn"))
+        )
+        model, _ = train_model("ensemble", wide_corpus, cfg)
+        return model
+
+    def test_bundle_rewrite_is_byte_identical(self, svm_knn, tmp_path):
+        first = tmp_path / "a"
+        second = tmp_path / "b"
+        save_model(svm_knn, first)
+        save_model(load_model(first), second)
+        assert sorted(p.name for p in first.iterdir()) == [
+            "knn.json",
+            "manifest.json",
+            "meta.json",
+            "svm.json",
+        ]
+        for file in sorted(first.iterdir()):
+            assert (second / file.name).read_bytes() == file.read_bytes()
+
+    def test_svm_base_loads_standalone(self, svm_knn, wide_corpus, tmp_path):
+        path = tmp_path / "bundle"
+        save_model(svm_knn, path)
+        standalone = load_model(path / "svm.json")
+        inner = svm_knn.adapter.model
+        assert standalone.kind == "svm"
+        assert standalone.threshold == inner.base_thresholds[inner.base_names.index("svm")]
+        np.testing.assert_array_equal(
+            standalone.predict_proba(wide_corpus),
+            svm_knn.adapter.bases["svm"].predict_proba(wide_corpus),
+        )
 
 
 class _FixedScores:

@@ -208,16 +208,6 @@ class TestGbtStructure:
         model = gbt_train(x, y, n_estimators=1, max_depth=1, learning_rate=0.1)
         assert model.trees[0].feature == 0
 
-    def test_seed_is_inert(self, rng):
-        x = rng.normal(size=(30, 3))
-        y = rng.integers(0, 2, size=30)
-        y[0], y[1] = 0, 1
-        a = gbt_train(x, y, seed=0)
-        b = gbt_train(x, y, seed=12345)
-        np.testing.assert_array_equal(
-            gbt_predict_proba_many(a, x), gbt_predict_proba_many(b, x)
-        )
-
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             gbt_train(np.zeros((4, 1)), [1, 1, 1, 1])

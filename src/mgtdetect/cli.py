@@ -18,12 +18,11 @@ data problems, 3 for unexpected internal failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .checkpoint import MODEL_KINDS, atomic_write_text
-from .config import AppConfig, load_config
+from .config import AppConfig, load_config, with_fields
 from .corpus import Corpus, Language, load_tsv, merge_bilingual, summarize
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
@@ -142,11 +141,8 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _config(args)
-    if args.mtl:
-        cfg = dataclasses.replace(cfg, mtl=dataclasses.replace(cfg.mtl, enabled=True))
-    if args.vat:
-        cfg = dataclasses.replace(cfg, vat=dataclasses.replace(cfg.vat, enabled=True))
+    flags = {"mtl.enabled": args.mtl, "vat.enabled": args.vat}
+    cfg = with_fields(_config(args), {path: True for path, on in flags.items() if on})
     corpus = _load_corpora(args.corpus)
     model, log = train_model(args.model, corpus, cfg)
     save_model(model, args.output)

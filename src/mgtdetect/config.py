@@ -5,6 +5,14 @@ so an empty or absent file configures the documented behavior.  Unknown
 sections and unknown keys are rejected rather than ignored; a typo in a
 tuning knob should fail loudly, not silently run the defaults.
 
+``_SCHEMA`` is the one table of settings: each INI key names, once, the
+``AppConfig`` field it sets (a dotted path such as ``"embedder.dim"``)
+and the parser that reads its text.  Defaults are written only on the
+settings dataclasses.  Parsers refuse what no setting accepts: seeds
+outside [0, 2**64) and numbers that are not finite.  ``with_fields``
+applies a set of paths to a configuration, rebuilding each nested
+settings object once so its validation sees the final combination.
+
 One environment variable applies after the file is parsed:
 ``MGTDETECT_SEED`` overrides every seed in the configuration at once,
 which gives scripts a single lever for reproducibility sweeps.
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,23 +33,19 @@ from .corpus import SplitSpec
 from .embeddings import FallbackEmbedderConfig
 from .ensemble import THRESHOLD_RULES
 from .errors import ConfigError
-from .neural import MtlConfig, TrainConfig, VatConfig
+from .neural import HIDDEN_UNITS, MtlConfig, TrainConfig, VatConfig
 from .shallow import GbtGrid
 
 SEED_ENV_VAR = "MGTDETECT_SEED"
 
 BASE_MODEL_NAMES = tuple(kind for kind in MODEL_KINDS if kind != "ensemble")
 
-DEFAULT_SVM_SCALE_WARNING = 5000
-DEFAULT_ENSEMBLE_BASES = ("neural", "gbt", "knn")
-DEFAULT_HOLDOUT_FRACTION = 0.25
-
 
 @dataclass(frozen=True)
 class SvmSettings:
     C: float = 1.0
     seed: int = 0
-    scale_warning_threshold: int = DEFAULT_SVM_SCALE_WARNING
+    scale_warning_threshold: int = 5000
 
     def __post_init__(self) -> None:
         if self.C <= 0:
@@ -54,8 +59,8 @@ class SvmSettings:
 
 @dataclass(frozen=True)
 class EnsembleSettings:
-    bases: tuple[str, ...] = DEFAULT_ENSEMBLE_BASES
-    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION
+    bases: tuple[str, ...] = ("neural", "gbt", "knn")
+    holdout_fraction: float = 0.25
     seed: int = 0
     threshold_rule: str = "sum_to_one"
 
@@ -85,7 +90,7 @@ class AppConfig:
     embedder: FallbackEmbedderConfig = FallbackEmbedderConfig()
     embeddings_path: str = ""
     train: TrainConfig = TrainConfig()
-    hidden: int = 64
+    hidden: int = HIDDEN_UNITS
     mtl: MtlConfig = MtlConfig()
     vat: VatConfig = VatConfig()
     svm: SvmSettings = SvmSettings()
@@ -104,8 +109,19 @@ def _parse_int(text: str) -> int:
     return int(text.strip())
 
 
+def _parse_seed(text: str) -> int:
+    # The hashing embedder packs its seed into 8 unsigned bytes.
+    seed = _parse_int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _parse_float(text: str) -> float:
-    return float(text.strip())
+    value = float(text.strip())
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -121,71 +137,75 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+def _list_of(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",") if part.strip())
+
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _parse_name_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+# section -> key -> (AppConfig field path, parser)
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "split": {
-        "train_fraction": _parse_float,
-        "seed": _parse_int,
-        "stratify": _parse_bool,
+        "train_fraction": ("split.train_fraction", _parse_float),
+        "seed": ("split.seed", _parse_seed),
+        "stratify": ("split.stratify_by_label", _parse_bool),
     },
     "features": {
-        "embedding_dim": _parse_int,
-        "embedding_seed": _parse_int,
-        "ngram_min": _parse_int,
-        "ngram_max": _parse_int,
-        "embeddings_path": _parse_str,
+        "embedding_dim": ("embedder.dim", _parse_int),
+        "embedding_seed": ("embedder.seed", _parse_seed),
+        "ngram_min": ("embedder.ngram_min", _parse_int),
+        "ngram_max": ("embedder.ngram_max", _parse_int),
+        "embeddings_path": ("embeddings_path", _parse_str),
     },
     "neural": {
-        "learning_rate": _parse_float,
-        "epochs": _parse_int,
-        "batch_size": _parse_int,
-        "dropout": _parse_float,
-        "weight_decay": _parse_float,
-        "early_stopping_patience": _parse_int,
-        "seed": _parse_int,
-        "hidden": _parse_int,
-        "mtl": _parse_bool,
-        "mtl_alpha": _parse_float,
-        "vat": _parse_bool,
-        "vat_alpha": _parse_float,
-        "vat_epsilon": _parse_float,
-        "vat_xi": _parse_float,
-        "vat_power_iterations": _parse_int,
+        "learning_rate": ("train.learning_rate", _parse_float),
+        "epochs": ("train.epochs", _parse_int),
+        "batch_size": ("train.batch_size", _parse_int),
+        "dropout": ("train.dropout", _parse_float),
+        "weight_decay": ("train.weight_decay", _parse_float),
+        "early_stopping_patience": ("train.early_stopping_patience", _parse_int),
+        "seed": ("train.seed", _parse_seed),
+        "hidden": ("hidden", _parse_int),
+        "mtl": ("mtl.enabled", _parse_bool),
+        "mtl_alpha": ("mtl.alpha", _parse_float),
+        "vat": ("vat.enabled", _parse_bool),
+        "vat_alpha": ("vat.alpha_vat", _parse_float),
+        "vat_epsilon": ("vat.epsilon", _parse_float),
+        "vat_xi": ("vat.xi", _parse_float),
+        "vat_power_iterations": ("vat.power_iterations", _parse_int),
     },
     "svm": {
-        "c": _parse_float,
-        "seed": _parse_int,
-        "scale_warning_threshold": _parse_int,
+        "c": ("svm.C", _parse_float),
+        "seed": ("svm.seed", _parse_seed),
+        "scale_warning_threshold": ("svm.scale_warning_threshold", _parse_int),
     },
     "knn": {
-        "k": _parse_int,
+        "k": ("knn_k", _parse_int),
     },
     "gbt": {
-        "estimators": _parse_int_list,
-        "depths": _parse_int_list,
-        "learning_rates": _parse_float_list,
+        "estimators": ("gbt_grid.estimators", _list_of(_parse_int)),
+        "depths": ("gbt_grid.depths", _list_of(_parse_int)),
+        "learning_rates": ("gbt_grid.learning_rates", _list_of(_parse_float)),
     },
     "ensemble": {
-        "bases": _parse_name_list,
-        "holdout_fraction": _parse_float,
-        "seed": _parse_int,
-        "threshold_rule": _parse_str,
+        "bases": ("ensemble.bases", _list_of(_parse_str)),
+        "holdout_fraction": ("ensemble.holdout_fraction", _parse_float),
+        "seed": ("ensemble.seed", _parse_seed),
+        "threshold_rule": ("ensemble.threshold_rule", _parse_str),
     },
 }
 
+_SEED_PATHS = tuple(
+    path
+    for section in _SCHEMA.values()
+    for path, parse in section.values()
+    if parse is _parse_seed
+)
 
-def _read_values(path: Path) -> dict[str, dict[str, object]]:
+
+def _read_values(path: Path) -> dict[str, object]:
+    """Parse the INI file into ``{field path: value}``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -194,7 +214,7 @@ def _read_values(path: Path) -> dict[str, dict[str, object]]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, object] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(
@@ -202,91 +222,42 @@ def _read_values(path: Path) -> dict[str, dict[str, object]]:
                 f"expected one of {sorted(_SCHEMA)}"
             )
         section_schema = _SCHEMA[section]
-        parsed: dict[str, object] = {}
         for key, raw in parser.items(section):
             if key not in section_schema:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; "
                     f"expected one of {sorted(section_schema)}"
                 )
+            field_path, parse = section_schema[key]
             try:
-                parsed[key] = section_schema[key](raw)
+                values[field_path] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
-        values[section] = parsed
     return values
 
 
-def _build(values: dict[str, dict[str, object]]) -> AppConfig:
-    split_v = values.get("split", {})
-    feat_v = values.get("features", {})
-    neural_v = values.get("neural", {})
-    svm_v = values.get("svm", {})
-    knn_v = values.get("knn", {})
-    gbt_v = values.get("gbt", {})
-    ens_v = values.get("ensemble", {})
-    split = SplitSpec(
-        train_fraction=split_v.get("train_fraction", 0.8),
-        seed=split_v.get("seed", 0),
-        stratify_by_label=split_v.get("stratify", False),
-    )
-    embedder = FallbackEmbedderConfig(
-        dim=feat_v.get("embedding_dim", 300),
-        ngram_min=feat_v.get("ngram_min", 3),
-        ngram_max=feat_v.get("ngram_max", 5),
-        seed=feat_v.get("embedding_seed", 0),
-    )
-    train_cfg = TrainConfig(
-        learning_rate=neural_v.get("learning_rate", 1e-5),
-        epochs=neural_v.get("epochs", 3),
-        batch_size=neural_v.get("batch_size", 32),
-        dropout=neural_v.get("dropout", 0.2),
-        weight_decay=neural_v.get("weight_decay", 0.01),
-        early_stopping_patience=neural_v.get("early_stopping_patience", 1),
-        seed=neural_v.get("seed", 0),
-    )
-    mtl = MtlConfig(
-        enabled=neural_v.get("mtl", False),
-        alpha=neural_v.get("mtl_alpha", 0.5),
-    )
-    vat = VatConfig(
-        enabled=neural_v.get("vat", False),
-        alpha_vat=neural_v.get("vat_alpha", 1.0),
-        epsilon=neural_v.get("vat_epsilon", 1.0),
-        xi=neural_v.get("vat_xi", 10.0),
-        power_iterations=neural_v.get("vat_power_iterations", 1),
-    )
-    svm = SvmSettings(
-        C=svm_v.get("c", 1.0),
-        seed=svm_v.get("seed", 0),
-        scale_warning_threshold=svm_v.get(
-            "scale_warning_threshold", DEFAULT_SVM_SCALE_WARNING
-        ),
-    )
-    grid = GbtGrid(
-        estimators=gbt_v.get("estimators", GbtGrid().estimators),
-        depths=gbt_v.get("depths", GbtGrid().depths),
-        learning_rates=gbt_v.get("learning_rates", GbtGrid().learning_rates),
-    )
-    ensemble = EnsembleSettings(
-        bases=ens_v.get("bases", DEFAULT_ENSEMBLE_BASES),
-        holdout_fraction=ens_v.get("holdout_fraction", DEFAULT_HOLDOUT_FRACTION),
-        seed=ens_v.get("seed", 0),
-        threshold_rule=ens_v.get("threshold_rule", "sum_to_one"),
-    )
-    return AppConfig(
-        split=split,
-        embedder=embedder,
-        embeddings_path=feat_v.get("embeddings_path", ""),
-        train=train_cfg,
-        hidden=neural_v.get("hidden", 64),
-        mtl=mtl,
-        vat=vat,
-        svm=svm,
-        knn_k=knn_v.get("k", 10),
-        gbt_grid=grid,
-        ensemble=ensemble,
-    )
+def with_fields(cfg: AppConfig, values: Mapping[str, object]) -> AppConfig:
+    """Return ``cfg`` with each ``"field"`` or ``"field.subfield"`` path set.
+
+    Each nested settings object is rebuilt once, with all of its new
+    values, in ``AppConfig`` field order, so its validation sees the
+    final combination and the first invalid object raises first.
+    """
+    changes: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for path, value in values.items():
+        head, dot, leaf = path.partition(".")
+        if dot:
+            nested.setdefault(head, {})[leaf] = value
+        else:
+            changes[head] = value
+    for field in dataclasses.fields(cfg):
+        if field.name in nested:
+            updates = nested.pop(field.name)
+            changes[field.name] = dataclasses.replace(getattr(cfg, field.name), **updates)
+    if nested:
+        raise TypeError(f"AppConfig has no settings objects {sorted(nested)}")
+    return dataclasses.replace(cfg, **changes)
 
 
 def apply_env(cfg: AppConfig, environ: Mapping[str, str] | None = None) -> AppConfig:
@@ -296,23 +267,15 @@ def apply_env(cfg: AppConfig, environ: Mapping[str, str] | None = None) -> AppCo
     if raw_seed is None:
         return cfg
     try:
-        seed = int(raw_seed)
+        seed = _parse_seed(raw_seed)
     except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw_seed!r}") from exc
-    return dataclasses.replace(
-        cfg,
-        split=dataclasses.replace(cfg.split, seed=seed),
-        embedder=dataclasses.replace(cfg.embedder, seed=seed),
-        train=dataclasses.replace(cfg.train, seed=seed),
-        svm=dataclasses.replace(cfg.svm, seed=seed),
-        ensemble=dataclasses.replace(cfg.ensemble, seed=seed),
-    )
+        raise ConfigError(
+            f"{SEED_ENV_VAR} must be an integer in [0, 2**64), got {raw_seed!r}"
+        ) from exc
+    return with_fields(cfg, dict.fromkeys(_SEED_PATHS, seed))
 
 
 def load_config(path: str | Path | None, environ: Mapping[str, str] | None = None) -> AppConfig:
     """Parse the INI file (None means all defaults) and apply the environment."""
-    if path is None:
-        cfg = AppConfig()
-    else:
-        cfg = _build(_read_values(Path(path)))
-    return apply_env(cfg, environ)
+    values = {} if path is None else _read_values(Path(path))
+    return apply_env(with_fields(AppConfig(), values), environ)

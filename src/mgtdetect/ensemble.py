@@ -12,14 +12,13 @@ threshold is calibrated on the meta-model's own holdout probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import _round_half_up
 from .errors import ConfigError, DataError
-from .evaluation import rates_at, threshold_candidates
+from .evaluation import threshold_counts
 from .shallow import (
     GbtGrid,
     GbtHyperparams,
@@ -44,28 +43,19 @@ def select_threshold(
     Candidates are 0, 1, and the midpoints between consecutive distinct
     scores; a score counts as positive when it is >= the threshold.  The
     default rule balances the error rates by minimizing |TPR + FPR - 1|;
-    the alternative maximizes Youden's J = TPR - FPR.  Rates are compared
-    as exact rationals and ties go to the larger threshold.
+    the alternative maximizes Youden's J = TPR - FPR.  Both are compared
+    exactly, as integer numerators over the common denominator
+    n_pos * n_neg, and ties go to the larger threshold.
     """
     if rule not in THRESHOLD_RULES:
         raise ConfigError(f"unknown threshold rule {rule!r}, expected {THRESHOLD_RULES}")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    best_threshold = None
-    best_objective = None
-    for threshold in threshold_candidates(scores):
-        tpr, fpr = rates_at(scores, labels, threshold)
-        if rule == "sum_to_one":
-            objective = abs(tpr + fpr - Fraction(1))
-            better = best_objective is None or objective <= best_objective
-        else:
-            objective = tpr - fpr
-            better = best_objective is None or objective >= best_objective
-        if better:
-            best_objective = objective
-            best_threshold = threshold
-    assert best_threshold is not None
-    return float(best_threshold)
+    candidates, tp, fp, n_pos, n_neg = threshold_counts(scores, labels)
+    if rule == "sum_to_one":
+        objective = -np.abs(tp * n_neg + fp * n_pos - n_pos * n_neg)
+    else:
+        objective = tp * n_neg - fp * n_pos
+    # argmax takes the first optimum, so search from the largest threshold
+    return float(candidates[len(candidates) - 1 - int(np.argmax(objective[::-1]))])
 
 
 def meta_features(

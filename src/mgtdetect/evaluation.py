@@ -5,16 +5,16 @@ the convention that a class with zero true and zero predicted members gets
 F1 = 0, and macro-F1 is the unweighted mean over both classes, so scores
 are symmetric under swapping the class encoding.
 
-True/false positive rates are computed with exact rational arithmetic on
-the integer counts and only converted to floats at the boundary, so
-threshold ties compare exactly.
+True/false positive counts for every candidate threshold come from one
+binary search per class over its sorted scores (``threshold_counts``);
+they stay integers until rates are reported, so threshold ties compare
+exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -117,19 +117,27 @@ def threshold_candidates(scores: Sequence[float] | np.ndarray) -> list[float]:
     return sorted(candidates)
 
 
-def rates_at(
-    scores: np.ndarray, labels: np.ndarray, threshold: float
-) -> tuple[Fraction, Fraction]:
-    """Exact (TPR, FPR) at a threshold; score >= threshold predicts positive."""
-    pos = labels == 1
-    neg = labels == 0
-    n_pos = int(np.sum(pos))
-    n_neg = int(np.sum(neg))
-    if n_pos == 0 or n_neg == 0:
+def threshold_counts(
+    scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
+) -> tuple[list[float], np.ndarray, np.ndarray, int, int]:
+    """Exact counts at every candidate threshold, in O(n log n).
+
+    Returns ``(candidates, tp, fp, n_pos, n_neg)``: the ascending
+    ``threshold_candidates`` and, for each, how many positives (label 1)
+    and negatives (label 0) score >= it.  Both classes must be present.
+    """
+    arr = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels, dtype=np.int64)
+    if arr.shape != lab.shape:
+        raise DataError(f"{arr.shape[0]} scores for {lab.shape[0]} labels")
+    candidates = threshold_candidates(arr)
+    pos = np.sort(arr[lab == 1])
+    neg = np.sort(arr[lab == 0])
+    if pos.size == 0 or neg.size == 0:
         raise DataError("rates need both classes present")
-    tp = int(np.sum(scores[pos] >= threshold))
-    fp = int(np.sum(scores[neg] >= threshold))
-    return Fraction(tp, n_pos), Fraction(fp, n_neg)
+    tp = pos.size - np.searchsorted(pos, candidates, side="left")
+    fp = neg.size - np.searchsorted(neg, candidates, side="left")
+    return candidates, tp, fp, int(pos.size), int(neg.size)
 
 
 def roc_curve(
@@ -140,15 +148,13 @@ def roc_curve(
     For probability-like scores strictly inside (0, 1) the endpoints are
     (TPR, FPR) = (1, 1) at threshold 0 and (0, 0) at threshold 1.
     """
-    arr = np.asarray(scores, dtype=np.float64)
-    lab = _as_binary(labels, "labels")
-    if arr.shape != lab.shape:
-        raise DataError(f"{arr.shape[0]} scores for {lab.shape[0]} labels")
-    points = []
-    for t in threshold_candidates(arr):
-        tpr, fpr = rates_at(arr, lab, t)
-        points.append(RocPoint(threshold=t, tpr=float(tpr), fpr=float(fpr)))
-    return points
+    candidates, tp, fp, n_pos, n_neg = threshold_counts(
+        scores, _as_binary(labels, "labels")
+    )
+    return [
+        RocPoint(threshold=t, tpr=p / n_pos, fpr=f / n_neg)
+        for t, p, f in zip(candidates, tp.tolist(), fp.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,42 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_negative_seed_in_file_is_1(self, workdir, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[split]\nseed = -1\n", encoding="utf-8")
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--config", str(bad),
+            "--model", "knn",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+
+    def test_negative_seed_env_is_1(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("MGTDETECT_SEED", "-5")
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model", "knn",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+
+    def test_nan_learning_rate_is_1_and_writes_no_model(self, workdir, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[neural]\nlearning_rate = nan\n", encoding="utf-8")
+        ckpt = tmp_path / "m.json"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--config", str(bad),
+            "--model", "neural",
+            "--output", str(ckpt),
+        )
+        assert code == 1
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_is_2(self, workdir, tmp_path):
         code = _run(
             "predict",

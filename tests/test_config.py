@@ -1,13 +1,94 @@
+import configparser
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from mgtdetect import config
 from mgtdetect.config import (
     AppConfig,
     EnsembleSettings,
     SvmSettings,
     apply_env,
     load_config,
+    with_fields,
 )
 from mgtdetect.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+SCHEMA_KEYS = [(section, key) for section, keys in config._SCHEMA.items() for key in keys]
+
+# One valid value per INI key, each different from that key's default.
+NON_DEFAULT = {
+    ("split", "train_fraction"): "0.7",
+    ("split", "seed"): "5",
+    ("split", "stratify"): "true",
+    ("features", "embedding_dim"): "64",
+    ("features", "embedding_seed"): "7",
+    ("features", "ngram_min"): "2",
+    ("features", "ngram_max"): "6",
+    ("features", "embeddings_path"): "vectors.tsv",
+    ("neural", "learning_rate"): "0.001",
+    ("neural", "epochs"): "2",
+    ("neural", "batch_size"): "24",
+    ("neural", "dropout"): "0.1",
+    ("neural", "weight_decay"): "0.0",
+    ("neural", "early_stopping_patience"): "2",
+    ("neural", "seed"): "3",
+    ("neural", "hidden"): "32",
+    ("neural", "mtl"): "yes",
+    ("neural", "mtl_alpha"): "0.7",
+    ("neural", "vat"): "on",
+    ("neural", "vat_alpha"): "0.5",
+    ("neural", "vat_epsilon"): "2.0",
+    ("neural", "vat_xi"): "5.0",
+    ("neural", "vat_power_iterations"): "2",
+    ("svm", "c"): "10.0",
+    ("svm", "seed"): "4",
+    ("svm", "scale_warning_threshold"): "100",
+    ("knn", "k"): "3",
+    ("gbt", "estimators"): "5, 10",
+    ("gbt", "depths"): "3",
+    ("gbt", "learning_rates"): "0.01, 0.1",
+    ("ensemble", "bases"): "neural, knn",
+    ("ensemble", "holdout_fraction"): "0.3",
+    ("ensemble", "seed"): "9",
+    ("ensemble", "threshold_rule"): "youden",
+}
+
+
+def leaves(tree, prefix=""):
+    """Flatten nested ``dataclasses.asdict`` output to ``{dotted path: value}``."""
+    flat = {}
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            flat.update(leaves(value, f"{prefix}{name}."))
+        else:
+            flat[prefix + name] = value
+    return flat
+
+
+DEFAULT_LEAVES = leaves(dataclasses.asdict(AppConfig()))
+
+
+def is_float_setting(value):
+    if isinstance(value, tuple):
+        return all(isinstance(item, float) for item in value)
+    return isinstance(value, float)
+
+
+FLOAT_KEYS = [
+    (section, key)
+    for section, key in SCHEMA_KEYS
+    if is_float_setting(DEFAULT_LEAVES[config._SCHEMA[section][key][0]])
+]
+SEED_KEYS = [
+    (section, key)
+    for section, key in SCHEMA_KEYS
+    if config._SCHEMA[section][key][0] in config._SEED_PATHS
+]
 
 
 def write_config(tmp_path, text):
@@ -124,10 +205,93 @@ threshold_rule = youden
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini", environ={})
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_non_finite_numbers_rejected(self, tmp_path, section, key, bad):
+        value = f"0.1, {bad}" if key == "learning_rates" else bad
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"bad value for \[{section}\] {key}: not a finite"):
+            load_config(path, environ={})
+
+    def test_float_keys_include_the_gbt_rate_list(self):
+        assert ("gbt", "learning_rates") in FLOAT_KEYS
+        assert ("svm", "c") in FLOAT_KEYS
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    @pytest.mark.parametrize("section,key", SEED_KEYS)
+    def test_out_of_range_seeds_rejected(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"bad value for \[{section}\] {key}: seed"):
+            load_config(path, environ={})
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = write_config(tmp_path, f"[features]\nembedding_seed = {2**64 - 1}\n")
+        assert load_config(path, environ={}).embedder.seed == 2**64 - 1
+
     def test_out_of_band_values_rejected(self, tmp_path):
         path = write_config(tmp_path, "[neural]\nbatch_size = 16\n")
         with pytest.raises(ConfigError, match="batch_size"):
             load_config(path, environ={})
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section,key", SCHEMA_KEYS)
+    def test_each_key_sets_exactly_its_field(self, tmp_path, section, key):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {NON_DEFAULT[section, key]}\n")
+        changed = leaves(dataclasses.asdict(load_config(path, environ={})))
+        assert {p for p, v in changed.items() if v != DEFAULT_LEAVES[p]} == {
+            config._SCHEMA[section][key][0]
+        }
+
+    def test_every_field_has_one_key(self):
+        paths = [field_path for keys in config._SCHEMA.values() for field_path, _ in keys.values()]
+        assert sorted(paths) == sorted(DEFAULT_LEAVES)
+
+    def test_seed_paths_are_every_seed_field(self):
+        def seed_fields(obj, prefix=""):
+            for field in dataclasses.fields(obj):
+                value = getattr(obj, field.name)
+                if dataclasses.is_dataclass(value):
+                    yield from seed_fields(value, f"{prefix}{field.name}.")
+                elif field.name == "seed":
+                    yield prefix + field.name
+
+        assert sorted(config._SEED_PATHS) == sorted(seed_fields(AppConfig()))
+        assert len(SEED_KEYS) == 5
+
+    def test_validation_sees_the_final_combination(self, tmp_path):
+        # ngram_min = 6 alone would exceed the default ngram_max of 5
+        path = write_config(tmp_path, "[features]\nngram_min = 6\nngram_max = 8\n")
+        cfg = load_config(path, environ={})
+        assert (cfg.embedder.ngram_min, cfg.embedder.ngram_max) == (6, 8)
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
+        assert len(blocks) == 1
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(blocks[0])
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == set(SCHEMA_KEYS)
+        assert load_config(write_config(tmp_path, blocks[0]), environ={}) == AppConfig()
+
+
+class TestWithFields:
+    def test_sets_nested_and_top_level_fields(self):
+        cfg = with_fields(AppConfig(), {"embedder.dim": 16, "knn_k": 3, "mtl.enabled": True})
+        assert (cfg.embedder.dim, cfg.knn_k, cfg.mtl.enabled) == (16, 3, True)
+        assert cfg.embedder.ngram_max == AppConfig().embedder.ngram_max
+
+    def test_no_values_is_identity(self):
+        assert with_fields(AppConfig(), {}) == AppConfig()
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match="nonsense"):
+            with_fields(AppConfig(), {"nonsense.x": 1})
+
+    def test_first_invalid_settings_object_raises_first(self):
+        # split comes before train in AppConfig, so its error wins
+        with pytest.raises(ConfigError, match="train_fraction"):
+            with_fields(AppConfig(), {"train.batch_size": 8, "split.train_fraction": 2.0})
 
 
 class TestSettingsValidation:
@@ -168,6 +332,11 @@ class TestEnvironment:
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigError):
             apply_env(AppConfig(), environ={"MGTDETECT_SEED": "abc"})
+
+    @pytest.mark.parametrize("value", ["-5", str(2**64)])
+    def test_out_of_range_seed_rejected(self, value):
+        with pytest.raises(ConfigError, match="MGTDETECT_SEED"):
+            apply_env(AppConfig(), environ={"MGTDETECT_SEED": value})
 
     def test_no_overrides_is_identity(self):
         assert apply_env(AppConfig(), environ={}) == AppConfig()

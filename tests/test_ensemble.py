@@ -81,6 +81,17 @@ class TestSelectThreshold:
         with pytest.raises(ConfigError):
             select_threshold([0.5], [1], "accuracy")
 
+    @pytest.mark.parametrize("rule", ["sum_to_one", "youden"])
+    def test_single_class_rejected(self, rule):
+        with pytest.raises(DataError, match="both classes"):
+            select_threshold([0.1, 0.9], [0, 0], rule)
+
+    @pytest.mark.parametrize("rule", ["sum_to_one", "youden"])
+    def test_threshold_inclusive(self, rule):
+        # At threshold 1 the score 1.0 still counts as positive, so the
+        # perfect split there ties with 0.5 and the larger threshold wins.
+        assert select_threshold([0.0, 1.0], [0, 1], rule) == 1.0
+
 
 class TestMetaFeatures:
     def test_width_is_twice_base_count(self):

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from mgtdetect.evaluation import (
     format_results_table,
     macro_f1,
     per_class_f1,
-    rates_at,
     roc_curve,
     threshold_candidates,
 )
@@ -106,30 +104,6 @@ class TestThresholdCandidates:
             threshold_candidates([])
 
 
-class TestRates:
-    def test_exact_fractions(self):
-        scores = np.array([0.9, 0.8, 0.3, 0.1])
-        labels = np.array([1, 0, 1, 0])
-        tpr, fpr = rates_at(scores, labels, 0.5)
-        assert tpr == Fraction(1, 2)
-        assert fpr == Fraction(1, 2)
-        tpr, fpr = rates_at(scores, labels, 0.05)
-        assert tpr == Fraction(1)
-        assert fpr == Fraction(1)
-
-    def test_threshold_inclusive(self):
-        # score == threshold predicts positive
-        scores = np.array([0.5, 0.5])
-        labels = np.array([1, 0])
-        tpr, fpr = rates_at(scores, labels, 0.5)
-        assert tpr == Fraction(1)
-        assert fpr == Fraction(1)
-
-    def test_single_class_rejected(self):
-        with pytest.raises(DataError):
-            rates_at(np.array([0.1, 0.9]), np.array([1, 1]), 0.5)
-
-
 class TestRocCurve:
     def test_endpoints(self):
         points = roc_curve([0.2, 0.7, 0.4, 0.9], [0, 1, 0, 1])
@@ -137,6 +111,26 @@ class TestRocCurve:
         assert (points[0].tpr, points[0].fpr) == (1.0, 1.0)
         assert points[-1].threshold == 1.0
         assert (points[-1].tpr, points[-1].fpr) == (0.0, 0.0)
+
+    def test_exact_rates(self):
+        points = roc_curve([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0])
+        by_threshold = {p.threshold: (p.tpr, p.fpr) for p in points}
+        assert by_threshold[(0.3 + 0.8) / 2] == (0.5, 0.5)
+        assert by_threshold[(0.1 + 0.3) / 2] == (1.0, 0.5)
+        assert by_threshold[0.0] == (1.0, 1.0)
+
+    def test_threshold_inclusive(self):
+        # score == threshold predicts positive
+        points = roc_curve([0.0, 1.0], [0, 1])
+        assert [(p.threshold, p.tpr, p.fpr) for p in points] == [
+            (0.0, 1.0, 1.0),
+            (0.5, 1.0, 0.0),
+            (1.0, 1.0, 0.0),
+        ]
+
+    def test_single_class_rejected(self):
+        with pytest.raises(DataError, match="both classes"):
+            roc_curve([0.1, 0.9], [1, 1])
 
     def test_matches_exhaustive_oracle(self, rng):
         # Reference: recompute each rate by explicit counting over every

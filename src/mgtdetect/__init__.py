@@ -87,7 +87,7 @@ from .shallow import (
     knn_fit,
     knn_predict_proba_many,
 )
-from .textprep import PrepConfig, count_syllables, preprocess, stem_word, tokenize
+from .textprep import count_syllables, preprocess, stem_word, tokenize
 
 __version__ = "0.1.0"
 
@@ -115,7 +115,6 @@ __all__ = [
     "MlpParams",
     "MtlConfig",
     "NgramUnit",
-    "PrepConfig",
     "ReadabilityFeatures",
     "ScalerParams",
     "SplitSpec",

@@ -9,7 +9,9 @@ tuning knob should fail loudly, not silently run the defaults.
 ``AppConfig`` field it sets (a dotted path such as ``"embedder.dim"``)
 and the parser that reads its text.  Defaults are written only on the
 settings dataclasses.  Parsers refuse what no setting accepts: seeds
-outside [0, 2**64) and numbers that are not finite.  ``with_fields``
+outside [0, 2**64) and numbers that are not finite; each settings
+dataclass refuses the same through ``errors.check_settings``, so library
+callers meet the same boundary as the INI file.  ``with_fields``
 applies a set of paths to a configuration, rebuilding each nested
 settings object once so its validation sees the final combination.
 
@@ -32,7 +34,7 @@ from .checkpoint import MODEL_KINDS
 from .corpus import SplitSpec
 from .embeddings import FallbackEmbedderConfig
 from .ensemble import THRESHOLD_RULES
-from .errors import ConfigError
+from .errors import ConfigError, check_settings
 from .neural import HIDDEN_UNITS, MtlConfig, TrainConfig, VatConfig
 from .shallow import GbtGrid
 
@@ -48,6 +50,7 @@ class SvmSettings:
     scale_warning_threshold: int = 5000
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.C <= 0:
             raise ConfigError(f"svm C must be positive, got {self.C}")
         if self.scale_warning_threshold < 1:
@@ -65,6 +68,7 @@ class EnsembleSettings:
     threshold_rule: str = "sum_to_one"
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if not self.bases:
             raise ConfigError("ensemble needs at least one base model")
         unknown = sorted(set(self.bases) - set(BASE_MODEL_NAMES))

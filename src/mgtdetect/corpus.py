@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_settings
 
 HISTOGRAM_BIN_WIDTH = 100
 HISTOGRAM_UPPER = 2000
@@ -100,6 +100,7 @@ class SplitSpec:
     stratify_by_label: bool = False
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction!r}"

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Corpus, Document
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_settings
 
 _SIGN_BIT = 1 << 63
 _BUCKET_MASK = _SIGN_BIT - 1
@@ -118,6 +118,7 @@ class FallbackEmbedderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.dim <= 0:
             raise ConfigError(f"embedder dim must be positive, got {self.dim}")
         if not (1 <= self.ngram_min <= self.ngram_max):

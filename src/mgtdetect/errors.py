@@ -1,9 +1,12 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the settings boundary check.
 
 The split matters for the command line tool, which maps error categories to
 exit codes: configuration problems exit 1, data problems exit 2, anything
 else exits 3.
 """
+
+import dataclasses
+import math
 
 
 class ConfigError(ValueError):
@@ -12,3 +15,20 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Invalid data: malformed files, inconsistent shapes, bad labels."""
+
+
+def check_settings(settings: object) -> None:
+    """Refuse, on any settings dataclass, what the INI parsers refuse.
+
+    Every float (alone or in a tuple) must be finite, and a field named
+    ``seed`` must lie in [0, 2**64): the hashing embedder packs its seed
+    into 8 unsigned bytes, and ``MGTDETECT_SEED`` sets every seed at once.
+    """
+    name = type(settings).__name__
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{name}.{field.name} must be finite, got {value!r}")
+        if field.name == "seed" and not 0 <= value < 2**64:
+            raise ConfigError(f"{name}.seed must lie in [0, 2**64), got {value!r}")

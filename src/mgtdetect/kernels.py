@@ -26,7 +26,10 @@ to the pairwise evaluation.
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
-training is deterministic for a given seed.
+training is deterministic for a given seed.  The fitted ``SvmModel`` is
+the support set alone (the support vectors' training rows, texts and
+dual coefficients, plus the bias), because the decision reads nothing
+else; the other training texts and the zero alphas are not kept.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -176,42 +178,22 @@ class _NgramIndex:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric Gram matrix with document ids in row order."""
+    """Symmetric Gram matrix over a list of texts, in text order."""
 
     matrix: np.ndarray
-    ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "matrix", matrix)
-        n = len(self.ids)
-        if matrix.shape != (n, n):
-            raise DataError(
-                f"kernel matrix shape {matrix.shape} does not match {n} ids"
-            )
-
-    def save_tsv(self, path: str | Path) -> None:
-        lines = ["\t".join(["id", *self.ids])]
-        for doc_id, row in zip(self.ids, self.matrix):
-            lines.append(
-                "\t".join([doc_id, *(format(v, ".9g") for v in row)])
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DataError(f"kernel matrix must be square, got shape {matrix.shape}")
 
 
-def kernel_matrix(
-    texts: Sequence[str],
-    cfg: KernelConfig = KernelConfig(),
-    ids: Sequence[str] | None = None,
-) -> KernelMatrix:
+def kernel_matrix(texts: Sequence[str], cfg: KernelConfig = KernelConfig()) -> KernelMatrix:
     """Gram matrix over the texts; normalized diagonals are exactly 1."""
     n = len(texts)
     if n == 0:
         raise DataError("cannot build a kernel matrix over zero texts")
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    if len(ids) != n:
-        raise DataError(f"{len(ids)} ids for {n} texts")
     index = _NgramIndex(texts, cfg)
     gram = np.empty((n, n), dtype=np.float64)
     for i in range(n):
@@ -219,27 +201,33 @@ def kernel_matrix(
         gram[i] = index.kernels(shared, index.selfs[i], cfg.normalize)
         if cfg.normalize and index.selfs[i] > 0:
             gram[i, i] = 1.0
-    return KernelMatrix(matrix=gram, ids=tuple(ids))
+    return KernelMatrix(matrix=gram)
 
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Dual solution plus the training texts needed to evaluate new kernels."""
+    """The support set of a dual solution: all that its decision reads."""
 
-    support_indices: tuple[int, ...]
+    support_indices: tuple[int, ...]  # training rows of the support vectors
     dual_coef: np.ndarray  # alpha_i * y_i for each support index
     bias: float
     C: float
-    texts: tuple[str, ...]
-    alphas: np.ndarray  # full alpha vector, for inspection
-    labels: np.ndarray  # full +-1 label vector
+    support_texts: tuple[str, ...]  # training texts in support_indices order
     # Index over the support texts per kernel config, built on first use.
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sizes = (len(self.support_indices), len(self.dual_coef), len(self.support_texts))
+        if len(set(sizes)) != 1:
+            raise DataError(
+                f"{sizes[0]} support indices, {sizes[1]} dual coefficients "
+                f"and {sizes[2]} support texts"
+            )
 
     def _support_index(self, cfg: KernelConfig) -> _NgramIndex:
         index = self._indexes.get(cfg)
         if index is None:
-            index = _NgramIndex([self.texts[i] for i in self.support_indices], cfg)
+            index = _NgramIndex(self.support_texts, cfg)
             self._indexes[cfg] = index
         return index
 
@@ -269,7 +257,7 @@ def svm_train(
     labels: Sequence[int] | np.ndarray,
     C: float = 1.0,
     *,
-    texts: Sequence[str] | None = None,
+    texts: Sequence[str],
     seed: int = 0,
     tol: float = KKT_TOLERANCE,
     max_passes: int = MAX_PASSES,
@@ -278,8 +266,9 @@ def svm_train(
 
     Sweeps all examples, optimizing each KKT violator against a seeded
     random partner, until one full sweep changes nothing or ``max_passes``
-    sweeps elapse.  ``texts`` must align with the kernel rows; they are
-    stored on the model for kernel evaluation at prediction time.
+    sweeps elapse.  ``texts`` must align with the kernel rows; the model
+    keeps those of the support vectors for kernel evaluation at prediction
+    time.
     """
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
@@ -288,8 +277,6 @@ def svm_train(
     n = K.shape[0]
     if y.shape[0] != n:
         raise DataError(f"{y.shape[0]} labels for {n} kernel rows")
-    if texts is None:
-        raise DataError("svm_train needs the training texts for later prediction")
     if len(texts) != n:
         raise DataError(f"{len(texts)} texts for {n} kernel rows")
 
@@ -357,9 +344,7 @@ def svm_train(
         dual_coef=dual_coef,
         bias=float(b),
         C=float(C),
-        texts=tuple(texts),
-        alphas=alpha,
-        labels=y,
+        support_texts=tuple(texts[i] for i in support),
     )
 
 
@@ -399,9 +384,7 @@ def svm_to_jsonable(model: SvmModel) -> dict:
         "dual_coef": model.dual_coef.tolist(),
         "bias": model.bias,
         "C": model.C,
-        "texts": list(model.texts),
-        "alphas": model.alphas.tolist(),
-        "labels": model.labels.tolist(),
+        "support_texts": list(model.support_texts),
     }
 
 
@@ -412,9 +395,7 @@ def svm_from_jsonable(data: dict) -> SvmModel:
             dual_coef=np.asarray(data["dual_coef"], dtype=np.float64),
             bias=float(data["bias"]),
             C=float(data["C"]),
-            texts=tuple(str(t) for t in data["texts"]),
-            alphas=np.asarray(data["alphas"], dtype=np.float64),
-            labels=np.asarray(data["labels"], dtype=np.float64),
+            support_texts=tuple(str(t) for t in data["support_texts"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed svm model: {exc}") from exc

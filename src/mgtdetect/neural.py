@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_settings
 
 HIDDEN_UNITS = 64
 PROB_CLAMP = 1e-7
@@ -78,6 +78,7 @@ class MtlConfig:
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -91,6 +92,7 @@ class VatConfig:
     power_iterations: int = 1
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.alpha_vat < 0:
             raise ConfigError(f"alpha_vat must be nonnegative, got {self.alpha_vat}")
         if self.epsilon <= 0:
@@ -114,6 +116,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:

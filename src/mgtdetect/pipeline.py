@@ -83,7 +83,7 @@ from .shallow import (
     knn_predict_proba_many,
     knn_to_jsonable,
 )
-from .textprep import PrepConfig, preprocess
+from .textprep import preprocess
 
 DEFAULT_DECISION_THRESHOLD = 0.5
 
@@ -203,7 +203,7 @@ def _language_codes(corpus: Corpus) -> np.ndarray:
 
 
 def _preprocessed_texts(corpus: Corpus) -> list[str]:
-    return [preprocess(doc.text, PrepConfig(language=doc.language)) for doc in corpus]
+    return [preprocess(doc.text, doc.language) for doc in corpus]
 
 
 # A fit takes (prep, train, y_train, val, y_val, cfg, log) and returns the

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_settings
 from .evaluation import macro_f1
 
 MIN_SAMPLES_PER_LEAF = 2
@@ -351,6 +351,7 @@ class GbtGrid:
     learning_rates: tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if not self.estimators or not self.depths or not self.learning_rates:
             raise ConfigError("grid ranges must be nonempty")
 

@@ -2,9 +2,10 @@
 
 The cleanup pipeline used before string-kernel models applies four steps in
 a fixed order: punctuation removal, stopword removal, lowercasing, and
-suffix-stripping stemming.  Stopword lists and stemmer rule tables are
-bundled plain-text files (UTF-8, one entry per line, ``#`` comments), so
-the behavior is data-driven and versioned with the package.
+suffix-stripping stemming.  ``preprocess(text, language)`` always runs all
+four; no step can be switched off.  Stopword lists and stemmer rule tables
+are bundled plain-text files (UTF-8, one entry per line, ``#`` comments),
+so the behavior is data-driven and versioned with the package.
 
 Both the sentence splitter and the syllable counters are deliberately
 simple, documented heuristics; they are consistent and deterministic, not
@@ -161,17 +162,6 @@ def stem_word(word: str, language: Language) -> str:
         current = candidate
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    """Which cleanup steps to run, and for which language."""
-
-    language: Language
-    remove_punctuation: bool = True
-    remove_stopwords: bool = True
-    lowercase: bool = True
-    stem: bool = True
-
-
 def _settled_stem(token: str, language: Language) -> str:
     # Stripping a suffix can strand a separator at the token edge ("e-s"
     # stems to "e-"), which the tokenizer would not emit; trim and re-stem
@@ -184,32 +174,16 @@ def _settled_stem(token: str, language: Language) -> str:
         current = candidate
 
 
-def preprocess(text: str, cfg: PrepConfig) -> str:
+def preprocess(text: str, language: Language) -> str:
     """Cleanup pipeline; output tokens are rejoined with single spaces.
 
     Steps run in order: punctuation removal (via the tokenizer), stopword
     removal (case-insensitive match), lowercasing, stemming.  Because a stem
     can collide with a stopword ("thes" stems to "the"), stemmed output is
     filtered against the stopword list once more; that final sweep is what
-    makes the whole pipeline idempotent.  With every step disabled the text
-    is only whitespace-normalized.
+    makes the whole pipeline idempotent.
     """
-    if cfg.remove_punctuation:
-        tokens = tokenize(text)
-    else:
-        tokens = text.split()
-    if cfg.remove_stopwords:
-        sw = stopwords(cfg.language)
-        tokens = [t for t in tokens if t.lower() not in sw]
-    if cfg.lowercase:
-        tokens = [t.lower() for t in tokens]
-    if cfg.stem:
-        if cfg.remove_punctuation:
-            tokens = [_settled_stem(t, cfg.language) for t in tokens]
-            tokens = [t for t in tokens if t]
-        else:
-            tokens = [stem_word(t, cfg.language) for t in tokens]
-        if cfg.remove_stopwords:
-            sw = stopwords(cfg.language)
-            tokens = [t for t in tokens if t.lower() not in sw]
-    return " ".join(tokens)
+    sw = stopwords(language)
+    tokens = [t.lower() for t in tokenize(text) if t.lower() not in sw]
+    stems = (_settled_stem(t, language) for t in tokens)
+    return " ".join(t for t in stems if t and t not in sw)

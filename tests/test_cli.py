@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
 from mgtdetect.cli import main
 from mgtdetect.corpus import Corpus, Language, load_tsv, merge_bilingual, save_tsv
 from mgtdetect.embeddings import FallbackEmbedderConfig
@@ -416,6 +417,36 @@ class TestExitCodes:
             "predict",
             "--corpus", f"en={workdir / 'small.tsv'}",
             "--model-path", str(bad),
+            "--output", str(tmp_path / "p.tsv"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("damage", ["before_support_set", "short_support_texts"])
+    def test_malformed_svm_checkpoint_is_2(self, workdir, tmp_path, damage):
+        ckpt = tmp_path / "svm.json"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "svm",
+            "--output", str(ckpt),
+            "--log", str(tmp_path / "train.jsonl"),
+        )
+        assert code == 0
+        kind, payload = load_checkpoint(ckpt)
+        model = payload["model"]
+        if damage == "before_support_set":
+            # The earlier layout: training texts, alphas and +-1 labels.
+            model["texts"] = model.pop("support_texts")
+            model["alphas"] = [abs(coef) for coef in model["dual_coef"]]
+            model["labels"] = [1.0 if coef > 0 else -1.0 for coef in model["dual_coef"]]
+        else:
+            model["support_texts"].pop()
+        save_checkpoint(ckpt, kind, payload)
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
             "--output", str(tmp_path / "p.tsv"),
         )
         assert code == 2

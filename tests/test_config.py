@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -84,6 +85,11 @@ FLOAT_KEYS = [
     for section, key in SCHEMA_KEYS
     if is_float_setting(DEFAULT_LEAVES[config._SCHEMA[section][key][0]])
 ]
+FLOAT_PATHS = [path for path, value in DEFAULT_LEAVES.items() if is_float_setting(value)]
+# Each value a parser refuses, set on its AppConfig field path directly.
+UNPARSEABLE_VALUES = [
+    (path, bad) for path in FLOAT_PATHS for bad in (math.nan, math.inf, -math.inf)
+] + [(path, bad) for path in config._SEED_PATHS for bad in (-1, 2**64)]
 SEED_KEYS = [
     (section, key)
     for section, key in SCHEMA_KEYS
@@ -312,6 +318,14 @@ class TestSettingsValidation:
             EnsembleSettings(holdout_fraction=1.0)
         with pytest.raises(ConfigError):
             EnsembleSettings(threshold_rule="accuracy")
+
+    @pytest.mark.parametrize("path,bad", UNPARSEABLE_VALUES)
+    def test_settings_refuse_what_the_parsers_refuse(self, path, bad):
+        if isinstance(DEFAULT_LEAVES[path], tuple):
+            bad = (0.1, bad)
+        leaf = path.rpartition(".")[2]
+        with pytest.raises(ConfigError, match=rf"\.{leaf} must"):
+            with_fields(AppConfig(), {path: bad})
 
     def test_app_config_validation(self):
         with pytest.raises(ConfigError):

@@ -150,21 +150,19 @@ class TestKernelMatrix:
         km = kernel_matrix(texts, cfg)
         assert km.matrix[0, 0] == spectrum_kernel("abcdef", "abcdef", cfg)
 
-    def test_id_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            kernel_matrix(["abc", "def"], ids=["only-one"])
-
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             kernel_matrix([])
 
-    def test_save_tsv(self, tmp_path):
-        km = kernel_matrix(["abcdef", "bcdefg"], ids=["x", "y"])
-        path = tmp_path / "k.tsv"
-        km.save_tsv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id\tx\ty"
-        assert lines[1].startswith("x\t1\t")
+
+def full_alphas(model, labels):
+    """The dual's alpha for every training row, rebuilt from the support set:
+    ``dual_coef * y`` on support rows (y is +-1, so this is exact), zero
+    elsewhere."""
+    alpha = np.zeros(len(labels))
+    rows = list(model.support_indices)
+    alpha[rows] = model.dual_coef * np.asarray(labels, dtype=np.float64)[rows]
+    return alpha
 
 
 def separable_texts():
@@ -183,7 +181,8 @@ class TestSvm:
         texts = ["aaaaaa", "bbbbbb"]
         km = kernel_matrix(texts, cfg)
         model = svm_train(km, [1, -1], C=10.0, texts=texts)
-        np.testing.assert_allclose(model.alphas, [1.0, 1.0], atol=1e-12)
+        assert model.support_indices == (0, 1)
+        np.testing.assert_allclose(model.dual_coef, [1.0, -1.0], atol=1e-12)
         assert model.bias == pytest.approx(0.0, abs=1e-12)
         assert model.decision(texts[0], cfg) == pytest.approx(1.0, abs=1e-9)
         assert model.decision(texts[1], cfg) == pytest.approx(-1.0, abs=1e-9)
@@ -197,21 +196,24 @@ class TestSvm:
         k = km.matrix[0, 1]
         assert 0.0 < k < 1.0
         model = svm_train(km, [1, -1], C=50.0, texts=texts)
-        np.testing.assert_allclose(model.alphas, 1.0 / (1.0 - k), rtol=1e-9)
+        assert model.support_indices == (0, 1)
+        alpha = 1.0 / (1.0 - k)
+        np.testing.assert_allclose(model.dual_coef, [alpha, -alpha], rtol=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
 
     def test_kkt_conditions_hold_at_tolerance(self):
         texts, labels = separable_texts()
         km = kernel_matrix(texts)
         model = svm_train(km, labels, C=1.0, texts=texts)
-        y = model.labels
-        f = km.matrix @ (model.alphas * y) + model.bias
+        y = np.asarray(labels, dtype=np.float64)
+        alphas = full_alphas(model, labels)
+        f = km.matrix @ (alphas * y) + model.bias
         r = y * f - 1.0
         tol = 1e-3
         for i in range(len(texts)):
-            if model.alphas[i] <= 1e-12:
+            if alphas[i] <= 1e-12:
                 assert r[i] >= -tol
-            elif model.alphas[i] >= model.C - 1e-12:
+            elif alphas[i] >= model.C - 1e-12:
                 assert r[i] <= tol
             else:
                 assert abs(r[i]) <= tol
@@ -235,14 +237,17 @@ class TestSvm:
         km = kernel_matrix(texts)
         a = svm_train(km, labels, texts=texts, seed=3)
         b = svm_train(km, labels, texts=texts, seed=3)
-        np.testing.assert_array_equal(a.alphas, b.alphas)
+        assert a.support_indices == b.support_indices
+        assert a.support_texts == b.support_texts
+        np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
         assert a.bias == b.bias
 
     def test_alphas_respect_box(self):
         texts, labels = separable_texts()
         model = svm_train(kernel_matrix(texts), labels, C=0.5, texts=texts)
-        assert np.all(model.alphas >= -1e-15)
-        assert np.all(model.alphas <= 0.5 + 1e-15)
+        alphas = full_alphas(model, labels)
+        assert np.all(alphas >= -1e-15)
+        assert np.all(alphas <= 0.5 + 1e-15)
 
     def test_zero_one_labels_rejected(self):
         texts = ["aaaa", "bbbb"]
@@ -259,12 +264,16 @@ class TestSvm:
         with pytest.raises(ConfigError):
             svm_train(kernel_matrix(texts), [1, -1], C=0.0, texts=texts)
 
-    def test_texts_required(self):
-        with pytest.raises(DataError):
-            svm_train(kernel_matrix(["aaaa", "bbbb"]), [1, -1])
-
 
 class TestSerialization:
+    @pytest.mark.parametrize("key", ["support_indices", "dual_coef", "support_texts"])
+    def test_support_lengths_must_agree(self, key):
+        texts, labels = separable_texts()
+        payload = svm_to_jsonable(svm_train(kernel_matrix(texts), labels, texts=texts))
+        payload[key] = payload[key][:-1]
+        with pytest.raises(DataError, match="support"):
+            svm_from_jsonable(payload)
+
     def test_kernel_config_round_trip(self):
         cfg = KernelConfig(ngram_min=2, ngram_max=4, unit=NgramUnit.WORD, normalize=False)
         assert kernel_config_from_jsonable(kernel_config_to_jsonable(cfg)) == cfg

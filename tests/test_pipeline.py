@@ -30,6 +30,7 @@ from mgtdetect.pipeline import (
 )
 from mgtdetect.readability import FEATURE_NAMES, readability_features
 from mgtdetect.shallow import GbtGrid
+from mgtdetect.textprep import preprocess
 
 from synthdata import synthetic_corpus
 
@@ -283,6 +284,43 @@ class TestModelCheckpoints:
             save_model(model, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestSvmCheckpoint:
+    """An svm checkpoint holds the support set and nothing else."""
+
+    @pytest.fixture
+    def saved(self, base_corpus, tmp_path):
+        model, _ = train_model("svm", base_corpus, fast_config())
+        path = tmp_path / "svm.json"
+        save_model(model, path)
+        train_part, _ = split(base_corpus, fast_config().split)
+        return path, train_part
+
+    def test_model_is_the_support_set(self, saved):
+        path, train_part = saved
+        texts = [preprocess(doc.text, doc.language) for doc in train_part]
+        model = load_checkpoint(path)[1]["model"]
+        assert list(model) == ["support_indices", "dual_coef", "bias", "C", "support_texts"]
+        assert 0 < len(model["support_indices"]) < len(texts)
+        assert model["support_texts"] == [texts[i] for i in model["support_indices"]]
+
+    def test_payload_from_before_the_support_set_rejected(self, saved):
+        # The earlier layout kept every training text, the full alpha vector
+        # and the +-1 labels, and had no support_texts.
+        path, train_part = saved
+        _, payload = load_checkpoint(path)
+        model = payload["model"]
+        alphas = [0.0] * len(train_part)
+        for i, coef in zip(model["support_indices"], model["dual_coef"]):
+            alphas[i] = abs(coef)
+        del model["support_texts"]
+        model["texts"] = [preprocess(doc.text, doc.language) for doc in train_part]
+        model["alphas"] = alphas
+        model["labels"] = [2.0 * y - 1.0 for y in train_part.labels_as_ints().tolist()]
+        save_checkpoint(path, "svm", payload)
+        with pytest.raises(DataError, match="support_texts"):
+            load_model(path)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from mgtdetect.corpus import Language
 from mgtdetect.errors import DataError
 from mgtdetect.textprep import (
-    PrepConfig,
     count_syllables,
     preprocess,
     sentence_split,
@@ -197,43 +196,17 @@ class TestStemmer:
 
 class TestPreprocess:
     def test_english_worked_example(self):
-        cfg = PrepConfig(language=Language.EN)
-        assert preprocess("The CATS are running!", cfg) == "cat run"
+        assert preprocess("The CATS are running!", Language.EN) == "cat run"
 
     def test_spanish_worked_example(self):
-        cfg = PrepConfig(language=Language.ES)
-        assert preprocess("Los gatos corren.", cfg) == "gat corr"
-
-    def test_all_steps_disabled_normalizes_whitespace_only(self):
-        cfg = PrepConfig(
-            language=Language.EN,
-            remove_punctuation=False,
-            remove_stopwords=False,
-            lowercase=False,
-            stem=False,
-        )
-        assert preprocess("  Hello,   WORLD!  \n", cfg) == "Hello, WORLD!"
+        assert preprocess("Los gatos corren.", Language.ES) == "gat corr"
 
     def test_stopword_match_is_case_insensitive(self):
-        cfg = PrepConfig(
-            language=Language.EN, lowercase=False, stem=False
-        )
-        assert preprocess("THE Cat", cfg) == "Cat"
+        assert preprocess("THE Cat", Language.EN) == "cat"
 
     def test_stem_collision_with_stopword_is_refiltered(self):
         # "thes" stems to "the", which the final sweep removes
-        cfg = PrepConfig(language=Language.EN)
-        assert preprocess("thes cats", cfg) == "cat"
-
-    def test_lowercase_only(self):
-        cfg = PrepConfig(
-            language=Language.EN,
-            remove_punctuation=False,
-            remove_stopwords=False,
-            lowercase=True,
-            stem=False,
-        )
-        assert preprocess("Hello, WORLD!", cfg) == "hello, world!"
+        assert preprocess("thes cats", Language.EN) == "cat"
 
     @pytest.mark.parametrize(
         "text",
@@ -247,9 +220,8 @@ class TestPreprocess:
     )
     @pytest.mark.parametrize("language", [Language.EN, Language.ES])
     def test_default_pipeline_is_idempotent(self, text, language):
-        cfg = PrepConfig(language=language)
-        once = preprocess(text, cfg)
-        assert preprocess(once, cfg) == once
+        once = preprocess(text, language)
+        assert preprocess(once, language) == once
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -260,13 +232,11 @@ class TestPreprocess:
         )
     )
     def test_idempotence_property(self, text):
-        cfg = PrepConfig(language=Language.EN)
-        once = preprocess(text, cfg)
-        assert preprocess(once, cfg) == once
+        once = preprocess(text, Language.EN)
+        assert preprocess(once, Language.EN) == once
 
     def test_stem_cannot_strand_an_edge_separator(self):
         # "e-s" stems to "e-", which the tokenizer would re-split; output
         # tokens must already be in settled, re-tokenizable form.
-        cfg = PrepConfig(language=Language.EN)
-        assert preprocess("E-s", cfg) == "e"
-        assert preprocess("x-s-s", cfg) == "x"
+        assert preprocess("E-s", Language.EN) == "e"
+        assert preprocess("x-s-s", Language.EN) == "x"

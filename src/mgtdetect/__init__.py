@@ -25,7 +25,6 @@ from .embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
     embed_corpus,
-    fallback_embed,
     load_embeddings,
     save_embeddings,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "ensemble_predict_labels",
     "ensemble_predict_proba",
     "evaluate_predictions",
-    "fallback_embed",
     "fit_scaler",
     "format_results_table",
     "gbt_predict_proba_many",

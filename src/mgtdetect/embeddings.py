@@ -164,18 +164,13 @@ def _embed_text(text: str, cfg: FallbackEmbedderConfig, hasher: _GramHasher) -> 
     return vec
 
 
-def fallback_embed(doc: Document, cfg: FallbackEmbedderConfig) -> np.ndarray:
-    """Signed hashed n-gram embedding, L2-normalized.
-
-    Texts shorter than ``ngram_min`` characters after whitespace
-    normalization have no n-grams and map to the zero vector; everything
-    else has unit norm.
-    """
-    return _embed_text(doc.text, cfg, _GramHasher(cfg))
-
-
 def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> EmbeddingTable:
-    """Embed every document, sharing one n-gram hash cache across the run."""
+    """Embed every document, sharing one n-gram hash cache across the run.
+
+    Each vector is a signed hashed n-gram embedding, L2-normalized.  Texts
+    shorter than ``ngram_min`` characters after whitespace normalization
+    have no n-grams and map to the zero vector; every other has unit norm.
+    """
     hasher = _GramHasher(cfg)
     vectors = {doc.id: _embed_text(doc.text, cfg, hasher) for doc in corpus}
     return EmbeddingTable(dim=cfg.dim, vectors=vectors)

@@ -20,13 +20,18 @@ training first reserves a stratified holdout for stacking calibration, so
 the meta-learner never sees base training documents.
 
 Each base kind is one entry of ``_KINDS``, and its name one entry of
-``checkpoint.MODEL_KINDS``, where every other module reads kind names.
+``checkpoint.MODEL_KINDS``, where every other module reads kind names.  A
+kind fits and scores prepared inputs, never a corpus: its preparation (the
+featurizer's scaled rows, or the kernel's preprocessed texts) runs once per
+corpus part, and every base reading that preparation shares the result.
+So an ensemble's vector-space bases share one featurizer: training fits
+one, and a bundle whose bases store different featurizers is refused.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -136,15 +141,17 @@ class Featurizer:
         return transform(raw, self.scaler)
 
 
-def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> Featurizer:
+def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> tuple[Featurizer, np.ndarray]:
+    """The featurizer fitted on ``corpus``, and ``corpus``'s scaled rows."""
     table = embeddings_table(cfg.embeddings_path)
     _, _, raw = build_raw_features(corpus, cfg.embedder, table)
-    return Featurizer(
+    featurizer = Featurizer(
         embedder=cfg.embedder,
         embeddings_path=cfg.embeddings_path,
         scaler=fit_scaler(raw),
         table=table,
     )
+    return featurizer, transform(raw, featurizer.scaler)
 
 
 def _scaler_to_jsonable(scaler: ScalerParams) -> dict:
@@ -202,28 +209,65 @@ def _language_codes(corpus: Corpus) -> np.ndarray:
     return np.array([_LANGUAGE_CODE[doc.language] for doc in corpus], dtype=np.float64)
 
 
-def _preprocessed_texts(corpus: Corpus) -> list[str]:
+def _preprocessed_texts(kernel: KernelConfig, corpus: Corpus) -> list[str]:
     return [preprocess(doc.text, doc.language) for doc in corpus]
 
 
-# A fit takes (prep, train, y_train, val, y_val, cfg, log) and returns the
-# model; a score takes (model, prep, corpus).  ``prep`` is the shared
-# Featurizer or a KernelConfig.  Layer functions are named in these bodies,
-# never stored, so each call looks them up in this module when it runs.
+def _fit_kernel(train: Corpus, cfg: AppConfig) -> tuple[KernelConfig, list[str]]:
+    kernel = KernelConfig()
+    return kernel, _preprocessed_texts(kernel, train)
 
 
-def _train_val_features(featurizer: Featurizer, train: Corpus, val: Corpus):
-    # Every vector-space kind featurizes both parts, knn included although it
-    # only fits on the first; sharing one featurization per run is separate.
-    return featurizer.features(train), featurizer.features(val)
+class _Prep(NamedTuple):
+    """A base's input preparation.
+
+    ``fit`` takes (train corpus, cfg) and returns the preparation with the
+    training part's inputs; ``inputs`` takes (preparation, corpus).  The
+    codec stores the preparation under ``key`` in a base's payload.
+    """
+
+    key: str
+    fit: Callable[[Corpus, AppConfig], tuple[object, object]]
+    inputs: Callable[[object, Corpus], object]
+    to_jsonable: Callable[[object], dict]
+    from_jsonable: Callable[[dict], object]
 
 
-def _fit_neural(featurizer, train, y_train, val, y_val, cfg, log):
-    x_train, x_val = _train_val_features(featurizer, train, val)
-    y_lang = _language_codes(train) if cfg.mtl.enabled else None
+_FEATURIZER = _Prep(
+    "featurizer",
+    fit_featurizer,
+    Featurizer.features,
+    _featurizer_to_jsonable,
+    _featurizer_from_jsonable,
+)
+_KERNEL = _Prep(
+    "kernel",
+    _fit_kernel,
+    _preprocessed_texts,
+    kernel_config_to_jsonable,
+    kernel_config_from_jsonable,
+)
+
+
+class _Part(NamedTuple):
+    """One corpus part as a base sees it."""
+
+    corpus: Corpus
+    inputs: object
+    labels: np.ndarray
+
+
+# A fit takes (prep, train, val, cfg, log), both parts already prepared, and
+# returns the model; a score takes (model, prep, inputs).  Layer functions
+# are named in these bodies, never stored, so each call looks them up in
+# this module when it runs.
+
+
+def _fit_neural(featurizer, train, val, cfg, log):
+    y_lang = _language_codes(train.corpus) if cfg.mtl.enabled else None
     params, epochs = neural_train(
-        LabeledSet(x_train, y_train.astype(np.float64), y_lang),
-        LabeledSet(x_val, y_val.astype(np.float64)),
+        LabeledSet(train.inputs, train.labels.astype(np.float64), y_lang),
+        LabeledSet(val.inputs, val.labels.astype(np.float64)),
         mtl=cfg.mtl,
         vat=cfg.vat,
         cfg=cfg.train,
@@ -234,20 +278,20 @@ def _fit_neural(featurizer, train, y_train, val, y_val, cfg, log):
     return params
 
 
-def _fit_gbt(featurizer, train, y_train, val, y_val, cfg, log):
-    x_train, x_val = _train_val_features(featurizer, train, val)
-    model, hyperparams = grid_search(x_train, y_train, x_val, y_val, cfg.gbt_grid)
+def _fit_gbt(featurizer, train, val, cfg, log):
+    model, hyperparams = grid_search(
+        train.inputs, train.labels, val.inputs, val.labels, cfg.gbt_grid
+    )
     log.append({"event": "grid_selected", "model": "gbt", **hyperparams._asdict()})
     return model
 
 
-def _fit_knn(featurizer, train, y_train, val, y_val, cfg, log):
-    x_train, _ = _train_val_features(featurizer, train, val)
-    return knn_fit(x_train, y_train, k=cfg.knn_k)
+def _fit_knn(featurizer, train, val, cfg, log):
+    return knn_fit(train.inputs, train.labels, k=cfg.knn_k)
 
 
-def _fit_svm(kernel, train, y_train, val, y_val, cfg, log):
-    texts = _preprocessed_texts(train)
+def _fit_svm(kernel, train, val, cfg, log):
+    texts = train.inputs
     if len(texts) > cfg.svm.scale_warning_threshold:
         warnings.warn(
             f"svm training on {len(texts)} documents builds a dense "
@@ -255,7 +299,7 @@ def _fit_svm(kernel, train, y_train, val, y_val, cfg, log):
             stacklevel=3,
         )
     gram = kernel_matrix(texts, kernel)
-    pm1 = np.where(y_train == 1, 1.0, -1.0)
+    pm1 = np.where(train.labels == 1, 1.0, -1.0)
     model = svm_train(gram, pm1, C=cfg.svm.C, texts=texts, seed=cfg.svm.seed)
     log.append(
         {"event": "trained", "model": "svm", "support_vectors": len(model.support_indices)}
@@ -263,31 +307,12 @@ def _fit_svm(kernel, train, y_train, val, y_val, cfg, log):
     return model
 
 
-def _score_svm(model, kernel, corpus):
-    texts = _preprocessed_texts(corpus)
-    return np.array(
-        [svm_predict_proba(model, text, kernel) for text in texts], dtype=np.float64
-    )
-
-
-class _Prep(NamedTuple):
-    """A base's input preparation: its payload key and its codec."""
-
-    key: str
-    to_jsonable: Callable[[object], dict]
-    from_jsonable: Callable[[dict], object]
-
-
-_FEATURIZER = _Prep("featurizer", _featurizer_to_jsonable, _featurizer_from_jsonable)
-_KERNEL = _Prep("kernel", kernel_config_to_jsonable, kernel_config_from_jsonable)
-
-
 @dataclass(frozen=True)
 class _Kind:
     """How one base kind fits, scores and is stored in a payload."""
 
     fit: Callable[..., object]
-    score: Callable[[object, object, Corpus], np.ndarray]
+    score: Callable[[object, object, object], np.ndarray]
     model_key: str
     model_to_jsonable: Callable[[object], dict]
     model_from_jsonable: Callable[[dict], object]
@@ -297,33 +322,34 @@ class _Kind:
 _KINDS: dict[str, _Kind] = {
     "neural": _Kind(
         _fit_neural,
-        lambda params, featurizer, corpus: neural_predict_proba(
-            params, featurizer.features(corpus)
-        ),
+        lambda params, featurizer, x: neural_predict_proba(params, x),
         "params",
         params_to_jsonable,
         params_from_jsonable,
     ),
     "gbt": _Kind(
         _fit_gbt,
-        lambda model, featurizer, corpus: gbt_predict_proba_many(
-            model, featurizer.features(corpus)
-        ),
+        lambda model, featurizer, x: gbt_predict_proba_many(model, x),
         "model",
         gbt_to_jsonable,
         gbt_from_jsonable,
     ),
     "knn": _Kind(
         _fit_knn,
-        lambda model, featurizer, corpus: knn_predict_proba_many(
-            model, featurizer.features(corpus)
-        ),
+        lambda model, featurizer, x: knn_predict_proba_many(model, x),
         "model",
         knn_to_jsonable,
         knn_from_jsonable,
     ),
     "svm": _Kind(
-        _fit_svm, _score_svm, "model", svm_to_jsonable, svm_from_jsonable, prep=_KERNEL
+        _fit_svm,
+        lambda model, kernel, texts: np.array(
+            [svm_predict_proba(model, text, kernel) for text in texts], dtype=np.float64
+        ),
+        "model",
+        svm_to_jsonable,
+        svm_from_jsonable,
+        prep=_KERNEL,
     ),
 }
 
@@ -342,8 +368,27 @@ class BaseAdapter:
     model: object
     prep: Featurizer | KernelConfig
 
+    def score(self, inputs) -> np.ndarray:
+        return _KINDS[self.kind].score(self.model, self.prep, inputs)
+
     def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return _KINDS[self.kind].score(self.model, self.prep, corpus)
+        return self.score(_KINDS[self.kind].prep.inputs(self.prep, corpus))
+
+
+def _bases_proba(bases: dict[str, BaseAdapter], corpus: Corpus) -> dict[str, np.ndarray]:
+    """Every base's probabilities, preparing ``corpus`` once per preparation.
+
+    Bases of one kind of preparation share one preparation value: training
+    fits it once and loading a bundle refuses bases that store different ones.
+    """
+    inputs: dict[str, object] = {}
+    probs = {}
+    for name, base in bases.items():
+        prep = _KINDS[base.kind].prep
+        if prep.key not in inputs:
+            inputs[prep.key] = prep.inputs(base.prep, corpus)
+        probs[name] = base.score(inputs[prep.key])
+    return probs
 
 
 @dataclass(frozen=True)
@@ -352,8 +397,7 @@ class EnsembleBase:
     bases: dict[str, BaseAdapter]
 
     def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        probs = {name: base.predict_proba(corpus) for name, base in self.bases.items()}
-        return ensemble_predict_proba(self.model, probs)
+        return ensemble_predict_proba(self.model, _bases_proba(self.bases, corpus))
 
 
 @dataclass(frozen=True)
@@ -369,25 +413,33 @@ class TrainedModel:
         return (self.predict_proba(corpus) >= self.threshold).astype(np.int64)
 
 
-def _shared_featurizer(kinds, train_part: Corpus, cfg: AppConfig) -> Featurizer | None:
-    """One featurizer fitted for every vector-space kind among ``kinds``."""
-    uses = any(_KINDS[kind].prep is _FEATURIZER for kind in kinds)
-    return fit_featurizer(train_part, cfg) if uses else None
+def _train_bases(
+    kinds, train: Corpus, val: Corpus, cfg: AppConfig, log: list[dict]
+) -> dict[str, BaseAdapter]:
+    """Fit each kind on ``train``, reporting validation macro-F1.
 
-
-def _train_base(
-    kind: str, train: Corpus, val: Corpus, cfg: AppConfig, featurizer, log: list[dict]
-) -> BaseAdapter:
-    """Fit one base on the training part, reporting validation macro-F1."""
+    Each preparation the kinds use is fitted on ``train`` once and prepares
+    ``val`` once; every kind that uses it shares both parts' inputs.
+    """
     y_train = _require_labels(train)
     y_val = _require_labels(val)
-    spec = _KINDS[kind]
-    prep = featurizer if spec.prep is _FEATURIZER else KernelConfig()
-    model = spec.fit(prep, train, y_train, val, y_val, cfg, log)
-    adapter = BaseAdapter(kind=kind, model=model, prep=prep)
-    preds = (adapter.predict_proba(val) >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
-    log.append({"event": "validation", "model": kind, "macro_f1": macro_f1(y_val, preds)})
-    return adapter
+    parts: dict[str, tuple[object, _Part, _Part]] = {}
+    bases = {}
+    for kind in kinds:
+        spec = _KINDS[kind]
+        if spec.prep.key not in parts:
+            prep, x_train = spec.prep.fit(train, cfg)
+            x_val = spec.prep.inputs(prep, val)
+            parts[spec.prep.key] = (
+                prep, _Part(train, x_train, y_train), _Part(val, x_val, y_val)
+            )
+        prep, train_part, val_part = parts[spec.prep.key]
+        base = BaseAdapter(kind, spec.fit(prep, train_part, val_part, cfg, log), prep)
+        preds = (base.score(val_part.inputs) >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
+        score = macro_f1(y_val, preds)
+        log.append({"event": "validation", "model": kind, "macro_f1": score})
+        bases[kind] = base
+    return bases
 
 
 def train_model(kind: str, corpus: Corpus, cfg: AppConfig) -> tuple[TrainedModel, list[dict]]:
@@ -399,8 +451,7 @@ def train_model(kind: str, corpus: Corpus, cfg: AppConfig) -> tuple[TrainedModel
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     train_part, val_part = split(corpus, cfg.split)
-    featurizer = _shared_featurizer((kind,), train_part, cfg)
-    adapter = _train_base(kind, train_part, val_part, cfg, featurizer, log)
+    adapter = _train_bases((kind,), train_part, val_part, cfg, log)[kind]
     return TrainedModel(kind=kind, adapter=adapter), log
 
 
@@ -416,14 +467,9 @@ def _train_ensemble_model(
     )
     fit_part, holdout = split(corpus, holdout_spec)
     train_part, val_part = split(fit_part, cfg.split)
-    featurizer = _shared_featurizer(cfg.ensemble.bases, train_part, cfg)
-    bases = {
-        kind: _train_base(kind, train_part, val_part, cfg, featurizer, log)
-        for kind in cfg.ensemble.bases
-    }
-    holdout_probs = {name: base.predict_proba(holdout) for name, base in bases.items()}
+    bases = _train_bases(cfg.ensemble.bases, train_part, val_part, cfg, log)
     model = train_ensemble(
-        holdout_probs,
+        _bases_proba(bases, holdout),
         _require_labels(holdout),
         grid=cfg.gbt_grid,
         seed=cfg.ensemble.seed,
@@ -532,6 +578,9 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
             f"but {len(base_thresholds)} thresholds"
         )
     bases = {}
+    # Bases that read one kind of preparation share one value of it, so a
+    # batch is prepared once for all of them.
+    shared: dict[str, tuple[dict, object]] = {}
     for name in base_names:
         filename = base_files.get(name)
         if filename is None:
@@ -540,7 +589,14 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         if not base_path.is_file():
             raise DataError(f"ensemble bundle is missing base checkpoint {filename}")
         base_kind, payload = load_checkpoint(base_path, expected_kind=name)
-        bases[name] = _adapter_from_payload(base_kind, payload)
+        base = _adapter_from_payload(base_kind, payload)
+        key = _KINDS[base_kind].prep.key
+        entry, prep = shared.setdefault(key, (payload[key], base.prep))
+        if payload[key] != entry:
+            raise DataError(
+                f"base {name!r} stores a {key} that differs from the other bases' {key}"
+            )
+        bases[name] = replace(base, prep=prep)
     meta_path = bundle / meta_file
     if not meta_path.is_file():
         raise DataError(f"ensemble bundle is missing meta checkpoint {meta_file}")

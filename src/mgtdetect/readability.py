@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -196,41 +195,3 @@ def format_feature_matrix(
     for doc_id, row in zip(ids, matrix):
         lines.append("\t".join([doc_id, *(format(v, ".9g") for v in row)]))
     return "\n".join(lines) + "\n"
-
-
-def save_feature_matrix(
-    path: str | Path,
-    ids: Sequence[str],
-    names: Sequence[str],
-    matrix: np.ndarray,
-) -> None:
-    Path(path).write_text(format_feature_matrix(ids, names, matrix), encoding="utf-8")
-
-
-def load_feature_matrix(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Inverse of :func:`save_feature_matrix`; returns (ids, names, matrix)."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"feature file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty feature file")
-    header = lines[0].split("\t")
-    if not header or header[0] != "id":
-        raise DataError(f"{path}:1: feature header must start with 'id'")
-    names = header[1:]
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cols = line.split("\t")
-        if len(cols) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cols)}"
-            )
-        ids.append(cols[0])
-        try:
-            rows.append([float(v) for v in cols[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric feature value") from exc
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return ids, names, matrix

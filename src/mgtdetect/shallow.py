@@ -92,13 +92,6 @@ def knn_predict_proba_many(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     return probs
 
 
-def knn_predict_proba(model: KnnModel, query: np.ndarray) -> float:
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise DataError(f"query must be 1-d, got shape {query.shape}")
-    return float(knn_predict_proba_many(model, query[None, :])[0])
-
-
 @dataclass(frozen=True)
 class TreeNode:
     """Internal node (feature, threshold, children) or leaf (value)."""
@@ -204,12 +197,6 @@ def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
 @dataclass(frozen=True)
 class GbtModel:
     trees: tuple[TreeNode, ...]
@@ -226,13 +213,6 @@ class GbtModel:
 
 def gbt_predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:
     return _sigmoid(model.predict_raw(x))
-
-
-def gbt_predict_proba(model: GbtModel, query: np.ndarray) -> float:
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise DataError(f"query must be 1-d, got shape {query.shape}")
-    return float(gbt_predict_proba_many(model, query[None, :])[0])
 
 
 def gbt_train(
@@ -354,6 +334,15 @@ class GbtGrid:
         check_settings(self)
         if not self.estimators or not self.depths or not self.learning_rates:
             raise ConfigError("grid ranges must be nonempty")
+        for name in ("estimators", "depths"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(
+                    f"gbt {name} must be at least 1, got {getattr(self, name)}"
+                )
+        if min(self.learning_rates) <= 0:
+            raise ConfigError(
+                f"gbt learning_rates must be positive, got {self.learning_rates}"
+            )
 
 
 def grid_search(

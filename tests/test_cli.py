@@ -401,6 +401,20 @@ class TestExitCodes:
         assert code == 1
         assert not ckpt.exists()
 
+    def test_negative_gbt_rate_is_1_before_the_corpus_is_read(self, tmp_path, capsys):
+        # The corpus does not exist: reading it would exit 2, not 1.
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[gbt]\nlearning_rates = -0.5\n", encoding="utf-8")
+        code = _run(
+            "train",
+            "--corpus", f"en={tmp_path / 'absent.tsv'}",
+            "--config", str(bad),
+            "--model", "gbt",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert "gbt learning_rates must be positive" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_2(self, workdir, tmp_path):
         code = _run(
             "predict",

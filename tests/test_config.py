@@ -16,6 +16,7 @@ from mgtdetect.config import (
     with_fields,
 )
 from mgtdetect.errors import ConfigError
+from mgtdetect.shallow import GbtGrid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -234,6 +235,14 @@ threshold_rule = youden
         path = write_config(tmp_path, f"[features]\nembedding_seed = {2**64 - 1}\n")
         assert load_config(path, environ={}).embedder.seed == 2**64 - 1
 
+    @pytest.mark.parametrize(
+        "key,value", [("learning_rates", "-0.5"), ("estimators", "0"), ("depths", "3, 0")]
+    )
+    def test_bad_gbt_grid_values_rejected(self, tmp_path, key, value):
+        path = write_config(tmp_path, f"[gbt]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"gbt {key} must"):
+            load_config(path, environ={})
+
     def test_out_of_band_values_rejected(self, tmp_path):
         path = write_config(tmp_path, "[neural]\nbatch_size = 16\n")
         with pytest.raises(ConfigError, match="batch_size"):
@@ -326,6 +335,17 @@ class TestSettingsValidation:
         leaf = path.rpartition(".")[2]
         with pytest.raises(ConfigError, match=rf"\.{leaf} must"):
             with_fields(AppConfig(), {path: bad})
+
+    def test_gbt_grid(self):
+        with pytest.raises(ConfigError, match=r"rates must be positive, got \(-0\.5,\)"):
+            GbtGrid(learning_rates=(-0.5,))
+        with pytest.raises(ConfigError, match="gbt learning_rates must be positive"):
+            GbtGrid(learning_rates=(0.1, 0.0))
+        with pytest.raises(ConfigError, match="gbt estimators must be at least 1"):
+            GbtGrid(estimators=(0,))
+        with pytest.raises(ConfigError, match="gbt depths must be at least 1"):
+            GbtGrid(depths=(3, 0))
+        assert GbtGrid(estimators=(1,), depths=(1,), learning_rates=(1e-9,))
 
     def test_app_config_validation(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,6 @@ from mgtdetect.embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
     embed_corpus,
-    fallback_embed,
     load_embeddings,
     save_embeddings,
 )
@@ -19,22 +18,27 @@ def en_doc(text, doc_id="d"):
     return Document(id=doc_id, text=text, language=Language.EN)
 
 
+def embed(doc, cfg):
+    """One document's vector, embedded on its own."""
+    return embed_corpus([doc], cfg).get(doc.id)
+
+
 class TestFallbackEmbedder:
     def test_unit_norm(self):
         cfg = FallbackEmbedderConfig(dim=64)
-        vec = fallback_embed(en_doc("The cat sat on the mat."), cfg)
+        vec = embed(en_doc("The cat sat on the mat."), cfg)
         assert vec.shape == (64,)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_across_calls(self):
         cfg = FallbackEmbedderConfig(dim=128, seed=9)
         doc = en_doc("Some moderately long sentence for hashing.")
-        np.testing.assert_array_equal(fallback_embed(doc, cfg), fallback_embed(doc, cfg))
+        np.testing.assert_array_equal(embed(doc, cfg), embed(doc, cfg))
 
     def test_seed_changes_embedding(self):
         doc = en_doc("Identical text, different hash keys.")
-        a = fallback_embed(doc, FallbackEmbedderConfig(dim=64, seed=0))
-        b = fallback_embed(doc, FallbackEmbedderConfig(dim=64, seed=1))
+        a = embed(doc, FallbackEmbedderConfig(dim=64, seed=0))
+        b = embed(doc, FallbackEmbedderConfig(dim=64, seed=1))
         assert not np.array_equal(a, b)
 
     def test_matches_manual_hash_construction(self):
@@ -52,23 +56,23 @@ class TestFallbackEmbedder:
             sign = -1.0 if h & (1 << 63) else 1.0
             expected[(h & ((1 << 63) - 1)) % 16] += sign
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(fallback_embed(en_doc(text), cfg), expected, atol=1e-15)
+        np.testing.assert_allclose(embed(en_doc(text), cfg), expected, atol=1e-15)
 
     def test_short_text_is_zero_vector(self):
         cfg = FallbackEmbedderConfig(dim=32, ngram_min=3, ngram_max=5)
-        vec = fallback_embed(en_doc("hi"), cfg)
+        vec = embed(en_doc("hi"), cfg)
         np.testing.assert_array_equal(vec, np.zeros(32))
 
     def test_whitespace_insensitive(self):
         cfg = FallbackEmbedderConfig(dim=64)
-        a = fallback_embed(en_doc("hello   world"), cfg)
-        b = fallback_embed(en_doc("  hello world  "), cfg)
+        a = embed(en_doc("hello   world"), cfg)
+        b = embed(en_doc("  hello world  "), cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_different_texts_differ(self):
         cfg = FallbackEmbedderConfig(dim=300)
-        a = fallback_embed(en_doc("The cat sat on the mat today."), cfg)
-        b = fallback_embed(en_doc("Quantum flux harmonics oscillate."), cfg)
+        a = embed(en_doc("The cat sat on the mat today."), cfg)
+        b = embed(en_doc("Quantum flux harmonics oscillate."), cfg)
         assert not np.array_equal(a, b)
 
     def test_bad_config_rejected(self):
@@ -85,7 +89,7 @@ class TestFallbackEmbedder:
         table = embed_corpus(Corpus(docs), cfg)
         assert len(table) == 2
         for doc in docs:
-            np.testing.assert_array_equal(table.get(doc.id), fallback_embed(doc, cfg))
+            np.testing.assert_array_equal(table.get(doc.id), embed(doc, cfg))
 
 
 class TestEmbeddingTable:

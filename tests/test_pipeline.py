@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mgtdetect import pipeline
 from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
 from mgtdetect.config import AppConfig, EnsembleSettings, SvmSettings
 from mgtdetect.corpus import Corpus, SplitSpec, split
@@ -13,7 +15,6 @@ from mgtdetect.embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
     embed_corpus,
-    fallback_embed,
     save_embeddings,
 )
 from mgtdetect.ensemble import select_threshold
@@ -87,9 +88,10 @@ class TestBuildRawFeatures:
 
     def test_rows_concatenate_readability_and_embedding(self, base_corpus):
         _, _, matrix = build_raw_features(base_corpus, embedder=SMALL_EMBEDDER)
+        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
         for i, doc in enumerate(base_corpus):
             stats = readability_features(doc).as_vector().values
-            emb = fallback_embed(doc, SMALL_EMBEDDER)
+            emb = table.get(doc.id)
             np.testing.assert_array_equal(matrix[i, : len(stats)], stats)
             np.testing.assert_array_equal(matrix[i, len(stats) :], emb)
 
@@ -107,14 +109,14 @@ class TestBuildRawFeatures:
             base_corpus, embedder=SMALL_EMBEDDER, table=scaled
         )
         first = next(iter(base_corpus))
-        expected = fallback_embed(first, SMALL_EMBEDDER) * 2.0
+        expected = table.get(first.id) * 2.0
         np.testing.assert_array_equal(matrix[0, len(FEATURE_NAMES) :], expected)
 
 
 class TestFeaturizer:
     def test_training_features_are_standardized(self, base_corpus):
         cfg = fast_config()
-        featurizer = fit_featurizer(base_corpus, cfg)
+        featurizer, _ = fit_featurizer(base_corpus, cfg)
         feats = featurizer.features(base_corpus)
         _, _, raw = build_raw_features(base_corpus, embedder=cfg.embedder)
         means = feats.mean(axis=0)
@@ -124,9 +126,13 @@ class TestFeaturizer:
         assert np.all(np.abs(variances[moving] - 1.0) < 1e-10)
         assert np.all(feats[:, ~moving] == 0.0)
 
+    def test_fit_returns_the_scaled_training_rows(self, base_corpus):
+        featurizer, rows = fit_featurizer(base_corpus, fast_config())
+        assert rows.tobytes() == featurizer.features(base_corpus).tobytes()
+
     def test_transform_matches_manual_scaling(self, base_corpus):
         cfg = fast_config()
-        featurizer = fit_featurizer(base_corpus, cfg)
+        featurizer, _ = fit_featurizer(base_corpus, cfg)
         probe = synthetic_corpus(4, 4, seed=9, name="probe")
         feats = featurizer.features(probe)
         _, _, raw = build_raw_features(probe, embedder=cfg.embedder)
@@ -139,7 +145,7 @@ class TestFeaturizer:
         path = tmp_path / "vectors.tsv"
         save_embeddings(table, path)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(path))
-        featurizer = fit_featurizer(base_corpus, cfg)
+        featurizer, _ = fit_featurizer(base_corpus, cfg)
         feats = featurizer.features(base_corpus)
         assert feats.shape == (len(base_corpus), len(FEATURE_NAMES) + SMALL_EMBEDDER.dim)
 
@@ -499,6 +505,67 @@ class TestSvmEnsemble:
             standalone.predict_proba(wide_corpus),
             svm_knn.adapter.bases["svm"].predict_proba(wide_corpus),
         )
+
+
+def count_readability(monkeypatch) -> Counter:
+    """Count, per document id, the calls the pipeline makes to featurize it."""
+    seen: Counter = Counter()
+    original = pipeline.readability_features
+
+    def counting(doc):
+        seen[doc.id] += 1
+        return original(doc)
+
+    monkeypatch.setattr(pipeline, "readability_features", counting)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def three_bases(wide_corpus):
+    """A neural+gbt+knn ensemble, and how often training featurized each document."""
+    cfg = dataclasses.replace(
+        fast_config(), ensemble=EnsembleSettings(bases=("neural", "gbt", "knn"))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        seen = count_readability(patch)
+        model, _ = train_model("ensemble", wide_corpus, cfg)
+    return model, seen
+
+
+class TestPreparedOnce:
+    """An ensemble's featurizer bases share one featurization of each document."""
+
+    def test_training_featurizes_each_document_once(self, three_bases, wide_corpus):
+        _, seen = three_bases
+        assert seen == Counter(doc.id for doc in wide_corpus)
+
+    def test_serving_featurizes_each_batch_document_once(
+        self, three_bases, tmp_path, monkeypatch
+    ):
+        model, _ = three_bases
+        save_model(model, tmp_path / "bundle")
+        loaded = load_model(tmp_path / "bundle")
+        batch = synthetic_corpus(5, 5, seed=11, name="p", labeled=False)
+        expected = model.predict_proba(batch)
+        seen = count_readability(monkeypatch)
+        np.testing.assert_array_equal(loaded.predict_proba(batch), expected)
+        assert seen == Counter(doc.id for doc in batch)
+
+    def test_loaded_bases_share_one_featurizer(self, three_bases, tmp_path):
+        model, _ = three_bases
+        save_model(model, tmp_path / "bundle")
+        bases = load_model(tmp_path / "bundle").adapter.bases
+        assert bases["neural"].prep is bases["gbt"].prep is bases["knn"].prep
+
+    def test_bundle_with_differing_featurizers_rejected(self, three_bases, tmp_path):
+        model, _ = three_bases
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        _, payload = load_checkpoint(path / "knn.json")
+        payload["featurizer"]["scaler"]["means"][0] += 1.0
+        save_checkpoint(path / "knn.json", "knn", payload)
+        with pytest.raises(DataError, match="base 'knn' stores a featurizer"):
+            load_model(path)
 
 
 class _FixedScores:

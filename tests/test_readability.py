@@ -12,9 +12,7 @@ from mgtdetect.readability import (
     flesch_reading_ease,
     format_feature_matrix,
     gunning_fog_index,
-    load_feature_matrix,
     readability_features,
-    save_feature_matrix,
     smog_index,
     transform,
 )
@@ -202,28 +200,6 @@ class TestScaler:
 
 
 class TestMatrixFile:
-    def test_round_trip_values_to_nine_digits(self, tmp_path, rng):
-        ids = ["a", "b", "c"]
-        names = ["f1", "f2"]
-        matrix = rng.normal(size=(3, 2))
-        path = tmp_path / "m.tsv"
-        save_feature_matrix(path, ids, names, matrix)
-        ids2, names2, loaded = load_feature_matrix(path)
-        assert ids2 == ids
-        assert names2 == names
-        np.testing.assert_allclose(loaded, matrix, rtol=1e-8)
-
-    def test_save_load_save_is_a_fixed_point(self, tmp_path, rng):
-        ids = ["x", "y"]
-        names = ["a"]
-        matrix = rng.normal(size=(2, 1)) * 1e-7
-        p1 = tmp_path / "one.tsv"
-        p2 = tmp_path / "two.tsv"
-        save_feature_matrix(p1, ids, names, matrix)
-        _, _, loaded = load_feature_matrix(p1)
-        save_feature_matrix(p2, ids, names, loaded)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_format_has_id_header_first(self):
         text = format_feature_matrix(["d1"], ["f"], np.array([[1.5]]))
         assert text.splitlines()[0] == "id\tf"

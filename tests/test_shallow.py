@@ -9,17 +9,14 @@ from mgtdetect.shallow import (
     GbtHyperparams,
     GbtModel,
     gbt_from_jsonable,
-    gbt_predict_proba,
     gbt_predict_proba_many,
     gbt_to_jsonable,
     gbt_train,
     grid_search,
     knn_fit,
     knn_from_jsonable,
-    knn_predict_proba,
     knn_predict_proba_many,
     knn_to_jsonable,
-    tree_depth,
 )
 
 
@@ -31,6 +28,17 @@ def knn_oracle(train_x, train_labels, k, queries):
         order = np.argsort(d, kind="stable")
         out.append(float(np.mean(train_labels[order[:k]] == 1)))
     return np.array(out)
+
+
+def knn_one(model, query):
+    return float(knn_predict_proba_many(model, np.asarray([query], dtype=np.float64))[0])
+
+
+def stored_depth(tree: dict) -> int:
+    """Depth of one tree as gbt_to_jsonable writes it."""
+    if "value" in tree:
+        return 0
+    return 1 + max(stored_depth(tree["left"]), stored_depth(tree["right"]))
 
 
 def logistic_loss(y, p):
@@ -51,20 +59,20 @@ class TestKnn:
     def test_duplicate_points_tie_break_by_stored_index(self):
         # Two stored points at distance zero: the earlier index wins a slot.
         model = knn_fit(np.array([[0.0], [0.0], [1.0]]), [1, 0, 0], k=2)
-        assert knn_predict_proba(model, np.array([0.0])) == 0.5
+        assert knn_one(model, [0.0]) == 0.5
         first_only = knn_fit(np.array([[0.0], [0.0], [1.0]]), [1, 0, 0], k=1)
-        assert knn_predict_proba(first_only, np.array([0.0])) == 1.0
+        assert knn_one(first_only, [0.0]) == 1.0
 
     def test_query_on_training_point(self):
         x = np.array([[0.0, 0.0], [5.0, 5.0], [5.0, 6.0]])
         model = knn_fit(x, [1, 0, 0], k=1)
-        assert knn_predict_proba(model, np.array([0.0, 0.0])) == 1.0
-        assert knn_predict_proba(model, np.array([5.0, 5.1])) == 0.0
+        assert knn_one(model, [0.0, 0.0]) == 1.0
+        assert knn_one(model, [5.0, 5.1]) == 0.0
 
     def test_probability_is_neighbor_fraction(self):
         x = np.array([[0.0], [0.1], [0.2], [10.0]])
         model = knn_fit(x, [1, 1, 0, 0], k=3)
-        assert knn_predict_proba(model, np.array([0.0])) == pytest.approx(2 / 3)
+        assert knn_one(model, [0.0]) == pytest.approx(2 / 3)
 
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(DataError):
@@ -77,7 +85,7 @@ class TestKnn:
     def test_width_mismatch_rejected(self):
         model = knn_fit(np.zeros((3, 2)), [0, 1, 0], k=1)
         with pytest.raises(DataError):
-            knn_predict_proba(model, np.zeros(3))
+            knn_predict_proba_many(model, np.zeros((1, 3)))
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(DataError):
@@ -145,7 +153,8 @@ class TestGbtStump:
         lr = 0.1
         model = gbt_train(x, y, n_estimators=1, max_depth=1, learning_rate=lr)
         expected_right = 1.0 / (1.0 + np.exp(-(0.0 + lr * (1.0 / 1.5))))
-        assert gbt_predict_proba(model, np.array([12.0])) == pytest.approx(expected_right)
+        prob = gbt_predict_proba_many(model, np.array([[12.0]]))[0]
+        assert prob == pytest.approx(expected_right)
 
 
 class TestGbtStructure:
@@ -154,7 +163,8 @@ class TestGbtStructure:
         y = rng.integers(0, 2, size=60)
         for depth in (1, 2, 3):
             model = gbt_train(x, y, n_estimators=4, max_depth=depth, learning_rate=0.1)
-            assert all(tree_depth(t) <= depth for t in model.trees)
+            trees = gbt_to_jsonable(model)["trees"]
+            assert all(stored_depth(t) <= depth for t in trees)
 
     def test_every_leaf_keeps_two_samples(self, rng):
         x = rng.normal(size=(20, 3))

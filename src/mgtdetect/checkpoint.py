@@ -4,7 +4,8 @@ Every checkpoint is a single JSON document with three top-level keys:
 ``format_version``, ``kind`` (which model family the payload belongs to),
 and ``payload``.  Floats are serialized with Python's shortest-repr rule,
 which round-trips every double bit for bit, so saving and reloading a
-model reproduces its parameters exactly.
+model reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
+``Infinity`` is refused when read.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
@@ -66,6 +67,11 @@ def save_checkpoint(path: str | Path, kind: str, payload: dict) -> None:
     atomic_write_text(path, checkpoint_text(kind, payload))
 
 
+def _refuse_non_finite(token: str) -> float:
+    # Python's json reads NaN and Infinity, which no model parameter may be.
+    raise ValueError(f"non-finite number {token}")
+
+
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict]:
     """Read a checkpoint, returning (kind, payload)."""
     path = Path(path)
@@ -74,8 +80,8 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        document = json.loads(raw, parse_constant=_refuse_non_finite)
+    except ValueError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise DataError(f"checkpoint {path} must hold a JSON object")

@@ -9,7 +9,7 @@ weaker features than a learned embedding.
 
 Embedding files are TSV-like: ``id<TAB>v1 v2 ... vd`` with vector
 components separated by single spaces and serialized with 9 significant
-digits.
+digits.  A component that is not a finite number is refused.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             vec = np.array([float(v) for v in payload.split()], dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric component") from exc
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite component")
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

@@ -31,7 +31,7 @@ one, and a bundle whose bases store different featurizers is refused.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -502,28 +502,51 @@ def _adapter_payload(adapter: BaseAdapter, threshold: float) -> dict:
     }
 
 
-def _adapter_from_payload(kind: str, payload: dict) -> BaseAdapter:
-    spec = _KINDS.get(kind)
-    if spec is None:
-        raise DataError(f"unknown model kind {kind!r}")
+def _read_base(
+    path, expected_kind: str | None = None, shared: dict | None = None
+) -> tuple[BaseAdapter, float]:
+    """Read one base checkpoint: the fitted base and its decision threshold.
+
+    ``shared`` maps a preparation key to the stored entry and decoded value
+    of an earlier base of the same bundle.  A base whose entry equals it
+    shares that value, decoded once; one whose entry differs is refused.
+    """
+    kind, payload = load_checkpoint(path, expected_kind=expected_kind)
+    if kind == "ensemble":
+        raise DataError(
+            "ensemble checkpoints are directory bundles; "
+            "pass the bundle directory, not a file inside it"
+        )
+    spec = _KINDS[kind]
+    key = spec.prep.key
     try:
         model = spec.model_from_jsonable(payload[spec.model_key])
-        prep = spec.prep.from_jsonable(payload[spec.prep.key])
+        stored = payload[key]
+        threshold = float(payload["threshold"])
     except KeyError as exc:
         raise DataError(f"checkpoint payload is missing {exc}") from exc
-    return BaseAdapter(kind=kind, model=model, prep=prep)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed threshold: {exc}") from exc
+    shared = {} if shared is None else shared
+    if key not in shared:
+        shared[key] = (stored, spec.prep.from_jsonable(stored))
+    first, prep = shared[key]
+    if stored != first:
+        raise DataError(
+            f"base {kind!r} stores a {key} that differs from the other bases' {key}"
+        )
+    return BaseAdapter(kind=kind, model=model, prep=prep), threshold
 
 
 MANIFEST_FILENAME = "manifest.json"
-META_FILENAME = "meta.json"
 
 
 def _save_ensemble_bundle(model: TrainedModel, path) -> None:
-    """Write an ensemble as a directory of checkpoints plus a manifest.
+    """Write an ensemble as a directory of base checkpoints plus a manifest.
 
-    Each base model gets its own checkpoint file, loadable on its own with
-    its calibrated threshold; the meta-model gets another; the manifest
-    records base order, the meta-feature column layout, and thresholds.
+    Each base is a standalone checkpoint ``<name>.json`` holding its own
+    calibrated threshold.  The manifest holds only the stacking layer: base
+    order, the meta-model, its hyperparameters and the ensemble threshold.
     """
     adapter: EnsembleBase = model.adapter
     inner = adapter.model
@@ -531,24 +554,12 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     if bundle.exists() and not bundle.is_dir():
         raise DataError(f"{bundle} exists and is not a directory")
     bundle.mkdir(parents=True, exist_ok=True)
-    base_files: dict[str, str] = {}
     for name, base_threshold in zip(inner.base_names, inner.base_thresholds):
         payload = _adapter_payload(adapter.bases[name], base_threshold)
-        filename = f"{name}.json"
-        save_checkpoint(bundle / filename, name, payload)
-        base_files[name] = filename
-    save_checkpoint(
-        bundle / META_FILENAME, "gbt", {"model": gbt_to_jsonable(inner.meta_model)}
-    )
-    feature_names = [
-        f"{name}_{column}" for name in inner.base_names for column in ("probability", "vote")
-    ]
+        save_checkpoint(bundle / f"{name}.json", name, payload)
     manifest = {
         "base_names": list(inner.base_names),
-        "base_files": base_files,
-        "base_thresholds": list(inner.base_thresholds),
-        "meta_file": META_FILENAME,
-        "meta_feature_names": feature_names,
+        "meta_model": gbt_to_jsonable(inner.meta_model),
         "meta_hyperparams": inner.meta_hyperparams._asdict(),
         "threshold": model.threshold,
     }
@@ -562,9 +573,7 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
     _, manifest = load_checkpoint(manifest_path, expected_kind="ensemble")
     try:
         base_names = tuple(str(n) for n in manifest["base_names"])
-        base_files = dict(manifest["base_files"])
-        base_thresholds = tuple(float(t) for t in manifest["base_thresholds"])
-        meta_file = str(manifest["meta_file"])
+        meta_model = gbt_from_jsonable(manifest["meta_model"])
         hp = manifest["meta_hyperparams"]
         meta_hyperparams = GbtHyperparams(
             int(hp["n_estimators"]), int(hp["max_depth"]), float(hp["learning_rate"])
@@ -572,42 +581,20 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         threshold = float(manifest["threshold"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed ensemble manifest: {exc}") from exc
-    if len(base_thresholds) != len(base_names):
-        raise DataError(
-            f"manifest lists {len(base_names)} bases "
-            f"but {len(base_thresholds)} thresholds"
-        )
     bases = {}
-    # Bases that read one kind of preparation share one value of it, so a
-    # batch is prepared once for all of them.
-    shared: dict[str, tuple[dict, object]] = {}
+    thresholds = []
+    shared: dict[str, tuple[object, object]] = {}
     for name in base_names:
-        filename = base_files.get(name)
-        if filename is None:
-            raise DataError(f"manifest lists no checkpoint file for base {name!r}")
-        base_path = bundle / filename
+        # A base file must hold the kind it is named after, so a name that
+        # is not a base kind points at no file the bundle can use.
+        base_path = bundle / f"{name}.json"
         if not base_path.is_file():
-            raise DataError(f"ensemble bundle is missing base checkpoint {filename}")
-        base_kind, payload = load_checkpoint(base_path, expected_kind=name)
-        base = _adapter_from_payload(base_kind, payload)
-        key = _KINDS[base_kind].prep.key
-        entry, prep = shared.setdefault(key, (payload[key], base.prep))
-        if payload[key] != entry:
-            raise DataError(
-                f"base {name!r} stores a {key} that differs from the other bases' {key}"
-            )
-        bases[name] = replace(base, prep=prep)
-    meta_path = bundle / meta_file
-    if not meta_path.is_file():
-        raise DataError(f"ensemble bundle is missing meta checkpoint {meta_file}")
-    _, meta_payload = load_checkpoint(meta_path, expected_kind="gbt")
-    try:
-        meta_model = gbt_from_jsonable(meta_payload["model"])
-    except KeyError as exc:
-        raise DataError(f"meta checkpoint is missing {exc}") from exc
+            raise DataError(f"ensemble bundle is missing base checkpoint {base_path.name}")
+        bases[name], base_threshold = _read_base(base_path, name, shared)
+        thresholds.append(base_threshold)
     inner = EnsembleModel(
         base_names=base_names,
-        base_thresholds=base_thresholds,
+        base_thresholds=tuple(thresholds),
         meta_model=meta_model,
         meta_hyperparams=meta_hyperparams,
         threshold=threshold,
@@ -629,11 +616,5 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     if Path(path).is_dir():
         return _load_ensemble_bundle(Path(path))
-    kind, payload = load_checkpoint(path)
-    if kind == "ensemble":
-        raise DataError(
-            "ensemble checkpoints are directory bundles; "
-            "pass the bundle directory, not a file inside it"
-        )
-    threshold = float(payload.get("threshold", DEFAULT_DECISION_THRESHOLD))
-    return TrainedModel(kind, _adapter_from_payload(kind, payload), threshold)
+    adapter, threshold = _read_base(path)
+    return TrainedModel(adapter.kind, adapter, threshold)

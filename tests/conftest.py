@@ -1,10 +1,5 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from mgtdetect.corpus import Corpus, Document, Label, Language
 

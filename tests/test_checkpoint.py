@@ -61,6 +61,17 @@ class TestValidation:
         with pytest.raises(DataError, match="not valid JSON"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number(self, tmp_path, token):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format_version": 1, "kind": "knn", "payload": {"threshold": %s}}' % token,
+            encoding="utf-8",
+        )
+        message = f"nan.json is not valid JSON: non-finite number {token}"
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(

@@ -465,6 +465,84 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("damage", ["threshold", "scaler_stddev"])
+    def test_non_finite_checkpoint_number_is_2(
+        self, workdir, knn_checkpoint, tmp_path, capsys, damage
+    ):
+        kind, payload = load_checkpoint(knn_checkpoint)
+        if damage == "threshold":
+            payload["threshold"] = float("nan")
+        else:
+            payload["featurizer"]["scaler"]["stddevs"][0] = float("nan")
+        ckpt = tmp_path / "knn.json"
+        save_checkpoint(ckpt, kind, payload)
+        out = tmp_path / "p.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert f"{ckpt} is not valid JSON: non-finite number NaN" in capsys.readouterr().err
+
+    def test_bundle_from_before_the_meta_model_moved_is_2(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "ensemble"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--corpus", f"es={workdir / 'es.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "ensemble",
+            "--output", str(bundle),
+            "--log", str(tmp_path / "train.jsonl"),
+        )
+        assert code == 0
+        # The earlier layout kept the meta-model in meta.json, a gbt
+        # checkpoint, and file names and base thresholds in the manifest.
+        _, manifest = load_checkpoint(bundle / "manifest.json")
+        names = manifest["base_names"]
+        save_checkpoint(bundle / "meta.json", "gbt", {"model": manifest.pop("meta_model")})
+        manifest["base_files"] = {name: f"{name}.json" for name in names}
+        manifest["base_thresholds"] = [
+            load_checkpoint(bundle / f"{name}.json")[1]["threshold"] for name in names
+        ]
+        manifest["meta_file"] = "meta.json"
+        save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
+        capsys.readouterr()
+        out = tmp_path / "p.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(bundle),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "malformed ensemble manifest: 'meta_model'" in capsys.readouterr().err
+
+    def test_non_finite_embedding_is_2_and_writes_no_model(self, workdir, tmp_path):
+        small = load_tsv(workdir / "small.tsv", Language.EN)
+        lines = [f"{doc.id}\t0.5 0.25" for doc in small]
+        lines[3] = f"{small.documents[3].id}\t0.5 nan"
+        vectors = tmp_path / "vectors.tsv"
+        vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "vectors.ini"
+        cfg.write_text(
+            f"[features]\nembeddings_path = {vectors}\n\n[knn]\nk = 5\n", encoding="utf-8"
+        )
+        ckpt = tmp_path / "m.json"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--config", str(cfg),
+            "--model", "knn",
+            "--output", str(ckpt),
+        )
+        assert code == 2
+        assert not ckpt.exists()
+
     def test_unexpected_exception_is_3(self, workdir, tmp_path, monkeypatch):
         def boom(kind, corpus, cfg):
             raise RuntimeError("wires crossed")

@@ -158,6 +158,13 @@ class TestEmbeddingFiles:
         with pytest.raises(DataError, match="non-numeric"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, component):
+        path = tmp_path / "e.tsv"
+        path.write_text(f"a\t1 2\nb\t1 {component}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"e\.tsv:2: non-finite"):
+            load_embeddings(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "e.tsv"
         path.write_text("\n", encoding="utf-8")

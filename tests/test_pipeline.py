@@ -282,6 +282,16 @@ class TestModelCheckpoints:
         with pytest.raises(DataError, match="missing"):
             load_model(path)
 
+    def test_payload_missing_threshold_rejected(self, base_corpus, tmp_path):
+        model, _ = train_model("knn", base_corpus, fast_config())
+        path = tmp_path / "knn.json"
+        save_model(model, path)
+        _, payload = load_checkpoint(path)
+        del payload["threshold"]
+        save_checkpoint(path, "knn", payload)
+        with pytest.raises(DataError, match="missing 'threshold'"):
+            load_model(path)
+
     def test_retrain_writes_identical_checkpoint(self, base_corpus, tmp_path):
         paths = []
         for name in ("one.json", "two.json"):
@@ -372,7 +382,6 @@ class TestEnsembleTraining:
             "gbt.json",
             "knn.json",
             "manifest.json",
-            "meta.json",
         ]
 
     def test_bundle_manifest_records_layout(self, trained, tmp_path):
@@ -382,15 +391,8 @@ class TestEnsembleTraining:
         kind, manifest = load_checkpoint(path / "manifest.json")
         assert kind == "ensemble"
         inner = model.adapter.model
+        assert list(manifest) == ["base_names", "meta_model", "meta_hyperparams", "threshold"]
         assert tuple(manifest["base_names"]) == inner.base_names
-        assert manifest["base_files"] == {"gbt": "gbt.json", "knn": "knn.json"}
-        assert tuple(manifest["base_thresholds"]) == inner.base_thresholds
-        assert manifest["meta_feature_names"] == [
-            "gbt_probability",
-            "gbt_vote",
-            "knn_probability",
-            "knn_vote",
-        ]
         assert manifest["threshold"] == model.threshold
 
     def test_bundle_base_checkpoints_load_standalone(
@@ -444,6 +446,17 @@ class TestEnsembleTraining:
         with pytest.raises(DataError, match="malformed ensemble manifest"):
             load_model(path)
 
+    def test_base_named_outside_the_bundle_rejected(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        (path / "knn.json").rename(tmp_path / "outside_knn.json")
+        _, manifest = load_checkpoint(path / "manifest.json")
+        manifest["base_names"] = ["gbt", "../outside_knn"]
+        save_checkpoint(path / "manifest.json", "ensemble", manifest)
+        with pytest.raises(DataError, match="expected '../outside_knn'"):
+            load_model(path)
+
     def test_flat_file_claiming_ensemble_kind_rejected(self, trained, tmp_path):
         model, _ = trained
         path = tmp_path / "bundle"
@@ -488,7 +501,6 @@ class TestSvmEnsemble:
         assert sorted(p.name for p in first.iterdir()) == [
             "knn.json",
             "manifest.json",
-            "meta.json",
             "svm.json",
         ]
         for file in sorted(first.iterdir()):
@@ -556,6 +568,28 @@ class TestPreparedOnce:
         save_model(model, tmp_path / "bundle")
         bases = load_model(tmp_path / "bundle").adapter.bases
         assert bases["neural"].prep is bases["gbt"].prep is bases["knn"].prep
+
+    def test_bundle_reads_the_embeddings_file_once(
+        self, wide_corpus, tmp_path, monkeypatch
+    ):
+        vectors = tmp_path / "vectors.tsv"
+        save_embeddings(embed_corpus(wide_corpus, SMALL_EMBEDDER), vectors)
+        cfg = dataclasses.replace(fast_config(), embeddings_path=str(vectors))
+        model, _ = train_model("ensemble", wide_corpus, cfg)
+        save_model(model, tmp_path / "bundle")
+        calls = []
+        original = pipeline.load_embeddings
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "load_embeddings", counting)
+        loaded = load_model(tmp_path / "bundle")
+        assert calls == [str(vectors)]
+        np.testing.assert_array_equal(
+            loaded.predict_proba(wide_corpus), model.predict_proba(wide_corpus)
+        )
 
     def test_bundle_with_differing_featurizers_rejected(self, three_bases, tmp_path):
         model, _ = three_bases

@@ -509,6 +509,14 @@ class EpochRecord:
         }
 
 
+def _refuse_divergence(epoch: int, which: str, loss: float) -> None:
+    if not np.isfinite(loss):
+        raise ConfigError(
+            f"neural training diverged: {which} loss is {loss} in epoch {epoch}; "
+            "lower [neural] learning_rate"
+        )
+
+
 def train(
     train_set: LabeledSet,
     val_set: LabeledSet,
@@ -524,7 +532,8 @@ def train(
     the same seed reproduces the returned weights bit for bit.  The weights
     from the best validation epoch are returned, not the last ones; an
     epoch that fails to strictly improve validation loss counts against
-    the patience budget and training stops once the budget is spent.
+    the patience budget and training stops once the budget is spent.  A
+    non-finite batch or validation loss ends training with a ConfigError.
     """
     if mtl.enabled and train_set.y_lang is None:
         raise DataError("multi-task training needs language labels on the training set")
@@ -563,9 +572,11 @@ def train(
                 clean_p_bot=clean_p,
             )
             loss, grads = backward(params, batch, mtl, vat)
+            _refuse_divergence(epoch, "train", loss)
             params = optimizer.step(params, grads)
             batch_losses.append(loss)
         val_loss = bce_loss(predict_proba(params, val_set.x), val_set.y_bot)
+        _refuse_divergence(epoch, "validation", val_loss)
         log.append(
             EpochRecord(
                 epoch=epoch,

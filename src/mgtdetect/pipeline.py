@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import BASE_MODEL_NAMES, AppConfig
 from .corpus import Corpus, Language, SplitSpec, split
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import MODEL_KINDS, load_checkpoint, save_checkpoint
 from .embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
@@ -539,6 +539,8 @@ def _read_base(
 
 
 MANIFEST_FILENAME = "manifest.json"
+# The earlier bundle layout kept the meta-model in this file.
+_EARLIER_META_FILENAME = "meta.json"
 
 
 def _save_ensemble_bundle(model: TrainedModel, path) -> None:
@@ -547,6 +549,9 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     Each base is a standalone checkpoint ``<name>.json`` holding its own
     calibrated threshold.  The manifest holds only the stacking layer: base
     order, the meta-model, its hyperparameters and the ensemble threshold.
+    Rewriting a bundle first removes the names the layout owns that this
+    bundle does not write (an earlier layout's ``meta.json`` and the
+    checkpoint of every other model kind); other files stay.
     """
     adapter: EnsembleBase = model.adapter
     inner = adapter.model
@@ -554,6 +559,9 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     if bundle.exists() and not bundle.is_dir():
         raise DataError(f"{bundle} exists and is not a directory")
     bundle.mkdir(parents=True, exist_ok=True)
+    stale = [f"{kind}.json" for kind in MODEL_KINDS if kind not in inner.base_names]
+    for name in [_EARLIER_META_FILENAME, *stale]:
+        (bundle / name).unlink(missing_ok=True)
     for name, base_threshold in zip(inner.base_names, inner.base_thresholds):
         payload = _adapter_payload(adapter.bases[name], base_threshold)
         save_checkpoint(bundle / f"{name}.json", name, payload)

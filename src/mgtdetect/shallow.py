@@ -9,6 +9,14 @@ tree to the residual (label minus current probability) using exact greedy
 variance-reduction splits over sorted feature values; leaf values take a
 Newton step with unit damping.  Everything is deterministic: ties in split
 quality resolve to the lowest feature index and then the lowest threshold.
+
+The fit is the exact-greedy presorted column block of XGBoost (Chen &
+Guestrin, KDD 2016), without its histogram approximation: every column is
+stably sorted once per fit, each split partitions that order stably into
+its children, and a node scores every cut of every feature in one
+vectorized pass.  Tree t does not depend on the number of trees, so the
+grid search fits each (depth, rate) pair once, at the largest tree count,
+and scores the smaller counts as prefixes of that fit.
 """
 
 from __future__ import annotations
@@ -107,79 +115,165 @@ class TreeNode:
         return self.left is None
 
 
-def _best_split(x: np.ndarray, residuals: np.ndarray) -> tuple[int, float] | None:
-    """Exact greedy search: (feature, midpoint threshold) or None.
+class _ColumnBlock:
+    """One training matrix presorted per feature, reused by every tree.
 
-    Maximizes the reduction in residual sum of squares; both children must
-    keep at least MIN_SAMPLES_PER_LEAF samples.  First feature and lowest
-    threshold win ties.
+    ``order`` holds, for each feature, the row ids in ascending stable order
+    of that feature's values, and ``ranks`` the rank of each of those values
+    among the feature's distinct values (-1 for NaN).  Since NaN sorts last
+    and compares false, two sorted values compare with ``<`` exactly as their
+    ranks do.  Both are flat buffers: the node holding sorted slots
+    ``lo:hi`` owns ``[d * lo, d * hi)`` and reads it as a C-contiguous
+    ``(d, hi - lo)`` block.  A split partitions that block stably in place,
+    so each child again owns one contiguous block whose columns are sorted,
+    and no node sorts anything.
     """
-    n = x.shape[0]
-    if n < 2 * MIN_SAMPLES_PER_LEAF:
-        return None
-    total_sum = float(np.sum(residuals))
-    total_sq = float(np.sum(residuals**2))
-    parent_sse = total_sq - total_sum**2 / n
-    best_gain = _SPLIT_GAIN_EPS
-    best: tuple[int, float] | None = None
-    for feature in range(x.shape[1]):
-        col = x[:, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_res = residuals[order]
-        csum = np.cumsum(sorted_res)
-        csq = np.cumsum(sorted_res**2)
-        left_n = np.arange(1, n)
-        valid = (
-            (sorted_col[:-1] < sorted_col[1:])
-            & (left_n >= MIN_SAMPLES_PER_LEAF)
-            & ((n - left_n) >= MIN_SAMPLES_PER_LEAF)
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        self.n, self.d = x.shape
+        xt = np.ascontiguousarray(x.T)
+        order = np.argsort(xt, axis=1, kind="stable")
+        values = np.take_along_axis(xt, order, axis=1)
+        ranks = np.zeros(values.shape, dtype=np.int32)
+        np.cumsum(values[:, 1:] > values[:, :-1], axis=1, out=ranks[:, 1:])
+        ranks[np.isnan(values)] = -1
+        ids = np.int32 if self.n <= np.iinfo(np.int32).max else np.intp
+        self._root_order = order.astype(ids).ravel()
+        self._root_ranks = ranks.ravel()
+        # Free the sort's temporaries before the work buffers exist.
+        del xt, order, values, ranks
+        self.order = np.empty_like(self._root_order)
+        self.ranks = np.empty_like(self._root_ranks)
+        # Scratch for one node's split search, read through ``_block`` from
+        # slot 0: running sums of the sorted residuals and of their squares.
+        self._csum = np.empty(self.n * self.d)
+        self._csq = np.empty(self.n * self.d)
+        self._goes_left = np.empty(self.n, dtype=bool)
+
+    def _block(self, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return buf[self.d * lo : self.d * hi].reshape(self.d, hi - lo)
+
+    def fit_tree(
+        self, residuals: np.ndarray, hessians: np.ndarray, max_depth: int
+    ) -> tuple[TreeNode, np.ndarray]:
+        """Grow one tree; also return the leaf value of every training row."""
+        np.copyto(self.order, self._root_order)
+        np.copyto(self.ranks, self._root_ranks)
+        leaf_values = np.empty(self.n, dtype=np.float64)
+        tree = self._grow(
+            0, self.n, np.arange(self.n), residuals, hessians, 0, max_depth, leaf_values
         )
-        if not np.any(valid):
-            continue
-        left_sum = csum[:-1]
-        left_sq = csq[:-1]
+        return tree, leaf_values
+
+    def _grow(
+        self,
+        lo: int,
+        hi: int,
+        rows: np.ndarray,
+        residuals: np.ndarray,
+        hessians: np.ndarray,
+        depth: int,
+        max_depth: int,
+        leaf_values: np.ndarray,
+    ) -> TreeNode:
+        # ``rows`` lists the node's row ids ascending, the order in which
+        # the node's sums are taken.
+        node_res = residuals[rows]
+        if depth < max_depth:
+            split = self._best_split(lo, hi, residuals, node_res)
+            if split is not None:
+                feature, threshold = split
+                mask = self.x[rows, feature] <= threshold
+                mid = lo + int(np.count_nonzero(mask))
+                self._partition(lo, hi, rows, mask)
+                args = (residuals, hessians, depth + 1, max_depth, leaf_values)
+                return TreeNode(
+                    feature=feature,
+                    threshold=threshold,
+                    left=self._grow(lo, mid, rows[mask], *args),
+                    right=self._grow(mid, hi, rows[~mask], *args),
+                )
+        value = float(np.sum(node_res) / (np.sum(hessians[rows]) + LEAF_DAMPING))
+        leaf_values[rows] = value
+        return TreeNode(value=value)
+
+    def _best_split(
+        self, lo: int, hi: int, residuals: np.ndarray, node_res: np.ndarray
+    ) -> tuple[int, float] | None:
+        """Exact greedy search over every feature: (feature, threshold) or None.
+
+        Maximizes the reduction in residual sum of squares; both children
+        must keep at least MIN_SAMPLES_PER_LEAF samples.  First feature and
+        lowest threshold win ties.  The threshold is the midpoint of the two
+        sorted values it separates, or the lower one when the midpoint
+        rounds up onto the upper one.
+        """
+        n = hi - lo
+        if n < 2 * MIN_SAMPLES_PER_LEAF or self.d == 0:
+            return None
+        total_sum = float(np.sum(node_res))
+        total_sq = float(np.sum(node_res**2))
+        parent_sse = total_sq - total_sum**2 / n
+        # Candidate cut i keeps sorted slots 0..i on the left; only cuts
+        # leaving MIN_SAMPLES_PER_LEAF on each side are scored.
+        cuts = slice(MIN_SAMPLES_PER_LEAF - 1, n - MIN_SAMPLES_PER_LEAF)
+        after = slice(cuts.start + 1, cuts.stop + 1)
+        left_n = np.arange(MIN_SAMPLES_PER_LEAF, n - MIN_SAMPLES_PER_LEAF + 1)
         right_n = n - left_n
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
-        sse = (
-            left_sq
-            - left_sum**2 / left_n
-            + right_sq
-            - right_sum**2 / right_n
-        )
-        gain = np.where(valid, parent_sse - sse, -np.inf)
-        idx = int(np.argmax(gain))
-        if gain[idx] > best_gain:
-            best_gain = float(gain[idx])
-            best = (feature, float((sorted_col[idx] + sorted_col[idx + 1]) / 2.0))
-    return best
+        width = len(left_n)
+        order = self._block(self.order, lo, hi)
+        sorted_res = residuals[order]
+        csum = np.cumsum(sorted_res, axis=1, out=self._block(self._csum, 0, n))
+        np.multiply(sorted_res, sorted_res, out=sorted_res)
+        csq = np.cumsum(sorted_res, axis=1, out=self._block(self._csq, 0, n))
+        left_sum = csum[:, cuts]
+        left_sq = csq[:, cuts]
+        # sse = left_sq - left_sum**2 / left_n + right_sq - right_sum**2 / right_n,
+        # evaluated in that order; each buffer is overwritten once used.
+        gain = np.square(left_sum, out=sorted_res[:, :width])
+        np.divide(gain, left_n, out=gain)
+        np.subtract(left_sq, gain, out=gain)
+        right_sq = np.subtract(total_sq, left_sq, out=left_sq)
+        np.add(gain, right_sq, out=gain)
+        right_sum = np.subtract(total_sum, left_sum, out=left_sum)
+        np.square(right_sum, out=right_sum)
+        np.divide(right_sum, right_n, out=right_sum)
+        np.subtract(gain, right_sum, out=gain)
+        np.subtract(parent_sse, gain, out=gain)
+        # A cut between equal values is no cut.
+        ranks = self._block(self.ranks, lo, hi)
+        gain[ranks[:, cuts] >= ranks[:, after]] = -np.inf
+        best_cut = np.argmax(gain, axis=1)
+        best_gain = gain[np.arange(self.d), best_cut]
+        # As in a scan keeping strict improvements over the floor, a feature
+        # whose best gain is NaN or at most the floor never wins.
+        best_gain[~(best_gain > _SPLIT_GAIN_EPS)] = -np.inf
+        feature = int(np.argmax(best_gain))
+        if not best_gain[feature] > _SPLIT_GAIN_EPS:
+            return None
+        slot = int(best_cut[feature]) + cuts.start
+        below = self.x[order[feature, slot], feature]
+        above = self.x[order[feature, slot + 1], feature]
+        threshold = (below + above) / 2.0
+        if not threshold < above:
+            threshold = below
+        return feature, float(threshold)
 
-
-def _build_tree(
-    x: np.ndarray,
-    residuals: np.ndarray,
-    hessians: np.ndarray,
-    depth: int,
-    max_depth: int,
-) -> TreeNode:
-    if depth < max_depth:
-        split = _best_split(x, residuals)
-        if split is not None:
-            feature, threshold = split
-            mask = x[:, feature] <= threshold
-            return TreeNode(
-                feature=feature,
-                threshold=threshold,
-                left=_build_tree(
-                    x[mask], residuals[mask], hessians[mask], depth + 1, max_depth
-                ),
-                right=_build_tree(
-                    x[~mask], residuals[~mask], hessians[~mask], depth + 1, max_depth
-                ),
-            )
-    value = float(np.sum(residuals) / (np.sum(hessians) + LEAF_DAMPING))
-    return TreeNode(value=value)
+    def _partition(self, lo: int, hi: int, rows: np.ndarray, mask: np.ndarray) -> None:
+        """Stably move the rows going left to the front of every column."""
+        self._goes_left[rows] = mask
+        span = slice(self.d * lo, self.d * hi)
+        # Row-major order keeps each feature's left rows together, in
+        # sorted order, as the C layout of a (d, left count) block.
+        left = self._goes_left[self.order[span]]
+        right = ~left
+        for buf in (self.order, self.ranks):
+            to_left = np.compress(left, buf[span])
+            to_right = np.compress(right, buf[span])
+            mid = span.start + to_left.size
+            buf[span.start : mid] = to_left
+            buf[mid : span.stop] = to_right
 
 
 def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -241,13 +335,14 @@ def gbt_train(
     base_score = float(np.log(mean / (1.0 - mean)))
     yf = labels.astype(np.float64)
     raw = np.full(x.shape[0], base_score, dtype=np.float64)
+    block = _ColumnBlock(x)
     trees: list[TreeNode] = []
     for _ in range(n_estimators):
         p = _sigmoid(raw)
         residuals = yf - p
         hessians = p * (1.0 - p)
-        tree = _build_tree(x, residuals, hessians, 0, max_depth)
-        raw += learning_rate * _apply_tree(tree, x)
+        tree, leaf_values = block.fit_tree(residuals, hessians, max_depth)
+        raw += learning_rate * leaf_values
         trees.append(tree)
     return GbtModel(
         trees=tuple(trees),
@@ -354,34 +449,36 @@ def grid_search(
 ) -> tuple[GbtModel, GbtHyperparams]:
     """Pick the grid point with the best validation macro-F1 at 0.5.
 
-    Candidates are visited with estimators, then depth, then learning rate
-    ascending, and only strict improvements replace the incumbent, so ties
-    resolve to fewer trees, then shallower trees, then the smaller rate.
+    Ties resolve to fewer trees, then shallower trees, then the smaller
+    rate.  Tree t of a fit does not depend on the number of trees asked
+    for, so each (depth, rate) pair is fit once, at the largest tree count,
+    and a smaller count is scored as that fit's first trees.
     """
     x_train = _check_features(x_train, "grid-search training matrix")
     x_val = _check_features(x_val, "grid-search validation matrix")
     y_train = _check_binary_labels(y_train, x_train.shape[0])
     y_val = _check_binary_labels(y_val, x_val.shape[0])
-    best_score = -1.0
-    best_model: GbtModel | None = None
-    best_params: GbtHyperparams | None = None
-    for n_estimators in sorted(grid.estimators):
-        for max_depth in sorted(grid.depths):
-            for learning_rate in sorted(grid.learning_rates):
-                model = gbt_train(
-                    x_train,
-                    y_train,
-                    n_estimators=n_estimators,
-                    max_depth=max_depth,
-                    learning_rate=learning_rate,
+    estimators = sorted(set(grid.estimators))
+    best: tuple[tuple, GbtModel, GbtHyperparams] | None = None
+    for max_depth in sorted(set(grid.depths)):
+        for learning_rate in sorted(set(grid.learning_rates)):
+            full = gbt_train(
+                x_train,
+                y_train,
+                n_estimators=estimators[-1],
+                max_depth=max_depth,
+                learning_rate=learning_rate,
+            )
+            for n_estimators in estimators:
+                model = GbtModel(
+                    trees=full.trees[:n_estimators],
+                    learning_rate=full.learning_rate,
+                    base_score=full.base_score,
                 )
                 preds = (gbt_predict_proba_many(model, x_val) >= 0.5).astype(np.int64)
-                score = macro_f1(y_val, preds)
-                if score > best_score:
-                    best_score = score
-                    best_model = model
-                    best_params = GbtHyperparams(
-                        n_estimators, max_depth, learning_rate
-                    )
-    assert best_model is not None and best_params is not None
-    return best_model, best_params
+                rank = (-macro_f1(y_val, preds), n_estimators, max_depth, learning_rate)
+                if best is None or rank < best[0]:
+                    params = GbtHyperparams(n_estimators, max_depth, learning_rate)
+                    best = (rank, model, params)
+    assert best is not None
+    return best[1], best[2]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
@@ -213,6 +214,43 @@ class TestTrain:
         assert load_model(ckpt).kind == "ensemble"
 
 
+    def test_retrained_bundle_drops_the_files_it_no_longer_writes(
+        self, workdir, tmp_path
+    ):
+        three = tmp_path / "three.ini"
+        three.write_text(
+            FAST_CONFIG.replace("bases = gbt, knn", "bases = neural, gbt, knn"),
+            encoding="utf-8",
+        )
+        bundle = tmp_path / "bundle"
+
+        def train(config):
+            return _run(
+                "train",
+                "--corpus", f"en={workdir / 'en.tsv'}",
+                "--corpus", f"es={workdir / 'es.tsv'}",
+                "--config", str(config),
+                "--model", "ensemble",
+                "--output", str(bundle),
+                "--log", str(tmp_path / "train.jsonl"),
+            )
+
+        assert train(three) == 0
+        assert (bundle / "neural.json").is_file()
+        # An earlier layout's meta-model file, and a file the layout does
+        # not own.
+        (bundle / "meta.json").write_text("{}", encoding="utf-8")
+        (bundle / "notes.txt").write_text("kept", encoding="utf-8")
+        assert train(workdir / "fast.ini") == 0
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "gbt.json",
+            "knn.json",
+            "manifest.json",
+            "notes.txt",
+        ]
+        assert load_model(bundle).adapter.model.base_names == ("gbt", "knn")
+
+
 class TestPredict:
     def test_predictions_table_shape(self, workdir, knn_checkpoint, tmp_path):
         out = tmp_path / "preds.tsv"
@@ -400,6 +438,32 @@ class TestExitCodes:
         )
         assert code == 1
         assert not ckpt.exists()
+
+    def test_diverging_neural_run_is_1_and_writes_no_model(
+        self, workdir, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(
+            FAST_CONFIG.replace("[neural]\n", "[neural]\nlearning_rate = 1e300\n"),
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "m.json"
+        log = tmp_path / "train.jsonl"
+        with np.errstate(all="ignore"):
+            code = _run(
+                "train",
+                "--corpus", f"en={workdir / 'en.tsv'}",
+                "--config", str(bad),
+                "--model", "neural",
+                "--output", str(ckpt),
+                "--log", str(log),
+            )
+        assert code == 1
+        assert not ckpt.exists()
+        assert not log.exists()
+        err = capsys.readouterr().err
+        assert "diverged" in err and "[neural] learning_rate" in err
+        assert "NaN" not in err
 
     def test_negative_gbt_rate_is_1_before_the_corpus_is_read(self, tmp_path, capsys):
         # The corpus does not exist: reading it would exit 2, not 1.

@@ -457,6 +457,14 @@ class TestTrain:
         returned_val = bce_loss(predict_proba(params, va.x), va.y_bot)
         assert returned_val == log[0].val_loss
 
+    def test_diverging_run_is_refused(self):
+        tr, va = toy_sets()
+        cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=24, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            ConfigError, match=r"epoch 1; lower \[neural\] learning_rate"
+        ):
+            train(tr, va, cfg=cfg, hidden=8)
+
     def test_patience_two_survives_one_bad_epoch(self):
         tr, va = toy_sets()
         cfg = TrainConfig(

@@ -2,12 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mgtdetect import shallow
 from mgtdetect.errors import ConfigError, DataError
+from mgtdetect.evaluation import macro_f1
 from mgtdetect.shallow import (
+    LEAF_DAMPING,
+    MIN_SAMPLES_PER_LEAF,
     GbtGrid,
     GbtHyperparams,
     GbtModel,
+    TreeNode,
     gbt_from_jsonable,
     gbt_predict_proba_many,
     gbt_to_jsonable,
@@ -94,6 +101,167 @@ class TestKnn:
     def test_default_k_is_ten(self):
         model = knn_fit(np.zeros((12, 1)) + np.arange(12)[:, None], [0, 1] * 6)
         assert model.k == 10
+
+
+def reference_best_split(x, residuals):
+    """Reference: one stable argsort and one gain scan per feature.
+
+    First feature and lowest threshold win ties; the threshold is the
+    midpoint, or the lower value when the midpoint rounds onto the upper.
+    """
+    n = x.shape[0]
+    if n < 2 * MIN_SAMPLES_PER_LEAF:
+        return None
+    total_sum = float(np.sum(residuals))
+    total_sq = float(np.sum(residuals**2))
+    parent_sse = total_sq - total_sum**2 / n
+    best_gain = 1e-12
+    best = None
+    for feature in range(x.shape[1]):
+        order = np.argsort(x[:, feature], kind="stable")
+        col = x[order, feature]
+        csum = np.cumsum(residuals[order])
+        csq = np.cumsum(residuals[order] ** 2)
+        left_n = np.arange(1, n)
+        valid = (
+            (col[:-1] < col[1:])
+            & (left_n >= MIN_SAMPLES_PER_LEAF)
+            & (n - left_n >= MIN_SAMPLES_PER_LEAF)
+        )
+        right_sum = total_sum - csum[:-1]
+        sse = (
+            csq[:-1]
+            - csum[:-1] ** 2 / left_n
+            + (total_sq - csq[:-1])
+            - right_sum**2 / (n - left_n)
+        )
+        gain = np.where(valid, parent_sse - sse, -np.inf)
+        idx = int(np.argmax(gain))
+        if gain[idx] > best_gain:
+            best_gain = float(gain[idx])
+            threshold = (col[idx] + col[idx + 1]) / 2.0
+            if not threshold < col[idx + 1]:
+                threshold = col[idx]
+            best = (feature, float(threshold))
+    return best
+
+
+def reference_tree(x, residuals, hessians, depth, max_depth):
+    if depth < max_depth:
+        split = reference_best_split(x, residuals)
+        if split is not None:
+            feature, threshold = split
+            mask = x[:, feature] <= threshold
+            return TreeNode(
+                feature=feature,
+                threshold=threshold,
+                left=reference_tree(
+                    x[mask], residuals[mask], hessians[mask], depth + 1, max_depth
+                ),
+                right=reference_tree(
+                    x[~mask], residuals[~mask], hessians[~mask], depth + 1, max_depth
+                ),
+            )
+    return TreeNode(value=float(np.sum(residuals) / (np.sum(hessians) + LEAF_DAMPING)))
+
+
+def reference_gbt(x, y, n_estimators, max_depth, learning_rate):
+    """Reference fit: every node re-sorts its own rows, every round re-applies."""
+    yf = np.asarray(y, dtype=np.float64)
+    mean = float(np.mean(yf))
+    base_score = float(np.log(mean / (1.0 - mean)))
+    raw = np.full(x.shape[0], base_score)
+    trees = []
+    for _ in range(n_estimators):
+        p = 1.0 / (1.0 + np.exp(-raw))
+        tree = reference_tree(x, yf - p, p * (1.0 - p), 0, max_depth)
+        raw += learning_rate * GbtModel((tree,), 1.0, 0.0).predict_raw(x)
+        trees.append(tree)
+    return GbtModel(tuple(trees), float(learning_rate), base_score)
+
+
+def leaf_counts(node, x, rows):
+    """Training rows reaching each leaf, routed as serving routes them."""
+    if node.is_leaf:
+        return [len(rows)]
+    mask = x[rows, node.feature] <= node.threshold
+    return leaf_counts(node.left, x, rows[mask]) + leaf_counts(node.right, x, rows[~mask])
+
+
+@st.composite
+def training_sets(draw):
+    """Small matrices with tied values, duplicate and constant columns."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cell = st.integers(0, 3).map(float)
+    else:
+        cell = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    x = np.array(rows, dtype=np.float64)
+    extra = draw(st.sampled_from(["none", "duplicate", "constant"]))
+    if extra == "duplicate":
+        x = np.hstack([x, x[:, [draw(st.integers(0, d - 1))]]])
+    elif extra == "constant":
+        x = np.hstack([np.full((n, 1), draw(cell)), x])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[1] = 0, 1
+    return x, y
+
+
+class TestGbtExactness:
+    """The presorted fit grows exactly the trees of the per-node reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=training_sets(),
+        max_depth=st.integers(1, 10),
+        n_estimators=st.integers(1, 3),
+        learning_rate=st.sampled_from([0.05, 0.3, 1.0]),
+    )
+    def test_matches_per_node_reference(self, data, max_depth, n_estimators, learning_rate):
+        x, y = data
+        got = gbt_train(x, y, n_estimators, max_depth, learning_rate)
+        want = reference_gbt(x, y, n_estimators, max_depth, learning_rate)
+        assert got == want
+
+    def test_matches_reference_on_a_wide_tied_matrix(self, rng):
+        x = np.round(rng.normal(size=(120, 40)), 1)
+        x[:, 5] = x[:, 2]
+        x[:, 7] = 0.25
+        y = (x[:, 0] + x[:, 3] > 0).astype(np.int64)
+        y[rng.choice(120, size=15, replace=False)] ^= 1
+        for depth in (1, 4, 10):
+            got = gbt_train(x, y, n_estimators=3, max_depth=depth, learning_rate=0.3)
+            assert got == reference_gbt(x, y, 3, depth, 0.3)
+
+    def test_fewer_trees_are_a_prefix(self, rng):
+        x = np.round(rng.normal(size=(60, 5)), 1)
+        y = rng.integers(0, 2, size=60)
+        y[0], y[1] = 0, 1
+        full = gbt_train(x, y, n_estimators=8, max_depth=4, learning_rate=0.3)
+        for k in range(1, 8):
+            short = gbt_train(x, y, n_estimators=k, max_depth=4, learning_rate=0.3)
+            assert full.trees[:k] == short.trees
+            assert (short.learning_rate, short.base_score) == (
+                full.learning_rate,
+                full.base_score,
+            )
+
+    def test_adjacent_doubles_split_at_the_lower_value(self):
+        # The midpoint of two adjacent doubles can round onto the upper one,
+        # which would send every row left.
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        x = np.array([[low]] * 4 + [[high]] * 4)
+        y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        model = gbt_train(x, y, n_estimators=1, max_depth=1, learning_rate=0.1)
+        root = model.trees[0]
+        assert root.threshold == low
+        assert min(leaf_counts(root, x, np.arange(8))) >= MIN_SAMPLES_PER_LEAF
+        probs = gbt_predict_proba_many(model, x)
+        assert np.all(probs[:4] < 0.5) and np.all(probs[4:] > 0.5)
 
 
 class TestGbtLossCurve:
@@ -251,6 +419,46 @@ class TestGridSearch:
         preds = (gbt_predict_proba_many(model, xv) >= 0.5).astype(np.int64)
         assert float(np.mean(preds == yv)) > 0.9
         assert params.learning_rate == 0.1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GbtGrid(estimators=(2, 5), depths=(1, 3), learning_rates=(0.05, 0.5)),
+            GbtGrid(
+                estimators=(5, 1, 3, 5), depths=(3, 1, 3), learning_rates=(0.5, 0.05, 0.5)
+            ),
+        ],
+    )
+    def test_equals_fitting_every_grid_point(self, rng, grid, monkeypatch):
+        x = np.round(rng.normal(size=(80, 4)), 1)
+        y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(np.int64)
+        y[rng.choice(80, size=12, replace=False)] ^= 1
+        xv = np.round(rng.normal(size=(40, 4)), 1)
+        yv = (xv[:, 0] > 0).astype(np.int64)
+        best_score, want = -1.0, None
+        for n_estimators in sorted(grid.estimators):
+            for max_depth in sorted(grid.depths):
+                for learning_rate in sorted(grid.learning_rates):
+                    model = gbt_train(x, y, n_estimators, max_depth, learning_rate)
+                    preds = (gbt_predict_proba_many(model, xv) >= 0.5).astype(np.int64)
+                    score = macro_f1(yv, preds)
+                    if score > best_score:
+                        best_score = score
+                        want = (model, GbtHyperparams(n_estimators, max_depth, learning_rate))
+        fits = []
+        original = shallow.gbt_train
+
+        def counting(*args, **kwargs):
+            fits.append(kwargs["n_estimators"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shallow, "gbt_train", counting)
+        model, params = grid_search(x, y, xv, yv, grid)
+        assert (model, params) == want
+        # One fit per (depth, rate), each at the largest tree count.
+        assert fits == [max(grid.estimators)] * (
+            len(set(grid.depths)) * len(set(grid.learning_rates))
+        )
 
     def test_default_grid_covers_reference_configuration(self):
         grid = GbtGrid()

@@ -69,7 +69,6 @@ from .neural import predict_proba as neural_predict_proba
 from .neural import train as neural_train
 from .pipeline import TrainedModel, load_model, save_model, train_model
 from .readability import (
-    FeatureVector,
     ReadabilityFeatures,
     ScalerParams,
     fit_scaler,
@@ -102,7 +101,6 @@ __all__ = [
     "EnsembleModel",
     "EvalReport",
     "FallbackEmbedderConfig",
-    "FeatureVector",
     "GbtGrid",
     "GbtModel",
     "KernelConfig",

@@ -2,7 +2,7 @@
 
 Every checkpoint is a single JSON document with three top-level keys:
 ``format_version``, ``kind`` (which model family the payload belongs to),
-and ``payload``.  Floats are serialized with Python's shortest-repr rule,
+and ``payload``, written on one line by Python's C encoder.  Floats are serialized with Python's shortest-repr rule,
 which round-trips every double bit for bit, so saving and reloading a
 model reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
 ``Infinity`` is refused when read.
@@ -58,7 +58,7 @@ def checkpoint_text(kind: str, payload: dict) -> str:
         "kind": kind,
         "payload": payload,
     }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(document, ensure_ascii=False) + "\n"
 
 
 def save_checkpoint(path: str | Path, kind: str, payload: dict) -> None:

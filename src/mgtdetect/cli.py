@@ -29,11 +29,12 @@ from .evaluation import evaluate_predictions
 from .pipeline import (
     build_raw_features,
     embeddings_table,
+    feature_names,
     load_model,
     save_model,
     train_model,
 )
-from .readability import format_feature_matrix
+from .readability import FEATURE_NAMES, format_feature_matrix
 
 LABEL_NAMES = {0: "human", 1: "generated"}
 
@@ -132,9 +133,9 @@ def _config(args) -> AppConfig:
 def _cmd_featurize(args) -> int:
     cfg = _config(args)
     corpus = _load_corpora(args.corpus)
-    ids, names, matrix = build_raw_features(
-        corpus, cfg.embedder, embeddings_table(cfg.embeddings_path)
-    )
+    matrix = build_raw_features(corpus, cfg.embedder, embeddings_table(cfg.embeddings_path))
+    ids = [doc.id for doc in corpus]
+    names = feature_names(matrix.shape[1] - len(FEATURE_NAMES))
     atomic_write_text(args.output, format_feature_matrix(ids, names, matrix))
     print(f"wrote {len(ids)} feature rows to {args.output}", file=sys.stderr)
     return 0

@@ -5,7 +5,9 @@ expensive to produce and are expected to arrive via file.  The fallback
 embedder is a fully offline, deterministic substitute: it feature-hashes
 character n-grams into a fixed number of signed buckets and L2-normalizes
 the result.  It keeps the whole pipeline runnable anywhere, at the cost of
-weaker features than a learned embedding.
+weaker features than a learned embedding.  Features travel as matrices:
+``embed_corpus`` returns one float64 row per document, in corpus order;
+an ``EmbeddingTable`` is only an embedding file read into memory.
 
 Embedding files are TSV-like: ``id<TAB>v1 v2 ... vd`` with vector
 components separated by single spaces and serialized with 9 significant
@@ -51,9 +53,6 @@ class EmbeddingTable:
                     f"expected ({self.dim},)"
                 )
             self.vectors[doc_id] = vec
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
     def get(self, doc_id: str) -> np.ndarray:
         if doc_id not in self.vectors:
@@ -129,50 +128,34 @@ class FallbackEmbedderConfig:
             )
 
 
-class _GramHasher:
-    """Seeded 64-bit keyed hash of n-grams, with a per-run cache."""
+def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> np.ndarray:
+    """The (n, dim) embedding rows of ``corpus``, in corpus order.
 
-    def __init__(self, cfg: FallbackEmbedderConfig):
-        self._key = cfg.seed.to_bytes(8, "little", signed=False)
-        self._dim = cfg.dim
-        self._cache: dict[str, tuple[int, float]] = {}
-
-    def bucket_and_sign(self, gram: str) -> tuple[int, float]:
-        hit = self._cache.get(gram)
-        if hit is not None:
-            return hit
-        digest = hashlib.blake2b(
-            gram.encode("utf-8"), digest_size=8, key=self._key
-        ).digest()
-        h = int.from_bytes(digest, "big")
-        sign = -1.0 if h & _SIGN_BIT else 1.0
-        result = ((h & _BUCKET_MASK) % self._dim, sign)
-        self._cache[gram] = result
-        return result
-
-
-def _embed_text(text: str, cfg: FallbackEmbedderConfig, hasher: _GramHasher) -> np.ndarray:
-    # Whitespace normalization keeps the embedding independent of leading,
-    # trailing, or repeated whitespace.
-    normalized = " ".join(text.split())
-    vec = np.zeros(cfg.dim, dtype=np.float64)
-    for n in range(cfg.ngram_min, cfg.ngram_max + 1):
-        for i in range(len(normalized) - n + 1):
-            bucket, sign = hasher.bucket_and_sign(normalized[i : i + n])
-            vec[bucket] += sign
-    norm = float(np.sqrt(np.dot(vec, vec)))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> EmbeddingTable:
-    """Embed every document, sharing one n-gram hash cache across the run.
-
-    Each vector is a signed hashed n-gram embedding, L2-normalized.  Texts
-    shorter than ``ngram_min`` characters after whitespace normalization
-    have no n-grams and map to the zero vector; every other has unit norm.
+    Each row is a signed hashed n-gram embedding, L2-normalized; one seeded
+    64-bit keyed n-gram hash cache serves the whole call.  Texts shorter than
+    ``ngram_min`` characters after whitespace normalization have no n-grams
+    and map to the zero row; every other row has unit norm.
     """
-    hasher = _GramHasher(cfg)
-    vectors = {doc.id: _embed_text(doc.text, cfg, hasher) for doc in corpus}
-    return EmbeddingTable(dim=cfg.dim, vectors=vectors)
+    key = cfg.seed.to_bytes(8, "little", signed=False)
+    cache: dict[str, tuple[int, float]] = {}
+    docs = list(corpus)
+    rows = np.zeros((len(docs), cfg.dim), dtype=np.float64)
+    for vec, doc in zip(rows, docs):
+        # Whitespace normalization keeps the embedding independent of
+        # leading, trailing, or repeated whitespace.
+        normalized = " ".join(doc.text.split())
+        for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+            for i in range(len(normalized) - n + 1):
+                gram = normalized[i : i + n]
+                hit = cache.get(gram)
+                if hit is None:
+                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key)
+                    h = int.from_bytes(digest.digest(), "big")
+                    sign = -1.0 if h & _SIGN_BIT else 1.0
+                    hit = cache[gram] = ((h & _BUCKET_MASK) % cfg.dim, sign)
+                bucket, sign = hit
+                vec[bucket] += sign
+        norm = float(np.sqrt(np.dot(vec, vec)))
+        if norm > 0.0:
+            vec /= norm
+    return rows

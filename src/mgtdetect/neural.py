@@ -18,6 +18,7 @@ parameter tensor including biases, matching the common framework default.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 import numpy as np
 
@@ -517,6 +518,22 @@ def _refuse_divergence(epoch: int, which: str, loss: float) -> None:
         )
 
 
+@contextmanager
+def _overflow_refused(epoch: int):
+    """Raise a floating-point overflow or invalid value as a divergence.
+
+    Such a step means the run diverged even while its loss still reads
+    finite; numpy raises it here instead of printing a warning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"neural training diverged: {exc} in epoch {epoch}; lower [neural] learning_rate"
+        ) from None
+
+
 def train(
     train_set: LabeledSet,
     val_set: LabeledSet,
@@ -533,7 +550,8 @@ def train(
     from the best validation epoch are returned, not the last ones; an
     epoch that fails to strictly improve validation loss counts against
     the patience budget and training stops once the budget is spent.  A
-    non-finite batch or validation loss ends training with a ConfigError.
+    non-finite batch or validation loss, or a floating-point overflow or
+    invalid value in any step, ends training with a ConfigError.
     """
     if mtl.enabled and train_set.y_lang is None:
         raise DataError("multi-task training needs language labels on the training set")
@@ -552,31 +570,32 @@ def train(
     bad_epochs = 0
     log: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        batch_losses: list[float] = []
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            xb = train_set.x[rows]
-            mask = make_dropout_mask(rng, (xb.shape[0], params.hidden), cfg.dropout)
-            r_adv = None
-            clean_p = None
-            if vat.enabled:
-                r_adv = vat_perturbation(params, xb, vat, rng)
-                clean_p = forward(params, xb).p_bot
-            batch = Batch(
-                x=xb,
-                y_bot=train_set.y_bot[rows],
-                y_lang=None if train_set.y_lang is None else train_set.y_lang[rows],
-                dropout_mask=mask,
-                r_adv=r_adv,
-                clean_p_bot=clean_p,
-            )
-            loss, grads = backward(params, batch, mtl, vat)
-            _refuse_divergence(epoch, "train", loss)
-            params = optimizer.step(params, grads)
-            batch_losses.append(loss)
-        val_loss = bce_loss(predict_proba(params, val_set.x), val_set.y_bot)
-        _refuse_divergence(epoch, "validation", val_loss)
+        with _overflow_refused(epoch):
+            order = rng.permutation(n)
+            batch_losses: list[float] = []
+            for start in range(0, n, cfg.batch_size):
+                rows = order[start : start + cfg.batch_size]
+                xb = train_set.x[rows]
+                mask = make_dropout_mask(rng, (xb.shape[0], params.hidden), cfg.dropout)
+                r_adv = None
+                clean_p = None
+                if vat.enabled:
+                    r_adv = vat_perturbation(params, xb, vat, rng)
+                    clean_p = forward(params, xb).p_bot
+                batch = Batch(
+                    x=xb,
+                    y_bot=train_set.y_bot[rows],
+                    y_lang=None if train_set.y_lang is None else train_set.y_lang[rows],
+                    dropout_mask=mask,
+                    r_adv=r_adv,
+                    clean_p_bot=clean_p,
+                )
+                loss, grads = backward(params, batch, mtl, vat)
+                _refuse_divergence(epoch, "train", loss)
+                params = optimizer.step(params, grads)
+                batch_losses.append(loss)
+            val_loss = bce_loss(predict_proba(params, val_set.x), val_set.y_bot)
+            _refuse_divergence(epoch, "validation", val_loss)
         log.append(
             EpochRecord(
                 epoch=epoch,

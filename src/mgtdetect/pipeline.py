@@ -4,9 +4,11 @@ Vector-space models (the network, the neighbor model, the boosted trees)
 share one feature pipeline: ten readability statistics concatenated with a
 document embedding, standardized by a single scaler fitted on the full
 concatenated training matrix.  Scaling the concatenation is equivalent to
-scaling the blocks separately because standardization is per-column.  The
-string-kernel SVM takes a different route: documents are preprocessed per
-language and compared directly as character n-gram sets.
+scaling the blocks separately because standardization is per-column.
+Features travel as float64 matrices, one row per document in corpus order,
+from the embedder to the scaler.  The string-kernel SVM takes a different
+route: documents are preprocessed per language and compared directly as
+character n-gram sets.
 
 Document embeddings come from a seeded hashing embedder by default; a
 table of precomputed vectors keyed by document id can be supplied instead,
@@ -103,18 +105,16 @@ def build_raw_features(
     corpus: Corpus,
     embedder: FallbackEmbedderConfig = FallbackEmbedderConfig(),
     table: EmbeddingTable | None = None,
-) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Unscaled feature rows: (ids, column names, matrix)."""
+) -> np.ndarray:
+    """Unscaled feature rows in corpus order, with ``feature_names(dim)`` columns."""
     if len(corpus) == 0:
         raise DataError("cannot featurize an empty corpus")
-    vectors = table if table is not None else embed_corpus(corpus, embedder)
-    rows = []
-    ids = []
-    for doc in corpus:
-        stats = readability_features(doc)
-        rows.append(np.concatenate([stats.as_vector().values, vectors.get(doc.id)]))
-        ids.append(doc.id)
-    return tuple(ids), feature_names(vectors.dim), np.array(rows, dtype=np.float64)
+    if table is None:
+        embedded = embed_corpus(corpus, embedder)
+    else:
+        embedded = np.array([table.get(doc.id) for doc in corpus])
+    stats = np.array([readability_features(doc).as_vector() for doc in corpus])
+    return np.hstack([stats, embedded])
 
 
 def embeddings_table(path: str) -> EmbeddingTable | None:
@@ -137,14 +137,13 @@ class Featurizer:
     table: EmbeddingTable | None = field(default=None, repr=False, compare=False)
 
     def features(self, corpus: Corpus) -> np.ndarray:
-        _, _, raw = build_raw_features(corpus, self.embedder, self.table)
-        return transform(raw, self.scaler)
+        return transform(build_raw_features(corpus, self.embedder, self.table), self.scaler)
 
 
 def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> tuple[Featurizer, np.ndarray]:
     """The featurizer fitted on ``corpus``, and ``corpus``'s scaled rows."""
     table = embeddings_table(cfg.embeddings_path)
-    _, _, raw = build_raw_features(corpus, cfg.embedder, table)
+    raw = build_raw_features(corpus, cfg.embedder, table)
     featurizer = Featurizer(
         embedder=cfg.embedder,
         embeddings_path=cfg.embeddings_path,
@@ -593,6 +592,8 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
     thresholds = []
     shared: dict[str, tuple[object, object]] = {}
     for name in base_names:
+        if name in bases:
+            raise DataError(f"ensemble manifest lists base {name!r} more than once")
         # A base file must hold the kind it is named after, so a name that
         # is not a base kind points at no file the bundle can use.
         base_path = bundle / f"{name}.json"

@@ -42,23 +42,6 @@ STD_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Named, ordered real-valued features."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(self.names) != values.shape[0]:
-            raise DataError(
-                f"feature vector has {len(self.names)} names "
-                f"but values of shape {values.shape}"
-            )
-
-
-@dataclass(frozen=True)
 class ReadabilityFeatures:
     words: float
     sentences: float
@@ -71,11 +54,9 @@ class ReadabilityFeatures:
     gunning_fog: float
     smog: float
 
-    def as_vector(self) -> FeatureVector:
-        values = np.array(
-            [getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64
-        )
-        return FeatureVector(names=FEATURE_NAMES, values=values)
+    def as_vector(self) -> np.ndarray:
+        """The features as float64 values in ``FEATURE_NAMES`` order."""
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
 
 
 def flesch_reading_ease(words: float, sentences: float, syllables: float) -> float:
@@ -137,20 +118,14 @@ class ScalerParams:
             raise DataError("scaler stddevs must be positive")
 
 
-def _as_matrix(rows: Sequence[FeatureVector] | np.ndarray) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        matrix = np.asarray(rows, dtype=np.float64)
-    else:
-        matrix = np.array(
-            [row.values if isinstance(row, FeatureVector) else row for row in rows],
-            dtype=np.float64,
-        )
+def _as_matrix(rows: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(rows, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError(f"expected a 2-d feature matrix, got shape {matrix.shape}")
     return matrix
 
 
-def fit_scaler(rows: Sequence[FeatureVector] | np.ndarray) -> ScalerParams:
+def fit_scaler(rows: np.ndarray) -> ScalerParams:
     """Column means and population stddevs; near-zero spread clamps to 1.
 
     Requires at least two rows, otherwise spread is meaningless.  Columns
@@ -166,7 +141,7 @@ def fit_scaler(rows: Sequence[FeatureVector] | np.ndarray) -> ScalerParams:
     return ScalerParams(means=means, stddevs=stds)
 
 
-def transform(rows: Sequence[FeatureVector] | np.ndarray, params: ScalerParams) -> np.ndarray:
+def transform(rows: np.ndarray, params: ScalerParams) -> np.ndarray:
     matrix = _as_matrix(rows)
     if matrix.shape[1] != params.means.shape[0]:
         raise DataError(

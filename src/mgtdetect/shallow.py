@@ -285,6 +285,11 @@ def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
         if current.is_leaf:
             out[rows] = current.value
             continue
+        if current.feature >= x.shape[1]:
+            raise DataError(
+                f"boosted tree splits on feature {current.feature}, "
+                f"but its input has {x.shape[1]} columns"
+            )
         mask = x[rows, current.feature] <= current.threshold
         stack.append((current.left, rows[mask]))
         stack.append((current.right, rows[~mask]))
@@ -365,8 +370,11 @@ def _tree_to_jsonable(node: TreeNode) -> dict:
 def _tree_from_jsonable(data: dict) -> TreeNode:
     if "value" in data:
         return TreeNode(value=float(data["value"]))
+    feature = int(data["feature"])
+    if feature < 0:
+        raise DataError(f"boosted tree splits on feature {feature}, below 0")
     return TreeNode(
-        feature=int(data["feature"]),
+        feature=feature,
         threshold=float(data["threshold"]),
         left=_tree_from_jsonable(data["left"]),
         right=_tree_from_jsonable(data["right"]),

@@ -44,6 +44,7 @@ class TestRoundTrip:
         assert blob == {"format_version": FORMAT_VERSION, "kind": "neural",
                         "payload": {"a": 1}}
         assert text.endswith("\n")
+        assert text.count("\n") == 1
 
 
 class TestValidation:

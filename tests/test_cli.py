@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
@@ -88,8 +87,9 @@ class TestFeaturize:
         assert code == 0
         corpus = load_tsv(workdir / "small.tsv", Language.EN)
         embedder = FallbackEmbedderConfig(dim=16, ngram_min=3, ngram_max=4)
-        ids, names, matrix = build_raw_features(corpus, embedder)
-        assert out.read_text() == format_feature_matrix(ids, names, matrix)
+        matrix = build_raw_features(corpus, embedder)
+        ids = [doc.id for doc in corpus]
+        assert out.read_text() == format_feature_matrix(ids, feature_names(16), matrix)
         header = out.read_text().splitlines()[0]
         assert header.split("\t") == ["id", *feature_names(16)]
 
@@ -449,15 +449,14 @@ class TestExitCodes:
         )
         ckpt = tmp_path / "m.json"
         log = tmp_path / "train.jsonl"
-        with np.errstate(all="ignore"):
-            code = _run(
-                "train",
-                "--corpus", f"en={workdir / 'en.tsv'}",
-                "--config", str(bad),
-                "--model", "neural",
-                "--output", str(ckpt),
-                "--log", str(log),
-            )
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--config", str(bad),
+            "--model", "neural",
+            "--output", str(ckpt),
+            "--log", str(log),
+        )
         assert code == 1
         assert not ckpt.exists()
         assert not log.exists()
@@ -585,6 +584,63 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert "malformed ensemble manifest: 'meta_model'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("feature", [999, -1])
+    def test_gbt_split_on_a_missing_column_is_2(self, workdir, tmp_path, capsys, feature):
+        ckpt = tmp_path / "gbt.json"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "gbt",
+            "--output", str(ckpt),
+            "--log", str(tmp_path / "train.jsonl"),
+        )
+        assert code == 0
+        kind, payload = load_checkpoint(ckpt)
+        root = payload["model"]["trees"][0]
+        assert "feature" in root
+        root["feature"] = feature
+        save_checkpoint(ckpt, kind, payload)
+        capsys.readouterr()
+        out = tmp_path / "p.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert f"splits on feature {feature}" in capsys.readouterr().err
+
+    def test_manifest_repeating_a_base_is_2(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "ensemble"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--corpus", f"es={workdir / 'es.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "ensemble",
+            "--output", str(bundle),
+            "--log", str(tmp_path / "train.jsonl"),
+        )
+        assert code == 0
+        _, manifest = load_checkpoint(bundle / "manifest.json")
+        assert manifest["base_names"] == ["gbt", "knn"]
+        manifest["base_names"] = ["gbt", "gbt"]
+        save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
+        capsys.readouterr()
+        out = tmp_path / "p.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(bundle),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "lists base 'gbt' more than once" in capsys.readouterr().err
 
     def test_non_finite_embedding_is_2_and_writes_no_model(self, workdir, tmp_path):
         small = load_tsv(workdir / "small.tsv", Language.EN)

@@ -20,7 +20,7 @@ def en_doc(text, doc_id="d"):
 
 def embed(doc, cfg):
     """One document's vector, embedded on its own."""
-    return embed_corpus([doc], cfg).get(doc.id)
+    return embed_corpus([doc], cfg)[0]
 
 
 class TestFallbackEmbedder:
@@ -86,10 +86,11 @@ class TestFallbackEmbedder:
     def test_embed_corpus_matches_single_docs(self):
         cfg = FallbackEmbedderConfig(dim=50)
         docs = [en_doc("first document text", "a"), en_doc("second document text", "b")]
-        table = embed_corpus(Corpus(docs), cfg)
-        assert len(table) == 2
-        for doc in docs:
-            np.testing.assert_array_equal(table.get(doc.id), embed(doc, cfg))
+        rows = embed_corpus(Corpus(docs), cfg)
+        assert rows.shape == (2, 50)
+        assert rows.dtype == np.float64
+        for row, doc in zip(rows, docs):
+            np.testing.assert_array_equal(row, embed(doc, cfg))
 
 
 class TestEmbeddingTable:

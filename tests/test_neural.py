@@ -460,9 +460,7 @@ class TestTrain:
     def test_diverging_run_is_refused(self):
         tr, va = toy_sets()
         cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=24, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(
-            ConfigError, match=r"epoch 1; lower \[neural\] learning_rate"
-        ):
+        with pytest.raises(ConfigError, match=r"epoch 1; lower \[neural\] learning_rate"):
             train(tr, va, cfg=cfg, hidden=8)
 
     def test_patience_two_survives_one_bad_epoch(self):

@@ -58,6 +58,12 @@ def fast_config() -> AppConfig:
     )
 
 
+def hashed_table(corpus) -> EmbeddingTable:
+    """The hashed embeddings of ``corpus`` as an id-keyed table."""
+    rows = embed_corpus(corpus, SMALL_EMBEDDER)
+    return EmbeddingTable(SMALL_EMBEDDER.dim, {doc.id: row for doc, row in zip(corpus, rows)})
+
+
 @pytest.fixture(scope="module")
 def base_corpus():
     return synthetic_corpus(30, 30, seed=3, name="base")
@@ -79,19 +85,17 @@ class TestFeatureNames:
 
 
 class TestBuildRawFeatures:
-    def test_ids_follow_corpus_order(self, base_corpus):
-        ids, names, matrix = build_raw_features(base_corpus, embedder=SMALL_EMBEDDER)
-        assert ids == tuple(doc.id for doc in base_corpus)
-        assert names == feature_names(SMALL_EMBEDDER.dim)
-        assert matrix.shape == (len(base_corpus), len(names))
+    def test_one_row_per_document_and_column_name(self, base_corpus):
+        matrix = build_raw_features(base_corpus, embedder=SMALL_EMBEDDER)
+        assert matrix.shape == (len(base_corpus), len(feature_names(SMALL_EMBEDDER.dim)))
         assert matrix.dtype == np.float64
 
     def test_rows_concatenate_readability_and_embedding(self, base_corpus):
-        _, _, matrix = build_raw_features(base_corpus, embedder=SMALL_EMBEDDER)
-        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
+        matrix = build_raw_features(base_corpus, embedder=SMALL_EMBEDDER)
+        rows = embed_corpus(base_corpus, SMALL_EMBEDDER)
         for i, doc in enumerate(base_corpus):
-            stats = readability_features(doc).as_vector().values
-            emb = table.get(doc.id)
+            stats = readability_features(doc).as_vector()
+            emb = rows[i]
             np.testing.assert_array_equal(matrix[i, : len(stats)], stats)
             np.testing.assert_array_equal(matrix[i, len(stats) :], emb)
 
@@ -100,12 +104,12 @@ class TestBuildRawFeatures:
             build_raw_features(Corpus(documents=()), embedder=SMALL_EMBEDDER)
 
     def test_precomputed_table_overrides_hashing(self, base_corpus):
-        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
+        table = hashed_table(base_corpus)
         scaled = EmbeddingTable(
             dim=table.dim,
             vectors={doc_id: vec * 2.0 for doc_id, vec in table.vectors.items()},
         )
-        _, _, matrix = build_raw_features(
+        matrix = build_raw_features(
             base_corpus, embedder=SMALL_EMBEDDER, table=scaled
         )
         first = next(iter(base_corpus))
@@ -118,7 +122,7 @@ class TestFeaturizer:
         cfg = fast_config()
         featurizer, _ = fit_featurizer(base_corpus, cfg)
         feats = featurizer.features(base_corpus)
-        _, _, raw = build_raw_features(base_corpus, embedder=cfg.embedder)
+        raw = build_raw_features(base_corpus, embedder=cfg.embedder)
         means = feats.mean(axis=0)
         assert np.all(np.abs(means) < 1e-10)
         moving = raw.std(axis=0) > 0
@@ -135,13 +139,13 @@ class TestFeaturizer:
         featurizer, _ = fit_featurizer(base_corpus, cfg)
         probe = synthetic_corpus(4, 4, seed=9, name="probe")
         feats = featurizer.features(probe)
-        _, _, raw = build_raw_features(probe, embedder=cfg.embedder)
+        raw = build_raw_features(probe, embedder=cfg.embedder)
         scaler = featurizer.scaler
         manual = (raw - scaler.means) / np.where(scaler.stddevs == 0, 1.0, scaler.stddevs)
         np.testing.assert_array_equal(feats, manual)
 
     def test_embeddings_file_backs_the_featurizer(self, base_corpus, tmp_path):
-        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
+        table = hashed_table(base_corpus)
         path = tmp_path / "vectors.tsv"
         save_embeddings(table, path)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(path))
@@ -151,7 +155,7 @@ class TestFeaturizer:
 
     def test_embeddings_file_missing_document_rejected(self, base_corpus, tmp_path):
         docs = list(base_corpus)
-        table = embed_corpus(Corpus(documents=tuple(docs[:10])), SMALL_EMBEDDER)
+        table = hashed_table(Corpus(documents=tuple(docs[:10])))
         path = tmp_path / "partial.tsv"
         save_embeddings(table, path)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(path))
@@ -159,7 +163,7 @@ class TestFeaturizer:
             fit_featurizer(base_corpus, cfg)
 
     def test_checkpoint_pins_the_embeddings_file(self, base_corpus, tmp_path):
-        table = embed_corpus(base_corpus, SMALL_EMBEDDER)
+        table = hashed_table(base_corpus)
         vectors = tmp_path / "vectors.tsv"
         save_embeddings(table, vectors)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(vectors))
@@ -457,6 +461,33 @@ class TestEnsembleTraining:
         with pytest.raises(DataError, match="expected '../outside_knn'"):
             load_model(path)
 
+    def test_manifest_repeating_a_base_rejected(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        _, manifest = load_checkpoint(path / "manifest.json")
+        manifest["base_names"] = ["gbt", "gbt"]
+        save_checkpoint(path / "manifest.json", "ensemble", manifest)
+        with pytest.raises(DataError, match="lists base 'gbt' more than once"):
+            load_model(path)
+
+    def test_meta_model_wider_than_its_meta_features_rejected(
+        self, trained, wide_corpus, tmp_path
+    ):
+        model, _ = trained
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        _, manifest = load_checkpoint(path / "manifest.json")
+        inner = model.adapter.model
+        width = inner.meta_matrix({name: np.array([0.5]) for name in inner.base_names}).shape[1]
+        manifest["meta_model"]["trees"][0] = {
+            "feature": width, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 0.0}
+        }
+        save_checkpoint(path / "manifest.json", "ensemble", manifest)
+        loaded = load_model(path)
+        with pytest.raises(DataError, match=f"splits on feature {width}, but its input has"):
+            loaded.predict_proba(wide_corpus)
+
     def test_flat_file_claiming_ensemble_kind_rejected(self, trained, tmp_path):
         model, _ = trained
         path = tmp_path / "bundle"
@@ -573,7 +604,7 @@ class TestPreparedOnce:
         self, wide_corpus, tmp_path, monkeypatch
     ):
         vectors = tmp_path / "vectors.tsv"
-        save_embeddings(embed_corpus(wide_corpus, SMALL_EMBEDDER), vectors)
+        save_embeddings(hashed_table(wide_corpus), vectors)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(vectors))
         model, _ = train_model("ensemble", wide_corpus, cfg)
         save_model(model, tmp_path / "bundle")

@@ -7,7 +7,6 @@ from mgtdetect.corpus import Document, Language
 from mgtdetect.errors import DataError
 from mgtdetect.readability import (
     FEATURE_NAMES,
-    FeatureVector,
     fit_scaler,
     flesch_reading_ease,
     format_feature_matrix,
@@ -140,24 +139,21 @@ class TestFormulas:
             readability_features(en_doc("?!"))
 
 
-class TestFeatureVector:
+class TestAsVector:
     def test_vector_order_matches_names(self):
         f = readability_features(en_doc("The cat sat on the mat."))
         vec = f.as_vector()
-        assert vec.names == FEATURE_NAMES
-        assert vec.names[:5] == (
+        assert FEATURE_NAMES[:5] == (
             "words",
             "sentences",
             "syllables",
             "complex_words",
             "polysyllables",
         )
-        assert vec.values[0] == 6.0
-        assert vec.values[1] == 1.0
-
-    def test_mismatched_names_rejected(self):
-        with pytest.raises(DataError):
-            FeatureVector(names=("a", "b"), values=np.array([1.0]))
+        assert vec.dtype == np.float64
+        assert vec.tolist() == [getattr(f, name) for name in FEATURE_NAMES]
+        assert vec[0] == 6.0
+        assert vec[1] == 1.0
 
 
 class TestScaler:

@@ -470,6 +470,13 @@ class TestGridSearch:
             GbtGrid(estimators=())
 
 
+def _one_split_model(feature: int) -> GbtModel:
+    stump = TreeNode(
+        feature=feature, threshold=0.0, left=TreeNode(value=1.0), right=TreeNode(value=-1.0)
+    )
+    return GbtModel(trees=(stump,), learning_rate=0.1, base_score=0.0)
+
+
 class TestSerialization:
     def test_gbt_round_trip_bitwise(self, rng):
         x = rng.normal(size=(40, 3))
@@ -481,6 +488,16 @@ class TestSerialization:
         np.testing.assert_array_equal(
             gbt_predict_proba_many(restored, x), gbt_predict_proba_many(model, x)
         )
+
+    def test_negative_split_feature_rejected(self):
+        blob = gbt_to_jsonable(_one_split_model(-1))
+        with pytest.raises(DataError, match="splits on feature -1"):
+            gbt_from_jsonable(blob)
+
+    def test_split_past_the_input_width_rejected(self):
+        model = gbt_from_jsonable(gbt_to_jsonable(_one_split_model(3)))
+        with pytest.raises(DataError, match="splits on feature 3, but its input has 3 columns"):
+            gbt_predict_proba_many(model, np.zeros((2, 3)))
 
     def test_knn_round_trip_bitwise(self, rng):
         x = rng.normal(size=(25, 4))

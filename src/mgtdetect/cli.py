@@ -141,6 +141,10 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
+# A binary macro-F1 that a coin flip reaches.
+_CHANCE_MACRO_F1 = 0.5
+
+
 def _cmd_train(args) -> int:
     flags = {"mtl.enabled": args.mtl, "vat.enabled": args.vat}
     cfg = with_fields(_config(args), {path: True for path, on in flags.items() if on})
@@ -152,6 +156,13 @@ def _cmd_train(args) -> int:
         atomic_write_text(args.log, log_text)
     else:
         sys.stdout.write(log_text)
+    for entry in log:
+        if entry["event"] == "validation" and entry["macro_f1"] <= _CHANCE_MACRO_F1:
+            print(
+                f"warning: {entry['model']} scores validation macro-F1 "
+                f"{entry['macro_f1']:.4f}, at or below chance",
+                file=sys.stderr,
+            )
     print(f"wrote {args.model} model to {args.output}", file=sys.stderr)
     return 0
 
@@ -182,7 +193,13 @@ def _cmd_evaluate(args) -> int:
     y_true = corpus.labels_as_ints()
     probs = model.predict_proba(corpus)
     y_pred = (probs >= model.threshold).astype(int)
-    report = evaluate_predictions(y_true, y_pred, scores=probs, model=model.kind)
+    report = evaluate_predictions(
+        y_true,
+        y_pred,
+        scores=probs,
+        model=model.kind,
+        languages=[doc.language.value for doc in corpus],
+    )
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     if args.output:
         atomic_write_text(args.output, text)

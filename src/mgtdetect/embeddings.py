@@ -19,15 +19,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ConfigError, DataError, check_settings
 
-_SIGN_BIT = 1 << 63
-_BUCKET_MASK = _SIGN_BIT - 1
+_BUCKET_MASK = (1 << 63) - 1
+# Documents are counted in blocks of about this many characters.
+_BLOCK_CHARS = 1 << 15
 
 
 @dataclass
@@ -131,31 +132,83 @@ class FallbackEmbedderConfig:
 def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> np.ndarray:
     """The (n, dim) embedding rows of ``corpus``, in corpus order.
 
-    Each row is a signed hashed n-gram embedding, L2-normalized; one seeded
-    64-bit keyed n-gram hash cache serves the whole call.  Texts shorter than
-    ``ngram_min`` characters after whitespace normalization have no n-grams
-    and map to the zero row; every other row has unit norm.
+    Each row is a signed hashed n-gram embedding, L2-normalized.  Texts
+    shorter than ``ngram_min`` characters after whitespace normalization
+    have no n-grams and map to the zero row; every other row has unit norm.
+
+    Documents are counted in blocks of about ``_BLOCK_CHARS`` characters,
+    which bounds the call's working memory; within a block each distinct
+    n-gram is hashed once, and nothing is cached across calls.  Every bucket
+    count and every row's sum of squares is a small integer, exact in any
+    summation order, so each row equals the one built gram by gram.
     """
     key = cfg.seed.to_bytes(8, "little", signed=False)
-    cache: dict[str, tuple[int, float]] = {}
-    docs = list(corpus)
-    rows = np.zeros((len(docs), cfg.dim), dtype=np.float64)
-    for vec, doc in zip(rows, docs):
-        # Whitespace normalization keeps the embedding independent of
-        # leading, trailing, or repeated whitespace.
-        normalized = " ".join(doc.text.split())
-        for n in range(cfg.ngram_min, cfg.ngram_max + 1):
-            for i in range(len(normalized) - n + 1):
-                gram = normalized[i : i + n]
-                hit = cache.get(gram)
-                if hit is None:
-                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key)
-                    h = int.from_bytes(digest.digest(), "big")
-                    sign = -1.0 if h & _SIGN_BIT else 1.0
-                    hit = cache[gram] = ((h & _BUCKET_MASK) % cfg.dim, sign)
-                bucket, sign = hit
-                vec[bucket] += sign
-        norm = float(np.sqrt(np.dot(vec, vec)))
-        if norm > 0.0:
-            vec /= norm
+    # Whitespace normalization keeps the embedding independent of
+    # leading, trailing, or repeated whitespace.
+    texts = [" ".join(doc.text.split()) for doc in corpus]
+    rows = np.zeros((len(texts), cfg.dim), dtype=np.float64)
+    for block in _blocks(texts, cfg.ngram_min):
+        rows[block] = _gram_counts([texts[i] for i in block], cfg, key)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    np.divide(rows, norms, out=rows, where=norms > 0.0)
     return rows
+
+
+def _blocks(texts: list[str], min_chars: int) -> Iterator[list[int]]:
+    """Indices of the texts with at least ``min_chars`` characters, grouped
+    into consecutive blocks of at most ``_BLOCK_CHARS`` characters; a
+    longer text is a block of its own."""
+    block: list[int] = []
+    size = 0
+    for i, text in enumerate(texts):
+        if len(text) < min_chars:
+            continue
+        if block and size + len(text) > _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+        block.append(i)
+        size += len(text)
+    if block:
+        yield block
+
+
+def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig, key: bytes) -> np.ndarray:
+    """The (len(texts), dim) signed bucket counts of the texts' n-grams."""
+    joined = "".join(texts)
+    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    doc = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
+    # ids[i] numbers the n-gram starting at position i of ``joined`` among
+    # the distinct n-grams of the block.  Ranking (id of the (n-1)-gram,
+    # rank of the next character) pairs gives the n-gram ids without a
+    # limit on n or on code points; ids and ranks stay below the block's
+    # length, so the int64 pair keys cannot wrap.
+    alphabet, chars = np.unique(codes, return_inverse=True)
+    ids = chars
+    keyed = hashlib.blake2b(digest_size=8, key=key)
+    counts = np.zeros(len(texts) * cfg.dim, dtype=np.float64)
+    for n in range(1, cfg.ngram_max + 1):
+        if n > 1:
+            ids = np.unique(ids[:-1] * len(alphabet) + chars[n - 1 :], return_inverse=True)[1]
+        if n < cfg.ngram_min:
+            continue
+        # Only windows that start and end in the same document are n-grams.
+        windows = np.flatnonzero(doc[: len(ids)] == doc[n - 1 :])
+        grams = ids[windows]
+        # Any window of a gram spells it, whichever one the scatter keeps.
+        spelled_at = np.full(len(ids), -1)
+        spelled_at[grams] = windows
+        distinct = np.flatnonzero(spelled_at >= 0)
+        digests = bytearray()
+        for i in spelled_at[distinct].tolist():
+            h = keyed.copy()  # the same digest as hashing with the key anew
+            h.update(joined[i : i + n].encode("utf-8"))
+            digests += h.digest()
+        hashes = np.frombuffer(digests, dtype=">u8")
+        bucket = np.zeros(len(ids), dtype=np.int64)
+        bucket[distinct] = (hashes & np.uint64(_BUCKET_MASK)) % np.uint64(cfg.dim)
+        sign = np.zeros(len(ids), dtype=np.float64)
+        sign[distinct] = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+        counts += np.bincount(
+            doc[windows] * cfg.dim + bucket[grams], weights=sign[grams], minlength=len(counts)
+        )
+    return counts.reshape(len(texts), cfg.dim)

@@ -5,6 +5,10 @@ the convention that a class with zero true and zero predicted members gets
 F1 = 0, and macro-F1 is the unweighted mean over both classes, so scores
 are symmetric under swapping the class encoding.
 
+Reports score every row together and, given each row's language, each
+language on its own rows, as the shared task ranks English and Spanish
+separately.
+
 True/false positive counts for every candidate threshold come from one
 binary search per class over its sorted scores (``threshold_counts``);
 they stay integers until rates are reported, so threshold ties compare
@@ -14,7 +18,7 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -165,12 +169,16 @@ class EvalReport:
     f1_per_class: dict[str, float]
     confusion: ConfusionMatrix
     roc: tuple[RocPoint, ...] | None = None
+    # Macro-F1 over each language's rows, keyed by language code in sorted
+    # order; only languages present in the evaluated rows appear.
+    macro_f1_per_language: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "model": self.model,
             "n": self.n,
             "macro_f1": self.macro_f1,
+            "macro_f1_per_language": self.macro_f1_per_language,
             "f1_per_class": {
                 CLASS_NAMES[0]: self.f1_per_class[CLASS_NAMES[0]],
                 CLASS_NAMES[1]: self.f1_per_class[CLASS_NAMES[1]],
@@ -192,6 +200,13 @@ class EvalReport:
     def to_text(self) -> str:
         rows = [(self.model, None, self.macro_f1)]
         lines = [format_results_table(rows), ""]
+        if self.macro_f1_per_language:
+            lines.append(
+                "  ".join(
+                    f"macro_f1[{lang}]={score:.4f}"
+                    for lang, score in self.macro_f1_per_language.items()
+                )
+            )
         lines.append(
             "f1[human]={:.4f}  f1[generated]={:.4f}  n={}".format(
                 self.f1_per_class[CLASS_NAMES[0]],
@@ -211,13 +226,26 @@ def evaluate_predictions(
     y_pred: Sequence[int] | np.ndarray,
     scores: Sequence[float] | np.ndarray | None = None,
     model: str = "model",
+    languages: Sequence[str] | None = None,
 ) -> EvalReport:
-    """Build a full report; the ROC block needs scores and both classes."""
+    """Build a full report; the ROC block needs scores and both classes.
+
+    ``languages`` gives each row's language code; with it the report also
+    scores each language present on its own rows.
+    """
     t = _as_binary(y_true, "y_true")
     p = _as_binary(y_pred, "y_pred")
     roc: tuple[RocPoint, ...] | None = None
     if scores is not None and len(set(t.tolist())) == 2:
         roc = tuple(roc_curve(scores, t))
+    per_language: dict[str, float] = {}
+    if languages is not None:
+        langs = np.asarray(languages, dtype=str)
+        if langs.shape != t.shape:
+            raise DataError(f"{langs.size} languages for {t.size} rows")
+        for lang in np.unique(langs).tolist():
+            rows = langs == lang
+            per_language[lang] = macro_f1(t[rows], p[rows])
     return EvalReport(
         model=model,
         n=int(t.shape[0]),
@@ -225,6 +253,7 @@ def evaluate_predictions(
         f1_per_class=per_class_f1(t, p),
         confusion=ConfusionMatrix.from_predictions(t, p),
         roc=roc,
+        macro_f1_per_language=per_language,
     )
 
 

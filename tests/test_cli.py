@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from mgtdetect import cli
 from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
 from mgtdetect.cli import main
-from mgtdetect.corpus import Corpus, Language, load_tsv, merge_bilingual, save_tsv
+from mgtdetect.corpus import Corpus, Document, Label, Language, load_tsv, merge_bilingual, save_tsv
+from mgtdetect.evaluation import macro_f1
 from mgtdetect.embeddings import FallbackEmbedderConfig
 from mgtdetect.pipeline import build_raw_features, feature_names, load_model
 from mgtdetect.readability import format_feature_matrix
@@ -213,6 +215,56 @@ class TestTrain:
         assert code == 0
         assert load_model(ckpt).kind == "ensemble"
 
+    def test_below_chance_base_warns_on_stderr_only(self, workdir, tmp_path, capsys, monkeypatch):
+        # Every document has the same text, so every model predicts one
+        # class for the whole validation split: macro-F1 at most 1/3.
+        docs = [
+            Document(f"d{i}", "The quiet garden was full of flowers.", Language.EN,
+                     Label.GENERATED if i % 2 else Label.HUMAN)
+            for i in range(80)
+        ]
+        save_tsv(Corpus(docs), tmp_path / "same.tsv")
+
+        def train(tag):
+            log = tmp_path / f"{tag}.jsonl"
+            code = _run(
+                "train",
+                "--corpus", f"en={tmp_path / 'same.tsv'}",
+                "--config", str(workdir / "fast.ini"),
+                "--model", "ensemble",
+                "--output", str(tmp_path / tag),
+                "--log", str(log),
+            )
+            assert code == 0
+            return log.read_bytes(), capsys.readouterr().err.splitlines()
+
+        log, err = train("warned")
+        warnings = [line for line in err if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: {e['model']} scores validation macro-F1 {e['macro_f1']:.4f}, "
+            "at or below chance"
+            for e in map(json.loads, log.decode().splitlines())
+            if e["event"] == "validation"
+        ]
+        assert [w.split()[1] for w in warnings] == ["gbt", "knn"]
+        monkeypatch.setattr(cli, "_CHANCE_MACRO_F1", -1.0)
+        quiet_log, quiet_err = train("quiet")
+        assert not any(line.startswith("warning:") for line in quiet_err)
+        assert quiet_log == log
+
+    def test_a_base_above_chance_does_not_warn(self, workdir, tmp_path, capsys):
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "knn",
+            "--output", str(tmp_path / "m.json"),
+            "--log", str(tmp_path / "log.jsonl"),
+        )
+        assert code == 0
+        events = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert [e["macro_f1"] > 0.5 for e in events if e["event"] == "validation"] == [True]
+        assert "warning:" not in capsys.readouterr().err
 
     def test_retrained_bundle_drops_the_files_it_no_longer_writes(
         self, workdir, tmp_path
@@ -314,6 +366,7 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert report["model"] == "knn"
         assert 0.0 <= report["macro_f1"] <= 1.0
+        assert report["macro_f1_per_language"] == {"en": report["macro_f1"]}
 
     def test_text_report_to_file(self, workdir, knn_checkpoint, tmp_path):
         out = tmp_path / "report.txt"
@@ -327,6 +380,35 @@ class TestEvaluate:
         )
         assert code == 0
         assert "confusion:" in out.read_text()
+
+    def test_bilingual_corpus_scores_each_language(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "bilingual.json"
+        corpora = ("--corpus", f"en={workdir / 'en.tsv'}", "--corpus", f"es={workdir / 'es.tsv'}")
+        common = ("--config", str(workdir / "fast.ini"))
+        assert _run("train", *corpora, *common, "--model", "knn", "--output", str(model_path),
+                    "--log", str(tmp_path / "log.jsonl")) == 0
+        assert _run("evaluate", *corpora, *common, "--model-path", str(model_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+
+        corpus = merge_bilingual(load_tsv(workdir / "en.tsv", Language.EN),
+                                 load_tsv(workdir / "es.tsv", Language.ES))
+        model = load_model(model_path)
+        y_pred = (model.predict_proba(corpus) >= model.threshold).astype(int)
+        y_true = corpus.labels_as_ints()
+        expected = {}
+        for lang in (Language.EN, Language.ES):
+            rows = [doc.language is lang for doc in corpus]
+            expected[lang.value] = macro_f1(y_true[rows], y_pred[rows])
+        assert report["macro_f1_per_language"] == expected
+        assert report["macro_f1"] == macro_f1(y_true, y_pred)
+
+        out = tmp_path / "report.txt"
+        assert _run("evaluate", *corpora, *common, "--model-path", str(model_path),
+                    "--format", "text", "--output", str(out)) == 0
+        assert (
+            f"macro_f1[en]={expected['en']:.4f}  macro_f1[es]={expected['es']:.4f}"
+            in out.read_text().splitlines()
+        )
 
     def test_unlabeled_corpus_is_a_data_error(self, workdir, knn_checkpoint):
         code = _run(

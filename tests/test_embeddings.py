@@ -1,8 +1,12 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mgtdetect import embeddings
 from mgtdetect.corpus import Corpus, Document, Language
 from mgtdetect.embeddings import (
     EmbeddingTable,
@@ -21,6 +25,93 @@ def en_doc(text, doc_id="d"):
 def embed(doc, cfg):
     """One document's vector, embedded on its own."""
     return embed_corpus([doc], cfg)[0]
+
+
+_SIGN_BIT = 1 << 63
+_BUCKET_MASK = _SIGN_BIT - 1
+
+
+def reference_embed_corpus(corpus, cfg):
+    """The embedder built gram by gram, one hash per occurrence through a
+    cache: the oracle that ``embed_corpus`` must match bit for bit."""
+    key = cfg.seed.to_bytes(8, "little", signed=False)
+    cache: dict[str, tuple[int, float]] = {}
+    docs = list(corpus)
+    rows = np.zeros((len(docs), cfg.dim), dtype=np.float64)
+    for vec, doc in zip(rows, docs):
+        # Whitespace normalization keeps the embedding independent of
+        # leading, trailing, or repeated whitespace.
+        normalized = " ".join(doc.text.split())
+        for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+            for i in range(len(normalized) - n + 1):
+                gram = normalized[i : i + n]
+                hit = cache.get(gram)
+                if hit is None:
+                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key)
+                    h = int.from_bytes(digest.digest(), "big")
+                    sign = -1.0 if h & _SIGN_BIT else 1.0
+                    hit = cache[gram] = ((h & _BUCKET_MASK) % cfg.dim, sign)
+                bucket, sign = hit
+                vec[bucket] += sign
+        norm = float(np.sqrt(np.dot(vec, vec)))
+        if norm > 0.0:
+            vec /= norm
+    return rows
+
+
+# ASCII, Spanish accents, CJK, astral-plane emoji and letters, combining
+# marks, and whitespace that str.split() folds (tab, newline, NBSP, ideographic),
+# then any character a UTF-8 corpus file can hold (no lone surrogates).
+_CHARS = list("abcab Zz09.,") + list("áéíóúñü¿¡") + list("漢字日本語") + [
+    "\U0001F600", "\U0001F680", "\U0001D538", "\u0301", "\u0308",
+    "\t", "\n", "\xa0", "\u3000", "  ", "\t\n\xa0 ",
+]
+_texts = st.lists(
+    st.one_of(st.sampled_from(_CHARS), st.characters(codec="utf-8")), min_size=1, max_size=40
+).map("".join)
+_configs = st.integers(1, 6).flatmap(
+    lambda lo: st.builds(
+        FallbackEmbedderConfig,
+        dim=st.integers(1, 64),
+        ngram_min=st.just(lo),
+        ngram_max=st.integers(lo, 6),
+        seed=st.sampled_from([0, 2**64 - 1]),
+    )
+)
+
+
+def en_docs(texts):
+    return [en_doc(text, f"d{i}") for i, text in enumerate(texts)]
+
+
+class TestMatchesGramByGramReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(_texts, max_size=8),
+        cfg=_configs,
+        block_chars=st.sampled_from([1, 2, 5, 17, 64, embeddings._BLOCK_CHARS]),
+    )
+    def test_bit_identical(self, texts, cfg, block_chars):
+        # Small block caps make corpora cross block boundaries: documents
+        # straddle a boundary and single documents exceed a whole block.
+        docs = en_docs(texts)
+        with mock.patch.object(embeddings, "_BLOCK_CHARS", block_chars):
+            rows = embed_corpus(docs, cfg)
+        assert rows.shape == (len(docs), cfg.dim)
+        assert rows.tobytes() == reference_embed_corpus(docs, cfg).tobytes()
+
+    def test_bit_identical_across_real_blocks(self):
+        # One document longer than a block, and a run of documents whose
+        # total crosses the cap so that one of them straddles it.
+        cap = embeddings._BLOCK_CHARS
+        rng = np.random.default_rng(3)
+        words = ["garden", "jardín", "río", "漢字", "\U0001F600", "e\u0301", "mañana"]
+        texts = [" ".join(rng.choice(words, size=cap // 4)), "short"]
+        texts += [" ".join(rng.choice(words, size=400)) for _ in range(30)]
+        assert len(texts[0]) > cap and sum(map(len, texts)) > 2 * cap
+        cfg = FallbackEmbedderConfig(dim=64)
+        docs = en_docs(texts)
+        assert embed_corpus(docs, cfg).tobytes() == reference_embed_corpus(docs, cfg).tobytes()
 
 
 class TestFallbackEmbedder:
@@ -82,6 +173,18 @@ class TestFallbackEmbedder:
             FallbackEmbedderConfig(ngram_min=4, ngram_max=3)
         with pytest.raises(ConfigError):
             FallbackEmbedderConfig(ngram_min=0)
+
+    def test_empty_corpus_has_no_rows(self):
+        rows = embed_corpus([], FallbackEmbedderConfig(dim=12))
+        assert rows.shape == (0, 12)
+        assert rows.dtype == np.float64
+
+    def test_whitespace_only_documents_are_zero_rows(self):
+        # Documents hold nonempty text, but whitespace-only text normalizes
+        # to "", which must not read as one zero code point.
+        cfg = FallbackEmbedderConfig(dim=8, ngram_min=1, ngram_max=2)
+        rows = embed_corpus(en_docs([" ", "\t\n", "\xa0\u3000"]), cfg)
+        np.testing.assert_array_equal(rows, np.zeros((3, 8)))
 
     def test_embed_corpus_matches_single_docs(self):
         cfg = FallbackEmbedderConfig(dim=50)

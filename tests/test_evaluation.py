@@ -195,6 +195,26 @@ class TestEvalReport:
         assert report.roc is None
         assert json.loads(report.to_json())["roc"] is None
 
+    def test_each_present_language_is_scored_on_its_rows(self):
+        report = evaluate_predictions(
+            [1, 0, 1, 0, 1], [1, 0, 0, 1, 1], languages=["es", "en", "es", "en", "es"]
+        )
+        assert report.macro_f1_per_language == {
+            "en": macro_f1([0, 0], [0, 1]),
+            "es": macro_f1([1, 1, 1], [1, 0, 1]),
+        }
+        assert list(json.loads(report.to_json())["macro_f1_per_language"]) == ["en", "es"]
+        assert "macro_f1[en]=0.3333  macro_f1[es]=0.4000" in report.to_text()
+
+    def test_no_languages_no_per_language_scores(self):
+        report = evaluate_predictions([1, 0], [1, 0])
+        assert json.loads(report.to_json())["macro_f1_per_language"] == {}
+        assert "macro_f1[" not in report.to_text()
+
+    def test_languages_must_match_the_rows(self):
+        with pytest.raises(DataError, match="3 languages for 2 rows"):
+            evaluate_predictions([1, 0], [1, 0], languages=["en", "en", "es"])
+
     def test_text_rendering_mentions_counts(self):
         report = evaluate_predictions([1, 0], [1, 0], model="m")
         text = report.to_text()

@@ -2,10 +2,17 @@
 
 Every checkpoint is a single JSON document with three top-level keys:
 ``format_version``, ``kind`` (which model family the payload belongs to),
-and ``payload``, written on one line by Python's C encoder.  Floats are serialized with Python's shortest-repr rule,
-which round-trips every double bit for bit, so saving and reloading a
-model reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
-``Infinity`` is refused when read.
+and ``payload``, written on one line by Python's C encoder.  Every numpy
+array of a payload is stored by :func:`encode_array` as an object
+``{"dtype": "<f8" | "<i8", "shape": [...], "b64": ...}``: its raw
+little-endian bytes in base64, in the spirit of the ``.npy`` header.
+Scalars, hyperparameters, texts and the nested boosted trees stay plain
+JSON, and their floats are written by Python's shortest-repr rule.  Both
+forms round-trip every double bit for bit, so saving and reloading a model
+reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
+``Infinity``, as a JSON number or inside an array, is refused when read.
+Checkpoints of format version 1 stored arrays as nested JSON lists; they
+are refused and the model must be retrained.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
@@ -15,14 +22,18 @@ checkpoint behind.  The file gets the mode a plain ``open`` would give it
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
-from .errors import DataError
+import numpy as np
 
-FORMAT_VERSION = 1
+from .errors import DataError, decode_utf8
+
+FORMAT_VERSION = 2
 
 MODEL_KINDS = ("neural", "gbt", "knn", "svm", "ensemble")
 
@@ -52,6 +63,61 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+# The stored dtype of each array kind: 8-byte little-endian float or int.
+_ARRAY_CODES = {"f": "<f8", "i": "<i8"}
+_ARRAY_KEYS = ("dtype", "shape", "b64")
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """Store a float or integer array as its exact little-endian bytes."""
+    arr = np.asarray(arr)
+    code = _ARRAY_CODES.get(arr.dtype.kind)
+    if code is None:
+        raise TypeError(f"cannot store an array of dtype {arr.dtype}")
+    data = np.ascontiguousarray(arr, dtype=code).tobytes()
+    return {
+        "dtype": code,
+        "shape": list(arr.shape),
+        "b64": base64.b64encode(data).decode("ascii"),
+    }
+
+
+def decode_array(obj: object, dtype: type) -> np.ndarray:
+    """Read an array written by :func:`encode_array` as a native ``dtype`` copy.
+
+    Refuses, with :class:`DataError`, a stored dtype other than ``dtype``'s,
+    a shape that is not a list of non-negative ints, invalid base64, a byte
+    length that does not match the shape, and non-finite floats.
+    """
+    expected = np.dtype(dtype)
+    code = _ARRAY_CODES[expected.kind]
+    if not isinstance(obj, dict):
+        raise DataError(f"an array must be an object with keys {_ARRAY_KEYS}")
+    missing = [key for key in _ARRAY_KEYS if key not in obj]
+    if missing:
+        raise DataError(f"array is missing {missing}")
+    if obj["dtype"] != code:
+        raise DataError(f"array has dtype {obj['dtype']!r}, expected {code!r}")
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(
+        type(n) is int and n >= 0 for n in shape
+    ):
+        raise DataError(f"array shape must be a list of non-negative ints, got {shape!r}")
+    try:
+        raw = base64.b64decode(obj["b64"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"array bytes are not valid base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(f"array of shape {shape} holds {len(raw)} bytes")
+    try:
+        arr = np.frombuffer(raw, dtype=code).astype(expected).reshape(shape)
+    except ValueError as exc:  # an empty array with an axis numpy cannot index
+        raise DataError(f"array shape {shape} is too large: {exc}") from exc
+    if expected.kind == "f" and not np.isfinite(arr).all():
+        raise DataError("array holds a non-finite number")
+    return arr
+
+
 def checkpoint_text(kind: str, payload: dict) -> str:
     document = {
         "format_version": FORMAT_VERSION,
@@ -76,7 +142,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple
     """Read a checkpoint, returning (kind, payload)."""
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = decode_utf8(path.read_bytes(), path)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
@@ -89,7 +155,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple
     if version != FORMAT_VERSION:
         raise DataError(
             f"checkpoint {path} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads version {FORMAT_VERSION}, so retrain the model"
         )
     kind = document.get("kind")
     if kind not in MODEL_KINDS:

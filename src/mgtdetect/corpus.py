@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_settings
+from .errors import ConfigError, DataError, check_settings, decode_utf8
 
 HISTOGRAM_BIN_WIDTH = 100
 HISTOGRAM_UPPER = 2000
@@ -162,7 +162,7 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = decode_utf8(path.read_bytes(), path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

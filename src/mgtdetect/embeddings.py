@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import Corpus, Document
-from .errors import ConfigError, DataError, check_settings
+from .errors import ConfigError, DataError, check_settings, decode_utf8
 
 _BUCKET_MASK = (1 << 63) - 1
 # Documents are counted in blocks of about this many characters.
@@ -66,7 +66,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     if not path.is_file():
         raise DataError(f"embedding file not found: {path}")
     raw = path.read_bytes()
-    lines = raw.decode("utf-8").splitlines()
+    lines = decode_utf8(raw, path).splitlines()
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in enumerate(lines, start=1):

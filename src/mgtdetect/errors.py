@@ -1,4 +1,5 @@
-"""Error types shared across the package, and the settings boundary check.
+"""Error types shared across the package, the UTF-8 file boundary and the
+settings boundary check.
 
 The split matters for the command line tool, which maps error categories to
 exit codes: configuration problems exit 1, data problems exit 2, anything
@@ -15,6 +16,16 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Invalid data: malformed files, inconsistent shapes, bad labels."""
+
+
+def decode_utf8(raw: bytes, path: object) -> str:
+    """Decode a file's bytes, refusing invalid UTF-8 with the byte offset."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
+        ) from exc
 
 
 def check_settings(settings: object) -> None:

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import decode_array, encode_array
 from .errors import ConfigError, DataError
 
 KKT_TOLERANCE = 1e-3
@@ -381,7 +382,7 @@ def kernel_config_from_jsonable(data: dict) -> KernelConfig:
 def svm_to_jsonable(model: SvmModel) -> dict:
     return {
         "support_indices": list(model.support_indices),
-        "dual_coef": model.dual_coef.tolist(),
+        "dual_coef": encode_array(model.dual_coef),
         "bias": model.bias,
         "C": model.C,
         "support_texts": list(model.support_texts),
@@ -392,7 +393,7 @@ def svm_from_jsonable(data: dict) -> SvmModel:
     try:
         return SvmModel(
             support_indices=tuple(int(i) for i in data["support_indices"]),
-            dual_coef=np.asarray(data["dual_coef"], dtype=np.float64),
+            dual_coef=decode_array(data["dual_coef"], np.float64),
             bias=float(data["bias"]),
             C=float(data["C"]),
             support_texts=tuple(str(t) for t in data["support_texts"]),

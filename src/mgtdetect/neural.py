@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 import numpy as np
 
+from .checkpoint import decode_array, encode_array
 from .errors import ConfigError, DataError, check_settings
 
 HIDDEN_UNITS = 64
@@ -618,13 +619,13 @@ def params_to_jsonable(params: MlpParams) -> dict:
     out: dict = {
         "input_dim": params.input_dim,
         "hidden": params.hidden,
-        "W1": params.W1.tolist(),
-        "b1": params.b1.tolist(),
-        "w_bot": params.w_bot.tolist(),
+        "W1": encode_array(params.W1),
+        "b1": encode_array(params.b1),
+        "w_bot": encode_array(params.w_bot),
         "b_bot": params.b_bot,
     }
     if params.has_language_head:
-        out["w_lang"] = params.w_lang.tolist()
+        out["w_lang"] = encode_array(params.w_lang)
         out["b_lang"] = params.b_lang
     return out
 
@@ -632,14 +633,12 @@ def params_to_jsonable(params: MlpParams) -> dict:
 def params_from_jsonable(data: dict) -> MlpParams:
     try:
         params = MlpParams(
-            W1=np.asarray(data["W1"], dtype=np.float64),
-            b1=np.asarray(data["b1"], dtype=np.float64),
-            w_bot=np.asarray(data["w_bot"], dtype=np.float64),
+            W1=decode_array(data["W1"], np.float64),
+            b1=decode_array(data["b1"], np.float64),
+            w_bot=decode_array(data["w_bot"], np.float64),
             b_bot=float(data["b_bot"]),
             w_lang=(
-                np.asarray(data["w_lang"], dtype=np.float64)
-                if "w_lang" in data
-                else None
+                decode_array(data["w_lang"], np.float64) if "w_lang" in data else None
             ),
             b_lang=float(data["b_lang"]) if "b_lang" in data else None,
         )

@@ -41,7 +41,13 @@ import numpy as np
 
 from .config import BASE_MODEL_NAMES, AppConfig
 from .corpus import Corpus, Language, SplitSpec, split
-from .checkpoint import MODEL_KINDS, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    MODEL_KINDS,
+    decode_array,
+    encode_array,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
@@ -154,14 +160,14 @@ def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> tuple[Featurizer, np.ndarr
 
 
 def _scaler_to_jsonable(scaler: ScalerParams) -> dict:
-    return {"means": scaler.means.tolist(), "stddevs": scaler.stddevs.tolist()}
+    return {"means": encode_array(scaler.means), "stddevs": encode_array(scaler.stddevs)}
 
 
 def _scaler_from_jsonable(data: dict) -> ScalerParams:
     try:
         return ScalerParams(
-            means=np.asarray(data["means"], dtype=np.float64),
-            stddevs=np.asarray(data["stddevs"], dtype=np.float64),
+            means=decode_array(data["means"], np.float64),
+            stddevs=decode_array(data["stddevs"], np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed scaler parameters: {exc}") from exc
@@ -509,6 +515,7 @@ def _read_base(
     ``shared`` maps a preparation key to the stored entry and decoded value
     of an earlier base of the same bundle.  A base whose entry equals it
     shares that value, decoded once; one whose entry differs is refused.
+    Every refusal of the payload names the file.
     """
     kind, payload = load_checkpoint(path, expected_kind=expected_kind)
     if kind == "ensemble":
@@ -516,17 +523,26 @@ def _read_base(
             "ensemble checkpoints are directory bundles; "
             "pass the bundle directory, not a file inside it"
         )
+    try:
+        return _decode_base(kind, payload, {} if shared is None else shared)
+    except DataError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
+
+
+def _decode_base(kind: str, payload: dict, shared: dict) -> tuple[BaseAdapter, float]:
     spec = _KINDS[kind]
     key = spec.prep.key
     try:
-        model = spec.model_from_jsonable(payload[spec.model_key])
-        stored = payload[key]
-        threshold = float(payload["threshold"])
+        model_data, stored, threshold = (
+            payload[spec.model_key], payload[key], payload["threshold"]
+        )
     except KeyError as exc:
-        raise DataError(f"checkpoint payload is missing {exc}") from exc
+        raise DataError(f"payload is missing {exc}") from exc
+    try:
+        threshold = float(threshold)
     except (TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path} has a malformed threshold: {exc}") from exc
-    shared = {} if shared is None else shared
+        raise DataError(f"malformed threshold: {exc}") from exc
+    model = spec.model_from_jsonable(model_data)
     if key not in shared:
         shared[key] = (stored, spec.prep.from_jsonable(stored))
     first, prep = shared[key]

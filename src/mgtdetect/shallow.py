@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .checkpoint import decode_array, encode_array
 from .errors import ConfigError, DataError, check_settings
 from .evaluation import macro_f1
 
@@ -403,16 +404,16 @@ def gbt_from_jsonable(data: dict) -> GbtModel:
 def knn_to_jsonable(model: KnnModel) -> dict:
     return {
         "k": model.k,
-        "x": model.x.tolist(),
-        "labels": model.labels.tolist(),
+        "x": encode_array(model.x),
+        "labels": encode_array(model.labels),
     }
 
 
 def knn_from_jsonable(data: dict) -> KnnModel:
     try:
         return KnnModel(
-            x=np.asarray(data["x"], dtype=np.float64),
-            labels=np.asarray(data["labels"], dtype=np.int64),
+            x=decode_array(data["x"], np.float64),
+            labels=decode_array(data["labels"], np.int64),
             k=int(data["k"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -142,21 +142,47 @@ def _stem_rules(language: Language) -> tuple[tuple[str, str, int], ...]:
     return tuple(rules)
 
 
+@lru_cache(maxsize=None)
+def _stem_index(
+    language: Language,
+) -> tuple[tuple[int, ...], dict[str, tuple[tuple[int, str, int], ...]]]:
+    """The rule table keyed by suffix, and the suffix lengths it holds.
+
+    Each suffix maps to its rules as ``(table position, replacement,
+    min_stem)`` in table order; the lengths are ascending.
+    """
+    by_suffix: dict[str, list[tuple[int, str, int]]] = {}
+    for position, (suffix, replacement, min_stem) in enumerate(_stem_rules(language)):
+        by_suffix.setdefault(suffix, []).append((position, replacement, min_stem))
+    lengths = tuple(sorted({len(suffix) for suffix in by_suffix}))
+    return lengths, {suffix: tuple(rules) for suffix, rules in by_suffix.items()}
+
+
 def stem_word(word: str, language: Language) -> str:
     """Suffix-stripping stem; repeated application is a fixed point.
 
     Rules are applied first-match in table order, then the word is rescanned
     until no rule changes it.  Rules are written for lowercase words; tokens
-    that match no rule pass through unchanged.
+    that match no rule pass through unchanged.  The first match is found by
+    looking up the word's ending of each suffix length in the table, not by
+    trying every rule.
     """
-    rules = _stem_rules(language)
+    lengths, by_suffix = _stem_index(language)
     current = word
     while True:
-        candidate = current
-        for suffix, replacement, min_stem in rules:
-            if candidate.endswith(suffix) and len(candidate) - len(suffix) >= min_stem:
-                candidate = candidate[: len(candidate) - len(suffix)] + replacement
+        n = len(current)
+        first = None  # (table position, suffix length, replacement)
+        for length in lengths:
+            if length > n:
                 break
+            for position, replacement, min_stem in by_suffix.get(current[n - length :], ()):
+                if n - length >= min_stem:
+                    if first is None or position < first[0]:
+                        first = (position, length, replacement)
+                    break
+        if first is None:
+            return current
+        candidate = current[: n - first[1]] + first[2]
         if candidate == current:
             return current
         current = candidate

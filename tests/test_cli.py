@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mgtdetect import cli
-from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
+from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
 from mgtdetect.cli import main
 from mgtdetect.corpus import Corpus, Document, Label, Language, load_tsv, merge_bilingual, save_tsv
 from mgtdetect.evaluation import macro_f1
@@ -449,6 +450,57 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_undecodable_corpus_is_2(self, tmp_path, capsys):
+        raw = b"id\ttext\tlabel\nd1\tA caf\xe9 text.\thuman\n"
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(raw)
+        assert _run("summarize", "--corpus", f"en={bad}") == 2
+        offset = raw.index(b"\xe9")
+        assert f"{bad}: not valid UTF-8 at byte {offset} " in capsys.readouterr().err
+
+    def test_undecodable_embeddings_file_is_2(self, workdir, tmp_path, capsys):
+        small = load_tsv(workdir / "small.tsv", Language.EN)
+        lines = "".join(f"{doc.id}\t0.5 0.25\n" for doc in small)
+        raw = lines.encode("utf-8") + b"\xff\t1 2\n"
+        vectors = tmp_path / "vectors.tsv"
+        vectors.write_bytes(raw)
+        cfg = tmp_path / "vectors.ini"
+        cfg.write_text(f"[features]\nembeddings_path = {vectors}\n", encoding="utf-8")
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--config", str(cfg),
+            "--model", "knn",
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        offset = raw.index(b"\xff")
+        assert f"{vectors}: not valid UTF-8 at byte {offset} " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_undecodable_checkpoint_is_2(self, workdir, tmp_path, capsys):
+        raw = b'{"format_version": 2, "kind": "knn\xff"}\n'
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(bad),
+            "--output", str(tmp_path / "p.tsv"),
+        )
+        assert code == 2
+        offset = raw.index(b"\xff")
+        assert f"{bad}: not valid UTF-8 at byte {offset} " in capsys.readouterr().err
+
+    def test_undecodable_config_is_1(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"[knn]\nk = 5 # \xff\n")
+        code = _run(
+            "summarize", "--corpus", f"en={workdir / 'small.tsv'}", "--config", str(cfg)
+        )
+        assert code == 1
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
+
     def test_malformed_corpus_spec_is_1(self, workdir):
         assert _run("summarize", "--corpus", "en") == 1
 
@@ -596,9 +648,10 @@ class TestExitCodes:
         model = payload["model"]
         if damage == "before_support_set":
             # The earlier layout: training texts, alphas and +-1 labels.
+            dual_coef = decode_array(model["dual_coef"], np.float64)
             model["texts"] = model.pop("support_texts")
-            model["alphas"] = [abs(coef) for coef in model["dual_coef"]]
-            model["labels"] = [1.0 if coef > 0 else -1.0 for coef in model["dual_coef"]]
+            model["alphas"] = encode_array(np.abs(dual_coef))
+            model["labels"] = encode_array(np.where(dual_coef > 0, 1.0, -1.0))
         else:
             model["support_texts"].pop()
         save_checkpoint(ckpt, kind, payload)
@@ -615,11 +668,19 @@ class TestExitCodes:
         self, workdir, knn_checkpoint, tmp_path, capsys, damage
     ):
         kind, payload = load_checkpoint(knn_checkpoint)
+        ckpt = tmp_path / "knn.json"
         if damage == "threshold":
             payload["threshold"] = float("nan")
+            message = f"{ckpt} is not valid JSON: non-finite number NaN"
         else:
-            payload["featurizer"]["scaler"]["stddevs"][0] = float("nan")
-        ckpt = tmp_path / "knn.json"
+            scaler = payload["featurizer"]["scaler"]
+            stddevs = decode_array(scaler["stddevs"], np.float64)
+            stddevs[0] = float("nan")
+            scaler["stddevs"] = encode_array(stddevs)
+            message = (
+                f"checkpoint {ckpt}: malformed featurizer settings: malformed "
+                "scaler parameters: array holds a non-finite number"
+            )
         save_checkpoint(ckpt, kind, payload)
         out = tmp_path / "p.tsv"
         code = _run(
@@ -630,7 +691,7 @@ class TestExitCodes:
         )
         assert code == 2
         assert not out.exists()
-        assert f"{ckpt} is not valid JSON: non-finite number NaN" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_bundle_from_before_the_meta_model_moved_is_2(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "ensemble"

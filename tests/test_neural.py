@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from mgtdetect.checkpoint import encode_array
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.neural import (
     Batch,
@@ -602,7 +603,7 @@ class TestSerialization:
 
     def test_shape_mismatch_rejected(self):
         blob = params_to_jsonable(init_params(3, hidden=2, seed=0))
-        blob["b1"] = [0.0, 0.0, 0.0]
+        blob["b1"] = encode_array(np.zeros(3))
         with pytest.raises(DataError):
             params_from_jsonable(blob)
 

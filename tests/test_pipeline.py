@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mgtdetect import pipeline
-from mgtdetect.checkpoint import load_checkpoint, save_checkpoint
+from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
 from mgtdetect.config import AppConfig, EnsembleSettings, SvmSettings
 from mgtdetect.corpus import Corpus, SplitSpec, split
 from mgtdetect.embeddings import (
@@ -331,13 +331,14 @@ class TestSvmCheckpoint:
         path, train_part = saved
         _, payload = load_checkpoint(path)
         model = payload["model"]
-        alphas = [0.0] * len(train_part)
-        for i, coef in zip(model["support_indices"], model["dual_coef"]):
-            alphas[i] = abs(coef)
+        alphas = np.zeros(len(train_part))
+        alphas[model["support_indices"]] = np.abs(
+            decode_array(model["dual_coef"], np.float64)
+        )
         del model["support_texts"]
         model["texts"] = [preprocess(doc.text, doc.language) for doc in train_part]
-        model["alphas"] = alphas
-        model["labels"] = [2.0 * y - 1.0 for y in train_part.labels_as_ints().tolist()]
+        model["alphas"] = encode_array(alphas)
+        model["labels"] = encode_array(2.0 * train_part.labels_as_ints() - 1.0)
         save_checkpoint(path, "svm", payload)
         with pytest.raises(DataError, match="support_texts"):
             load_model(path)
@@ -627,7 +628,10 @@ class TestPreparedOnce:
         path = tmp_path / "bundle"
         save_model(model, path)
         _, payload = load_checkpoint(path / "knn.json")
-        payload["featurizer"]["scaler"]["means"][0] += 1.0
+        scaler = payload["featurizer"]["scaler"]
+        means = decode_array(scaler["means"], np.float64)
+        means[0] += 1.0
+        scaler["means"] = encode_array(means)
         save_checkpoint(path / "knn.json", "knn", payload)
         with pytest.raises(DataError, match="base 'knn' stores a featurizer"):
             load_model(path)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgtdetect import textprep
 from mgtdetect.corpus import Language
 from mgtdetect.errors import DataError
 from mgtdetect.textprep import (
@@ -13,6 +14,20 @@ from mgtdetect.textprep import (
     tokenize,
     tokenize_document,
 )
+
+
+def _stem_by_table_scan(word: str, language: Language) -> str:
+    """Try every rule in table order; the reference for ``stem_word``."""
+    current = word
+    while True:
+        candidate = current
+        for suffix, replacement, min_stem in textprep._stem_rules(language):
+            if candidate.endswith(suffix) and len(candidate) - len(suffix) >= min_stem:
+                candidate = candidate[: len(candidate) - len(suffix)] + replacement
+                break
+        if candidate == current:
+            return current
+        current = candidate
 
 
 class TestTokenize:
@@ -171,10 +186,37 @@ class TestStemmer:
     def test_spanish_stems(self, word, expected):
         assert stem_word(word, Language.ES) == expected
 
+    def test_earlier_rule_wins_over_a_longer_suffix(self, monkeypatch):
+        # The shipped tables list longer suffixes first, so only a table of
+        # another order shows that table order, not suffix length, decides.
+        rules = (("s", "", 1), ("ies", "y", 1), ("es", "", 4), ("e", "", 9))
+        monkeypatch.setattr(textprep, "_stem_rules", lambda language: rules)
+        textprep._stem_index.cache_clear()
+        try:
+            for word in ["cities", "ties", "tie", "ies", "s", "ses", "sieves"]:
+                expected = _stem_by_table_scan(word, Language.EN)
+                assert stem_word(word, Language.EN) == expected, word
+            assert stem_word("cities", Language.EN) == "citie"
+        finally:
+            textprep._stem_index.cache_clear()
+
     def test_short_words_protected(self):
         # min-stem guards keep short words from vanishing
         assert stem_word("es", Language.ES) == "es"
         assert stem_word("as", Language.EN) == "as"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        stem=st.text(alphabet="abdeilnorsty'-áéó", max_size=8),
+        suffix=st.sampled_from(
+            sorted({rule[0] for lang in Language for rule in textprep._stem_rules(lang)})
+        ),
+        tail=st.text(alphabet="adeinosy", max_size=2),
+        language=st.sampled_from([Language.EN, Language.ES]),
+    )
+    def test_suffix_index_matches_the_table_scan(self, stem, suffix, tail, language):
+        word = stem + suffix + tail
+        assert stem_word(word, language) == _stem_by_table_scan(word, language)
 
     @settings(max_examples=300, deadline=None)
     @given(

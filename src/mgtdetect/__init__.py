@@ -73,6 +73,7 @@ from .readability import (
     ScalerParams,
     fit_scaler,
     readability_features,
+    readability_matrix,
     transform,
 )
 from .shallow import (
@@ -144,6 +145,7 @@ __all__ = [
     "neural_train",
     "preprocess",
     "readability_features",
+    "readability_matrix",
     "roc_curve",
     "save_embeddings",
     "save_model",

@@ -10,7 +10,9 @@ Scalars, hyperparameters, texts and the nested boosted trees stay plain
 JSON, and their floats are written by Python's shortest-repr rule.  Both
 forms round-trip every double bit for bit, so saving and reloading a model
 reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
-``Infinity``, as a JSON number or inside an array, is refused when read.
+``Infinity``, as a JSON number or inside an array, or a number too large
+for a double, such as ``1e400``, is refused when read, and so is one
+nested too deeply for the JSON decoder.
 Checkpoints of format version 1 stored arrays as nested JSON lists; they
 are refused and the model must be retrained.
 
@@ -138,6 +140,14 @@ def _refuse_non_finite(token: str) -> float:
     raise ValueError(f"non-finite number {token}")
 
 
+def _finite_float(token: str) -> float:
+    # A number past the double range, such as 1e400, would parse to inf.
+    value = float(token)
+    if not math.isfinite(value):
+        _refuse_non_finite(token)
+    return value
+
+
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict]:
     """Read a checkpoint, returning (kind, payload)."""
     path = Path(path)
@@ -146,9 +156,13 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        document = json.loads(raw, parse_constant=_refuse_non_finite)
+        document = json.loads(
+            raw, parse_constant=_refuse_non_finite, parse_float=_finite_float
+        )
     except ValueError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"checkpoint {path} is nested too deeply: {exc}") from exc
     if not isinstance(document, dict):
         raise DataError(f"checkpoint {path} must hold a JSON object")
     version = document.get("format_version")

@@ -78,11 +78,14 @@ from .neural import (
     predict_proba as neural_predict_proba,
     train as neural_train,
 )
+# ``readability_features`` is not called here, but the benchmark's tracer
+# (perfbench/tracer.py) wraps it under this module's name.
 from .readability import (
     FEATURE_NAMES,
     ScalerParams,
     fit_scaler,
     readability_features,
+    readability_matrix,
     transform,
 )
 from .shallow import (
@@ -119,7 +122,7 @@ def build_raw_features(
         embedded = embed_corpus(corpus, embedder)
     else:
         embedded = np.array([table.get(doc.id) for doc in corpus])
-    stats = np.array([readability_features(doc).as_vector() for doc in corpus])
+    stats = readability_matrix(corpus)
     return np.hstack([stats, embedded])
 
 

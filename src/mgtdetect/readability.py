@@ -11,19 +11,26 @@ formulas consume them independently.
 The formulas are applied with the package's own token, sentence, and
 syllable heuristics, so scores are internally consistent rather than
 matching any particular external tool.
+
+``readability_matrix`` scores a whole corpus at once: it tokenizes each
+document once, counts the syllables of each distinct (language, token)
+once per call, and evaluates the ten columns as numpy arrays from the
+integer counts.  The formulas apply the same IEEE operations in the same
+order to every element as they do to one document, so every row is the
+same, bit for bit, whichever documents share its call;
+``readability_features`` is one row of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, Language
 from .errors import DataError
-from .textprep import count_syllables, tokenize_document
+from .textprep import count_syllables, sentence_split, tokenize
 
 FEATURE_NAMES: tuple[str, ...] = (
     "words",
@@ -59,45 +66,69 @@ class ReadabilityFeatures:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
 
 
-def flesch_reading_ease(words: float, sentences: float, syllables: float) -> float:
+# The formulas take scalars or aligned float64 columns.
+def flesch_reading_ease(words, sentences, syllables):
     return 206.835 - 1.015 * (words / sentences) - 84.6 * (syllables / words)
 
 
-def gunning_fog_index(words: float, sentences: float, complex_words: float) -> float:
+def gunning_fog_index(words, sentences, complex_words):
     return 0.4 * ((words / sentences) + 100.0 * (complex_words / words))
 
 
-def smog_index(sentences: float, polysyllables: float) -> float:
-    return 1.0430 * math.sqrt(polysyllables * 30.0 / sentences) + 3.1291
+def smog_index(sentences, polysyllables):
+    return 1.0430 * np.sqrt(polysyllables * 30.0 / sentences) + 3.1291
+
+
+def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
+    """Counts and scores of every document, one float64 row each.
+
+    Columns follow ``FEATURE_NAMES``.  Raises on the first document without
+    any token: the ratio features would be degenerate, and such texts carry
+    no readability signal anyway.
+    """
+    syllables: dict[Language, dict[str, int]] = {}
+    # words, sentences, syllables, complex words, characters
+    counts: list[tuple[int, int, int, int, int]] = []
+    for doc in docs:
+        # Sentence boundaries consume only whitespace, which no token holds,
+        # so the whole text tokenizes as its sentences do one by one.
+        tokens = tokenize(doc.text)
+        if not tokens:
+            raise DataError(f"document {doc.id!r} has no words to score")
+        known = syllables.setdefault(doc.language, {})
+        for token in set(tokens).difference(known):
+            known[token] = count_syllables(token, doc.language)
+        per_token = list(map(known.__getitem__, tokens))
+        counts.append(
+            (
+                len(tokens),
+                len(sentence_split(doc.text)),
+                sum(per_token),
+                sum(1 for c in per_token if c >= 3),
+                sum(map(len, tokens)),
+            )
+        )
+    words, sentences, syllable_total, complex_words, chars = (
+        np.array(counts, dtype=np.float64).reshape(-1, 5).T
+    )
+    columns = (
+        words,
+        sentences,
+        syllable_total,
+        complex_words,
+        complex_words,
+        chars / words,
+        words / sentences,
+        flesch_reading_ease(words, sentences, syllable_total),
+        gunning_fog_index(words, sentences, complex_words),
+        smog_index(sentences, complex_words),
+    )
+    return np.stack(columns, axis=1)
 
 
 def readability_features(doc: Document) -> ReadabilityFeatures:
-    """Counts and scores for one document.
-
-    Raises on documents without any token: the ratio features would be
-    degenerate, and such texts carry no readability signal anyway.
-    """
-    tokenized = tokenize_document(doc.text)
-    tokens = tokenized.tokens
-    n_sentences = len(tokenized.sentences)
-    n_words = len(tokens)
-    if n_words == 0 or n_sentences == 0:
-        raise DataError(f"document {doc.id!r} has no words to score")
-    syllable_counts = [count_syllables(tok, doc.language) for tok in tokens]
-    n_syllables = sum(syllable_counts)
-    n_complex = sum(1 for c in syllable_counts if c >= 3)
-    return ReadabilityFeatures(
-        words=float(n_words),
-        sentences=float(n_sentences),
-        syllables=float(n_syllables),
-        complex_words=float(n_complex),
-        polysyllables=float(n_complex),
-        chars_per_word=sum(len(t) for t in tokens) / n_words,
-        words_per_sentence=n_words / n_sentences,
-        flesch=flesch_reading_ease(n_words, n_sentences, n_syllables),
-        gunning_fog=gunning_fog_index(n_words, n_sentences, n_complex),
-        smog=smog_index(n_sentences, n_complex),
-    )
+    """Counts and scores for one document: its row of ``readability_matrix``."""
+    return ReadabilityFeatures(*readability_matrix([doc])[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 The kNN model memorizes the training matrix and scores a query as the
 fraction of generated labels among its k nearest neighbors by Euclidean
-distance, with distance ties broken by lower stored index.
+distance, with distance ties broken by lower stored index.  Queries are
+scored in blocks of bounded size: ``np.partition`` finds each query's k-th
+distance, and the neighbors are every distance below it plus the
+lowest-indexed ones equal to it, the set a stable full sort would take.
 
 The boosted trees minimize logistic loss.  Each round fits a regression
 tree to the residual (label minus current probability) using exact greedy
@@ -17,11 +20,18 @@ its children, and a node scores every cut of every feature in one
 vectorized pass.  Tree t does not depend on the number of trees, so the
 grid search fits each (depth, rate) pair once, at the largest tree count,
 and scores the smaller counts as prefixes of that fit.
+
+A model also keeps its trees as flat node arrays (feature, threshold,
+children, leaf value), the usual layout for scoring tree ensembles (as in
+QuickScorer, Lucchese et al., SIGIR 2015).  Scoring routes all rows
+through all trees one level per step and adds the trees' outputs in tree
+order, so it gives the same sums, bit for bit, as walking each tree in
+turn.  A prefix of a model reuses the full model's arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +66,11 @@ def _check_binary_labels(y: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
+# Distance cells (query rows x stored rows) scored at once; each float64
+# temporary of a block takes at most 8 MiB.
+_KNN_BLOCK_CELLS = 1 << 20
+
+
 @dataclass(frozen=True)
 class KnnModel:
     """Memorized training set with a neighbor count."""
@@ -63,6 +78,8 @@ class KnnModel:
     x: np.ndarray
     labels: np.ndarray
     k: int = 10
+    # Squared norm of each stored row, computed once.
+    x_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         x = _check_features(self.x, "knn training matrix")
@@ -75,6 +92,7 @@ class KnnModel:
             raise DataError(
                 f"k={self.k} exceeds the {x.shape[0]} stored training points"
             )
+        object.__setattr__(self, "x_sq", np.sum(x**2, axis=1))
 
 
 def knn_fit(x: np.ndarray, labels: Sequence[int] | np.ndarray, k: int = 10) -> KnnModel:
@@ -82,23 +100,49 @@ def knn_fit(x: np.ndarray, labels: Sequence[int] | np.ndarray, k: int = 10) -> K
 
 
 def knn_predict_proba_many(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    """Generated-fraction among the k nearest stored points, per query."""
+    """Generated-fraction among the k nearest stored points, per query.
+
+    Queries are scored in blocks of at most ``_KNN_BLOCK_CELLS`` distances.
+    """
     q = _check_features(queries, "knn query matrix")
     if q.shape[1] != model.x.shape[1]:
         raise DataError(
             f"query width {q.shape[1]} does not match model width {model.x.shape[1]}"
         )
-    # Squared Euclidean distances via the expansion; ordering matches true
-    # distances and exact duplicates produce exactly equal entries.
-    x_sq = np.sum(model.x**2, axis=1)
-    q_sq = np.sum(q**2, axis=1)
-    d2 = np.maximum(q_sq[:, None] + x_sq[None, :] - 2.0 * (q @ model.x.T), 0.0)
+    generated = model.labels == 1
     probs = np.empty(q.shape[0], dtype=np.float64)
-    for row in range(q.shape[0]):
-        order = np.argsort(d2[row], kind="stable")
-        nearest = order[: model.k]
-        probs[row] = float(np.mean(model.labels[nearest] == 1))
+    step = max(1, _KNN_BLOCK_CELLS // model.x.shape[0])
+    for start in range(0, q.shape[0], step):
+        nearest = _nearest_k(model, q[start : start + step])
+        count = np.count_nonzero(nearest & generated, axis=1)
+        probs[start : start + step] = count / model.k
     return probs
+
+
+def _nearest_k(model: KnnModel, q: np.ndarray) -> np.ndarray:
+    """Mask of each query's k nearest stored rows, lower stored index first on ties.
+
+    This is the set ``argsort(d2, kind="stable")[:k]`` takes: every distance
+    below the k-th smallest, then the lowest-indexed distances equal to it.
+    """
+    # Squared Euclidean distances via the expansion.  BLAS may sum a product
+    # in another order for another block shape or output column, so the
+    # last bits of a distance can depend on the rows scored with it.
+    q_sq = np.sum(q**2, axis=1)
+    d2 = np.maximum(q_sq[:, None] + model.x_sq[None, :] - 2.0 * (q @ model.x.T), 0.0)
+    kth = np.partition(d2, model.k - 1, axis=1)[:, model.k - 1 : model.k]
+    below = d2 < kth
+    ties = d2 == kth
+    nan_kth = np.isnan(kth[:, 0])
+    if nan_kth.any():
+        # argsort ranks every number below NaN, and NaNs tie with each other.
+        below[nan_kth] = ~np.isnan(d2[nan_kth])
+        ties[nan_kth] = ~below[nan_kth]
+    wanted = model.k - np.count_nonzero(below, axis=1)
+    excess = np.count_nonzero(ties, axis=1) > wanted
+    if excess.any():
+        ties[excess] &= np.cumsum(ties[excess], axis=1) <= wanted[excess, None]
+    return below | ties
 
 
 @dataclass(frozen=True)
@@ -277,24 +321,136 @@ class _ColumnBlock:
             buf[mid : span.stop] = to_right
 
 
-def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0], dtype=np.float64)
-    idx = np.arange(x.shape[0])
-    stack = [(node, idx)]
-    while stack:
-        current, rows = stack.pop()
-        if current.is_leaf:
-            out[rows] = current.value
-            continue
-        if current.feature >= x.shape[1]:
+# A node reader returns (feature, threshold, value, left, right).  A leaf
+# reads as feature -1 with no children, and a split as value 0.0.
+def _read_tree_node(node: TreeNode) -> tuple:
+    if node.is_leaf:
+        return -1, 0.0, node.value, None, None
+    return node.feature, node.threshold, 0.0, node.left, node.right
+
+
+def _read_stored_node(data: dict) -> tuple:
+    """Read a node as ``gbt_to_jsonable`` stores it."""
+    if "value" in data:
+        return -1, 0.0, float(data["value"]), None, None
+    feature = int(data["feature"])
+    if feature < 0:
+        raise DataError(f"boosted tree splits on feature {feature}, below 0")
+    return feature, float(data["threshold"]), 0.0, data["left"], data["right"]
+
+
+class _NodeArrays(NamedTuple):
+    """A model's trees as flat node arrays, tree after tree, each in preorder.
+
+    A split node sends a row left when ``x[feature] <= threshold`` and right
+    otherwise, NaN included.  A leaf has feature -1 and is its own left and
+    right child, so a row routed for more levels than its tree is deep stays
+    on its leaf.  ``roots`` and ``depths`` hold each tree's first node and
+    depth; ``max_feature`` is the highest split feature, or -1.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depths: np.ndarray
+    max_feature: int
+
+    @classmethod
+    def of(cls, trees: Sequence, read=_read_tree_node) -> "_NodeArrays":
+        """Flatten trees whose nodes ``read`` takes apart, with an explicit stack.
+
+        No tree depth makes Python recurse.
+        """
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+        roots: list[int] = []
+        depths: list[int] = []
+        for tree in trees:
+            roots.append(len(feature))
+            depth = 0
+            # (node, index of the parent whose right child it is or -1, level)
+            stack = [(tree, -1, 0)]
+            while stack:
+                node, parent, level = stack.pop()
+                node_feature, node_threshold, node_value, low, high = read(node)
+                index = len(feature)
+                if parent >= 0:
+                    right[parent] = index
+                feature.append(node_feature)
+                threshold.append(node_threshold)
+                value.append(node_value)
+                if low is None:
+                    left.append(index)
+                    right.append(index)
+                    depth = max(depth, level)
+                else:
+                    left.append(index + 1)  # preorder: the left child is next
+                    right.append(-1)
+                    stack.append((high, index, level + 1))
+                    stack.append((low, -1, level + 1))
+            depths.append(depth)
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value, dtype=np.float64),
+            roots=np.array(roots, dtype=np.intp),
+            depths=np.array(depths, dtype=np.intp),
+            max_feature=max(feature, default=-1),
+        )
+
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The trees these arrays hold, built from the last node back."""
+        feature = self.feature.tolist()
+        threshold = self.threshold.tolist()
+        left = self.left.tolist()
+        right = self.right.tolist()
+        value = self.value.tolist()
+        built: list = [None] * len(feature)
+        # In preorder both children come after their split.
+        for index in reversed(range(len(feature))):
+            if left[index] == index:
+                built[index] = TreeNode(value=value[index])
+            else:
+                built[index] = TreeNode(
+                    feature[index], threshold[index], built[left[index]], built[right[index]]
+                )
+        return tuple(built[root] for root in self.roots.tolist())
+
+    def prefix(self, n_trees: int) -> "_NodeArrays":
+        """The arrays of the first ``n_trees`` trees, as views of these."""
+        end = int(self.roots[n_trees]) if n_trees < len(self.roots) else len(self.feature)
+        return _NodeArrays(
+            feature=self.feature[:end],
+            threshold=self.threshold[:end],
+            left=self.left[:end],
+            right=self.right[:end],
+            value=self.value[:end],
+            roots=self.roots[:n_trees],
+            depths=self.depths[:n_trees],
+            max_feature=int(self.feature[:end].max(initial=-1)),
+        )
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """(trees, rows) leaf values, routing every row through every tree."""
+        if self.max_feature >= x.shape[1]:
             raise DataError(
-                f"boosted tree splits on feature {current.feature}, "
+                f"boosted tree splits on feature {self.max_feature}, "
                 f"but its input has {x.shape[1]} columns"
             )
-        mask = x[rows, current.feature] <= current.threshold
-        stack.append((current.left, rows[mask]))
-        stack.append((current.right, rows[~mask]))
-    return out
+        rows = np.arange(x.shape[0])
+        node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
+        for _ in range(int(self.depths.max(initial=0))):
+            goes_left = x[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(goes_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 @dataclass(frozen=True)
@@ -302,12 +458,29 @@ class GbtModel:
     trees: tuple[TreeNode, ...]
     learning_rate: float
     base_score: float
+    # The trees as node arrays.  Derived from ``trees`` when not given; when
+    # given, they must be the arrays of exactly these trees.
+    nodes: _NodeArrays | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.nodes is None:
+            object.__setattr__(self, "nodes", _NodeArrays.of(self.trees))
+
+    def prefix(self, n_trees: int) -> "GbtModel":
+        """The model of the first ``n_trees`` trees, sharing these node arrays."""
+        return GbtModel(
+            self.trees[:n_trees],
+            self.learning_rate,
+            self.base_score,
+            self.nodes.prefix(n_trees),
+        )
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         x = _check_features(x, "gbt query matrix")
         raw = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            raw += self.learning_rate * _apply_tree(tree, x)
+        # Tree outputs are added one tree at a time, in tree order.
+        for leaves in self.learning_rate * self.nodes.leaf_values(x):
+            raw += leaves
         return raw
 
 
@@ -368,20 +541,6 @@ def _tree_to_jsonable(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_jsonable(data: dict) -> TreeNode:
-    if "value" in data:
-        return TreeNode(value=float(data["value"]))
-    feature = int(data["feature"])
-    if feature < 0:
-        raise DataError(f"boosted tree splits on feature {feature}, below 0")
-    return TreeNode(
-        feature=feature,
-        threshold=float(data["threshold"]),
-        left=_tree_from_jsonable(data["left"]),
-        right=_tree_from_jsonable(data["right"]),
-    )
-
-
 def gbt_to_jsonable(model: GbtModel) -> dict:
     return {
         "learning_rate": model.learning_rate,
@@ -392,10 +551,14 @@ def gbt_to_jsonable(model: GbtModel) -> dict:
 
 def gbt_from_jsonable(data: dict) -> GbtModel:
     try:
+        # One walk over the stored trees gives the node arrays, and the
+        # trees are built back from those.
+        nodes = _NodeArrays.of(data["trees"], _read_stored_node)
         return GbtModel(
-            trees=tuple(_tree_from_jsonable(t) for t in data["trees"]),
+            trees=nodes.trees(),
             learning_rate=float(data["learning_rate"]),
             base_score=float(data["base_score"]),
+            nodes=nodes,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed boosted-tree model: {exc}") from exc
@@ -479,11 +642,7 @@ def grid_search(
                 learning_rate=learning_rate,
             )
             for n_estimators in estimators:
-                model = GbtModel(
-                    trees=full.trees[:n_estimators],
-                    learning_rate=full.learning_rate,
-                    base_score=full.base_score,
-                )
+                model = full.prefix(n_estimators)
                 preds = (gbt_predict_proba_many(model, x_val) >= 0.5).astype(np.int64)
                 rank = (-macro_f1(y_val, preds), n_estimators, max_depth, learning_rate)
                 if best is None or rank < best[0]:

@@ -17,7 +17,6 @@ abbreviations like "e.g." or "Mr." start new sentences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -51,23 +50,6 @@ def sentence_split(text: str) -> list[str]:
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
-
-
-@dataclass(frozen=True)
-class TokenizedDoc:
-    """Sentence-segmented tokens plus the raw character length."""
-
-    sentences: tuple[tuple[str, ...], ...]
-    raw_char_len: int
-
-    @property
-    def tokens(self) -> list[str]:
-        return [tok for sent in self.sentences for tok in sent]
-
-
-def tokenize_document(text: str) -> TokenizedDoc:
-    sentences = tuple(tuple(tokenize(s)) for s in sentence_split(text))
-    return TokenizedDoc(sentences=sentences, raw_char_len=len(text))
 
 
 def _count_syllables_en(word: str) -> int:

@@ -226,7 +226,7 @@ class TestValidation:
         with pytest.raises(DataError, match="not valid JSON"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     def test_non_finite_number(self, tmp_path, token):
         path = tmp_path / "nan.json"
         path.write_text(

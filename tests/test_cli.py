@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mgtdetect import cli
-from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
+from mgtdetect.checkpoint import (
+    checkpoint_text,
+    decode_array,
+    encode_array,
+    load_checkpoint,
+    save_checkpoint,
+)
 from mgtdetect.cli import main
 from mgtdetect.corpus import Corpus, Document, Label, Language, load_tsv, merge_bilingual, save_tsv
 from mgtdetect.evaluation import macro_f1
@@ -443,6 +449,32 @@ class TestSummarize:
         assert summary["n_documents"] == en_n + es_n
 
 
+@pytest.fixture(scope="module")
+def gbt_checkpoint(workdir):
+    path = workdir / "gbt-model.json"
+    code = _run(
+        "train",
+        "--corpus", f"en={workdir / 'en.tsv'}",
+        "--config", str(workdir / "fast.ini"),
+        "--model", "gbt",
+        "--output", str(path),
+        "--log", str(workdir / "gbt-train.jsonl"),
+    )
+    assert code == 0
+    return path
+
+
+def _leaves(tree: dict) -> list[dict]:
+    stack, leaves = [tree], []
+    while stack:
+        node = stack.pop()
+        if "value" in node:
+            leaves.append(node)
+        else:
+            stack += [node["right"], node["left"]]
+    return leaves
+
+
 class TestExitCodes:
     def test_missing_corpus_file_is_2(self, workdir, tmp_path):
         code = _run(
@@ -692,6 +724,49 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    def _predict_is_2(self, workdir, ckpt, tmp_path, capsys, message):
+        out = tmp_path / "p.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_checkpoint_number_is_2(
+        self, workdir, gbt_checkpoint, tmp_path, capsys
+    ):
+        # 1e400 is valid JSON but past the double range: it would read as inf.
+        kind, payload = load_checkpoint(gbt_checkpoint)
+        leaves = _leaves(payload["model"]["trees"][0])
+        leaves[0]["value"], leaves[-1]["value"] = 0.123456789, -0.123456789
+        text = checkpoint_text(kind, payload)
+        assert text.count("0.123456789") == 2
+        ckpt = tmp_path / "gbt.json"
+        ckpt.write_text(text.replace("0.123456789", "1e400"), encoding="utf-8")
+        message = f"{ckpt} is not valid JSON: non-finite number 1e400"
+        self._predict_is_2(workdir, ckpt, tmp_path, capsys, message)
+
+    def test_deeply_nested_checkpoint_is_2(
+        self, workdir, gbt_checkpoint, tmp_path, capsys
+    ):
+        kind, payload = load_checkpoint(gbt_checkpoint)
+        payload["model"]["trees"][0] = "DEEP"
+        depth = 3000
+        deep = (
+            '{"feature": 0, "threshold": 0.0, "left": ' * depth
+            + '{"value": 0.0}'
+            + ', "right": {"value": 0.0}}' * depth
+        )
+        text = checkpoint_text(kind, payload)
+        ckpt = tmp_path / "gbt.json"
+        ckpt.write_text(text.replace('"DEEP"', deep), encoding="utf-8")
+        message = f"checkpoint {ckpt} is nested too deeply"
+        self._predict_is_2(workdir, ckpt, tmp_path, capsys, message)
 
     def test_bundle_from_before_the_meta_model_moved_is_2(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "ensemble"

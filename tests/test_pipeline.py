@@ -552,15 +552,16 @@ class TestSvmEnsemble:
 
 
 def count_readability(monkeypatch) -> Counter:
-    """Count, per document id, the calls the pipeline makes to featurize it."""
+    """Count, per document id, the rows the pipeline asks readability to score."""
     seen: Counter = Counter()
-    original = pipeline.readability_features
+    original = pipeline.readability_matrix
 
-    def counting(doc):
-        seen[doc.id] += 1
-        return original(doc)
+    def counting(docs):
+        docs = list(docs)
+        seen.update(doc.id for doc in docs)
+        return original(docs)
 
-    monkeypatch.setattr(pipeline, "readability_features", counting)
+    monkeypatch.setattr(pipeline, "readability_matrix", counting)
     return seen
 
 

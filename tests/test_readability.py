@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgtdetect.corpus import Document, Language
 from mgtdetect.errors import DataError
@@ -12,9 +14,11 @@ from mgtdetect.readability import (
     format_feature_matrix,
     gunning_fog_index,
     readability_features,
+    readability_matrix,
     smog_index,
     transform,
 )
+from mgtdetect.textprep import count_syllables, sentence_split, tokenize
 
 TOL = 1e-9
 
@@ -137,6 +141,95 @@ class TestFormulas:
     def test_wordless_document_rejected(self):
         with pytest.raises(DataError):
             readability_features(en_doc("?!"))
+
+
+def per_document_row(doc):
+    """Reference: one document at a time, sentence by sentence, in Python floats."""
+    sentences = [tokenize(s) for s in sentence_split(doc.text)]
+    tokens = [tok for sent in sentences for tok in sent]
+    n_sentences = len(sentences)
+    n_words = len(tokens)
+    if n_words == 0 or n_sentences == 0:
+        raise DataError(f"document {doc.id!r} has no words to score")
+    syllable_counts = [count_syllables(tok, doc.language) for tok in tokens]
+    n_syllables = sum(syllable_counts)
+    n_complex = sum(1 for c in syllable_counts if c >= 3)
+    row = [
+        float(n_words),
+        float(n_sentences),
+        float(n_syllables),
+        float(n_complex),
+        float(n_complex),
+        sum(len(t) for t in tokens) / n_words,
+        n_words / n_sentences,
+        206.835 - 1.015 * (n_words / n_sentences) - 84.6 * (n_syllables / n_words),
+        0.4 * ((n_words / n_sentences) + 100.0 * (n_complex / n_words)),
+        1.0430 * math.sqrt(n_complex * 30.0 / n_sentences) + 3.1291,
+    ]
+    return np.array(row, dtype=np.float64)
+
+
+_WORDS = [
+    "The", "cat", "beautiful", "university", "table", "rhythm", "don't",
+    "stop-me", "gatos", "día", "corren", "comunicación", "país", "bueno",
+    "Información", "9", "queue", "x_y", "e.g.",
+]
+_GAPS = [" ", " ", " ", ". ", "! ", "? ", ", ", "\n", "...", "  \t"]
+
+
+@st.composite
+def mixed_docs(draw):
+    """Short en/es documents drawing words from one small shared pool."""
+    n = draw(st.integers(0, 8))
+    docs = []
+    for i in range(n):
+        parts = draw(
+            st.lists(
+                st.tuples(st.sampled_from(_WORDS), st.sampled_from(_GAPS)),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        text = "".join(word + gap for word, gap in parts)
+        language = draw(st.sampled_from([Language.EN, Language.ES]))
+        docs.append(Document(id=f"d{i}", text=text, language=language))
+    return docs
+
+
+class TestMatrixMatchesPerDocument:
+    """Each row equals the per-document computation, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=mixed_docs())
+    # 4 polysyllables in 9 sentences and 3 in 14: counts where computing the
+    # SMOG ratio in another order changes the score.
+    @example(
+        docs=[
+            en_doc("Beautiful " * 4 + "end." + " A." * 8, "a"),
+            en_doc("Beautiful " * 3 + "end." + " A." * 13, "b"),
+        ]
+    )
+    def test_rows_equal_the_per_document_reference(self, docs):
+        docs = [d for d in docs if tokenize(d.text)]
+        matrix = readability_matrix(docs)
+        assert matrix.shape == (len(docs), len(FEATURE_NAMES))
+        assert matrix.dtype == np.float64
+        want = np.array([per_document_row(d) for d in docs]).reshape(-1, len(FEATURE_NAMES))
+        assert matrix.tobytes() == want.tobytes()
+        for doc, row in zip(docs, matrix):
+            assert readability_features(doc).as_vector().tobytes() == row.tobytes()
+
+    def test_same_token_in_both_languages_counts_per_language(self):
+        # The syllable counts of one token are kept apart per language:
+        # "poeta" has 2 syllables by the English counter and 3 by the Spanish.
+        docs = [en_doc("poeta fue", "e"), es_doc("poeta fue", "s")]
+        matrix = readability_matrix(docs)
+        assert matrix[:, 2].tolist() == [3.0, 4.0]
+
+    def test_first_wordless_document_is_named(self):
+        docs = [en_doc("A cat.", "ok"), en_doc("?!", "bad"), en_doc("...", "worse")]
+        with pytest.raises(DataError, match="'bad' has no words"):
+            readability_matrix(docs)
 
 
 class TestAsVector:

@@ -103,6 +103,79 @@ class TestKnn:
         assert model.k == 10
 
 
+def knn_argsort_reference(model, queries):
+    """Reference: the expansion's distances, one full stable sort per query."""
+    q = np.asarray(queries, dtype=np.float64)
+    x_sq = np.sum(model.x**2, axis=1)
+    q_sq = np.sum(q**2, axis=1)
+    d2 = np.maximum(q_sq[:, None] + x_sq[None, :] - 2.0 * (q @ model.x.T), 0.0)
+    probs = np.empty(q.shape[0], dtype=np.float64)
+    for row in range(q.shape[0]):
+        nearest = np.argsort(d2[row], kind="stable")[: model.k]
+        probs[row] = float(np.mean(model.labels[nearest] == 1))
+    return probs
+
+
+@st.composite
+def knn_cases(draw):
+    """Stored rows and queries on a small grid, so distances tie often."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    cell = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    grid = st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)
+    x = np.array(draw(grid), dtype=np.float64).reshape(n, d)
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = x[0]  # a duplicate stored row
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    m = draw(st.integers(0, 6))
+    rows = [list(r) for r in x] + [[float("nan")] * d]
+    queries = draw(
+        st.lists(
+            st.one_of(st.sampled_from(rows), st.lists(cell, min_size=d, max_size=d)),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    return knn_fit(x, labels, k=k), np.array(queries, dtype=np.float64).reshape(m, d)
+
+
+class TestKnnSelection:
+    """Partial selection picks the neighbors of a stable full sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=knn_cases())
+    def test_matches_the_per_row_argsort(self, case):
+        model, queries = case
+        got = knn_predict_proba_many(model, queries)
+        assert got.tobytes() == knn_argsort_reference(model, queries).tobytes()
+
+    def test_matches_the_per_row_argsort_on_floats(self, rng):
+        x = rng.normal(size=(300, 8))
+        x[150:] = x[:150]  # every distance appears twice
+        labels = rng.integers(0, 2, size=300)
+        queries = np.vstack([rng.normal(size=(40, 8)), x[:10]])
+        for k in (1, 2, 7, 299, 300):
+            model = knn_fit(x, labels, k=k)
+            got = knn_predict_proba_many(model, queries)
+            assert got.tobytes() == knn_argsort_reference(model, queries).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 59, 120, 121])
+    def test_blocks_give_the_same_probabilities(self, rng, monkeypatch, cap):
+        # Small integers keep every distance exact, whatever rows share a block.
+        x = rng.integers(-2, 3, size=(60, 5)).astype(np.float64)
+        labels = rng.integers(0, 2, size=60)
+        queries = np.vstack([rng.integers(-2, 3, size=(23, 5)), x[:7]]).astype(np.float64)
+        model = knn_fit(x, labels, k=9)
+        whole = knn_predict_proba_many(model, queries)
+        monkeypatch.setattr(shallow, "_KNN_BLOCK_CELLS", cap)
+        assert knn_predict_proba_many(model, queries).tobytes() == whole.tobytes()
+
+    def test_zero_queries(self):
+        model = knn_fit(np.eye(3), [0, 1, 1], k=2)
+        assert knn_predict_proba_many(model, np.zeros((0, 3))).shape == (0,)
+
+
 def reference_best_split(x, residuals):
     """Reference: one stable argsort and one gain scan per feature.
 
@@ -470,6 +543,124 @@ class TestGridSearch:
             GbtGrid(estimators=())
 
 
+def apply_tree_reference(node, x):
+    """Reference: walk one tree, routing the rows node by node."""
+    out = np.empty(x.shape[0], dtype=np.float64)
+    stack = [(node, np.arange(x.shape[0]))]
+    while stack:
+        current, rows = stack.pop()
+        if current.is_leaf:
+            out[rows] = current.value
+            continue
+        mask = x[rows, current.feature] <= current.threshold
+        stack.append((current.left, rows[mask]))
+        stack.append((current.right, rows[~mask]))
+    return out
+
+
+def predict_raw_reference(model, x):
+    raw = np.full(x.shape[0], model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        raw += model.learning_rate * apply_tree_reference(tree, x)
+    return raw
+
+
+_CUTS = [-1.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def tree_models(draw):
+    """Unbalanced and single-leaf trees, and rows that sit on thresholds or are NaN."""
+    d = draw(st.integers(1, 4))
+    leaf = st.floats(-3, 3, allow_nan=False).map(lambda v: TreeNode(value=v))
+    tree = st.recursive(
+        leaf,
+        lambda children: st.builds(
+            TreeNode,
+            feature=st.integers(0, d - 1),
+            threshold=st.sampled_from(_CUTS),
+            left=children,
+            right=children,
+        ),
+        max_leaves=24,
+    )
+    trees = tuple(draw(st.lists(tree, max_size=6)))
+    model = GbtModel(
+        trees,
+        draw(st.sampled_from([0.1, 0.3, 1.0])),
+        draw(st.floats(-2, 2, allow_nan=False)),
+    )
+    m = draw(st.integers(0, 8))
+    cell = st.sampled_from(_CUTS + [-0.5, 1.0, 3.0, float("nan")])
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=m, max_size=m))
+    return model, np.array(rows, dtype=np.float64).reshape(m, d)
+
+
+class TestGbtNodeArrays:
+    """Level-by-level scoring of the node arrays equals walking each tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_models())
+    def test_matches_walking_each_tree(self, case):
+        model, x = case
+        assert model.predict_raw(x).tobytes() == predict_raw_reference(model, x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_models())
+    def test_prefix_shares_the_arrays_and_scores_as_a_fresh_model(self, case):
+        model, x = case
+        for n in range(len(model.trees) + 1):
+            prefix = model.prefix(n)
+            fresh = GbtModel(model.trees[:n], model.learning_rate, model.base_score)
+            assert prefix == fresh
+            assert prefix.predict_raw(x).tobytes() == fresh.predict_raw(x).tobytes()
+            # Views of the full model's arrays, not a second flattening.
+            value = prefix.nodes.value
+            assert value.size == 0 or np.shares_memory(value, model.nodes.value)
+
+    def test_matches_walking_each_trained_tree(self, rng):
+        x = np.round(rng.normal(size=(200, 6)), 1)
+        y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+        y[rng.choice(200, size=20, replace=False)] ^= 1
+        model = gbt_train(x, y, n_estimators=20, max_depth=10, learning_rate=0.3)
+        queries = np.vstack([np.round(rng.normal(size=(50, 6)), 1), x[:20]])
+        queries[3, 2] = np.nan
+        want = predict_raw_reference(model, queries)
+        assert model.predict_raw(queries).tobytes() == want.tobytes()
+
+    def test_grid_search_flattens_once_per_fit(self, rng, monkeypatch):
+        x = np.round(rng.normal(size=(60, 3)), 1)
+        y = (x[:, 0] > 0).astype(np.int64)
+        grid = GbtGrid(estimators=(1, 2, 4), depths=(2, 3), learning_rates=(0.1, 0.3))
+        flattened = []
+        original = shallow._NodeArrays.of
+
+        def counting(trees):
+            flattened.append(len(trees))
+            return original(trees)
+
+        monkeypatch.setattr(shallow._NodeArrays, "of", counting)
+        grid_search(x, y, x, y, grid)
+        assert flattened == [4] * 4
+
+    def test_decodes_a_tree_deeper_than_the_recursion_limit(self):
+        depth = 5000
+        tree = {"value": -1.0}
+        for level in reversed(range(depth)):
+            tree = {
+                "feature": 0,
+                "threshold": float(level),
+                "left": {"value": float(level)},
+                "right": tree,
+            }
+        model = gbt_from_jsonable({"learning_rate": 1.0, "base_score": 0.0, "trees": [tree]})
+        x = np.array([[-5.0], [0.0], [2.5], [4998.0], [1e9], [np.nan]])
+        np.testing.assert_array_equal(
+            model.predict_raw(x), [0.0, 0.0, 3.0, 4998.0, -1.0, -1.0]
+        )
+        assert model.predict_raw(x).tobytes() == predict_raw_reference(model, x).tobytes()
+
+
 def _one_split_model(feature: int) -> GbtModel:
     stump = TreeNode(
         feature=feature, threshold=0.0, left=TreeNode(value=1.0), right=TreeNode(value=-1.0)
@@ -485,6 +676,10 @@ class TestSerialization:
         model = gbt_train(x, y, n_estimators=5, max_depth=3, learning_rate=0.05)
         blob = json.loads(json.dumps(gbt_to_jsonable(model)))
         restored = gbt_from_jsonable(blob)
+        assert restored == model
+        # The arrays read from the stored trees are those of the trained trees.
+        for got, want in zip(restored.nodes, model.nodes):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(
             gbt_predict_proba_many(restored, x), gbt_predict_proba_many(model, x)
         )
@@ -498,6 +693,16 @@ class TestSerialization:
         model = gbt_from_jsonable(gbt_to_jsonable(_one_split_model(3)))
         with pytest.raises(DataError, match="splits on feature 3, but its input has 3 columns"):
             gbt_predict_proba_many(model, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n_rows", [0, 2])
+    def test_split_past_the_width_rejected_where_no_row_goes(self, n_rows):
+        # Rows at or below 0 go left, so none reaches the split on feature 5.
+        bad = TreeNode(feature=5, threshold=0.0, left=TreeNode(value=1.0), right=TreeNode())
+        root = TreeNode(feature=0, threshold=0.0, left=TreeNode(value=2.0), right=bad)
+        stump = _one_split_model(0).trees[0]
+        model = GbtModel(trees=(stump, root), learning_rate=0.1, base_score=0.0)
+        with pytest.raises(DataError, match="splits on feature 5, but its input has 3 columns"):
+            gbt_predict_proba_many(model, np.zeros((n_rows, 3)))
 
     def test_knn_round_trip_bitwise(self, rng):
         x = rng.normal(size=(25, 4))

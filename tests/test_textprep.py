@@ -12,7 +12,6 @@ from mgtdetect.textprep import (
     stem_word,
     stopwords,
     tokenize,
-    tokenize_document,
 )
 
 
@@ -73,12 +72,30 @@ class TestSentenceSplit:
         assert sentence_split("a.b c") == ["a.b c"]
 
 
-class TestTokenizeDocument:
-    def test_sentence_grouping_and_char_len(self):
-        doc = tokenize_document("The cat sat. It purred!")
-        assert doc.sentences == (("The", "cat", "sat"), ("It", "purred"))
-        assert doc.tokens == ["The", "cat", "sat", "It", "purred"]
-        assert doc.raw_char_len == len("The cat sat. It purred!")
+class TestTokenizeAcrossSentences:
+    """Tokenizing a whole text gives its sentences' tokens, in order."""
+
+    def test_hand_example(self):
+        text = "The cat sat. It purred!"
+        assert [tokenize(s) for s in sentence_split(text)] == [
+            ["The", "cat", "sat"],
+            ["It", "purred"],
+        ]
+        assert tokenize(text) == ["The", "cat", "sat", "It", "purred"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["don't", "stop-me", "día", "a.b", "x_y", "-", "'", ".", "!", "?",
+                 " ", "  ", "\n", "\t", "\u2003", "’", "e.g.", "9"]
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_whole_text_equals_sentence_by_sentence(self, text):
+        by_sentence = [tok for s in sentence_split(text) for tok in tokenize(s)]
+        assert tokenize(text) == by_sentence
 
 
 class TestSyllablesEnglish:

@@ -13,8 +13,10 @@ reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
 ``Infinity``, as a JSON number or inside an array, or a number too large
 for a double, such as ``1e400``, is refused when read, and so is one
 nested too deeply for the JSON decoder.
-Checkpoints of format version 1 stored arrays as nested JSON lists; they
-are refused and the model must be retrained.
+Checkpoints of an older format version are refused and the model must be
+retrained: version 1 stored arrays as nested JSON lists, and version 2
+models were trained on n-gram features of an earlier hash than the
+splitmix64 chain that a version 3 featurizer names.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, decode_utf8
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MODEL_KINDS = ("neural", "gbt", "knn", "svm", "ensemble")
 

@@ -4,8 +4,12 @@ Real document embeddings (for example from a pretrained transformer) are
 expensive to produce and are expected to arrive via file.  The fallback
 embedder is a fully offline, deterministic substitute: it feature-hashes
 character n-grams into a fixed number of signed buckets and L2-normalizes
-the result.  It keeps the whole pipeline runnable anywhere, at the cost of
-weaker features than a learned embedding.  Features travel as matrices:
+the result.  A gram's hash is a splitmix64 chain over its code points,
+keyed by the seed (``GRAM_HASH`` names it; see ``embed_corpus``): feature
+hashing needs a well-mixed 64-bit hash, not a cryptographic one, and this
+one is computed on whole arrays of distinct grams at once.  The embedder
+keeps the whole pipeline runnable anywhere, at the cost of weaker features
+than a learned embedding.  Features travel as matrices:
 ``embed_corpus`` returns one float64 row per document, in corpus order;
 an ``EmbeddingTable`` is only an embedding file read into memory.
 
@@ -26,7 +30,15 @@ import numpy as np
 from .corpus import Corpus, Document
 from .errors import ConfigError, DataError, check_settings, decode_utf8
 
-_BUCKET_MASK = (1 << 63) - 1
+# The name a checkpoint stores for the n-gram hash below; a model trained
+# on features of another hash is refused.
+GRAM_HASH = "splitmix64-chain"
+# The splitmix64 finalizer's constants (Steele, Lea & Flood, OOPSLA 2014).
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (np.uint64(k) for k in (27, 30, 31, 63))
+_BUCKET_MASK = np.uint64((1 << 63) - 1)
 # Documents are counted in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 15
 
@@ -136,22 +148,38 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
     shorter than ``ngram_min`` characters after whitespace normalization
     have no n-grams and map to the zero row; every other row has unit norm.
 
+    A gram of code points c1..cn hashes as a keyed splitmix64 chain:
+    ``h0 = mix(seed)``, ``hk = mix(h(k-1) ^ ck)``, all mod 2**64, where
+    ``mix`` is the splitmix64 finalizer.  The top bit of ``hn`` is the sign,
+    and its low 63 bits modulo ``dim`` pick the bucket.
+
     Documents are counted in blocks of about ``_BLOCK_CHARS`` characters,
     which bounds the call's working memory; within a block each distinct
     n-gram is hashed once, and nothing is cached across calls.  Every bucket
     count and every row's sum of squares is a small integer, exact in any
     summation order, so each row equals the one built gram by gram.
     """
-    key = cfg.seed.to_bytes(8, "little", signed=False)
     # Whitespace normalization keeps the embedding independent of
     # leading, trailing, or repeated whitespace.
     texts = [" ".join(doc.text.split()) for doc in corpus]
     rows = np.zeros((len(texts), cfg.dim), dtype=np.float64)
     for block in _blocks(texts, cfg.ngram_min):
-        rows[block] = _gram_counts([texts[i] for i in block], cfg, key)
+        rows[block] = _gram_counts([texts[i] for i in block], cfg)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     np.divide(rows, norms, out=rows, where=norms > 0.0)
     return rows
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each element of a uint64 array.
+
+    Array arithmetic wraps mod 2**64 without a warning; numpy scalars would
+    warn on overflow, so callers pass arrays.
+    """
+    z = z + _GOLDEN_GAMMA
+    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
+    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
+    return z ^ (z >> _SHIFT_31)
 
 
 def _blocks(texts: list[str], min_chars: int) -> Iterator[list[int]]:
@@ -172,7 +200,7 @@ def _blocks(texts: list[str], min_chars: int) -> Iterator[list[int]]:
         yield block
 
 
-def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig, key: bytes) -> np.ndarray:
+def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig) -> np.ndarray:
     """The (len(texts), dim) signed bucket counts of the texts' n-grams."""
     joined = "".join(texts)
     codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -181,33 +209,26 @@ def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig, key: bytes) -> n
     # the distinct n-grams of the block.  Ranking (id of the (n-1)-gram,
     # rank of the next character) pairs gives the n-gram ids without a
     # limit on n or on code points; ids and ranks stay below the block's
-    # length, so the int64 pair keys cannot wrap.
+    # length, so the int64 pair keys cannot wrap.  hashes[j] is the chain
+    # hash of the n-gram with id j, one step on from its (n-1)-gram's.
     alphabet, chars = np.unique(codes, return_inverse=True)
+    letters = alphabet.astype(np.uint64)
     ids = chars
-    keyed = hashlib.blake2b(digest_size=8, key=key)
+    hashes = _mix(_mix(np.array([cfg.seed], dtype=np.uint64)) ^ letters)
     counts = np.zeros(len(texts) * cfg.dim, dtype=np.float64)
     for n in range(1, cfg.ngram_max + 1):
         if n > 1:
-            ids = np.unique(ids[:-1] * len(alphabet) + chars[n - 1 :], return_inverse=True)[1]
+            pairs, ids = np.unique(
+                ids[:-1] * len(alphabet) + chars[n - 1 :], return_inverse=True
+            )
+            hashes = _mix(hashes[pairs // len(alphabet)] ^ letters[pairs % len(alphabet)])
         if n < cfg.ngram_min:
             continue
         # Only windows that start and end in the same document are n-grams.
         windows = np.flatnonzero(doc[: len(ids)] == doc[n - 1 :])
         grams = ids[windows]
-        # Any window of a gram spells it, whichever one the scatter keeps.
-        spelled_at = np.full(len(ids), -1)
-        spelled_at[grams] = windows
-        distinct = np.flatnonzero(spelled_at >= 0)
-        digests = bytearray()
-        for i in spelled_at[distinct].tolist():
-            h = keyed.copy()  # the same digest as hashing with the key anew
-            h.update(joined[i : i + n].encode("utf-8"))
-            digests += h.digest()
-        hashes = np.frombuffer(digests, dtype=">u8")
-        bucket = np.zeros(len(ids), dtype=np.int64)
-        bucket[distinct] = (hashes & np.uint64(_BUCKET_MASK)) % np.uint64(cfg.dim)
-        sign = np.zeros(len(ids), dtype=np.float64)
-        sign[distinct] = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+        bucket = ((hashes & _BUCKET_MASK) % np.uint64(cfg.dim)).astype(np.int64)
+        sign = np.where(hashes >> _SHIFT_63, -1.0, 1.0)
         counts += np.bincount(
             doc[windows] * cfg.dim + bucket[grams], weights=sign[grams], minlength=len(counts)
         )

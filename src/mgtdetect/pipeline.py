@@ -49,6 +49,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .embeddings import (
+    GRAM_HASH,
     EmbeddingTable,
     FallbackEmbedderConfig,
     embed_corpus,
@@ -179,6 +180,7 @@ def _scaler_from_jsonable(data: dict) -> ScalerParams:
 def _featurizer_to_jsonable(featurizer: Featurizer) -> dict:
     data = {
         "embedder": asdict(featurizer.embedder),
+        "hash": GRAM_HASH,
         "embeddings_path": featurizer.embeddings_path,
     }
     if featurizer.embeddings_path:
@@ -198,6 +200,12 @@ def _featurizer_from_jsonable(data: dict) -> Featurizer:
         scaler = _scaler_from_jsonable(data["scaler"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed featurizer settings: {exc}") from exc
+    if data.get("hash") != GRAM_HASH:
+        named = f"n-gram hash {data['hash']!r}" if "hash" in data else "no n-gram hash"
+        raise DataError(
+            f"featurizer names {named}, but this build hashes n-grams with "
+            f"{GRAM_HASH!r}, so retrain the model"
+        )
     table = embeddings_table(path)
     if table is not None and table.sha256 != pinned:
         raise DataError(

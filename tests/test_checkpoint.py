@@ -30,11 +30,11 @@ from mgtdetect.shallow import KnnModel
 
 from synthdata import synthetic_corpus
 
-# A knn checkpoint written by format version 2, committed so that a change
+# A knn checkpoint written by format version 3, committed so that a change
 # to the stored form shows as a failure here.  Its rows are 10 readability
 # features plus a 1-d hashed embedding.  It is ``save_model`` of
 # ``golden_knn_model()``; write it again only with a new format version.
-GOLDEN_PATH = Path(__file__).parent / "golden" / "knn_v2.json"
+GOLDEN_PATH = Path(__file__).parent / "golden" / "knn_v3.json"
 GOLDEN_KNN = {
     "x": [
         [0.1, -0.0, 5e-324, 1.5, -2.25, 0.0, 3.0, -1e-300, 0.5, 1.0, -1.0],
@@ -356,6 +356,50 @@ class TestGoldenCheckpoint:
         code, out = self._predict(tmp_path, GOLDEN_PATH)
         assert code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 7
+
+    def _golden_edited(self, tmp_path, edit):
+        document = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        edit(document)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return path
+
+    def test_version_2_is_exit_2_with_a_retrain_message(self, tmp_path, capsys):
+        # The golden as format version 2 wrote it: its featurizer names no
+        # hash, because version 2 hashed n-grams with keyed BLAKE2b.
+        def as_version_2(document):
+            document["format_version"] = 2
+            del document["payload"]["featurizer"]["hash"]
+
+        path = self._golden_edited(tmp_path, as_version_2)
+        code, out = self._predict(tmp_path, path)
+        assert code == 2
+        assert not out.exists()
+        assert (
+            f"checkpoint {path} has format version 2; this build reads version 3, "
+            "so retrain the model"
+        ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stored, named", [(None, "no n-gram hash"), ("blake2b", "n-gram hash 'blake2b'")]
+    )
+    def test_other_featurizer_hash_is_exit_2_with_a_retrain_message(
+        self, tmp_path, capsys, stored, named
+    ):
+        def rename_hash(document):
+            featurizer = document["payload"]["featurizer"]
+            del featurizer["hash"]
+            if stored is not None:
+                featurizer["hash"] = stored
+
+        path = self._golden_edited(tmp_path, rename_hash)
+        code, out = self._predict(tmp_path, path)
+        assert code == 2
+        assert not out.exists()
+        assert (
+            f"checkpoint {path}: featurizer names {named}, but this build hashes "
+            "n-grams with 'splitmix64-chain', so retrain the model"
+        ) in capsys.readouterr().err
 
     def test_non_finite_array_is_exit_2(self, tmp_path, capsys):
         kind, payload = load_checkpoint(GOLDEN_PATH)

@@ -1,6 +1,10 @@
 """Command-line workflow: subcommands, exit codes, reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -934,3 +938,43 @@ def test_merge_matches_library_helper(workdir, tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["n_documents"] == len(merged)
+
+
+REPRO_CONFIG = FAST_CONFIG.replace("bases = gbt, knn", "bases = neural, gbt, knn")
+_CLI = "import sys; from mgtdetect.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class TestCrossProcessReproducibility:
+    """Each run is byte-reproducible, also across processes whose str
+    hashes, and so the iteration orders of sets, differ."""
+
+    def _run_in_process(self, workdir, out, kind, hash_seed):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=str(Path(cli.__file__).parents[1]),
+        )
+        corpora = ["--corpus", f"en={workdir / 'en.tsv'}", "--corpus", f"es={workdir / 'es.tsv'}"]
+        model = out / ("model" if kind == "ensemble" else "model.json")
+        for argv in (
+            ["train", *corpora, "--config", str(workdir / "repro.ini"), "--model", kind,
+             "--output", str(model), "--log", str(out / "log.jsonl"), "--mtl", "--vat"],
+            ["predict", *corpora, "--model-path", str(model),
+             "--output", str(out / "predictions.tsv")],
+        ):
+            subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, check=True,
+                           capture_output=True)
+        return {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+
+    @pytest.mark.parametrize("kind", ["ensemble", "svm"])
+    def test_outputs_equal_across_hash_seeds(self, workdir, tmp_path, kind):
+        (workdir / "repro.ini").write_text(REPRO_CONFIG, encoding="utf-8")
+        first, second = (
+            self._run_in_process(workdir, tmp_path / f"seed{seed}", kind, seed)
+            for seed in (1, 2)
+        )
+        assert "log.jsonl" in first and "predictions.tsv" in first
+        assert first == second

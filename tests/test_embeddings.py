@@ -1,4 +1,3 @@
-import hashlib
 from unittest import mock
 
 import numpy as np
@@ -29,12 +28,33 @@ def embed(doc, cfg):
 
 _SIGN_BIT = 1 << 63
 _BUCKET_MASK = _SIGN_BIT - 1
+_MASK_64 = (1 << 64) - 1
+
+
+def splitmix64(z):
+    """The splitmix64 finalizer on a Python int, mod 2**64."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK_64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK_64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK_64
+    return z ^ (z >> 31)
+
+
+def gram_hash(gram, seed):
+    """A gram's keyed chain hash: h0 = mix(seed), hk = mix(h(k-1) ^ ck)."""
+    h = splitmix64(seed)
+    for char in gram:
+        h = splitmix64(h ^ ord(char))
+    return h
+
+
+def bucket_and_sign(gram, seed, dim):
+    h = gram_hash(gram, seed)
+    return (h & _BUCKET_MASK) % dim, -1.0 if h & _SIGN_BIT else 1.0
 
 
 def reference_embed_corpus(corpus, cfg):
     """The embedder built gram by gram, one hash per occurrence through a
     cache: the oracle that ``embed_corpus`` must match bit for bit."""
-    key = cfg.seed.to_bytes(8, "little", signed=False)
     cache: dict[str, tuple[int, float]] = {}
     docs = list(corpus)
     rows = np.zeros((len(docs), cfg.dim), dtype=np.float64)
@@ -47,10 +67,7 @@ def reference_embed_corpus(corpus, cfg):
                 gram = normalized[i : i + n]
                 hit = cache.get(gram)
                 if hit is None:
-                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key)
-                    h = int.from_bytes(digest.digest(), "big")
-                    sign = -1.0 if h & _SIGN_BIT else 1.0
-                    hit = cache[gram] = ((h & _BUCKET_MASK) % cfg.dim, sign)
+                    hit = cache[gram] = bucket_and_sign(gram, cfg.seed, cfg.dim)
                 bucket, sign = hit
                 vec[bucket] += sign
         norm = float(np.sqrt(np.dot(vec, vec)))
@@ -114,6 +131,39 @@ class TestMatchesGramByGramReference:
         assert embed_corpus(docs, cfg).tobytes() == reference_embed_corpus(docs, cfg).tobytes()
 
 
+class TestGramHash:
+    def test_splitmix64_reference_outputs(self):
+        # The first two outputs of splitmix64 from state 0, as published
+        # with the generator: its finalizer's constants and shifts.
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+
+    # (seed, gram, bucket at dim 300, sign): ASCII, precomposed and
+    # combining accents, and astral-plane code points.
+    GOLDEN = [
+        (0, "the", 181, 1.0),
+        (0, "ni\xf1o", 111, -1.0),
+        (0, "\xe9", 53, 1.0),
+        (0, "e\u0301", 89, 1.0),
+        (0, "\U0001F600", 100, -1.0),
+        (0, "a\U0001D538b", 120, -1.0),
+        (2**64 - 1, "the", 102, -1.0),
+        (2**64 - 1, "ni\xf1o", 172, -1.0),
+        (2**64 - 1, "\xe9", 85, 1.0),
+        (2**64 - 1, "e\u0301", 83, 1.0),
+        (2**64 - 1, "\U0001F600", 112, 1.0),
+        (2**64 - 1, "a\U0001D538b", 118, 1.0),
+    ]
+
+    @pytest.mark.parametrize("seed, gram, bucket, sign", GOLDEN)
+    def test_golden_bucket_and_sign(self, seed, gram, bucket, sign):
+        assert bucket_and_sign(gram, seed, 300) == (bucket, sign)
+        cfg = FallbackEmbedderConfig(dim=300, ngram_min=len(gram), ngram_max=len(gram), seed=seed)
+        expected = np.zeros(300)
+        expected[bucket] = sign
+        assert embed(en_doc(gram), cfg).tobytes() == expected.tobytes()
+
+
 class TestFallbackEmbedder:
     def test_unit_norm(self):
         cfg = FallbackEmbedderConfig(dim=64)
@@ -133,17 +183,14 @@ class TestFallbackEmbedder:
         assert not np.array_equal(a, b)
 
     def test_matches_manual_hash_construction(self):
-        # Independent reconstruction: blake2b keyed by the little-endian
-        # seed, top bit is the sign, low 63 bits pick the bucket.
+        # Independent reconstruction: the chain over each gram's code points
+        # keyed by the seed; the top bit is the sign, the low 63 bits pick
+        # the bucket.
         cfg = FallbackEmbedderConfig(dim=16, ngram_min=2, ngram_max=2, seed=5)
         text = "abcd"
         expected = np.zeros(16)
         for gram in ("ab", "bc", "cd"):
-            digest = hashlib.blake2b(
-                gram.encode("utf-8"), digest_size=8,
-                key=(5).to_bytes(8, "little"),
-            ).digest()
-            h = int.from_bytes(digest, "big")
+            h = splitmix64(splitmix64(splitmix64(5) ^ ord(gram[0])) ^ ord(gram[1]))
             sign = -1.0 if h & (1 << 63) else 1.0
             expected[(h & ((1 << 63) - 1)) % 16] += sign
         expected /= np.linalg.norm(expected)

@@ -198,7 +198,7 @@ class TestFeaturizer:
         path = tmp_path / "knn.json"
         save_model(model, path)
         _, payload = load_checkpoint(path)
-        assert list(payload["featurizer"]) == ["embedder", "embeddings_path", "scaler"]
+        assert list(payload["featurizer"]) == ["embedder", "hash", "embeddings_path", "scaler"]
 
 
 class TestTrainModel:

@@ -3,7 +3,9 @@
 One section per subsystem, with defaults equal to the library defaults,
 so an empty or absent file configures the documented behavior.  Unknown
 sections and unknown keys are rejected rather than ignored; a typo in a
-tuning knob should fail loudly, not silently run the defaults.
+tuning knob should fail loudly, not silently run the defaults.  So does a
+removed key: ``[svm] scale_warning_threshold`` warned about a dense Gram
+that svm training no longer builds, and a file that still sets it fails.
 
 ``_SCHEMA`` is the one table of settings: each INI key names, once, the
 ``AppConfig`` field it sets (a dotted path such as ``"embedder.dim"``)
@@ -47,17 +49,11 @@ BASE_MODEL_NAMES = tuple(kind for kind in MODEL_KINDS if kind != "ensemble")
 class SvmSettings:
     C: float = 1.0
     seed: int = 0
-    scale_warning_threshold: int = 5000
 
     def __post_init__(self) -> None:
         check_settings(self)
         if self.C <= 0:
             raise ConfigError(f"svm C must be positive, got {self.C}")
-        if self.scale_warning_threshold < 1:
-            raise ConfigError(
-                "svm scale_warning_threshold must be at least 1, got "
-                f"{self.scale_warning_threshold}"
-            )
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "svm": {
         "c": ("svm.C", _parse_float),
         "seed": ("svm.seed", _parse_seed),
-        "scale_warning_threshold": ("svm.scale_warning_threshold", _parse_int),
     },
     "knn": {
         "k": ("knn_k", _parse_int),

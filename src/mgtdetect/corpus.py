@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -107,28 +108,20 @@ class SplitSpec:
             )
 
 
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"n": "\n", "t": "\t", "\\": "\\"}
+
+
 def _unescape(value: str, path: str, lineno: int) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\":
-            if i + 1 >= len(value):
-                raise DataError(f"{path}:{lineno}: dangling escape in text field")
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                raise DataError(f"{path}:{lineno}: unknown escape \\{nxt}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def replace(match: re.Match) -> str:
+        code = match.group(1)
+        if not code:
+            raise DataError(f"{path}:{lineno}: dangling escape in text field")
+        if code not in _UNESCAPED:
+            raise DataError(f"{path}:{lineno}: unknown escape \\{code}")
+        return _UNESCAPED[code]
+
+    return _ESCAPE.sub(replace, value)
 
 
 def _escape(value: str) -> str:

@@ -26,10 +26,14 @@ to the pairwise evaluation.
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
-training is deterministic for a given seed.  The fitted ``SvmModel`` is
-the support set alone (the support vectors' training rows, texts and
-dual coefficients, plus the bias), because the decision reads nothing
-else; the other training texts and the zero alphas are not kept.
+training is deterministic for a given seed.  It reads kernel values from
+an index over the training texts on demand, as the kernel caches of
+LIBSVM and SVMlight do, so memory grows with the rows SMO's updates use
+times n, not with n squared; every value is bit-equal to the Gram entry.
+The fitted ``SvmModel`` is the support set alone (the support vectors'
+training rows, texts and dual coefficients, plus the bias), because the
+decision reads nothing else; the other training texts and the zero
+alphas are not kept.
 """
 
 from __future__ import annotations
@@ -176,18 +180,30 @@ class _NgramIndex:
         values[nonempty] = raw[nonempty] / np.sqrt(self_q * self.selfs[nonempty])
         return values
 
+    def entry(self, i: int, j: int, normalize: bool) -> float:
+        """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``."""
+        if i == j:  # normalized: 1.0, or 0.0 for a text without n-grams
+            return float(self.selfs[i] > 0) if normalize else float(self.selfs[i])
+        # A text's ids are distinct, so the intersection counts shared ids.
+        shared = np.intersect1d(self.grams_of(i), self.grams_of(j), assume_unique=True).size
+        if not normalize:
+            return float(shared)
+        if self.selfs[i] == 0 or self.selfs[j] == 0:
+            return 0.0
+        return shared / math.sqrt(self.selfs[i] * self.selfs[j])
+
+    def row(self, i: int, normalize: bool) -> np.ndarray:
+        """Kernel of indexed text i with every indexed text."""
+        values = self.kernels(self.shared_counts(self.grams_of(i)), self.selfs[i], normalize)
+        values[i] = self.entry(i, i, normalize)
+        return values
+
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric Gram matrix over a list of texts, in text order."""
 
     matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DataError(f"kernel matrix must be square, got shape {matrix.shape}")
 
 
 def kernel_matrix(texts: Sequence[str], cfg: KernelConfig = KernelConfig()) -> KernelMatrix:
@@ -196,13 +212,7 @@ def kernel_matrix(texts: Sequence[str], cfg: KernelConfig = KernelConfig()) -> K
     if n == 0:
         raise DataError("cannot build a kernel matrix over zero texts")
     index = _NgramIndex(texts, cfg)
-    gram = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        shared = index.shared_counts(index.grams_of(i))
-        gram[i] = index.kernels(shared, index.selfs[i], cfg.normalize)
-        if cfg.normalize and index.selfs[i] > 0:
-            gram[i, i] = 1.0
-    return KernelMatrix(matrix=gram)
+    return KernelMatrix(matrix=np.array([index.row(i, cfg.normalize) for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -254,11 +264,11 @@ def _as_pm1_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def svm_train(
-    kernel: KernelMatrix,
+    texts: Sequence[str],
     labels: Sequence[int] | np.ndarray,
     C: float = 1.0,
     *,
-    texts: Sequence[str],
+    cfg: KernelConfig = KernelConfig(),
     seed: int = 0,
     tol: float = KKT_TOLERANCE,
     max_passes: int = MAX_PASSES,
@@ -267,19 +277,27 @@ def svm_train(
 
     Sweeps all examples, optimizing each KKT violator against a seeded
     random partner, until one full sweep changes nothing or ``max_passes``
-    sweeps elapse.  ``texts`` must align with the kernel rows; the model
-    keeps those of the support vectors for kernel evaluation at prediction
-    time.
+    sweeps elapse.  Kernel rows come from an index over the texts, each
+    computed once per fit and kept; a pair's value comes from a kept row
+    or from ``_NgramIndex.entry``.  No n x n Gram is held.
     """
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
-    K = kernel.matrix
     y = _as_pm1_labels(labels)
-    n = K.shape[0]
+    n = len(texts)
     if y.shape[0] != n:
-        raise DataError(f"{y.shape[0]} labels for {n} kernel rows")
-    if len(texts) != n:
-        raise DataError(f"{len(texts)} texts for {n} kernel rows")
+        raise DataError(f"{y.shape[0]} labels for {n} texts")
+    index = _NgramIndex(texts, cfg)
+    rows: dict[int, np.ndarray] = {}
+
+    def row(t: int) -> np.ndarray:
+        if t not in rows:
+            rows[t] = index.row(t, cfg.normalize)
+        return rows[t]
+
+    def k(a: int, b: int) -> float:
+        # A cached row holds the element formula's bits; most pairs have one.
+        return rows[a][b] if a in rows else index.entry(a, b, cfg.normalize)
 
     rng = np.random.default_rng(seed)
     alpha = np.zeros(n, dtype=np.float64)
@@ -304,7 +322,8 @@ def svm_train(
                 high = min(C, alpha[i] + alpha[j])
             if low >= high:
                 continue
-            eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+            k_ii, k_jj, k_ij = k(i, i), k(j, j), k(i, j)
+            eta = k_ii + k_jj - 2.0 * k_ij
             if eta <= 0:
                 continue
             alpha_j_new = alpha[j] + y[j] * (e_i - e_j) / eta
@@ -314,15 +333,15 @@ def svm_train(
                 continue
             d_i = -y[i] * y[j] * d_j
             alpha_i_new = alpha[i] + d_i
-            b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
-            b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
+            b1 = b - e_i - y[i] * d_i * k_ii - y[j] * d_j * k_ij
+            b2 = b - e_j - y[i] * d_i * k_ij - y[j] * d_j * k_jj
             if 0.0 < alpha_i_new < C:
                 b_new = b1
             elif 0.0 < alpha_j_new < C:
                 b_new = b2
             else:
                 b_new = 0.5 * (b1 + b2)
-            f += y[i] * d_i * K[i, :] + y[j] * d_j * K[j, :] + (b_new - b)
+            f += y[i] * d_i * row(i) + y[j] * d_j * row(j) + (b_new - b)
             alpha[i] = alpha_i_new
             alpha[j] = alpha_j_new
             b = b_new

@@ -32,7 +32,6 @@ one, and a bundle whose bases store different featurizers is refused.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -62,6 +61,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, DataError
 from .evaluation import macro_f1
+# ``kernel_matrix`` is not called here; perfbench/tracer.py wraps it by this name.
 from .kernels import (
     KernelConfig,
     kernel_config_from_jsonable,
@@ -307,16 +307,8 @@ def _fit_knn(featurizer, train, val, cfg, log):
 
 
 def _fit_svm(kernel, train, val, cfg, log):
-    texts = train.inputs
-    if len(texts) > cfg.svm.scale_warning_threshold:
-        warnings.warn(
-            f"svm training on {len(texts)} documents builds a dense "
-            f"{len(texts)}x{len(texts)} kernel matrix; consider a smaller corpus",
-            stacklevel=3,
-        )
-    gram = kernel_matrix(texts, kernel)
     pm1 = np.where(train.labels == 1, 1.0, -1.0)
-    model = svm_train(gram, pm1, C=cfg.svm.C, texts=texts, seed=cfg.svm.seed)
+    model = svm_train(train.inputs, pm1, C=cfg.svm.C, cfg=kernel, seed=cfg.svm.seed)
     log.append(
         {"event": "trained", "model": "svm", "support_vectors": len(model.support_indices)}
     )

@@ -49,7 +49,6 @@ NON_DEFAULT = {
     ("neural", "vat_power_iterations"): "2",
     ("svm", "c"): "10.0",
     ("svm", "seed"): "4",
-    ("svm", "scale_warning_threshold"): "100",
     ("knn", "k"): "3",
     ("gbt", "estimators"): "5, 10",
     ("gbt", "depths"): "3",
@@ -203,6 +202,11 @@ threshold_rule = youden
         with pytest.raises(ConfigError, match="lr"):
             load_config(path, environ={})
 
+    def test_removed_svm_scale_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[svm]\nscale_warning_threshold = 5000\n")
+        with pytest.raises(ConfigError, match="scale_warning_threshold"):
+            load_config(path, environ={})
+
     def test_bad_value_cites_location(self, tmp_path):
         path = write_config(tmp_path, "[knn]\nk = three\n")
         with pytest.raises(ConfigError, match=r"\[knn\] k"):
@@ -313,8 +317,6 @@ class TestSettingsValidation:
     def test_svm_settings(self):
         with pytest.raises(ConfigError):
             SvmSettings(C=0.0)
-        with pytest.raises(ConfigError):
-            SvmSettings(scale_warning_threshold=0)
 
     def test_ensemble_settings(self):
         with pytest.raises(ConfigError):

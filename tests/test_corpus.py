@@ -136,6 +136,11 @@ class TestLoadTsv:
         with pytest.raises(DataError, match="escape"):
             load_tsv(path, Language.EN)
 
+    def test_field_ending_in_lone_backslash_rejected(self, tmp_path):
+        path = write(tmp_path / "c.tsv", "id\ttext\tlabel\nd1\tends in \\\thuman\n")
+        with pytest.raises(DataError, match=r"c\.tsv:2: dangling escape"):
+            load_tsv(path, Language.EN)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(tmp_path / "c.tsv", "id\ttext\nd1\tone\nd1\ttwo\n")
         with pytest.raises(DataError, match="duplicate"):

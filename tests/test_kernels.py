@@ -7,6 +7,7 @@ import pytest
 
 from mgtdetect import kernels
 from mgtdetect.checkpoint import decode_array, encode_array
+from mgtdetect.corpus import Label
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.kernels import (
     KernelConfig,
@@ -21,6 +22,9 @@ from mgtdetect.kernels import (
     svm_to_jsonable,
     svm_train,
 )
+from mgtdetect.textprep import preprocess
+
+from synthdata import synthetic_corpus
 
 
 def brute_force_kernel(x, y, cfg):
@@ -180,8 +184,7 @@ class TestSvm:
         # Disjoint n-gram sets: k = 0, so alpha = 1/(1 - k) = 1 and bias 0.
         cfg = KernelConfig()
         texts = ["aaaaaa", "bbbbbb"]
-        km = kernel_matrix(texts, cfg)
-        model = svm_train(km, [1, -1], C=10.0, texts=texts)
+        model = svm_train(texts, [1, -1], C=10.0, cfg=cfg)
         assert model.support_indices == (0, 1)
         np.testing.assert_allclose(model.dual_coef, [1.0, -1.0], atol=1e-12)
         assert model.bias == pytest.approx(0.0, abs=1e-12)
@@ -196,7 +199,7 @@ class TestSvm:
         km = kernel_matrix(texts, cfg)
         k = km.matrix[0, 1]
         assert 0.0 < k < 1.0
-        model = svm_train(km, [1, -1], C=50.0, texts=texts)
+        model = svm_train(texts, [1, -1], C=50.0, cfg=cfg)
         assert model.support_indices == (0, 1)
         alpha = 1.0 / (1.0 - k)
         np.testing.assert_allclose(model.dual_coef, [alpha, -alpha], rtol=1e-9)
@@ -205,7 +208,7 @@ class TestSvm:
     def test_kkt_conditions_hold_at_tolerance(self):
         texts, labels = separable_texts()
         km = kernel_matrix(texts)
-        model = svm_train(km, labels, C=1.0, texts=texts)
+        model = svm_train(texts, labels, C=1.0)
         y = np.asarray(labels, dtype=np.float64)
         alphas = full_alphas(model, labels)
         f = km.matrix @ (alphas * y) + model.bias
@@ -221,23 +224,22 @@ class TestSvm:
 
     def test_separable_training_set_classified_perfectly(self):
         texts, labels = separable_texts()
-        model = svm_train(kernel_matrix(texts), labels, C=1.0, texts=texts)
+        model = svm_train(texts, labels, C=1.0)
         for text, label in zip(texts, labels):
             margin = model.decision(text, KernelConfig())
             assert margin * label > 0
 
     def test_probability_squash(self):
         texts, labels = separable_texts()
-        model = svm_train(kernel_matrix(texts), labels, C=1.0, texts=texts)
+        model = svm_train(texts, labels, C=1.0)
         p_pos = svm_predict_proba(model, texts[0])
         p_neg = svm_predict_proba(model, texts[-1])
         assert p_pos > 0.5 > p_neg
 
     def test_seed_determinism(self):
         texts, labels = separable_texts()
-        km = kernel_matrix(texts)
-        a = svm_train(km, labels, texts=texts, seed=3)
-        b = svm_train(km, labels, texts=texts, seed=3)
+        a = svm_train(texts, labels, seed=3)
+        b = svm_train(texts, labels, seed=3)
         assert a.support_indices == b.support_indices
         assert a.support_texts == b.support_texts
         np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
@@ -245,7 +247,7 @@ class TestSvm:
 
     def test_alphas_respect_box(self):
         texts, labels = separable_texts()
-        model = svm_train(kernel_matrix(texts), labels, C=0.5, texts=texts)
+        model = svm_train(texts, labels, C=0.5)
         alphas = full_alphas(model, labels)
         assert np.all(alphas >= -1e-15)
         assert np.all(alphas <= 0.5 + 1e-15)
@@ -253,24 +255,28 @@ class TestSvm:
     def test_zero_one_labels_rejected(self):
         texts = ["aaaa", "bbbb"]
         with pytest.raises(DataError):
-            svm_train(kernel_matrix(texts), [0, 1], texts=texts)
+            svm_train(texts, [0, 1])
 
     def test_single_class_rejected(self):
         texts = ["aaaa", "bbbb"]
         with pytest.raises(DataError):
-            svm_train(kernel_matrix(texts), [1, 1], texts=texts)
+            svm_train(texts, [1, 1])
 
     def test_bad_c_rejected(self):
         texts = ["aaaa", "bbbb"]
         with pytest.raises(ConfigError):
-            svm_train(kernel_matrix(texts), [1, -1], C=0.0, texts=texts)
+            svm_train(texts, [1, -1], C=0.0)
+
+    def test_label_count_must_match_texts(self):
+        with pytest.raises(DataError, match="3 labels for 2 texts"):
+            svm_train(["aaaa", "bbbb"], [1, -1, 1])
 
 
 class TestSerialization:
     @pytest.mark.parametrize("key", ["support_indices", "dual_coef", "support_texts"])
     def test_support_lengths_must_agree(self, key):
         texts, labels = separable_texts()
-        payload = svm_to_jsonable(svm_train(kernel_matrix(texts), labels, texts=texts))
+        payload = svm_to_jsonable(svm_train(texts, labels))
         if key == "dual_coef":
             payload[key] = encode_array(decode_array(payload[key], np.float64)[:-1])
         else:
@@ -284,7 +290,7 @@ class TestSerialization:
 
     def test_svm_round_trip_preserves_decisions(self):
         texts, labels = separable_texts()
-        model = svm_train(kernel_matrix(texts), labels, texts=texts)
+        model = svm_train(texts, labels)
         restored = svm_from_jsonable(svm_to_jsonable(model))
         for probe in ["aaa bbb fresh", "zzz yyy fresh", "totally new words"]:
             assert restored.decision(probe, KernelConfig()) == model.decision(
@@ -341,10 +347,19 @@ class TestIndexedKernelsAreExact:
         assert np.all(km.matrix == expected)
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_entry_equals_row(self, cfg):
+        texts = edge_case_texts(cfg, seed=13)
+        index = kernels._NgramIndex(texts, cfg)
+        for i in range(len(texts)):
+            row = index.row(i, cfg.normalize)
+            entries = [index.entry(i, j, cfg.normalize) for j in range(len(texts))]
+            assert np.array(entries).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
     def test_decision_equals_pairwise_left_fold(self, cfg):
         texts = edge_case_texts(cfg, seed=23)
         labels = [1 if i % 2 else -1 for i in range(len(texts))]
-        model = svm_train(kernel_matrix(texts, cfg), labels, C=1.0, texts=texts, seed=5)
+        model = svm_train(texts, labels, C=1.0, cfg=cfg, seed=5)
         assert model.support_indices
         rnd = random.Random(31)
         queries = [random_text(rnd, max_len=40) for _ in range(8)] + ["", "XYZWQRST"]
@@ -356,6 +371,116 @@ class TestIndexedKernelsAreExact:
                 expected += coef * spectrum_kernel(texts[idx], query, cfg)
             assert bits(model.decision(query, cfg)) == bits(expected)
             assert bits(restored.decision(query, cfg)) == bits(expected)
+
+
+def dense_smo(K, y, C, seed, tol=kernels.KKT_TOLERANCE, max_passes=kernels.MAX_PASSES):
+    """Reference SMO over a dense Gram, the loop ``svm_train`` ran before it
+    read kernel values from the index.  Returns the alphas, the bias and the
+    indices whose rows the updates added to the decision values."""
+    n = K.shape[0]
+    rng = np.random.default_rng(seed)
+    alpha = np.zeros(n, dtype=np.float64)
+    b = 0.0
+    f = np.full(n, b, dtype=np.float64)
+    updated = set()
+    for _ in range(max_passes):
+        num_changed = 0
+        for i in range(n):
+            e_i = f[i] - y[i]
+            r_i = e_i * y[i]
+            if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0)):
+                continue
+            j = int((i + 1 + rng.integers(n - 1)) % n)
+            e_j = f[j] - y[j]
+            if y[i] != y[j]:
+                low = max(0.0, alpha[j] - alpha[i])
+                high = min(C, C + alpha[j] - alpha[i])
+            else:
+                low = max(0.0, alpha[i] + alpha[j] - C)
+                high = min(C, alpha[i] + alpha[j])
+            if low >= high:
+                continue
+            eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+            if eta <= 0:
+                continue
+            alpha_j_new = alpha[j] + y[j] * (e_i - e_j) / eta
+            alpha_j_new = min(high, max(low, alpha_j_new))
+            d_j = alpha_j_new - alpha[j]
+            if abs(d_j) < 1e-12:
+                continue
+            d_i = -y[i] * y[j] * d_j
+            alpha_i_new = alpha[i] + d_i
+            b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
+            b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
+            if 0.0 < alpha_i_new < C:
+                b_new = b1
+            elif 0.0 < alpha_j_new < C:
+                b_new = b2
+            else:
+                b_new = 0.5 * (b1 + b2)
+            f += y[i] * d_i * K[i, :] + y[j] * d_j * K[j, :] + (b_new - b)
+            alpha[i] = alpha_i_new
+            alpha[j] = alpha_j_new
+            b = b_new
+            updated.update((i, j))
+            num_changed += 1
+        if num_changed == 0:
+            break
+    return alpha, b, updated
+
+
+def edge_case_problem(cfg, seed):
+    """Edge-case texts with seeded random labels, both classes present."""
+    texts = edge_case_texts(cfg, seed=seed)
+    rnd = random.Random(seed)
+    labels = np.array([1.0, -1.0] + [rnd.choice((1.0, -1.0)) for _ in texts[2:]])
+    return texts, labels
+
+
+class TestSvmMatchesDenseReference:
+    """Training from the index reproduces the dense-Gram SMO bit for bit,
+    and computes only the kernel rows that SMO's updates use."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_solution_is_bit_identical(self, cfg, seed):
+        texts, labels = edge_case_problem(cfg, seed)
+        alpha, b, _ = dense_smo(kernel_matrix(texts, cfg).matrix, labels, 1.0, seed)
+        model = svm_train(texts, labels, C=1.0, cfg=cfg, seed=seed)
+        support = np.flatnonzero(alpha > kernels._SUPPORT_EPS)
+        assert model.support_indices == tuple(support.tolist())
+        assert model.dual_coef.tobytes() == (alpha[support] * labels[support]).tobytes()
+        assert bits(model.bias) == bits(b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_rows_computed_are_those_updates_use(self, cfg, seed, rows_computed):
+        texts, labels = edge_case_problem(cfg, seed)
+        _, _, updated = dense_smo(kernel_matrix(texts, cfg).matrix, labels, 1.0, seed)
+        rows_computed.clear()  # kernel_matrix reads every row
+        svm_train(texts, labels, C=1.0, cfg=cfg, seed=seed)
+        assert len(rows_computed) == len(set(rows_computed)) == len(updated)
+        assert set(rows_computed) == updated
+
+    def test_rows_computed_fall_below_n(self, rows_computed):
+        corpus = synthetic_corpus(80, 80, seed=1)
+        texts = [preprocess(d.text, d.language) for d in corpus]
+        texts += edge_case_texts(KernelConfig(), seed=0)[-3:]
+        labels = [1 if d.label is Label.GENERATED else -1 for d in corpus] + [1, -1, 1]
+        svm_train(texts, labels, C=1.0)
+        assert 0 < len(rows_computed) < len(texts)
+
+    @pytest.fixture
+    def rows_computed(self, monkeypatch):
+        computed = []
+        row = kernels._NgramIndex.row
+
+        def counting_row(self, i, normalize):
+            computed.append(i)
+            return row(self, i, normalize)
+
+        monkeypatch.setattr(kernels._NgramIndex, "row", counting_row)
+        return computed
 
 
 class TestKernelWork:
@@ -381,7 +506,7 @@ class TestKernelWork:
 
     def test_scoring_builds_each_support_and_query_once(self, work):
         texts, labels = separable_texts()
-        model = svm_train(kernel_matrix(texts), labels, C=1.0, texts=texts)
+        model = svm_train(texts, labels, C=1.0)
         s = len(model.support_indices)
         queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
         work.update(ngram_sets=0, pair_intersections=0)
@@ -389,6 +514,11 @@ class TestKernelWork:
             svm_predict_proba(model, query)
         assert s > 1
         assert work == {"ngram_sets": s + len(queries), "pair_intersections": 0}
+
+    def test_svm_train_builds_each_text_once(self, work):
+        texts, labels = edge_case_problem(KernelConfig(), seed=3)
+        svm_train(texts, labels, C=1.0)
+        assert work == {"ngram_sets": len(texts), "pair_intersections": 0}
 
     def test_kernel_matrix_builds_each_text_once(self, work):
         texts = edge_case_texts(KernelConfig(), seed=3)
@@ -399,13 +529,11 @@ class TestKernelWork:
 class TestSmoSweepLimit:
     def test_warns_when_stopped_at_the_sweep_limit(self):
         texts, labels = separable_texts()
-        km = kernel_matrix(texts)
         with pytest.warns(UserWarning, match="sweep limit of 1 sweeps"):
-            svm_train(km, labels, C=1.0, texts=texts, max_passes=1)
+            svm_train(texts, labels, C=1.0, max_passes=1)
 
     def test_silent_when_a_sweep_changes_nothing(self):
         texts, labels = separable_texts()
-        km = kernel_matrix(texts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            svm_train(km, labels, C=1.0, texts=texts)
+            svm_train(texts, labels, C=1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from mgtdetect import pipeline
 from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
-from mgtdetect.config import AppConfig, EnsembleSettings, SvmSettings
+from mgtdetect.config import AppConfig, EnsembleSettings
 from mgtdetect.corpus import Corpus, SplitSpec, split
 from mgtdetect.embeddings import (
     EmbeddingTable,
@@ -243,13 +243,6 @@ class TestTrainModel:
         unlabeled = synthetic_corpus(5, 5, seed=1, name="u", labeled=False)
         with pytest.raises(DataError):
             train_model("knn", unlabeled, fast_config())
-
-    def test_svm_warns_on_large_kernel(self, base_corpus):
-        cfg = dataclasses.replace(
-            fast_config(), svm=SvmSettings(scale_warning_threshold=2)
-        )
-        with pytest.warns(UserWarning, match="kernel matrix"):
-            train_model("svm", base_corpus, cfg)
 
 
 class TestModelCheckpoints:

@@ -50,20 +50,29 @@ def _current_umask() -> int:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path so readers see either the old file or the new one."""
+    """Write text to path so readers see either the old file or the new one.
+
+    An OS error on the way, such as a path that is a directory, is a
+    :class:`DataError` naming the path, and leaves no temporary file.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.chmod(tmp_name, 0o666 & ~_current_umask())
         os.replace(tmp_name, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp_name)
         except FileNotFoundError:
             pass
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 

@@ -607,6 +607,8 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         threshold = float(manifest["threshold"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed ensemble manifest: {exc}") from exc
+    if not base_names:
+        raise DataError(f"ensemble manifest {manifest_path} lists no base models")
     bases = {}
     thresholds = []
     shared: dict[str, tuple[object, object]] = {}

@@ -18,15 +18,16 @@ Guestrin, KDD 2016), without its histogram approximation: every column is
 stably sorted once per fit, each split partitions that order stably into
 its children, and a node scores every cut of every feature in one
 vectorized pass.  Tree t does not depend on the number of trees, so the
-grid search fits each (depth, rate) pair once, at the largest tree count,
-and scores the smaller counts as prefixes of that fit.
+grid search fits each (depth, rate) pair once, at the largest tree count.
 
 A model also keeps its trees as flat node arrays (feature, threshold,
 children, leaf value), the usual layout for scoring tree ensembles (as in
-QuickScorer, Lucchese et al., SIGIR 2015).  Scoring routes all rows
-through all trees one level per step and adds the trees' outputs in tree
-order, so it gives the same sums, bit for bit, as walking each tree in
-turn.  A prefix of a model reuses the full model's arrays.
+QuickScorer, Lucchese et al., SIGIR 2015), always derived from the trees.
+Scoring routes all rows through all trees one level per step and adds the
+trees' outputs in tree order, so it gives the same sums, bit for bit, as
+walking each tree in turn.  The grid search routes the validation rows
+through a fit once and scores every tree count from the running sum of
+its trees' outputs, the sums a model of that many trees would give.
 """
 
 from __future__ import annotations
@@ -321,32 +322,15 @@ class _ColumnBlock:
             buf[mid : span.stop] = to_right
 
 
-# A node reader returns (feature, threshold, value, left, right).  A leaf
-# reads as feature -1 with no children, and a split as value 0.0.
-def _read_tree_node(node: TreeNode) -> tuple:
-    if node.is_leaf:
-        return -1, 0.0, node.value, None, None
-    return node.feature, node.threshold, 0.0, node.left, node.right
-
-
-def _read_stored_node(data: dict) -> tuple:
-    """Read a node as ``gbt_to_jsonable`` stores it."""
-    if "value" in data:
-        return -1, 0.0, float(data["value"]), None, None
-    feature = int(data["feature"])
-    if feature < 0:
-        raise DataError(f"boosted tree splits on feature {feature}, below 0")
-    return feature, float(data["threshold"]), 0.0, data["left"], data["right"]
-
-
 class _NodeArrays(NamedTuple):
     """A model's trees as flat node arrays, tree after tree, each in preorder.
 
     A split node sends a row left when ``x[feature] <= threshold`` and right
     otherwise, NaN included.  A leaf has feature -1 and is its own left and
     right child, so a row routed for more levels than its tree is deep stays
-    on its leaf.  ``roots`` and ``depths`` hold each tree's first node and
-    depth; ``max_feature`` is the highest split feature, or -1.
+    on its leaf; a split has value 0.0.  ``roots`` and ``depths`` hold each
+    tree's first node and depth; ``max_feature`` is the highest split
+    feature, or -1.
     """
 
     feature: np.ndarray
@@ -359,11 +343,8 @@ class _NodeArrays(NamedTuple):
     max_feature: int
 
     @classmethod
-    def of(cls, trees: Sequence, read=_read_tree_node) -> "_NodeArrays":
-        """Flatten trees whose nodes ``read`` takes apart, with an explicit stack.
-
-        No tree depth makes Python recurse.
-        """
+    def of(cls, trees: Sequence[TreeNode]) -> "_NodeArrays":
+        """Flatten trees with an explicit stack: no tree depth makes Python recurse."""
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -378,22 +359,24 @@ class _NodeArrays(NamedTuple):
             stack = [(tree, -1, 0)]
             while stack:
                 node, parent, level = stack.pop()
-                node_feature, node_threshold, node_value, low, high = read(node)
                 index = len(feature)
                 if parent >= 0:
                     right[parent] = index
-                feature.append(node_feature)
-                threshold.append(node_threshold)
-                value.append(node_value)
-                if low is None:
+                if node.is_leaf:
+                    feature.append(-1)
+                    threshold.append(0.0)
+                    value.append(node.value)
                     left.append(index)
                     right.append(index)
                     depth = max(depth, level)
                 else:
+                    feature.append(node.feature)
+                    threshold.append(node.threshold)
+                    value.append(0.0)
                     left.append(index + 1)  # preorder: the left child is next
                     right.append(-1)
-                    stack.append((high, index, level + 1))
-                    stack.append((low, -1, level + 1))
+                    stack.append((node.right, index, level + 1))
+                    stack.append((node.left, -1, level + 1))
             depths.append(depth)
         return cls(
             feature=np.array(feature, dtype=np.intp),
@@ -404,38 +387,6 @@ class _NodeArrays(NamedTuple):
             roots=np.array(roots, dtype=np.intp),
             depths=np.array(depths, dtype=np.intp),
             max_feature=max(feature, default=-1),
-        )
-
-    def trees(self) -> tuple[TreeNode, ...]:
-        """The trees these arrays hold, built from the last node back."""
-        feature = self.feature.tolist()
-        threshold = self.threshold.tolist()
-        left = self.left.tolist()
-        right = self.right.tolist()
-        value = self.value.tolist()
-        built: list = [None] * len(feature)
-        # In preorder both children come after their split.
-        for index in reversed(range(len(feature))):
-            if left[index] == index:
-                built[index] = TreeNode(value=value[index])
-            else:
-                built[index] = TreeNode(
-                    feature[index], threshold[index], built[left[index]], built[right[index]]
-                )
-        return tuple(built[root] for root in self.roots.tolist())
-
-    def prefix(self, n_trees: int) -> "_NodeArrays":
-        """The arrays of the first ``n_trees`` trees, as views of these."""
-        end = int(self.roots[n_trees]) if n_trees < len(self.roots) else len(self.feature)
-        return _NodeArrays(
-            feature=self.feature[:end],
-            threshold=self.threshold[:end],
-            left=self.left[:end],
-            right=self.right[:end],
-            value=self.value[:end],
-            roots=self.roots[:n_trees],
-            depths=self.depths[:n_trees],
-            max_feature=int(self.feature[:end].max(initial=-1)),
         )
 
     def leaf_values(self, x: np.ndarray) -> np.ndarray:
@@ -458,22 +409,11 @@ class GbtModel:
     trees: tuple[TreeNode, ...]
     learning_rate: float
     base_score: float
-    # The trees as node arrays.  Derived from ``trees`` when not given; when
-    # given, they must be the arrays of exactly these trees.
-    nodes: _NodeArrays | None = field(default=None, compare=False, repr=False)
+    # The trees as node arrays, always derived from ``trees``.
+    nodes: _NodeArrays = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", _NodeArrays.of(self.trees))
-
-    def prefix(self, n_trees: int) -> "GbtModel":
-        """The model of the first ``n_trees`` trees, sharing these node arrays."""
-        return GbtModel(
-            self.trees[:n_trees],
-            self.learning_rate,
-            self.base_score,
-            self.nodes.prefix(n_trees),
-        )
+        object.__setattr__(self, "nodes", _NodeArrays.of(self.trees))
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         x = _check_features(x, "gbt query matrix")
@@ -549,16 +489,40 @@ def gbt_to_jsonable(model: GbtModel) -> dict:
     }
 
 
+def _tree_from_jsonable(data: dict) -> TreeNode:
+    """Build a tree as ``_tree_to_jsonable`` stores it, children first.
+
+    An explicit stack holds the nodes still to build, so no tree depth makes
+    Python recurse.  A split's (feature, threshold) goes back on the stack
+    once its children are queued, and is built from the last two built.
+    """
+    built: list[TreeNode] = []
+    stack: list[tuple[object, tuple[int, float] | None]] = [(data, None)]
+    while stack:
+        node, split = stack.pop()
+        if split is not None:
+            right = built.pop()
+            built.append(TreeNode(*split, left=built.pop(), right=right))
+        elif not isinstance(node, dict):
+            raise TypeError(f"a tree node must be an object, got {type(node).__name__}")
+        elif "value" in node:
+            built.append(TreeNode(value=float(node["value"])))
+        else:
+            feature = int(node["feature"])
+            if feature < 0:
+                raise DataError(f"boosted tree splits on feature {feature}, below 0")
+            stack.append((node, (feature, float(node["threshold"]))))
+            stack.append((node["right"], None))
+            stack.append((node["left"], None))
+    return built.pop()
+
+
 def gbt_from_jsonable(data: dict) -> GbtModel:
     try:
-        # One walk over the stored trees gives the node arrays, and the
-        # trees are built back from those.
-        nodes = _NodeArrays.of(data["trees"], _read_stored_node)
         return GbtModel(
-            trees=nodes.trees(),
+            trees=tuple(_tree_from_jsonable(tree) for tree in data["trees"]),
             learning_rate=float(data["learning_rate"]),
             base_score=float(data["base_score"]),
-            nodes=nodes,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed boosted-tree model: {exc}") from exc
@@ -623,8 +587,10 @@ def grid_search(
 
     Ties resolve to fewer trees, then shallower trees, then the smaller
     rate.  Tree t of a fit does not depend on the number of trees asked
-    for, so each (depth, rate) pair is fit once, at the largest tree count,
-    and a smaller count is scored as that fit's first trees.
+    for, so each (depth, rate) pair is fit once, at the largest tree count.
+    The validation rows are routed through that fit once, and each tree
+    count is scored from the running sum of the trees' outputs, added in
+    tree order as ``predict_raw`` adds them for a model of that many trees.
     """
     x_train = _check_features(x_train, "grid-search training matrix")
     x_val = _check_features(x_val, "grid-search validation matrix")
@@ -641,12 +607,18 @@ def grid_search(
                 max_depth=max_depth,
                 learning_rate=learning_rate,
             )
-            for n_estimators in estimators:
-                model = full.prefix(n_estimators)
-                preds = (gbt_predict_proba_many(model, x_val) >= 0.5).astype(np.int64)
-                rank = (-macro_f1(y_val, preds), n_estimators, max_depth, learning_rate)
+            raw = np.full(x_val.shape[0], full.base_score, dtype=np.float64)
+            scaled = full.learning_rate * full.nodes.leaf_values(x_val)
+            for n_trees, leaves in enumerate(scaled, start=1):
+                raw += leaves
+                if n_trees not in estimators:
+                    continue
+                preds = (_sigmoid(raw) >= 0.5).astype(np.int64)
+                rank = (-macro_f1(y_val, preds), n_trees, max_depth, learning_rate)
                 if best is None or rank < best[0]:
-                    params = GbtHyperparams(n_estimators, max_depth, learning_rate)
-                    best = (rank, model, params)
+                    params = GbtHyperparams(n_trees, max_depth, learning_rate)
+                    best = (rank, full, params)
     assert best is not None
-    return best[1], best[2]
+    _, full, params = best
+    model = GbtModel(full.trees[: params.n_estimators], full.learning_rate, full.base_score)
+    return model, params

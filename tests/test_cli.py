@@ -898,6 +898,34 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("featurize", "--output", "{out}"),
+            ("train", "--model", "knn", "--output", "{out}"),
+            ("train", "--model", "knn", "--output", "{model}", "--log", "{out}"),
+            ("predict", "--model-path", "{ckpt}", "--output", "{out}"),
+            ("evaluate", "--model-path", "{ckpt}", "--output", "{out}"),
+            ("summarize", "--output", "{out}"),
+        ],
+        ids=["featurize", "train-output", "train-log", "predict", "evaluate", "summarize"],
+    )
+    def test_output_path_that_is_a_directory_is_2(
+        self, workdir, knn_checkpoint, tmp_path, capsys, argv
+    ):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        paths = {"out": taken, "model": tmp_path / "model.json", "ckpt": knn_checkpoint}
+        code = _run(
+            *(arg.format(**paths) for arg in argv),
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+        )
+        assert code == 2
+        assert f"data error: cannot write {taken}: " in capsys.readouterr().err
+        assert taken.is_dir()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_config_failure_leaves_no_output_files(self, workdir, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[knn]\nneighbors = 3\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -463,6 +464,17 @@ class TestEnsembleTraining:
         manifest["base_names"] = ["gbt", "gbt"]
         save_checkpoint(path / "manifest.json", "ensemble", manifest)
         with pytest.raises(DataError, match="lists base 'gbt' more than once"):
+            load_model(path)
+
+    def test_manifest_listing_no_base_rejected(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "bundle"
+        save_model(model, path)
+        _, manifest = load_checkpoint(path / "manifest.json")
+        manifest["base_names"] = []
+        save_checkpoint(path / "manifest.json", "ensemble", manifest)
+        want = re.escape(f"manifest {path / 'manifest.json'} lists no base models")
+        with pytest.raises(DataError, match=want):
             load_model(path)
 
     def test_meta_model_wider_than_its_meta_features_rejected(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -528,6 +529,8 @@ class TestGridSearch:
         monkeypatch.setattr(shallow, "gbt_train", counting)
         model, params = grid_search(x, y, xv, yv, grid)
         assert (model, params) == want
+        got = gbt_predict_proba_many(model, xv)
+        assert got.tobytes() == gbt_predict_proba_many(want[0], xv).tobytes()
         # One fit per (depth, rate), each at the largest tree count.
         assert fits == [max(grid.estimators)] * (
             len(set(grid.depths)) * len(set(grid.learning_rates))
@@ -607,16 +610,13 @@ class TestGbtNodeArrays:
 
     @settings(max_examples=100, deadline=None)
     @given(case=tree_models())
-    def test_prefix_shares_the_arrays_and_scores_as_a_fresh_model(self, case):
+    def test_replaced_trees_rederive_the_arrays(self, case):
         model, x = case
         for n in range(len(model.trees) + 1):
-            prefix = model.prefix(n)
-            fresh = GbtModel(model.trees[:n], model.learning_rate, model.base_score)
-            assert prefix == fresh
-            assert prefix.predict_raw(x).tobytes() == fresh.predict_raw(x).tobytes()
-            # Views of the full model's arrays, not a second flattening.
-            value = prefix.nodes.value
-            assert value.size == 0 or np.shares_memory(value, model.nodes.value)
+            fewer = dataclasses.replace(model, trees=model.trees[:n])
+            want = predict_raw_reference(fewer, x)
+            assert fewer.predict_raw(x).tobytes() == want.tobytes()
+            assert len(fewer.nodes.roots) == n
 
     def test_matches_walking_each_trained_tree(self, rng):
         x = np.round(rng.normal(size=(200, 6)), 1)
@@ -628,7 +628,7 @@ class TestGbtNodeArrays:
         want = predict_raw_reference(model, queries)
         assert model.predict_raw(queries).tobytes() == want.tobytes()
 
-    def test_grid_search_flattens_once_per_fit(self, rng, monkeypatch):
+    def test_grid_search_flattens_each_fit_and_the_selected_model(self, rng, monkeypatch):
         x = np.round(rng.normal(size=(60, 3)), 1)
         y = (x[:, 0] > 0).astype(np.int64)
         grid = GbtGrid(estimators=(1, 2, 4), depths=(2, 3), learning_rates=(0.1, 0.3))
@@ -640,8 +640,9 @@ class TestGbtNodeArrays:
             return original(trees)
 
         monkeypatch.setattr(shallow._NodeArrays, "of", counting)
-        grid_search(x, y, x, y, grid)
-        assert flattened == [4] * 4
+        _, params = grid_search(x, y, x, y, grid)
+        # One per (depth, rate) fit at the largest count, then the model returned.
+        assert flattened == [4] * 4 + [params.n_estimators]
 
     def test_decodes_a_tree_deeper_than_the_recursion_limit(self):
         depth = 5000
@@ -683,6 +684,13 @@ class TestSerialization:
         np.testing.assert_array_equal(
             gbt_predict_proba_many(restored, x), gbt_predict_proba_many(model, x)
         )
+
+    @pytest.mark.parametrize("child", [3, None, [], "value"])
+    def test_stored_node_that_is_not_an_object_rejected(self, child):
+        blob = gbt_to_jsonable(_one_split_model(0))
+        blob["trees"][0]["left"] = child
+        with pytest.raises(DataError, match="malformed boosted-tree model"):
+            gbt_from_jsonable(blob)
 
     def test_negative_split_feature_rejected(self):
         blob = gbt_to_jsonable(_one_split_model(-1))

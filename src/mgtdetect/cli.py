@@ -25,7 +25,7 @@ from .checkpoint import MODEL_KINDS, atomic_write_text
 from .config import AppConfig, load_config, with_fields
 from .corpus import Corpus, Language, load_tsv, merge_bilingual, summarize
 from .errors import ConfigError, DataError
-from .evaluation import evaluate_predictions
+from .evaluation import CLASS_NAMES, evaluate_predictions
 from .pipeline import (
     build_raw_features,
     embeddings_table,
@@ -35,9 +35,6 @@ from .pipeline import (
     train_model,
 )
 from .readability import FEATURE_NAMES, format_feature_matrix
-
-LABEL_NAMES = {0: "human", 1: "generated"}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argparse reports usage problems as ConfigError so they exit with 1."""
@@ -170,7 +167,7 @@ def _cmd_train(args) -> int:
 def _format_predictions(ids, probs, labels) -> str:
     lines = ["id\tprobability\tlabel"]
     for doc_id, prob, label in zip(ids, probs, labels):
-        lines.append(f"{doc_id}\t{format(float(prob), '.9g')}\t{LABEL_NAMES[int(label)]}")
+        lines.append(f"{doc_id}\t{format(float(prob), '.9g')}\t{CLASS_NAMES[int(label)]}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,13 @@ input the locally most-sensitive direction is estimated by power iteration
 on the KL divergence, the input is perturbed by epsilon along it, and the
 divergence between the clean and perturbed detection outputs is penalized.
 The clean output and the perturbation are both treated as constants when
-differentiating, and the perturbed forward pass never applies dropout.
+differentiating, and the perturbed forward pass never applies dropout.  A
+training step computes the clean output once, while it searches for the
+perturbation, and reuses it in the loss.
+
+Weights are immutable: ``MlpParams`` marks its arrays read-only, every
+optimizer step builds new arrays, and so a set of weights can be kept by
+reference.  The gradients ``backward`` returns are an ``MlpParams`` too.
 
 Optimization uses AdamW with decoupled weight decay applied to every
 parameter tensor including biases, matching the common framework default.
@@ -19,7 +25,7 @@ parameter tensor including biases, matching the common framework default.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from .checkpoint import decode_array, encode_array
@@ -28,9 +34,6 @@ from .errors import ConfigError, DataError, check_settings
 HIDDEN_UNITS = 64
 PROB_CLAMP = 1e-7
 _POWER_NORM_EPS = 1e-12
-
-_HEAD_FIELDS = ("W1", "b1", "w_bot", "b_bot")
-_LANG_FIELDS = ("w_lang", "b_lang")
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -141,9 +144,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Weights for the one-hidden-layer network.
+    """Weights, or their gradients, for the one-hidden-layer network.
 
-    ``w_lang``/``b_lang`` are None unless the language head exists.
+    ``w_lang``/``b_lang`` are None unless the language head exists.  The
+    arrays are made read-only on construction, so no holder can change
+    weights another holder shares.
     """
 
     W1: np.ndarray
@@ -165,15 +170,10 @@ class MlpParams:
     def has_language_head(self) -> bool:
         return self.w_lang is not None
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            W1=self.W1.copy(),
-            b1=self.b1.copy(),
-            w_bot=self.w_bot.copy(),
-            b_bot=float(self.b_bot),
-            w_lang=None if self.w_lang is None else self.w_lang.copy(),
-            b_lang=None if self.b_lang is None else float(self.b_lang),
-        )
+    def __post_init__(self) -> None:
+        for array in (self.W1, self.b1, self.w_bot, self.w_lang):
+            if array is not None:
+                array.flags.writeable = False
 
 
 def init_params(
@@ -260,16 +260,6 @@ class Batch:
     clean_p_bot: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class Gradients:
-    W1: np.ndarray
-    b1: np.ndarray
-    w_bot: np.ndarray
-    b_bot: float
-    w_lang: np.ndarray | None = None
-    b_lang: np.ndarray | float | None = None
-
-
 def _task_parts(
     params: MlpParams, batch: Batch, mtl: MtlConfig
 ) -> tuple[float, ForwardPass, np.ndarray, np.ndarray | None]:
@@ -304,9 +294,7 @@ def batch_loss(
     if vat.enabled:
         if batch.r_adv is None or batch.clean_p_bot is None:
             raise DataError("vat loss needs r_adv and clean_p_bot on the batch")
-        loss += vat.alpha_vat * vat_loss(
-            params, batch.x, vat, r_adv=batch.r_adv, clean_p=batch.clean_p_bot
-        )
+        loss += vat.alpha_vat * vat_loss(params, batch.x, batch.r_adv, batch.clean_p_bot)
     return float(loss)
 
 
@@ -315,7 +303,7 @@ def backward(
     batch: Batch,
     mtl: MtlConfig = MtlConfig(),
     vat: VatConfig = VatConfig(),
-) -> tuple[float, Gradients]:
+) -> tuple[float, MlpParams]:
     """Loss and analytic gradients for one batch."""
     loss, fwd, dz_bot, dz_lang = _task_parts(params, batch, mtl)
     hd = fwd.hidden_dropped
@@ -349,7 +337,7 @@ def backward(
         d_w1 = d_w1 + x_adv.T @ dz1_adv
         d_b1 = d_b1 + np.sum(dz1_adv, axis=0)
 
-    return float(loss), Gradients(
+    return float(loss), MlpParams(
         W1=d_w1,
         b1=d_b1,
         w_bot=d_w_bot,
@@ -382,6 +370,13 @@ def vat_perturbation(
     down the direction up to sign, both signs are evaluated explicitly and
     the one with the larger divergence wins (ties keep the positive one).
     """
+    return _vat_offsets(params, x, vat, rng)[0]
+
+
+def _vat_offsets(
+    params: MlpParams, x: np.ndarray, vat: VatConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``vat_perturbation``'s offsets and the clean probabilities they used."""
     x = np.asarray(x, dtype=np.float64)
     clean_p = forward(params, x).p_bot
     d = rng.normal(size=x.shape)
@@ -394,7 +389,7 @@ def vat_perturbation(
     kl_plus = _kl_rows(clean_p, forward(params, x + vat.epsilon * d).p_bot)
     kl_minus = _kl_rows(clean_p, forward(params, x - vat.epsilon * d).p_bot)
     signs = np.where(kl_minus > kl_plus, -1.0, 1.0)
-    return vat.epsilon * signs[:, None] * d
+    return vat.epsilon * signs[:, None] * d, clean_p
 
 
 def _normalize_rows(d: np.ndarray) -> np.ndarray:
@@ -404,26 +399,13 @@ def _normalize_rows(d: np.ndarray) -> np.ndarray:
 
 
 def vat_loss(
-    params: MlpParams,
-    x: np.ndarray,
-    vat: VatConfig,
-    rng: np.random.Generator | None = None,
-    r_adv: np.ndarray | None = None,
-    clean_p: np.ndarray | None = None,
+    params: MlpParams, x: np.ndarray, r_adv: np.ndarray, clean_p: np.ndarray
 ) -> float:
-    """Mean KL between clean and perturbed detection outputs.
+    """Mean KL between the clean probabilities and those at ``x + r_adv``.
 
-    ``r_adv`` may be forced for testing; otherwise it is recomputed, which
-    requires ``rng``.  A zero perturbation yields exactly zero loss.
+    A zero perturbation yields exactly zero loss.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if clean_p is None:
-        clean_p = forward(params, x).p_bot
-    if r_adv is None:
-        if rng is None:
-            raise ConfigError("vat_loss needs either r_adv or rng")
-        r_adv = vat_perturbation(params, x, vat, rng)
-    perturbed = forward(params, x + r_adv).p_bot
+    perturbed = forward(params, np.asarray(x, dtype=np.float64) + r_adv).p_bot
     return float(np.mean(_kl_rows(clean_p, perturbed)))
 
 
@@ -441,10 +423,10 @@ class _AdamW:
         self.m: dict[str, np.ndarray | float] = {}
         self.v: dict[str, np.ndarray | float] = {}
 
-    def step(self, params: MlpParams, grads: Gradients) -> MlpParams:
+    def step(self, params: MlpParams, grads: MlpParams) -> MlpParams:
         self.t += 1
         updated: dict[str, np.ndarray | float | None] = {}
-        for name in _HEAD_FIELDS + _LANG_FIELDS:
+        for name in (f.name for f in fields(MlpParams)):
             value = getattr(params, name)
             grad = getattr(grads, name)
             if value is None:
@@ -503,13 +485,6 @@ class EpochRecord:
     train_loss: float
     val_loss: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-        }
-
 
 def _refuse_divergence(epoch: int, which: str, loss: float) -> None:
     if not np.isfinite(loss):
@@ -566,7 +541,7 @@ def train(
     )
     optimizer = _AdamW(cfg)
     n = train_set.x.shape[0]
-    best_params = params.copy()
+    best_params = params
     best_val = np.inf
     bad_epochs = 0
     log: list[EpochRecord] = []
@@ -581,8 +556,7 @@ def train(
                 r_adv = None
                 clean_p = None
                 if vat.enabled:
-                    r_adv = vat_perturbation(params, xb, vat, rng)
-                    clean_p = forward(params, xb).p_bot
+                    r_adv, clean_p = _vat_offsets(params, xb, vat, rng)
                 batch = Batch(
                     x=xb,
                     y_bot=train_set.y_bot[rows],
@@ -606,7 +580,7 @@ def train(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params.copy()
+            best_params = params
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -642,10 +616,16 @@ def params_from_jsonable(data: dict) -> MlpParams:
             ),
             b_lang=float(data["b_lang"]) if "b_lang" in data else None,
         )
+        stored_shape = (data["input_dim"], data["hidden"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed network weights: {exc}") from exc
     if params.W1.ndim != 2 or params.b1.shape != (params.W1.shape[1],):
         raise DataError("malformed network weights: inconsistent layer shapes")
+    if stored_shape != params.W1.shape:
+        raise DataError(
+            f"malformed network weights: input_dim and hidden {stored_shape} "
+            f"do not match W1 shape {params.W1.shape}"
+        )
     if params.w_bot.shape != (params.W1.shape[1],):
         raise DataError("malformed network weights: detection head shape mismatch")
     if params.w_lang is not None and params.w_lang.shape != (params.W1.shape[1],):

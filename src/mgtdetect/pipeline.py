@@ -290,7 +290,7 @@ def _fit_neural(featurizer, train, val, cfg, log):
         hidden=cfg.hidden,
     )
     for record in epochs:
-        log.append({"event": "epoch", "model": "neural", **record.to_json_dict()})
+        log.append({"event": "epoch", "model": "neural", **asdict(record)})
     return params
 
 
@@ -576,10 +576,13 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     bundle = Path(path)
     if bundle.exists() and not bundle.is_dir():
         raise DataError(f"{bundle} exists and is not a directory")
-    bundle.mkdir(parents=True, exist_ok=True)
     stale = [f"{kind}.json" for kind in MODEL_KINDS if kind not in inner.base_names]
-    for name in [_EARLIER_META_FILENAME, *stale]:
-        (bundle / name).unlink(missing_ok=True)
+    try:
+        bundle.mkdir(parents=True, exist_ok=True)
+        for name in [_EARLIER_META_FILENAME, *stale]:
+            (bundle / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {bundle}: {exc}") from exc
     for name, base_threshold in zip(inner.base_names, inner.base_thresholds):
         payload = _adapter_payload(adapter.bases[name], base_threshold)
         save_checkpoint(bundle / f"{name}.json", name, payload)

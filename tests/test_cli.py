@@ -926,6 +926,22 @@ class TestExitCodes:
         assert taken.is_dir()
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    def test_ensemble_output_under_a_regular_file_is_2(self, workdir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n", encoding="utf-8")
+        bundle = afile / "bundle"
+        code = _run(
+            "train",
+            "--corpus", f"en={workdir / 'en.tsv'}",
+            "--corpus", f"es={workdir / 'es.tsv'}",
+            "--config", str(workdir / "fast.ini"),
+            "--model", "ensemble",
+            "--output", str(bundle),
+        )
+        assert code == 2
+        assert f"data error: cannot write {bundle}: " in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "keep\n"
+
     def test_config_failure_leaves_no_output_files(self, workdir, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[knn]\nneighbors = 3\n", encoding="utf-8")

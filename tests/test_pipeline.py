@@ -220,7 +220,9 @@ class TestTrainModel:
         _, log = train_model("neural", base_corpus, fast_config())
         epochs = [e for e in log if e["event"] == "epoch"]
         assert epochs
-        assert all("val_loss" in e for e in epochs)
+        assert all(
+            list(e) == ["event", "model", "epoch", "train_loss", "val_loss"] for e in epochs
+        )
 
     def test_gbt_log_reports_grid_choice(self, base_corpus):
         _, log = train_model("gbt", base_corpus, fast_config())

@@ -13,10 +13,13 @@ reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
 ``Infinity``, as a JSON number or inside an array, or a number too large
 for a double, such as ``1e400``, is refused when read, and so is one
 nested too deeply for the JSON decoder.
-Checkpoints of an older format version are refused and the model must be
-retrained: version 1 stored arrays as nested JSON lists, and version 2
-models were trained on n-gram features of an earlier hash than the
-splitmix64 chain that a version 3 featurizer names.
+Writers write format version 3, and readers read versions 2 and 3.  The
+two differ only in the featurizer, whose ``"hash"`` key version 3 added:
+a version 2 featurizer hashed n-grams with an earlier hash than the
+splitmix64 chain, so the pipeline refuses one that names no hash and the
+model must be retrained, while a version 2 svm, which has no featurizer,
+is read as it is.  Version 1, which stored arrays as nested JSON lists,
+and every other version are refused.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
@@ -38,6 +41,7 @@ import numpy as np
 from .errors import DataError, decode_utf8
 
 FORMAT_VERSION = 3
+READ_VERSIONS = (2, FORMAT_VERSION)
 
 MODEL_KINDS = ("neural", "gbt", "knn", "svm", "ensemble")
 
@@ -177,10 +181,11 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple
     if not isinstance(document, dict):
         raise DataError(f"checkpoint {path} must hold a JSON object")
     version = document.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise DataError(
             f"checkpoint {path} has format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}, so retrain the model"
+            f"this build reads versions {' and '.join(map(str, READ_VERSIONS))}, "
+            "so retrain the model"
         )
     kind = document.get("kind")
     if kind not in MODEL_KINDS:

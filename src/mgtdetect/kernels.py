@@ -372,9 +372,14 @@ def svm_predict_proba(model: SvmModel, text: str, cfg: KernelConfig = KernelConf
     """Margin squashed through the logistic function.
 
     A zero margin maps to probability 0.5; larger margins map monotonically
-    toward 1.
+    toward 1.  A margin below about -709.78, where ``exp`` overflows, maps
+    to 0.
     """
-    return float(1.0 / (1.0 + math.exp(-model.decision(text, cfg))))
+    decision = model.decision(text, cfg)
+    try:
+        return float(1.0 / (1.0 + math.exp(-decision)))
+    except OverflowError:
+        return 0.0
 
 
 def kernel_config_to_jsonable(cfg: KernelConfig) -> dict:

@@ -28,6 +28,10 @@ featurizer's scaled rows, or the kernel's preprocessed texts) runs once per
 corpus part, and every base reading that preparation shares the result.
 So an ensemble's vector-space bases share one featurizer: training fits
 one, and a bundle whose bases store different featurizers is refused.
+
+A fitted detector, one base kind or an ensemble alike, is one record,
+``TrainedModel``: its base models by kind, their preparations by key and,
+for an ensemble, the stacking layer over the bases' probabilities.
 """
 
 from __future__ import annotations
@@ -369,61 +373,50 @@ if tuple(_KINDS) != BASE_MODEL_NAMES:
 
 
 @dataclass(frozen=True)
-class BaseAdapter:
-    """One fitted base: its kind, its model and its input preparation."""
-
-    kind: str
-    model: object
-    prep: Featurizer | KernelConfig
-
-    def score(self, inputs) -> np.ndarray:
-        return _KINDS[self.kind].score(self.model, self.prep, inputs)
-
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return self.score(_KINDS[self.kind].prep.inputs(self.prep, corpus))
-
-
-def _bases_proba(bases: dict[str, BaseAdapter], corpus: Corpus) -> dict[str, np.ndarray]:
-    """Every base's probabilities, preparing ``corpus`` once per preparation.
-
-    Bases of one kind of preparation share one preparation value: training
-    fits it once and loading a bundle refuses bases that store different ones.
-    """
-    inputs: dict[str, object] = {}
-    probs = {}
-    for name, base in bases.items():
-        prep = _KINDS[base.kind].prep
-        if prep.key not in inputs:
-            inputs[prep.key] = prep.inputs(base.prep, corpus)
-        probs[name] = base.score(inputs[prep.key])
-    return probs
-
-
-@dataclass(frozen=True)
-class EnsembleBase:
-    model: EnsembleModel
-    bases: dict[str, BaseAdapter]
-
-    def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return ensemble_predict_proba(self.model, _bases_proba(self.bases, corpus))
-
-
-@dataclass(frozen=True)
 class TrainedModel:
-    kind: str
-    adapter: object
+    """A fitted detector: base models by kind, shared preparations, optional stack.
+
+    ``models`` maps each base kind to its fitted model, and ``preps`` maps
+    each preparation key to the one fitted value that every base reading it
+    shares.  ``stack`` is the ensemble's stacking layer, or None for a single
+    base kind; ``threshold`` is the detector's decision threshold, which for
+    an ensemble is the stacking layer's.
+    """
+
+    models: dict[str, object]
+    preps: dict[str, object]
     threshold: float = DEFAULT_DECISION_THRESHOLD
+    stack: EnsembleModel | None = None
+
+    @property
+    def kind(self) -> str:
+        if self.stack is not None:
+            return "ensemble"
+        (kind,) = self.models
+        return kind
+
+    def base_probas(self, corpus: Corpus) -> dict[str, np.ndarray]:
+        """Every base's probabilities, preparing ``corpus`` once per preparation."""
+        inputs: dict[str, object] = {}
+        probs = {}
+        for kind, model in self.models.items():
+            spec = _KINDS[kind]
+            key = spec.prep.key
+            if key not in inputs:
+                inputs[key] = spec.prep.inputs(self.preps[key], corpus)
+            probs[kind] = spec.score(model, self.preps[key], inputs[key])
+        return probs
 
     def predict_proba(self, corpus: Corpus) -> np.ndarray:
-        return self.adapter.predict_proba(corpus)
-
-    def predict_labels(self, corpus: Corpus) -> np.ndarray:
-        return (self.predict_proba(corpus) >= self.threshold).astype(np.int64)
+        probs = self.base_probas(corpus)
+        if self.stack is None:
+            return probs[self.kind]
+        return ensemble_predict_proba(self.stack, probs)
 
 
 def _train_bases(
     kinds, train: Corpus, val: Corpus, cfg: AppConfig, log: list[dict]
-) -> dict[str, BaseAdapter]:
+) -> TrainedModel:
     """Fit each kind on ``train``, reporting validation macro-F1.
 
     Each preparation the kinds use is fitted on ``train`` once and prepares
@@ -431,23 +424,23 @@ def _train_bases(
     """
     y_train = _require_labels(train)
     y_val = _require_labels(val)
-    parts: dict[str, tuple[object, _Part, _Part]] = {}
-    bases = {}
+    parts: dict[str, tuple[_Part, _Part]] = {}
+    models: dict[str, object] = {}
+    preps: dict[str, object] = {}
     for kind in kinds:
         spec = _KINDS[kind]
-        if spec.prep.key not in parts:
-            prep, x_train = spec.prep.fit(train, cfg)
-            x_val = spec.prep.inputs(prep, val)
-            parts[spec.prep.key] = (
-                prep, _Part(train, x_train, y_train), _Part(val, x_val, y_val)
-            )
-        prep, train_part, val_part = parts[spec.prep.key]
-        base = BaseAdapter(kind, spec.fit(prep, train_part, val_part, cfg, log), prep)
-        preds = (base.score(val_part.inputs) >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
+        key = spec.prep.key
+        if key not in preps:
+            preps[key], x_train = spec.prep.fit(train, cfg)
+            x_val = spec.prep.inputs(preps[key], val)
+            parts[key] = (_Part(train, x_train, y_train), _Part(val, x_val, y_val))
+        train_part, val_part = parts[key]
+        models[kind] = spec.fit(preps[key], train_part, val_part, cfg, log)
+        probs = spec.score(models[kind], preps[key], val_part.inputs)
+        preds = (probs >= DEFAULT_DECISION_THRESHOLD).astype(np.int64)
         score = macro_f1(y_val, preds)
         log.append({"event": "validation", "model": kind, "macro_f1": score})
-        bases[kind] = base
-    return bases
+    return TrainedModel(models, preps)
 
 
 def train_model(kind: str, corpus: Corpus, cfg: AppConfig) -> tuple[TrainedModel, list[dict]]:
@@ -459,8 +452,7 @@ def train_model(kind: str, corpus: Corpus, cfg: AppConfig) -> tuple[TrainedModel
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     train_part, val_part = split(corpus, cfg.split)
-    adapter = _train_bases((kind,), train_part, val_part, cfg, log)[kind]
-    return TrainedModel(kind=kind, adapter=adapter), log
+    return _train_bases((kind,), train_part, val_part, cfg, log), log
 
 
 def _train_ensemble_model(
@@ -476,8 +468,8 @@ def _train_ensemble_model(
     fit_part, holdout = split(corpus, holdout_spec)
     train_part, val_part = split(fit_part, cfg.split)
     bases = _train_bases(cfg.ensemble.bases, train_part, val_part, cfg, log)
-    model = train_ensemble(
-        _bases_proba(bases, holdout),
+    stack = train_ensemble(
+        bases.base_probas(holdout),
         _require_labels(holdout),
         grid=cfg.gbt_grid,
         seed=cfg.ensemble.seed,
@@ -491,34 +483,33 @@ def _train_ensemble_model(
             "model": "ensemble",
             "base_thresholds": {
                 name: threshold
-                for name, threshold in zip(model.base_names, model.base_thresholds)
+                for name, threshold in zip(stack.base_names, stack.base_thresholds)
             },
-            "threshold": model.threshold,
-            "meta_hyperparams": model.meta_hyperparams._asdict(),
+            "threshold": stack.threshold,
+            "meta_hyperparams": stack.meta_hyperparams._asdict(),
         }
     )
-    adapter = EnsembleBase(model=model, bases=bases)
-    return TrainedModel(kind="ensemble", adapter=adapter, threshold=model.threshold), log
+    return TrainedModel(bases.models, bases.preps, stack.threshold, stack), log
 
 
-def _adapter_payload(adapter: BaseAdapter, threshold: float) -> dict:
-    spec = _KINDS[adapter.kind]
+def _base_payload(model: TrainedModel, kind: str, threshold: float) -> dict:
+    spec = _KINDS[kind]
     return {
-        spec.model_key: spec.model_to_jsonable(adapter.model),
-        spec.prep.key: spec.prep.to_jsonable(adapter.prep),
+        spec.model_key: spec.model_to_jsonable(model.models[kind]),
+        spec.prep.key: spec.prep.to_jsonable(model.preps[spec.prep.key]),
         "threshold": threshold,
     }
 
 
 def _read_base(
-    path, expected_kind: str | None = None, shared: dict | None = None
-) -> tuple[BaseAdapter, float]:
-    """Read one base checkpoint: the fitted base and its decision threshold.
+    path, preps: dict, entries: dict, expected_kind: str | None = None
+) -> tuple[str, object, float]:
+    """Read one base checkpoint: its kind, its model and its decision threshold.
 
-    ``shared`` maps a preparation key to the stored entry and decoded value
-    of an earlier base of the same bundle.  A base whose entry equals it
-    shares that value, decoded once; one whose entry differs is refused.
-    Every refusal of the payload names the file.
+    The base's preparation is decoded into ``preps``, once per key:
+    ``entries`` maps a key to the stored entry of an earlier base of the
+    same bundle, and a base whose entry differs from it is refused.  Every
+    refusal of the payload names the file.
     """
     kind, payload = load_checkpoint(path, expected_kind=expected_kind)
     if kind == "ensemble":
@@ -527,12 +518,14 @@ def _read_base(
             "pass the bundle directory, not a file inside it"
         )
     try:
-        return _decode_base(kind, payload, {} if shared is None else shared)
+        return _decode_base(kind, payload, preps, entries)
     except DataError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from exc
 
 
-def _decode_base(kind: str, payload: dict, shared: dict) -> tuple[BaseAdapter, float]:
+def _decode_base(
+    kind: str, payload: dict, preps: dict, entries: dict
+) -> tuple[str, object, float]:
     spec = _KINDS[kind]
     key = spec.prep.key
     try:
@@ -546,14 +539,14 @@ def _decode_base(kind: str, payload: dict, shared: dict) -> tuple[BaseAdapter, f
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed threshold: {exc}") from exc
     model = spec.model_from_jsonable(model_data)
-    if key not in shared:
-        shared[key] = (stored, spec.prep.from_jsonable(stored))
-    first, prep = shared[key]
-    if stored != first:
+    if key not in preps:
+        preps[key] = spec.prep.from_jsonable(stored)
+        entries[key] = stored
+    if stored != entries[key]:
         raise DataError(
             f"base {kind!r} stores a {key} that differs from the other bases' {key}"
         )
-    return BaseAdapter(kind=kind, model=model, prep=prep), threshold
+    return kind, model, threshold
 
 
 MANIFEST_FILENAME = "manifest.json"
@@ -564,32 +557,31 @@ _EARLIER_META_FILENAME = "meta.json"
 def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     """Write an ensemble as a directory of base checkpoints plus a manifest.
 
-    Each base is a standalone checkpoint ``<name>.json`` holding its own
+    Each base is a standalone checkpoint ``<kind>.json`` holding its own
     calibrated threshold.  The manifest holds only the stacking layer: base
     order, the meta-model, its hyperparameters and the ensemble threshold.
     Rewriting a bundle first removes the names the layout owns that this
     bundle does not write (an earlier layout's ``meta.json`` and the
     checkpoint of every other model kind); other files stay.
     """
-    adapter: EnsembleBase = model.adapter
-    inner = adapter.model
+    stack = model.stack
     bundle = Path(path)
     if bundle.exists() and not bundle.is_dir():
         raise DataError(f"{bundle} exists and is not a directory")
-    stale = [f"{kind}.json" for kind in MODEL_KINDS if kind not in inner.base_names]
+    stale = [f"{kind}.json" for kind in MODEL_KINDS if kind not in stack.base_names]
     try:
         bundle.mkdir(parents=True, exist_ok=True)
         for name in [_EARLIER_META_FILENAME, *stale]:
             (bundle / name).unlink(missing_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write {bundle}: {exc}") from exc
-    for name, base_threshold in zip(inner.base_names, inner.base_thresholds):
-        payload = _adapter_payload(adapter.bases[name], base_threshold)
-        save_checkpoint(bundle / f"{name}.json", name, payload)
+    for kind, base_threshold in zip(stack.base_names, stack.base_thresholds):
+        payload = _base_payload(model, kind, base_threshold)
+        save_checkpoint(bundle / f"{kind}.json", kind, payload)
     manifest = {
-        "base_names": list(inner.base_names),
-        "meta_model": gbt_to_jsonable(inner.meta_model),
-        "meta_hyperparams": inner.meta_hyperparams._asdict(),
+        "base_names": list(stack.base_names),
+        "meta_model": gbt_to_jsonable(stack.meta_model),
+        "meta_hyperparams": stack.meta_hyperparams._asdict(),
         "threshold": model.threshold,
     }
     save_checkpoint(bundle / MANIFEST_FILENAME, "ensemble", manifest)
@@ -612,42 +604,40 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         raise DataError(f"malformed ensemble manifest: {exc}") from exc
     if not base_names:
         raise DataError(f"ensemble manifest {manifest_path} lists no base models")
-    bases = {}
+    models: dict[str, object] = {}
+    preps: dict[str, object] = {}
+    entries: dict[str, dict] = {}
     thresholds = []
-    shared: dict[str, tuple[object, object]] = {}
     for name in base_names:
-        if name in bases:
+        if name in models:
             raise DataError(f"ensemble manifest lists base {name!r} more than once")
         # A base file must hold the kind it is named after, so a name that
         # is not a base kind points at no file the bundle can use.
         base_path = bundle / f"{name}.json"
         if not base_path.is_file():
             raise DataError(f"ensemble bundle is missing base checkpoint {base_path.name}")
-        bases[name], base_threshold = _read_base(base_path, name, shared)
+        _, models[name], base_threshold = _read_base(base_path, preps, entries, name)
         thresholds.append(base_threshold)
-    inner = EnsembleModel(
+    stack = EnsembleModel(
         base_names=base_names,
         base_thresholds=tuple(thresholds),
         meta_model=meta_model,
         meta_hyperparams=meta_hyperparams,
         threshold=threshold,
     )
-    return TrainedModel(
-        kind="ensemble",
-        adapter=EnsembleBase(model=inner, bases=bases),
-        threshold=threshold,
-    )
+    return TrainedModel(models, preps, threshold, stack)
 
 
 def save_model(model: TrainedModel, path) -> None:
-    if model.kind == "ensemble":
+    if model.stack is not None:
         _save_ensemble_bundle(model, path)
         return
-    save_checkpoint(path, model.kind, _adapter_payload(model.adapter, model.threshold))
+    save_checkpoint(path, model.kind, _base_payload(model, model.kind, model.threshold))
 
 
 def load_model(path) -> TrainedModel:
     if Path(path).is_dir():
         return _load_ensemble_bundle(Path(path))
-    adapter, threshold = _read_base(path)
-    return TrainedModel(adapter.kind, adapter, threshold)
+    preps: dict[str, object] = {}
+    kind, base, threshold = _read_base(path, preps, {})
+    return TrainedModel({kind: base}, preps, threshold)

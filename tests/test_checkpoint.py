@@ -21,10 +21,17 @@ from mgtdetect.checkpoint import (
     save_checkpoint,
 )
 from mgtdetect.cli import main as cli_main
+from mgtdetect.config import AppConfig
 from mgtdetect.corpus import save_tsv
 from mgtdetect.embeddings import FallbackEmbedderConfig
 from mgtdetect.errors import DataError
-from mgtdetect.pipeline import BaseAdapter, Featurizer, TrainedModel, load_model, save_model
+from mgtdetect.pipeline import (
+    Featurizer,
+    TrainedModel,
+    load_model,
+    save_model,
+    train_model,
+)
 from mgtdetect.readability import ScalerParams
 from mgtdetect.shallow import KnnModel
 
@@ -56,7 +63,7 @@ def golden_knn_model() -> TrainedModel:
         ),
     )
     model = KnnModel(x=np.array(GOLDEN_KNN["x"]), labels=np.array(GOLDEN_KNN["labels"]), k=1)
-    return TrainedModel("knn", BaseAdapter(kind="knn", model=model, prep=prep), 0.5)
+    return TrainedModel({"knn": model}, {"featurizer": prep}, 0.5)
 
 
 def _through_json(obj):
@@ -335,8 +342,8 @@ class TestGoldenCheckpoint:
             assert arr.dtype == expected.dtype and arr.shape == expected.shape, name
             assert arr.tobytes() == expected.tobytes(), name
         loaded = load_model(GOLDEN_PATH)
-        assert loaded.adapter.model.x.tobytes() == stored["x"].tobytes()
-        assert loaded.adapter.model.k == 1 and loaded.threshold == 0.5
+        assert loaded.models["knn"].x.tobytes() == stored["x"].tobytes()
+        assert loaded.models["knn"].k == 1 and loaded.threshold == 0.5
 
     def test_writer_reproduces_the_golden_bytes(self, tmp_path):
         save_model(golden_knn_model(), tmp_path / "knn.json")
@@ -376,9 +383,27 @@ class TestGoldenCheckpoint:
         assert code == 2
         assert not out.exists()
         assert (
-            f"checkpoint {path} has format version 2; this build reads version 3, "
-            "so retrain the model"
+            f"checkpoint {path}: featurizer names no n-gram hash, but this build "
+            "hashes n-grams with 'splitmix64-chain', so retrain the model"
         ) in capsys.readouterr().err
+
+    def test_version_2_svm_predicts_as_version_3(self, tmp_path):
+        # An svm payload stores no featurizer, so versions 2 and 3 agree on it.
+        train = synthetic_corpus(10, 10, seed=5, name="svm")
+        model, _ = train_model("svm", train, AppConfig())
+        current = tmp_path / "svm.json"
+        save_model(model, current)
+        document = json.loads(current.read_text(encoding="utf-8"))
+        document["format_version"] = 2
+        older = tmp_path / "svm_v2.json"
+        older.write_text(json.dumps(document), encoding="utf-8")
+        assert load_checkpoint(older) == load_checkpoint(current)
+        code, out = self._predict(tmp_path, current)
+        assert code == 0
+        expected = out.read_bytes()
+        code, out = self._predict(tmp_path, older)
+        assert code == 0
+        assert out.read_bytes() == expected
 
     @pytest.mark.parametrize(
         "stored, named", [(None, "no n-gram hash"), ("blake2b", "n-gram hash 'blake2b'")]

@@ -311,7 +311,7 @@ class TestTrain:
             "manifest.json",
             "notes.txt",
         ]
-        assert load_model(bundle).adapter.model.base_names == ("gbt", "knn")
+        assert load_model(bundle).stack.base_names == ("gbt", "knn")
 
 
 class TestPredict:
@@ -363,6 +363,30 @@ class TestPredict:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 9
+
+    def test_svm_decision_past_the_exp_range_is_human(self, workdir, tmp_path):
+        # exp(-decision) overflows a double below a decision of about -709.78.
+        corpus = tmp_path / "twenty.tsv"
+        save_tsv(synthetic_corpus(10, 10, seed=9, name="twenty"), corpus)
+        ckpt = tmp_path / "svm.json"
+        code = _run(
+            "train", "--corpus", f"en={corpus}", "--model", "svm", "--output", str(ckpt)
+        )
+        assert code == 0
+        kind, payload = load_checkpoint(ckpt)
+        payload["model"]["bias"] = -1000.0
+        save_checkpoint(ckpt, kind, payload)
+        out = tmp_path / "preds.tsv"
+        code = _run(
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
+            "--output", str(out),
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(prob == "0" and label == "human" for _, prob, label in rows)
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -235,6 +236,12 @@ class TestSvm:
         p_pos = svm_predict_proba(model, texts[0])
         p_neg = svm_predict_proba(model, texts[-1])
         assert p_pos > 0.5 > p_neg
+
+    @pytest.mark.parametrize("bias, expected", [(-1000.0, 0.0), (1000.0, 1.0)])
+    def test_probability_at_a_margin_past_the_exp_range(self, bias, expected):
+        texts, labels = separable_texts()
+        model = dataclasses.replace(svm_train(texts, labels, C=1.0), bias=bias)
+        assert svm_predict_proba(model, texts[0]) == expected
 
     def test_seed_determinism(self):
         texts, labels = separable_texts()

@@ -22,7 +22,6 @@ from mgtdetect.ensemble import select_threshold
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.neural import TrainConfig
 from mgtdetect.pipeline import (
-    TrainedModel,
     build_raw_features,
     feature_names,
     fit_featurizer,
@@ -248,6 +247,33 @@ class TestTrainModel:
             train_model("knn", unlabeled, fast_config())
 
 
+class TestTrainedModelRecord:
+    """A fitted detector is its bases by kind, their preparations and an optional stack."""
+
+    @pytest.mark.parametrize("kind", ["neural", "gbt", "knn", "svm", "ensemble"])
+    def test_base_probas_are_kept_by_save_and_load(self, wide_corpus, tmp_path, kind):
+        bases = ("neural", "gbt", "knn", "svm")
+        cfg = dataclasses.replace(fast_config(), ensemble=EnsembleSettings(bases=bases))
+        model, _ = train_model(kind, wide_corpus, cfg)
+        assert model.kind == kind
+        kinds = bases if kind == "ensemble" else (kind,)
+        assert tuple(model.models) == kinds
+        # One entry per preparation key the bases read, in first-use order.
+        assert list(model.preps) == list(dict.fromkeys(PAYLOAD_KEYS[k][1] for k in kinds))
+        probas = model.base_probas(wide_corpus)
+        assert tuple(probas) == kinds
+        if kind != "ensemble":
+            assert model.predict_proba(wide_corpus).tobytes() == probas[kind].tobytes()
+        save_model(model, tmp_path / "model")
+        loaded = load_model(tmp_path / "model")
+        assert loaded.kind == kind
+        assert list(loaded.preps) == list(model.preps)
+        reloaded = loaded.base_probas(wide_corpus)
+        assert tuple(reloaded) == kinds
+        for name in kinds:
+            assert reloaded[name].tobytes() == probas[name].tobytes(), name
+
+
 class TestModelCheckpoints:
     @pytest.mark.parametrize("kind", ["neural", "gbt", "knn", "svm"])
     def test_round_trip_preserves_predictions(self, base_corpus, tmp_path, kind):
@@ -349,7 +375,7 @@ class TestEnsembleTraining:
     def test_kind_threshold_and_log(self, trained):
         model, log = trained
         assert model.kind == "ensemble"
-        assert model.threshold == model.adapter.model.threshold
+        assert model.threshold == model.stack.threshold
         calibrated = [e for e in log if e["event"] == "calibrated"]
         assert len(calibrated) == 1
         assert set(calibrated[0]["base_thresholds"]) == {"gbt", "knn"}
@@ -359,10 +385,6 @@ class TestEnsembleTraining:
         probe = synthetic_corpus(5, 5, seed=11, name="p", labeled=False)
         probs = model.predict_proba(probe)
         assert probs.shape == (10,)
-        labels = model.predict_labels(probe)
-        np.testing.assert_array_equal(
-            labels, (probs >= model.threshold).astype(np.int64)
-        )
 
     def test_round_trip_preserves_predictions(self, trained, wide_corpus, tmp_path):
         model, _ = trained
@@ -391,7 +413,7 @@ class TestEnsembleTraining:
         save_model(model, path)
         kind, manifest = load_checkpoint(path / "manifest.json")
         assert kind == "ensemble"
-        inner = model.adapter.model
+        inner = model.stack
         assert list(manifest) == ["base_names", "meta_model", "meta_hyperparams", "threshold"]
         assert tuple(manifest["base_names"]) == inner.base_names
         assert manifest["threshold"] == model.threshold
@@ -402,15 +424,16 @@ class TestEnsembleTraining:
         model, _ = trained
         path = tmp_path / "bundle"
         save_model(model, path)
-        inner = model.adapter.model
-        for name, base in model.adapter.bases.items():
+        inner = model.stack
+        base_probas = model.base_probas(wide_corpus)
+        for name in model.models:
             standalone = load_model(path / f"{name}.json")
             assert standalone.kind == name
             assert standalone.threshold == (
                 inner.base_thresholds[inner.base_names.index(name)]
             )
             np.testing.assert_array_equal(
-                standalone.predict_proba(wide_corpus), base.predict_proba(wide_corpus)
+                standalone.predict_proba(wide_corpus), base_probas[name]
             )
 
     def test_bundle_missing_base_checkpoint_rejected(self, trained, tmp_path):
@@ -486,7 +509,7 @@ class TestEnsembleTraining:
         path = tmp_path / "bundle"
         save_model(model, path)
         _, manifest = load_checkpoint(path / "manifest.json")
-        inner = model.adapter.model
+        inner = model.stack
         width = inner.meta_matrix({name: np.array([0.5]) for name in inner.base_names}).shape[1]
         manifest["meta_model"]["trees"][0] = {
             "feature": width, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 0.0}
@@ -516,9 +539,8 @@ class TestEnsembleTraining:
         )
         _, holdout = split(wide_corpus, holdout_spec)
         labels = holdout.labels_as_ints()
-        inner = model.adapter.model
-        for name, base in model.adapter.bases.items():
-            probs = base.predict_proba(holdout)
+        inner = model.stack
+        for name, probs in model.base_probas(holdout).items():
             expected = select_threshold(probs, labels, "youden")
             assert inner.base_thresholds[inner.base_names.index(name)] == expected
 
@@ -549,12 +571,12 @@ class TestSvmEnsemble:
         path = tmp_path / "bundle"
         save_model(svm_knn, path)
         standalone = load_model(path / "svm.json")
-        inner = svm_knn.adapter.model
+        inner = svm_knn.stack
         assert standalone.kind == "svm"
         assert standalone.threshold == inner.base_thresholds[inner.base_names.index("svm")]
         np.testing.assert_array_equal(
             standalone.predict_proba(wide_corpus),
-            svm_knn.adapter.bases["svm"].predict_proba(wide_corpus),
+            svm_knn.base_probas(wide_corpus)["svm"],
         )
 
 
@@ -606,8 +628,9 @@ class TestPreparedOnce:
     def test_loaded_bases_share_one_featurizer(self, three_bases, tmp_path):
         model, _ = three_bases
         save_model(model, tmp_path / "bundle")
-        bases = load_model(tmp_path / "bundle").adapter.bases
-        assert bases["neural"].prep is bases["gbt"].prep is bases["knn"].prep
+        loaded = load_model(tmp_path / "bundle")
+        assert list(loaded.models) == ["neural", "gbt", "knn"]
+        assert list(loaded.preps) == ["featurizer"]
 
     def test_bundle_reads_the_embeddings_file_once(
         self, wide_corpus, tmp_path, monkeypatch
@@ -643,21 +666,3 @@ class TestPreparedOnce:
         save_checkpoint(path / "knn.json", "knn", payload)
         with pytest.raises(DataError, match="base 'knn' stores a featurizer"):
             load_model(path)
-
-
-class _FixedScores:
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=np.float64)
-
-    def predict_proba(self, corpus):
-        return self.probs
-
-
-class TestTrainedModel:
-    def test_labels_use_the_stored_threshold(self):
-        model = TrainedModel(
-            kind="knn", adapter=_FixedScores([0.1, 0.6, 0.59, 0.95]), threshold=0.6
-        )
-        np.testing.assert_array_equal(
-            model.predict_labels(None), np.array([0, 1, 0, 1])
-        )

@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from mgtdetect.embeddings import (
     save_embeddings,
 )
 from mgtdetect.errors import ConfigError, DataError
+from synthdata import synthetic_corpus
 
 
 def en_doc(text, doc_id="d"):
@@ -129,6 +131,18 @@ class TestMatchesGramByGramReference:
         cfg = FallbackEmbedderConfig(dim=64)
         docs = en_docs(texts)
         assert embed_corpus(docs, cfg).tobytes() == reference_embed_corpus(docs, cfg).tobytes()
+
+
+class TestGoldenEmbedding:
+    def test_synthetic_corpus_rows(self):
+        # Pinned bytes of a fixed bilingual corpus's rows: any change to the
+        # hash, the bucket, the sign, the counting or the normalization shows
+        # here, even one that an oracle written alongside it would share.
+        rows = embed_corpus(synthetic_corpus(200, 200, seed=1), FallbackEmbedderConfig())
+        assert rows.shape == (400, 300) and rows.dtype == np.float64
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "9dea8160cd9748cf40b939841f69990bf4db4a2be733fe4fbde525c1e59c6258"
+        )
 
 
 class TestGramHash:

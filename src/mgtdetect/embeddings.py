@@ -7,9 +7,10 @@ character n-grams into a fixed number of signed buckets and L2-normalizes
 the result.  A gram's hash is a splitmix64 chain over its code points,
 keyed by the seed (``GRAM_HASH`` names it; see ``embed_corpus``): feature
 hashing needs a well-mixed 64-bit hash, not a cryptographic one, and this
-one is computed on whole arrays of distinct grams at once.  The embedder
-keeps the whole pipeline runnable anywhere, at the cost of weaker features
-than a learned embedding.  Features travel as matrices:
+one gives the hashes of every window of one length from those of the
+windows one shorter in a single array expression.  The embedder keeps the
+whole pipeline runnable anywhere, at the cost of weaker features than a
+learned embedding.  Features travel as matrices:
 ``embed_corpus`` returns one float64 row per document, in corpus order;
 an ``EmbeddingTable`` is only an embedding file read into memory.
 
@@ -153,11 +154,13 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
     ``mix`` is the splitmix64 finalizer.  The top bit of ``hn`` is the sign,
     and its low 63 bits modulo ``dim`` pick the bucket.
 
-    Documents are counted in blocks of about ``_BLOCK_CHARS`` characters,
-    which bounds the call's working memory; within a block each distinct
-    n-gram is hashed once, and nothing is cached across calls.  Every bucket
-    count and every row's sum of squares is a small integer, exact in any
-    summation order, so each row equals the one built gram by gram.
+    Documents are counted in blocks of about ``_BLOCK_CHARS`` characters, so
+    the call's working memory is bounded by the larger of the block and the
+    longest document.  Within a block every window is hashed, each one chain
+    step on from the window one shorter at the same start, and no length past
+    the longest document is tried; nothing is cached across calls.  Every
+    bucket count and every row's sum of squares is a small integer, exact in
+    any summation order, so each row equals the one built gram by gram.
     """
     # Whitespace normalization keeps the embedding independent of
     # leading, trailing, or repeated whitespace.
@@ -202,34 +205,27 @@ def _blocks(texts: list[str], min_chars: int) -> Iterator[list[int]]:
 
 def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig) -> np.ndarray:
     """The (len(texts), dim) signed bucket counts of the texts' n-grams."""
-    joined = "".join(texts)
-    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    chars = np.frombuffer(
+        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    ).astype(np.uint64)
     doc = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
-    # ids[i] numbers the n-gram starting at position i of ``joined`` among
-    # the distinct n-grams of the block.  Ranking (id of the (n-1)-gram,
-    # rank of the next character) pairs gives the n-gram ids without a
-    # limit on n or on code points; ids and ranks stay below the block's
-    # length, so the int64 pair keys cannot wrap.  hashes[j] is the chain
-    # hash of the n-gram with id j, one step on from its (n-1)-gram's.
-    alphabet, chars = np.unique(codes, return_inverse=True)
-    letters = alphabet.astype(np.uint64)
-    ids = chars
-    hashes = _mix(_mix(np.array([cfg.seed], dtype=np.uint64)) ^ letters)
     counts = np.zeros(len(texts) * cfg.dim, dtype=np.float64)
-    for n in range(1, cfg.ngram_max + 1):
+    # hashes[i] is the chain hash of the n-gram starting at position i of
+    # the joined texts, one step on from the (n-1)-gram's there.  No gram
+    # is longer than the longest text, whatever ngram_max is.
+    hashes = _mix(_mix(np.array([cfg.seed], dtype=np.uint64)) ^ chars)
+    for n in range(1, min(cfg.ngram_max, max(map(len, texts))) + 1):
         if n > 1:
-            pairs, ids = np.unique(
-                ids[:-1] * len(alphabet) + chars[n - 1 :], return_inverse=True
-            )
-            hashes = _mix(hashes[pairs // len(alphabet)] ^ letters[pairs % len(alphabet)])
+            hashes = _mix(hashes[:-1] ^ chars[n - 1 :])
         if n < cfg.ngram_min:
             continue
         # Only windows that start and end in the same document are n-grams.
-        windows = np.flatnonzero(doc[: len(ids)] == doc[n - 1 :])
-        grams = ids[windows]
-        bucket = ((hashes & _BUCKET_MASK) % np.uint64(cfg.dim)).astype(np.int64)
-        sign = np.where(hashes >> _SHIFT_63, -1.0, 1.0)
+        start_doc = doc[: len(hashes)]
+        windows = start_doc == doc[n - 1 :]
+        grams = hashes[windows]
+        bucket = ((grams & _BUCKET_MASK) % np.uint64(cfg.dim)).astype(np.int64)
+        sign = np.where(grams >> _SHIFT_63, -1.0, 1.0)
         counts += np.bincount(
-            doc[windows] * cfg.dim + bucket[grams], weights=sign[grams], minlength=len(counts)
+            start_doc[windows] * cfg.dim + bucket, weights=sign, minlength=len(counts)
         )
     return counts.reshape(len(texts), cfg.dim)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from mgtdetect.embeddings import (
     save_embeddings,
 )
 from mgtdetect.errors import ConfigError, DataError
+
 from synthdata import synthetic_corpus
 
 
@@ -234,6 +236,25 @@ class TestFallbackEmbedder:
             FallbackEmbedderConfig(ngram_min=4, ngram_max=3)
         with pytest.raises(ConfigError):
             FallbackEmbedderConfig(ngram_min=0)
+
+    def test_ngram_max_past_the_longest_text_costs_nothing(self):
+        # No n-gram is longer than the longest text, so a huge ngram_max is
+        # the same embedder as ngram_max = that length.  Hashing stops there:
+        # a level loop up to ngram_max would never return.
+        docs = en_docs(["abcdefghijklmnopqrstuvwxyz", "hola mundo", "ab"])
+        real_mix, calls = embeddings._mix, []
+
+        def mix(z):
+            calls.append(len(z))
+            assert len(calls) < 100, "hashed levels past the longest text"
+            return real_mix(z)
+
+        start = time.perf_counter()
+        with mock.patch.object(embeddings, "_mix", mix):
+            rows = embed_corpus(docs, FallbackEmbedderConfig(dim=64, ngram_max=10**9))
+        assert time.perf_counter() - start < 0.5
+        exact = embed_corpus(docs, FallbackEmbedderConfig(dim=64, ngram_max=26))
+        assert rows.tobytes() == exact.tobytes()
 
     def test_empty_corpus_has_no_rows(self):
         rows = embed_corpus([], FallbackEmbedderConfig(dim=12))

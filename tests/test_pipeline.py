@@ -1,17 +1,20 @@
 """End-to-end wiring: feature assembly, training dispatch, model checkpoints."""
 
 import dataclasses
+import functools
 import hashlib
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtdetect import pipeline
 from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
 from mgtdetect.config import AppConfig, EnsembleSettings
-from mgtdetect.corpus import Corpus, SplitSpec, split
+from mgtdetect.corpus import Corpus, Document, Language, SplitSpec, split
 from mgtdetect.embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
@@ -199,6 +202,44 @@ class TestFeaturizer:
         save_model(model, path)
         _, payload = load_checkpoint(path)
         assert list(payload["featurizer"]) == ["embedder", "hash", "embeddings_path", "scaler"]
+
+
+# English and Spanish documents, and texts shorter than SMALL_EMBEDDER's
+# ngram_min, which embed as the zero row.
+_POOL = (
+    *synthetic_corpus(5, 5, seed=11, name="pool"),
+    Document(id="s0", text="hi", language=Language.EN),
+    Document(id="s1", text="sí", language=Language.ES),
+    Document(id="s2", text=" a  ", language=Language.EN),
+)
+
+
+@functools.cache
+def pool_featurizer():
+    """A featurizer fitted once, and each pool document's row featurized alone."""
+    featurizer, _ = fit_featurizer(synthetic_corpus(20, 20, seed=5), fast_config())
+    alone = {doc.id: featurizer.features(Corpus([doc])).tobytes() for doc in _POOL}
+    return featurizer, alone
+
+
+class TestFeaturizerBatchInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        order=st.lists(st.sampled_from(range(len(_POOL))), min_size=1, unique=True),
+        cuts=st.sets(st.integers(1, len(_POOL) - 1)),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, order, cuts):
+        # A document's row is the same alone, at any place in any corpus,
+        # and in any split of that corpus into calls.
+        featurizer, alone = pool_featurizer()
+        docs = [_POOL[i] for i in order]
+        bounds = [0, *sorted(c for c in cuts if c < len(docs)), len(docs)]
+        whole = featurizer.features(Corpus(docs))
+        parts = np.vstack(
+            [featurizer.features(Corpus(docs[a:b])) for a, b in zip(bounds, bounds[1:])]
+        )
+        for doc, row, part in zip(docs, whole, parts):
+            assert row.tobytes() == part.tobytes() == alone[doc.id]
 
 
 class TestTrainModel:

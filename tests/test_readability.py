@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from mgtdetect.readability import (
     transform,
 )
 from mgtdetect.textprep import count_syllables, sentence_split, tokenize
+from synthdata import synthetic_corpus
 
 TOL = 1e-9
 
@@ -230,6 +232,18 @@ class TestMatrixMatchesPerDocument:
         docs = [en_doc("A cat.", "ok"), en_doc("?!", "bad"), en_doc("...", "worse")]
         with pytest.raises(DataError, match="'bad' has no words"):
             readability_matrix(docs)
+
+
+class TestGoldenMatrix:
+    def test_synthetic_corpus_rows(self):
+        # Pinned bytes of a fixed bilingual corpus's rows: any change to the
+        # tokens, the sentence or syllable counts, or the formulas shows
+        # here, even one that an oracle written alongside it would share.
+        rows = readability_matrix(synthetic_corpus(200, 200, seed=1))
+        assert rows.shape == (400, len(FEATURE_NAMES)) and rows.dtype == np.float64
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "4c87444cc48ed073ce7dce30a0b671b3a76cb50b5adfadafbfb4033d07414a70"
+        )
 
 
 class TestAsVector:

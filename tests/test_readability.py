@@ -234,6 +234,88 @@ class TestMatrixMatchesPerDocument:
             readability_matrix(docs)
 
 
+# Pieces of text for the character classes the counts tell apart: letters and
+# digits of every width (U+10400 is outside the BMP, U+0130 lowercases to two
+# characters), the underscore that is not a token character, single, doubled
+# and edge joiners, terminators before every kind of whitespace (U+001C and
+# U+0085 are whitespace to Python but not to ASCII), NUL and a lone surrogate.
+_UNICODE_PIECES = [
+    *"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
+    *"áéíóúüÁÉÍÓÚÜ", "İ", "\U00010400", "²",
+    "'", "’", "-", "''", "’’", "--", "-'",
+    "le", "ue", "aí", "oa", "İe", "eİ",
+    ".", "!", "?",
+    "\x00", "\x1c", "\x85", " ", "\u3000",
+    ".\x1c", "!\x85", "? ", ".\u3000",
+    "\ud800",
+]
+
+
+@st.composite
+def unicode_docs(draw):
+    """Short en/es documents over the pieces above, each with a token."""
+    texts = draw(
+        st.lists(
+            st.lists(st.sampled_from(_UNICODE_PIECES), min_size=1, max_size=40).map("".join),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    languages = draw(
+        st.lists(
+            st.sampled_from([Language.EN, Language.ES]),
+            min_size=len(texts),
+            max_size=len(texts),
+        )
+    )
+    return [
+        Document(id=f"d{i}", text=text, language=language)
+        for i, (text, language) in enumerate(zip(texts, languages))
+        if tokenize(text)
+    ]
+
+
+class TestMatrixOnArbitraryUnicode:
+    """Rows over any characters equal the per-document reference, bit for
+    bit, in a batch and alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=unicode_docs())
+    @example(docs=[en_doc("İe. aİe x-", "a"), es_doc("-İoa’’b\x00c.\x85\ud800", "b")])
+    def test_rows_equal_the_reference_in_a_batch_and_alone(self, docs):
+        matrix = readability_matrix(docs)
+        assert matrix.shape == (len(docs), len(FEATURE_NAMES))
+        for doc, row in zip(docs, matrix):
+            assert row.tobytes() == per_document_row(doc).tobytes()
+            assert readability_matrix([doc])[0].tobytes() == row.tobytes()
+
+
+class TestMatrixEdges:
+    def test_empty_batch_is_an_empty_matrix(self):
+        matrix = readability_matrix([])
+        assert matrix.shape == (0, len(FEATURE_NAMES))
+        assert matrix.dtype == np.float64
+
+    def test_generator_of_documents_is_accepted(self):
+        docs = [en_doc("The cat sat.", "a"), es_doc("El día es bueno.", "b")]
+        rows = readability_matrix(doc for doc in docs)
+        assert rows.tobytes() == readability_matrix(docs).tobytes()
+
+    def test_wordless_document_after_the_first_is_named(self):
+        docs = [en_doc("A cat.", "ok"), en_doc("Two dogs!", "fine"), en_doc(". ?", "bad")]
+        with pytest.raises(DataError, match="^document 'bad' has no words to score$"):
+            readability_matrix(docs)
+
+    def test_lone_surrogate_and_nul_score_as_separators(self):
+        # Neither is a token character nor whitespace: they split tokens but
+        # not sentences, and encoding the text for counting must not fail.
+        docs = [en_doc("cat\ud800dog. a\x00b", "s"), es_doc("\x00Hola mundo.\x00 Sí", "n")]
+        matrix = readability_matrix(docs)
+        assert matrix[:, :5].tolist() == [[4.0, 2.0, 4.0, 0.0, 0.0], [3.0, 1.0, 5.0, 0.0, 0.0]]
+        for doc, row in zip(docs, matrix):
+            assert row.tobytes() == per_document_row(doc).tobytes()
+
+
 class TestGoldenMatrix:
     def test_synthetic_corpus_rows(self):
         # Pinned bytes of a fixed bilingual corpus's rows: any change to the

@@ -12,25 +12,30 @@ The formulas are applied with the package's own token, sentence, and
 syllable heuristics, so scores are internally consistent rather than
 matching any particular external tool.
 
-``readability_matrix`` scores a whole corpus at once: it tokenizes each
-document once, counts the syllables of each distinct (language, token)
-once per call, and evaluates the ten columns as numpy arrays from the
-integer counts.  The formulas apply the same IEEE operations in the same
-order to every element as they do to one document, so every row is the
-same, bit for bit, whichever documents share its call;
+``readability_matrix`` scores a whole batch in one numpy pass over its code
+points.  It joins the texts, looks up each code point's class bits (token
+character, joiner, whitespace, terminator, and the vowel, ``e`` and ``l``
+classes of its lowercase) and finds the tokens, sentence boundaries and
+syllable onsets that ``textprep.tokenize``, ``textprep.sentence_split`` and
+``textprep.count_syllables`` define, as boolean masks summed per token and
+per document.  Those counts are exact integers, and the ten columns apply
+the same IEEE operations in the same order to every element as they do to
+one document, so every row is the same, bit for bit, as the scalar
+definitions give and whichever documents share its call;
 ``readability_features`` is one row of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Document, Language
 from .errors import DataError
-from .textprep import count_syllables, sentence_split, tokenize
+from .textprep import _EN_VOWELS, _ES_STRONG, _ES_VOWELS
 
 FEATURE_NAMES: tuple[str, ...] = (
     "words",
@@ -79,37 +84,212 @@ def smog_index(sentences, polysyllables):
     return 1.0430 * np.sqrt(polysyllables * 30.0 / sentences) + 3.1291
 
 
+# Class bits of a code point.  The first four are what textprep's regular
+# expressions see: ``[^\W_]`` is ``str.isalnum`` and ``\s`` is
+# ``str.isspace``.  The rest are what the syllable counters see, which is
+# the lowercase; a code point whose lowercase has several characters
+# (U+0130) has ``_LOWER_MULTI`` in place of them, and the token characters
+# are expanded to their lowercase where one occurs.
+_ALNUM = 1
+_JOINER = 2  # joins two alnum runs into one token
+_SPACE = 4
+_TERMINATOR = 8  # ends a sentence when whitespace follows
+_LOWER_EN_VOWEL = 16
+_LOWER_ES_VOWEL = 32
+_LOWER_ES_STRONG = 64
+_LOWER_E = 128
+_LOWER_L = 256
+_LOWER_MULTI = 512
+
+# The character classes ``['’-]`` and ``[.!?]`` of textprep's token and
+# sentence-boundary patterns.
+_JOINERS = "'’-"
+_TERMINATORS = ".!?"
+
+# Code points below this get their bits from one table built on first use,
+# in 1-3 ms (the whole BMP would take 40-80 ms); those above are classified
+# per call from their distinct values.  English and Spanish text seldom
+# leaves the first 2048 but for typographic punctuation such as U+2019.
+_TABLE_SIZE = 0x800
+
+
+def _code_points(text: str) -> np.ndarray:
+    # A lone surrogate passes as the one code point it is.
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _lowercase_bits(points: np.ndarray) -> np.ndarray:
+    """The syllable-counter bits of lowercase characters, by code point."""
+    bits = np.zeros(points.size, dtype=np.uint16)
+    for flag, members in (
+        (_LOWER_EN_VOWEL, _EN_VOWELS),
+        (_LOWER_ES_VOWEL, _ES_VOWELS),
+        (_LOWER_ES_STRONG, _ES_STRONG),
+        (_LOWER_E, "e"),
+        (_LOWER_L, "l"),
+    ):
+        bits[np.isin(points, _code_points("".join(members)))] |= flag
+    return bits
+
+
+def _classify(chars: list[str]) -> np.ndarray:
+    """The class bits of each character, as uint16."""
+    n = len(chars)
+    lowered = list(map(str.lower, chars))
+    widths = np.fromiter(map(len, lowered), np.intp, n)
+    first = _code_points("".join(lowered))[np.cumsum(widths) - widths]
+    bits = np.where(widths > 1, _LOWER_MULTI, _lowercase_bits(first)).astype(np.uint16)
+    for flag, test in (
+        (_ALNUM, str.isalnum),
+        (_JOINER, _JOINERS.__contains__),
+        (_SPACE, str.isspace),
+        (_TERMINATOR, _TERMINATORS.__contains__),
+    ):
+        bits[np.fromiter(map(test, chars), bool, n)] |= flag
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _class_table() -> np.ndarray:
+    table = _classify(list(map(chr, range(_TABLE_SIZE))))
+    table.flags.writeable = False  # every call shares it
+    return table
+
+
+def _code_point_bits(points: np.ndarray) -> np.ndarray:
+    table = _class_table()
+    if points.max() < _TABLE_SIZE:
+        return table[points]
+    high = points >= _TABLE_SIZE
+    values, inverse = np.unique(points[high], return_inverse=True)
+    bits = table[np.where(high, 0, points)]
+    bits[high] = _classify(list(map(chr, values.tolist())))[inverse]
+    return bits
+
+
+def _lowered(
+    points: np.ndarray, bits: np.ndarray, continues: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and token continuation of the token characters, lowercased.
+
+    Takes the code points of the token characters in order; returns one
+    entry per character of their lowercase, which is longer than the input
+    only where a code point lowercases to several characters.
+    """
+    multi = np.flatnonzero(bits & _LOWER_MULTI)
+    if not multi.size:
+        return bits, continues
+    expansions = [chr(point).lower() for point in points[multi].tolist()]
+    widths = np.ones(points.size, dtype=np.intp)
+    widths[multi] = list(map(len, expansions))
+    origin = np.repeat(np.arange(points.size), widths)
+    lowered_bits, lowered_continues = bits[origin], continues[origin]
+    for at, expansion in zip((np.cumsum(widths) - widths)[multi].tolist(), expansions):
+        lowered_bits[at : at + len(expansion)] = _lowercase_bits(_code_points(expansion))
+        lowered_continues[at + 1 : at + len(expansion)] = True
+    return lowered_bits, lowered_continues
+
+
+def _syllables(bits: np.ndarray, continues: np.ndarray, spanish: np.ndarray) -> np.ndarray:
+    """Syllables of each token, as ``count_syllables`` counts them.
+
+    ``bits`` and ``continues`` are the lowercased token characters from
+    ``_lowered``; ``spanish`` says which tokens follow the Spanish rules.
+    """
+    heads = np.flatnonzero(~continues)
+    # English counts a run at a vowel after a non-vowel.
+    english_vowel = (bits & _LOWER_EN_VOWEL).astype(bool)
+    run = english_vowel.copy()
+    run[1:] &= ~(english_vowel[:-1] & continues[1:])
+    runs = np.add.reduceat(run, heads, dtype=np.intp)
+    # A trailing silent 'e' drops a run unless an 'l' precedes it in the
+    # token; the token's last character is just before the next head.
+    tails = np.append(heads[1:], bits.size) - 1
+    # (A one-character token does not continue, so whatever precedes it
+    # is masked out, even the wrapped-around last entry.)
+    before_tail = bits[tails - 1] * continues[tails]
+    runs -= ((bits[tails] & _LOWER_E) > 0) & ((before_tail & _LOWER_L) == 0)
+
+    # Spanish counts a nucleus at a vowel after a non-vowel and at a strong
+    # vowel after another strong vowel (hiatus).
+    spanish_vowel = (bits & _LOWER_ES_VOWEL).astype(bool)
+    strong = (bits & _LOWER_ES_STRONG).astype(bool)
+    nucleus = spanish_vowel.copy()
+    nucleus[1:] &= ~(spanish_vowel[:-1] & continues[1:]) | (strong[:-1] & strong[1:])
+    nuclei = np.add.reduceat(nucleus, heads, dtype=np.intp)
+    return np.maximum(np.where(spanish, nuclei, runs), 1)
+
+
 def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
     """Counts and scores of every document, one float64 row each.
 
     Columns follow ``FEATURE_NAMES``.  Raises on the first document without
     any token: the ratio features would be degenerate, and such texts carry
     no readability signal anyway.
+
+    The whole batch is counted at once over the code points of its joined
+    texts, with no character standing between documents (a text may hold
+    any character, NUL included): a document edge is a position, and no
+    token, joiner or sentence boundary reaches across it.  A token is a
+    maximal run of alnum characters and of joiners with an alnum character
+    on both sides, which is what ``textprep.tokenize`` finds.  A document
+    with a token has one sentence more than it has terminators followed by
+    whitespace with a non-whitespace character later in it, which is
+    ``len(textprep.sentence_split(text))``.  Syllables are counted over the
+    lowercase of the token characters by ``count_syllables``'s rules.
     """
-    syllables: dict[Language, dict[str, int]] = {}
-    # words, sentences, syllables, complex words, characters
-    counts: list[tuple[int, int, int, int, int]] = []
-    for doc in docs:
-        # Sentence boundaries consume only whitespace, which no token holds,
-        # so the whole text tokenizes as its sentences do one by one.
-        tokens = tokenize(doc.text)
-        if not tokens:
-            raise DataError(f"document {doc.id!r} has no words to score")
-        known = syllables.setdefault(doc.language, {})
-        for token in set(tokens).difference(known):
-            known[token] = count_syllables(token, doc.language)
-        per_token = list(map(known.__getitem__, tokens))
-        counts.append(
-            (
-                len(tokens),
-                len(sentence_split(doc.text)),
-                sum(per_token),
-                sum(1 for c in per_token if c >= 3),
-                sum(map(len, tokens)),
-            )
-        )
+    docs = list(docs)
+    if not docs:
+        return np.empty((0, len(FEATURE_NAMES)), dtype=np.float64)
+    texts = [doc.text for doc in docs]
+    ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)))
+    points = _code_points("".join(texts))
+    bits = _code_point_bits(points)
+    # linked[i]: positions i and i + 1 are in the same document.
+    linked = np.ones(points.size - 1, dtype=bool)
+    linked[ends[:-1] - 1] = False
+
+    alnum = (bits & _ALNUM).astype(bool)
+    in_token = alnum.copy()
+    in_token[1:-1] |= (
+        ((bits[1:-1] & _JOINER) > 0) & alnum[:-2] & alnum[2:] & linked[:-1] & linked[1:]
+    )
+    # continues[i]: position i is in the token of position i - 1.
+    continues = np.zeros(points.size, dtype=bool)
+    continues[1:] = in_token[1:] & in_token[:-1] & linked
+    token_points = np.flatnonzero(in_token)
+    token_continues = continues[token_points]
+    heads = np.flatnonzero(~token_continues)
+    token_doc = np.searchsorted(ends, token_points[heads], side="right")
+    words = np.bincount(token_doc, minlength=len(docs))
+    if not words.all():
+        bad = docs[int(np.argmin(words))]
+        raise DataError(f"document {bad.id!r} has no words to score")
+    first_token = np.cumsum(words) - words
+    chars = np.add.reduceat(np.diff(np.append(heads, token_points.size)), first_token)
+
+    spanish = np.fromiter((doc.language is Language.ES for doc in docs), bool, len(docs))
+    per_token = _syllables(
+        *_lowered(points[token_points], bits[token_points], token_continues),
+        spanish[token_doc],
+    )
+    syllable_total = np.add.reduceat(per_token, first_token)
+    complex_words = np.add.reduceat(per_token >= 3, first_token, dtype=np.intp)
+
+    # A terminator and the whitespace after it split a sentence when a
+    # non-whitespace character follows in the same document: when the
+    # whitespace starts before the document's trailing whitespace does.
+    boundaries = np.flatnonzero(((bits[:-1] & _TERMINATOR) > 0) & ((bits[1:] & _SPACE) > 0))
+    boundary_doc = np.searchsorted(ends, boundaries, side="right")
+    stripped_ends = ends - np.fromiter(
+        (len(text) - len(text.rstrip()) for text in texts), np.intp, len(texts)
+    )
+    counted = boundary_doc[boundaries + 1 < stripped_ends[boundary_doc]]
+    sentences = 1 + np.bincount(counted, minlength=len(docs))
+
     words, sentences, syllable_total, complex_words, chars = (
-        np.array(counts, dtype=np.float64).reshape(-1, 5).T
+        count.astype(np.float64)
+        for count in (words, sentences, syllable_total, complex_words, chars)
     )
     columns = (
         words,

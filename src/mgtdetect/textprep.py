@@ -12,6 +12,14 @@ simple, documented heuristics; they are consistent and deterministic, not
 linguistically complete.  Known limitation: the sentence splitter treats
 every ``.``, ``!`` or ``?`` followed by whitespace as a boundary, so
 abbreviations like "e.g." or "Mr." start new sentences.
+
+``tokenize``, ``sentence_split`` and ``count_syllables`` are the scalar
+definitions of words, sentences and syllables.  The readability features
+do not call them: ``readability.readability_matrix`` counts a whole batch
+over its code points with numpy, and its counts must equal what these
+functions give document by document (its tests use them as the oracle).
+A change to a rule here, or to the vowel sets it reads, needs the same
+change there.
 """
 
 from __future__ import annotations

@@ -235,10 +235,11 @@ class TestMatrixMatchesPerDocument:
 
 
 # Pieces of text for the character classes the counts tell apart: letters and
-# digits of every width (U+10400 is outside the BMP, U+0130 lowercases to two
-# characters), the underscore that is not a token character, single, doubled
-# and edge joiners, terminators before every kind of whitespace (U+001C and
-# U+0085 are whitespace to Python but not to ASCII), NUL and a lone surrogate.
+# digits in and out of the BMP (U+10400), U+0130 whose lowercase is two
+# characters, the underscore that is not a token character, single, doubled
+# and edge joiners, terminators before kinds of whitespace (U+001C and U+0085
+# are whitespace to str.isspace but not to C's isspace), NUL and a lone
+# surrogate.
 _UNICODE_PIECES = [
     *"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
     *"áéíóúüÁÉÍÓÚÜ", "İ", "\U00010400", "²",

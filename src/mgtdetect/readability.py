@@ -28,14 +28,13 @@ definitions give and whichever documents share its call;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Document, Language
 from .errors import DataError
-from .textprep import _EN_VOWELS, _ES_STRONG, _ES_VOWELS
+from .textprep import _EN_VOWELS, _ES_STRONG, _ES_VOWELS, _JOINERS, _TERMINATORS
 
 FEATURE_NAMES: tuple[str, ...] = (
     "words",
@@ -101,26 +100,10 @@ _LOWER_E = 128
 _LOWER_L = 256
 _LOWER_MULTI = 512
 
-# The character classes ``['’-]`` and ``[.!?]`` of textprep's token and
-# sentence-boundary patterns.
-_JOINERS = "'’-"
-_TERMINATORS = ".!?"
 
-# Code points below this get their bits from one table built on first use,
-# in 1-3 ms (the whole BMP would take 40-80 ms); those above are classified
-# per call from their distinct values.  English and Spanish text seldom
-# leaves the first 2048 but for typographic punctuation such as U+2019.
-_TABLE_SIZE = 0x800
-
-
-def _code_points(text: str) -> np.ndarray:
-    # A lone surrogate passes as the one code point it is.
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-
-
-def _lowercase_bits(points: np.ndarray) -> np.ndarray:
-    """The syllable-counter bits of lowercase characters, by code point."""
-    bits = np.zeros(points.size, dtype=np.uint16)
+def _lowercase_bit_map() -> dict[str, int]:
+    """The syllable-counter bits of the lowercase characters that have any."""
+    bits: dict[str, int] = {}
     for flag, members in (
         (_LOWER_EN_VOWEL, _EN_VOWELS),
         (_LOWER_ES_VOWEL, _ES_VOWELS),
@@ -128,43 +111,50 @@ def _lowercase_bits(points: np.ndarray) -> np.ndarray:
         (_LOWER_E, "e"),
         (_LOWER_L, "l"),
     ):
-        bits[np.isin(points, _code_points("".join(members)))] |= flag
+        for char in members:
+            bits[char] = bits.get(char, 0) | flag
     return bits
 
 
-def _classify(chars: list[str]) -> np.ndarray:
-    """The class bits of each character, as uint16."""
-    n = len(chars)
-    lowered = list(map(str.lower, chars))
-    widths = np.fromiter(map(len, lowered), np.intp, n)
-    first = _code_points("".join(lowered))[np.cumsum(widths) - widths]
-    bits = np.where(widths > 1, _LOWER_MULTI, _lowercase_bits(first)).astype(np.uint16)
-    for flag, test in (
-        (_ALNUM, str.isalnum),
-        (_JOINER, _JOINERS.__contains__),
-        (_SPACE, str.isspace),
-        (_TERMINATOR, _TERMINATORS.__contains__),
-    ):
-        bits[np.fromiter(map(test, chars), bool, n)] |= flag
+_LOWERCASE_BITS = _lowercase_bit_map()
+
+
+def _char_bits(char: str) -> int:
+    lowered = char.lower()
+    bits = _LOWER_MULTI if len(lowered) > 1 else _LOWERCASE_BITS.get(lowered, 0)
+    if char.isalnum():
+        bits |= _ALNUM
+    if char in _JOINERS:
+        bits |= _JOINER
+    if char.isspace():
+        bits |= _SPACE
+    if char in _TERMINATORS:
+        bits |= _TERMINATOR
     return bits
 
 
-@lru_cache(maxsize=None)
-def _class_table() -> np.ndarray:
-    table = _classify(list(map(chr, range(_TABLE_SIZE))))
-    table.flags.writeable = False  # every call shares it
-    return table
+def _code_points(text: str) -> np.ndarray:
+    # A lone surrogate passes as the one code point it is.
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 def _code_point_bits(points: np.ndarray) -> np.ndarray:
-    table = _class_table()
-    if points.max() < _TABLE_SIZE:
-        return table[points]
-    high = points >= _TABLE_SIZE
-    values, inverse = np.unique(points[high], return_inverse=True)
-    bits = table[np.where(high, 0, points)]
-    bits[high] = _classify(list(map(chr, values.tolist())))[inverse]
-    return bits
+    """The class bits of each code point, as uint16.
+
+    Each distinct code point of the batch is classified once.  They are
+    found with a presence mask as long as the largest code point, which
+    costs less than sorting the points for them unless the batch holds a
+    code point above U+80000 (planes 14-16: tags, variation selectors and
+    private use).
+    """
+    size = int(points.max()) + 1
+    present = np.zeros(size, dtype=bool)
+    present[points] = True
+    values = np.flatnonzero(present)
+    lookup = np.zeros(size, dtype=np.uint16)
+    chars = map(chr, values.tolist())
+    lookup[values] = np.fromiter(map(_char_bits, chars), np.uint16, values.size)
+    return lookup[points]
 
 
 def _lowered(
@@ -185,7 +175,9 @@ def _lowered(
     origin = np.repeat(np.arange(points.size), widths)
     lowered_bits, lowered_continues = bits[origin], continues[origin]
     for at, expansion in zip((np.cumsum(widths) - widths)[multi].tolist(), expansions):
-        lowered_bits[at : at + len(expansion)] = _lowercase_bits(_code_points(expansion))
+        lowered_bits[at : at + len(expansion)] = [
+            _LOWERCASE_BITS.get(char, 0) for char in expansion
+        ]
         lowered_continues[at + 1 : at + len(expansion)] = True
     return lowered_bits, lowered_continues
 

@@ -18,8 +18,9 @@ definitions of words, sentences and syllables.  The readability features
 do not call them: ``readability.readability_matrix`` counts a whole batch
 over its code points with numpy, and its counts must equal what these
 functions give document by document (its tests use them as the oracle).
-A change to a rule here, or to the vowel sets it reads, needs the same
-change there.
+It reads the character classes and vowel sets defined here, but restates
+the rules: what joins a token, what ends a sentence, and how syllables
+are counted.  A change to one of those rules needs the same change there.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ from .corpus import Language
 from .errors import DataError
 
 # Tokens are runs of alphanumerics (any script, underscore excluded) that
-# may contain internal apostrophes or hyphens: "don't", "stop-me".
-_TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*", re.UNICODE)
-_SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
+# may contain internal joiners, an apostrophe or a hyphen: "don't", "stop-me".
+_JOINERS = "'’-"
+_TOKEN_RE = re.compile(rf"[^\W_]+(?:[{re.escape(_JOINERS)}][^\W_]+)*", re.UNICODE)
+# A sentence ends at a terminator followed by whitespace.
+_TERMINATORS = ".!?"
+_SENTENCE_BOUNDARY_RE = re.compile(rf"(?<=[{re.escape(_TERMINATORS)}])\s+")
 
 _EN_VOWELS = frozenset("aeiouy")
 # Spanish nuclei: strong vowels and accented weak vowels break vowel
@@ -184,7 +188,7 @@ def _settled_stem(token: str, language: Language) -> str:
     # until stable so a second pipeline pass sees identical tokens.
     current = token
     while True:
-        candidate = stem_word(current, language).strip("'’-")
+        candidate = stem_word(current, language).strip(_JOINERS)
         if candidate == current:
             return current
         current = candidate

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtdetect import pipeline, readability
+from mgtdetect import pipeline
 from mgtdetect.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
 from mgtdetect.config import AppConfig, EnsembleSettings
 from mgtdetect.corpus import Corpus, Document, Language, SplitSpec, split
@@ -327,17 +327,6 @@ class TestModelCheckpoints:
         np.testing.assert_array_equal(
             loaded.predict_proba(base_corpus), model.predict_proba(base_corpus)
         )
-
-    def test_loading_does_not_build_the_readability_table(self, base_corpus, tmp_path):
-        # The code point class table is built on first scoring, so loading
-        # a model stays cheap; serving builds it.
-        model, _ = train_model("knn", base_corpus, fast_config())
-        save_model(model, tmp_path / "knn.json")
-        readability._class_table.cache_clear()
-        loaded = load_model(tmp_path / "knn.json")
-        assert readability._class_table.cache_info().currsize == 0
-        loaded.predict_proba(base_corpus)
-        assert readability._class_table.cache_info().currsize == 1
 
     def test_save_is_byte_stable(self, base_corpus, tmp_path):
         model, _ = train_model("knn", base_corpus, fast_config())

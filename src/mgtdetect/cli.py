@@ -197,7 +197,7 @@ def _cmd_evaluate(args) -> int:
         model=model.kind,
         languages=[doc.language.value for doc in corpus],
     )
-    text = report.to_json() + "\n" if args.format == "json" else report.to_text()
+    text = (report.to_json() if args.format == "json" else report.to_text()) + "\n"
     if args.output:
         atomic_write_text(args.output, text)
         print(f"wrote evaluation report to {args.output}", file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .checkpoint import MODEL_KINDS
 from .corpus import SplitSpec
 from .embeddings import FallbackEmbedderConfig
 from .ensemble import THRESHOLD_RULES
-from .errors import ConfigError, check_settings
+from .errors import ConfigError, DataError, check_settings, decode_utf8
 from .neural import HIDDEN_UNITS, MtlConfig, TrainConfig, VatConfig
 from .shallow import GbtGrid
 
@@ -207,10 +208,13 @@ def _read_values(path: Path) -> dict[str, object]:
     """Parse the INI file into ``{field path: value}``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except (OSError, UnicodeDecodeError) as exc:
+        text = decode_utf8(path.read_bytes(), path)
+        # Universal newlines, as a file opened in text mode reads them.
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except DataError as exc:
+        raise ConfigError(f"cannot read config {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     values: dict[str, object] = {}

@@ -6,6 +6,7 @@ exit codes: configuration problems exit 1, data problems exit 2, anything
 else exits 3.
 """
 
+import codecs
 import dataclasses
 import math
 
@@ -19,12 +20,16 @@ class DataError(ValueError):
 
 
 def decode_utf8(raw: bytes, path: object) -> str:
-    """Decode a file's bytes, refusing invalid UTF-8 with the byte offset."""
+    """Decode a file's bytes, skipping one leading byte-order mark.
+
+    Invalid UTF-8 is refused with its offset from the file's first byte.
+    """
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        return raw.decode("utf-8")
+        return raw[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(
-            f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})"
+            f"{path}: not valid UTF-8 at byte {start + exc.start} ({exc.reason})"
         ) from exc
 
 

@@ -14,15 +14,16 @@ matching any particular external tool.
 
 ``readability_matrix`` scores a whole batch in one numpy pass over its code
 points.  It joins the texts, looks up each code point's class bits (token
-character, joiner, whitespace, terminator, and the vowel, ``e`` and ``l``
-classes of its lowercase) and finds the tokens, sentence boundaries and
-syllable onsets that ``textprep.tokenize``, ``textprep.sentence_split`` and
-``textprep.count_syllables`` define, as boolean masks summed per token and
-per document.  Those counts are exact integers, and the ten columns apply
-the same IEEE operations in the same order to every element as they do to
-one document, so every row is the same, bit for bit, as the scalar
-definitions give and whichever documents share its call;
-``readability_features`` is one row of it.
+character, joiner, whitespace, terminator, the vowel, ``e`` and ``l``
+classes of its lowercase, and whether that lowercase breaks a vowel run) and,
+from those bits and the document ends alone, finds the tokens, sentence
+boundaries and syllable onsets that ``textprep.tokenize``,
+``textprep.sentence_split`` and ``textprep.count_syllables`` define, as
+boolean masks summed per token and per document.  Those counts are exact
+integers, and the ten columns apply the same IEEE operations in the same
+order to every element as they do to one document, so every row is the
+same, bit for bit, as the scalar definitions give and whichever documents
+share its call; ``readability_features`` is one row of it.
 """
 
 from __future__ import annotations
@@ -86,9 +87,12 @@ def smog_index(sentences, polysyllables):
 # Class bits of a code point.  The first four are what textprep's regular
 # expressions see: ``[^\W_]`` is ``str.isalnum`` and ``\s`` is
 # ``str.isspace``.  The rest are what the syllable counters see, which is
-# the lowercase; a code point whose lowercase has several characters
-# (U+0130) has ``_LOWER_MULTI`` in place of them, and the token characters
-# are expanded to their lowercase where one occurs.
+# the lowercase.  A code point whose lowercase has several characters (only
+# U+0130, to "i" + U+0307) has the bits of the first of them and
+# ``_LOWER_BREAK``: the others are in no syllable class, so no vowel run or
+# nucleus continues past it.  The first has no ``e``, ``l`` or strong vowel
+# bit, which the counters would read as the last one's (a test pins both
+# facts on every code point).
 _ALNUM = 1
 _JOINER = 2  # joins two alnum runs into one token
 _SPACE = 4
@@ -98,7 +102,7 @@ _LOWER_ES_VOWEL = 32
 _LOWER_ES_STRONG = 64
 _LOWER_E = 128
 _LOWER_L = 256
-_LOWER_MULTI = 512
+_LOWER_BREAK = 512
 
 
 def _lowercase_bit_map() -> dict[str, int]:
@@ -121,7 +125,9 @@ _LOWERCASE_BITS = _lowercase_bit_map()
 
 def _char_bits(char: str) -> int:
     lowered = char.lower()
-    bits = _LOWER_MULTI if len(lowered) > 1 else _LOWERCASE_BITS.get(lowered, 0)
+    bits = _LOWERCASE_BITS.get(lowered[0], 0)
+    if len(lowered) > 1:
+        bits |= _LOWER_BREAK
     if char.isalnum():
         bits |= _ALNUM
     if char in _JOINERS:
@@ -157,42 +163,19 @@ def _code_point_bits(points: np.ndarray) -> np.ndarray:
     return lookup[points]
 
 
-def _lowered(
-    points: np.ndarray, bits: np.ndarray, continues: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bits and token continuation of the token characters, lowercased.
-
-    Takes the code points of the token characters in order; returns one
-    entry per character of their lowercase, which is longer than the input
-    only where a code point lowercases to several characters.
-    """
-    multi = np.flatnonzero(bits & _LOWER_MULTI)
-    if not multi.size:
-        return bits, continues
-    expansions = [chr(point).lower() for point in points[multi].tolist()]
-    widths = np.ones(points.size, dtype=np.intp)
-    widths[multi] = list(map(len, expansions))
-    origin = np.repeat(np.arange(points.size), widths)
-    lowered_bits, lowered_continues = bits[origin], continues[origin]
-    for at, expansion in zip((np.cumsum(widths) - widths)[multi].tolist(), expansions):
-        lowered_bits[at : at + len(expansion)] = [
-            _LOWERCASE_BITS.get(char, 0) for char in expansion
-        ]
-        lowered_continues[at + 1 : at + len(expansion)] = True
-    return lowered_bits, lowered_continues
-
-
 def _syllables(bits: np.ndarray, continues: np.ndarray, spanish: np.ndarray) -> np.ndarray:
     """Syllables of each token, as ``count_syllables`` counts them.
 
-    ``bits`` and ``continues`` are the lowercased token characters from
-    ``_lowered``; ``spanish`` says which tokens follow the Spanish rules.
+    ``bits`` and ``continues`` are those of the token characters in order;
+    ``spanish`` says which tokens follow the Spanish rules.
     """
     heads = np.flatnonzero(~continues)
+    # carried[i]: a vowel at position i carries its run on to position i + 1.
+    carried = continues[1:] & ((bits[:-1] & _LOWER_BREAK) == 0)
     # English counts a run at a vowel after a non-vowel.
     english_vowel = (bits & _LOWER_EN_VOWEL).astype(bool)
     run = english_vowel.copy()
-    run[1:] &= ~(english_vowel[:-1] & continues[1:])
+    run[1:] &= ~(english_vowel[:-1] & carried)
     runs = np.add.reduceat(run, heads, dtype=np.intp)
     # A trailing silent 'e' drops a run unless an 'l' precedes it in the
     # token; the token's last character is just before the next head.
@@ -207,7 +190,7 @@ def _syllables(bits: np.ndarray, continues: np.ndarray, spanish: np.ndarray) -> 
     spanish_vowel = (bits & _LOWER_ES_VOWEL).astype(bool)
     strong = (bits & _LOWER_ES_STRONG).astype(bool)
     nucleus = spanish_vowel.copy()
-    nucleus[1:] &= ~(spanish_vowel[:-1] & continues[1:]) | (strong[:-1] & strong[1:])
+    nucleus[1:] &= ~(spanish_vowel[:-1] & carried) | (strong[:-1] & strong[1:])
     nuclei = np.add.reduceat(nucleus, heads, dtype=np.intp)
     return np.maximum(np.where(spanish, nuclei, runs), 1)
 
@@ -235,10 +218,9 @@ def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
         return np.empty((0, len(FEATURE_NAMES)), dtype=np.float64)
     texts = [doc.text for doc in docs]
     ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)))
-    points = _code_points("".join(texts))
-    bits = _code_point_bits(points)
+    bits = _code_point_bits(_code_points("".join(texts)))
     # linked[i]: positions i and i + 1 are in the same document.
-    linked = np.ones(points.size - 1, dtype=bool)
+    linked = np.ones(bits.size - 1, dtype=bool)
     linked[ends[:-1] - 1] = False
 
     alnum = (bits & _ALNUM).astype(bool)
@@ -247,7 +229,7 @@ def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
         ((bits[1:-1] & _JOINER) > 0) & alnum[:-2] & alnum[2:] & linked[:-1] & linked[1:]
     )
     # continues[i]: position i is in the token of position i - 1.
-    continues = np.zeros(points.size, dtype=bool)
+    continues = np.zeros(bits.size, dtype=bool)
     continues[1:] = in_token[1:] & in_token[:-1] & linked
     token_points = np.flatnonzero(in_token)
     token_continues = continues[token_points]
@@ -261,22 +243,19 @@ def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
     chars = np.add.reduceat(np.diff(np.append(heads, token_points.size)), first_token)
 
     spanish = np.fromiter((doc.language is Language.ES for doc in docs), bool, len(docs))
-    per_token = _syllables(
-        *_lowered(points[token_points], bits[token_points], token_continues),
-        spanish[token_doc],
-    )
+    per_token = _syllables(bits[token_points], token_continues, spanish[token_doc])
     syllable_total = np.add.reduceat(per_token, first_token)
     complex_words = np.add.reduceat(per_token >= 3, first_token, dtype=np.intp)
 
     # A terminator and the whitespace after it split a sentence when a
     # non-whitespace character follows in the same document: when the
-    # whitespace starts before the document's trailing whitespace does.
+    # terminator comes before the document's last non-whitespace character
+    # (every document has one, in its first token).
     boundaries = np.flatnonzero(((bits[:-1] & _TERMINATOR) > 0) & ((bits[1:] & _SPACE) > 0))
     boundary_doc = np.searchsorted(ends, boundaries, side="right")
-    stripped_ends = ends - np.fromiter(
-        (len(text) - len(text.rstrip()) for text in texts), np.intp, len(texts)
-    )
-    counted = boundary_doc[boundaries + 1 < stripped_ends[boundary_doc]]
+    solid = np.flatnonzero((bits & _SPACE) == 0)
+    last_solid = solid[np.searchsorted(solid, ends) - 1]
+    counted = boundary_doc[boundaries < last_solid[boundary_doc]]
     sentences = 1 + np.bincount(counted, minlength=len(docs))
 
     words, sentences, syllable_total, complex_words, chars = (

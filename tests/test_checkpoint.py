@@ -273,6 +273,20 @@ class TestValidation:
         with pytest.raises(DataError, match=f"latin.json: not valid UTF-8 at byte {offset} "):
             load_checkpoint(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.json"
+        text = checkpoint_text("gbt", {"name": "caf\u00e9"})
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_checkpoint(path) == ("gbt", {"name": "caf\u00e9"})
+
+    def test_invalid_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "latin.json"
+        text = checkpoint_text("gbt", {"name": "caf\u00e9"})
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+        offset = 3 + text.index("\u00e9")
+        with pytest.raises(DataError, match=f"latin.json: not valid UTF-8 at byte {offset} "):
+            load_checkpoint(path)
+
     def test_unknown_kind_on_load(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(

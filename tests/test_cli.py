@@ -403,18 +403,23 @@ class TestEvaluate:
         assert 0.0 <= report["macro_f1"] <= 1.0
         assert report["macro_f1_per_language"] == {"en": report["macro_f1"]}
 
-    def test_text_report_to_file(self, workdir, knn_checkpoint, tmp_path):
+    def test_text_report_to_file_and_stdout(self, workdir, knn_checkpoint, tmp_path, capsys):
         out = tmp_path / "report.txt"
-        code = _run(
+        args = (
             "evaluate",
             "--corpus", f"en={workdir / 'small.tsv'}",
             "--config", str(workdir / "fast.ini"),
             "--model-path", str(knn_checkpoint),
             "--format", "text",
-            "--output", str(out),
         )
-        assert code == 0
-        assert "confusion:" in out.read_text()
+        assert _run(*args, "--output", str(out)) == 0
+        text = out.read_text()
+        assert "confusion:" in text
+        # Like every other file the program writes, it ends in one newline.
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        capsys.readouterr()
+        assert _run(*args) == 0
+        assert capsys.readouterr().out == text
 
     def test_bilingual_corpus_scores_each_language(self, workdir, tmp_path, capsys):
         model_path = tmp_path / "bilingual.json"

@@ -212,6 +212,20 @@ threshold_rule = youden
         with pytest.raises(ConfigError, match=r"\[knn\] k"):
             load_config(path, environ={})
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes("\ufeff[knn]\r\nk = 3\r\n[svm]\rc = 2.5\r".encode("utf-8"))
+        cfg = load_config(path, environ={})
+        assert (cfg.knn_k, cfg.svm.C) == (3, 2.5)
+
+    def test_invalid_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.ini"
+        raw = b"\xef\xbb\xbf[knn]\nk = 3 # \xff\n"
+        path.write_bytes(raw)
+        offset = raw.index(b"\xff")
+        with pytest.raises(ConfigError, match=f"run.ini: not valid UTF-8 at byte {offset} "):
+            load_config(path, environ={})
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini", environ={})

@@ -116,6 +116,13 @@ class TestLoadTsv:
         with pytest.raises(DataError, match="not found"):
             load_tsv(tmp_path / "nope.tsv", Language.EN)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes("\ufeffid\ttext\tlabel\nd1\thello\thuman\n".encode("utf-8"))
+        corpus = load_tsv(path, Language.EN)
+        assert [doc.id for doc in corpus] == ["d1"]
+        assert corpus[0].label is Label.HUMAN
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path / "c.tsv", "text\tid\nd1\thello\n")
         with pytest.raises(DataError, match=":1"):

@@ -322,6 +322,16 @@ class TestEmbeddingFiles:
         save_embeddings(table, out)
         np.testing.assert_array_equal(load_embeddings(out).get("a"), table.get("a"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        raw = "\ufeffd1\t1 2\nd2\t3 4\n".encode("utf-8")
+        path.write_bytes(raw)
+        table = load_embeddings(path)
+        assert list(table.vectors) == ["d1", "d2"]
+        np.testing.assert_array_equal(table.get("d1"), [1.0, 2.0])
+        # The digest pins the file as it is, mark included.
+        assert table.sha256 == hashlib.sha256(raw).hexdigest()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_embeddings(tmp_path / "nope.tsv")

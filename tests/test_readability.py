@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from mgtdetect.corpus import Document, Language
 from mgtdetect.errors import DataError
 from mgtdetect.readability import (
+    _LOWER_BREAK,
+    _LOWER_E,
+    _LOWER_ES_STRONG,
+    _LOWER_L,
+    _LOWERCASE_BITS,
     FEATURE_NAMES,
+    _char_bits,
     fit_scaler,
     flesch_reading_ease,
     format_feature_matrix,
@@ -283,12 +289,39 @@ class TestMatrixOnArbitraryUnicode:
     @settings(max_examples=300, deadline=None)
     @given(docs=unicode_docs())
     @example(docs=[en_doc("İe. aİe x-", "a"), es_doc("-İoa’’b\x00c.\x85\ud800", "b")])
+    # U+0130 as the batch's last character, as a one-character token, twice
+    # in a row, and between an "l" and a trailing "e" in both languages.
+    @example(docs=[en_doc("a", "a"), es_doc("Hola İ", "b")])
+    @example(docs=[en_doc("x İ y", "a"), es_doc("İ", "b")])
+    @example(docs=[en_doc("İİ", "a"), es_doc("İİ", "b")])
+    @example(docs=[en_doc("lİe", "a"), es_doc("lİe", "b")])
     def test_rows_equal_the_reference_in_a_batch_and_alone(self, docs):
         matrix = readability_matrix(docs)
         assert matrix.shape == (len(docs), len(FEATURE_NAMES))
         for doc, row in zip(docs, matrix):
             assert row.tobytes() == per_document_row(doc).tobytes()
             assert readability_matrix([doc])[0].tobytes() == row.tobytes()
+
+
+class TestLowercaseOfSeveralCharacters:
+    def test_only_the_first_lowercase_character_has_syllable_classes(self):
+        # A code point whose lowercase has several characters has the bits of
+        # the first one and breaks the vowel run after it.  That counts
+        # exactly when the first character has no "e", "l" or strong vowel
+        # class, which the counters would read as the last one's, and the
+        # others have no syllable class at all.  Python's case data has one
+        # such code point today, U+0130 -> "i" + U+0307; a newer Unicode that
+        # breaks either fact fails here.
+        read_as_last = _LOWER_E | _LOWER_L | _LOWER_ES_STRONG
+        several = []
+        for point in range(0x110000):
+            lowered = chr(point).lower()
+            if len(lowered) > 1:
+                several.append(point)
+                assert not _LOWERCASE_BITS.get(lowered[0], 0) & read_as_last, hex(point)
+                assert not any(char in _LOWERCASE_BITS for char in lowered[1:]), hex(point)
+                assert _char_bits(chr(point)) & _LOWER_BREAK
+        assert 0x130 in several
 
 
 class TestMatrixEdges:

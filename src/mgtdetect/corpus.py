@@ -109,7 +109,7 @@ class SplitSpec:
 
 
 _ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
-_UNESCAPED = {"n": "\n", "t": "\t", "\\": "\\"}
+_UNESCAPED = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\"}
 
 
 def _unescape(value: str, path: str, lineno: int) -> str:
@@ -126,7 +126,10 @@ def _unescape(value: str, path: str, lineno: int) -> str:
 
 def _escape(value: str) -> str:
     return (
-        value.replace("\\", "\\\\").replace("\n", "\\n").replace("\t", "\\t")
+        value.replace("\\", "\\\\")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
     )
 
 
@@ -151,11 +154,16 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
 
     The header must be exactly ``id<TAB>text`` or ``id<TAB>text<TAB>label``.
     Labels parse case-insensitively; an empty label field means unlabeled.
+    Lines end in LF or CR LF.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
     text = decode_utf8(path.read_bytes(), path)
+    # CR LF line ends read as LF.  str.splitlines would also split a text
+    # on U+0085, U+2028 and the like, which a document may hold.
+    if "\r" in text:  # replace scans far slower than this test on wide text
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

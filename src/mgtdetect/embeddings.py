@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +34,15 @@ from .errors import ConfigError, DataError, check_settings, decode_utf8
 # The name a checkpoint stores for the n-gram hash below; a model trained
 # on features of another hash is refused.
 GRAM_HASH = "splitmix64-chain"
-# The splitmix64 finalizer's constants (Steele, Lea & Flood, OOPSLA 2014).
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (np.uint64(k) for k in (27, 30, 31, 63))
+# The splitmix64 finalizer's constants (Steele, Lea & Flood, OOPSLA 2014),
+# as 0-d arrays, which numpy applies to an array faster than scalars.
+_GOLDEN_GAMMA, _MIX_1, _MIX_2 = (
+    np.array(k, dtype=np.uint64)
+    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (
+    np.array(k, dtype=np.uint64) for k in (27, 30, 31, 63)
+)
 _BUCKET_MASK = np.uint64((1 << 63) - 1)
 # Documents are counted in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 15
@@ -166,7 +170,7 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
     # leading, trailing, or repeated whitespace.
     texts = [" ".join(doc.text.split()) for doc in corpus]
     rows = np.zeros((len(texts), cfg.dim), dtype=np.float64)
-    for block in _blocks(texts, cfg.ngram_min):
+    for block in _blocks([len(text) for text in texts], cfg.ngram_min, _BLOCK_CHARS):
         rows[block] = _gram_counts([texts[i] for i in block], cfg)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     np.divide(rows, norms, out=rows, where=norms > 0.0)
@@ -180,25 +184,28 @@ def _mix(z: np.ndarray) -> np.ndarray:
     warn on overflow, so callers pass arrays.
     """
     z = z + _GOLDEN_GAMMA
-    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
-    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
-    return z ^ (z >> _SHIFT_31)
+    z ^= z >> _SHIFT_30
+    z *= _MIX_1
+    z ^= z >> _SHIFT_27
+    z *= _MIX_2
+    z ^= z >> _SHIFT_31
+    return z
 
 
-def _blocks(texts: list[str], min_chars: int) -> Iterator[list[int]]:
-    """Indices of the texts with at least ``min_chars`` characters, grouped
-    into consecutive blocks of at most ``_BLOCK_CHARS`` characters; a
-    longer text is a block of its own."""
+def _blocks(sizes: Sequence[int], min_size: int, budget: int) -> Iterator[list[int]]:
+    """Indices of the texts with at least ``min_size`` units (characters, or
+    another unit the caller counts), grouped into consecutive blocks of at
+    most ``budget`` units; a longer text is a block of its own."""
     block: list[int] = []
-    size = 0
-    for i, text in enumerate(texts):
-        if len(text) < min_chars:
+    total = 0
+    for i, size in enumerate(sizes):
+        if size < min_size:
             continue
-        if block and size + len(text) > _BLOCK_CHARS:
+        if block and total + size > budget:
             yield block
-            block, size = [], 0
+            block, total = [], 0
         block.append(i)
-        size += len(text)
+        total += size
     if block:
         yield block
 

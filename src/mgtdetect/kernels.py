@@ -7,14 +7,27 @@ Eskin & Noble, PSB 2002), so Gram matrices are positive semidefinite;
 with cosine normalization the diagonal is exactly 1.
 
 Gram rows and SVM decisions are not computed pair by pair.  An
-``_NgramIndex`` interns the distinct n-grams of a fixed list of texts
-(the training texts, or a model's support texts) to integer ids, one
-vocabulary for every n, and keeps for each id the sorted postings of the
-texts that contain it.  A query's n-grams are then looked up once, and
-one ``np.bincount`` over their postings gives the exact integer count of
-n-grams it shares with every indexed text; the cost grows with the
-postings the query touches, not with the number of texts times the query
-length.  ``spectrum_kernel`` stays as the pairwise reference.
+``_NgramIndex`` numbers the distinct n-grams of a fixed list of texts (the
+training texts, or a model's support texts), one vocabulary for every n,
+and keeps for each id the sorted postings of the texts that contain it.
+It finds n-grams on arrays, not as Python strings: a text is an array of
+units (its code points, or its whitespace tokens numbered in order of
+first appearance), and every window of n units is hashed with the
+embedder's splitmix64 chain (``embeddings._mix``), one chain step on from
+the window one unit shorter at the same start.  Texts are hashed in
+blocks of about ``_BLOCK_UNITS`` units, so the build's working memory is
+bounded by a block, not by the corpus.  Windows with equal hashes are
+compared unit by unit, so a hash collision never merges two n-grams.  The
+vocabulary is the sorted hashes, each with the place of its n-gram's
+units in the indexed texts, and an n-gram's id is its rank.  A query's
+n-grams go through the same routine; their hashes are looked up with
+``np.searchsorted`` and each hit's units are compared with the stored
+n-gram's.  One ``np.bincount`` over the hits' postings then gives the
+exact integer count of n-grams the query shares with every indexed text;
+the cost grows with the postings the query touches, not with the number
+of texts times the query length.  No n-gram is longer than the text that
+holds it, whatever ``ngram_max`` is.  ``ngram_sets`` and
+``spectrum_kernel`` stay as the pairwise reference.
 
 The normalization ``raw / sqrt(self_x * self_y)`` and the decision's sum
 are computed as in the pairwise form: element-wise float64 division and
@@ -47,12 +60,19 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import decode_array, encode_array
+from .embeddings import _blocks, _mix
 from .errors import ConfigError, DataError
 
 KKT_TOLERANCE = 1e-3
 MAX_PASSES = 10_000
 _MIN_ALPHA_STEP = 1e-12
 _SUPPORT_EPS = 1e-8
+# Texts are indexed in blocks of about this many units (see _NgramIndex).
+_BLOCK_UNITS = 1 << 12
+# The chain hash of the empty gram; a gram's hash is one _mix step per unit.
+_EMPTY_GRAM_HASH = _mix(np.zeros(1, dtype=np.uint64))
+# Past this many units, _same compares grams one unit step at a time.
+_SAME_CELLS = 1 << 13
 
 
 class NgramUnit(Enum):
@@ -75,7 +95,8 @@ class KernelConfig:
 
 
 def ngram_sets(text: str, cfg: KernelConfig) -> tuple[frozenset, ...]:
-    """Distinct n-grams of the text for each n in the configured range.
+    """Distinct n-grams of the text for each n in the configured range,
+    up to the text's length.
 
     CHAR slides over the raw string (spaces included); WORD slides over the
     whitespace-token sequence, yielding token tuples.
@@ -85,7 +106,7 @@ def ngram_sets(text: str, cfg: KernelConfig) -> tuple[frozenset, ...]:
     else:
         units = text
     sets = []
-    for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+    for n in range(cfg.ngram_min, min(cfg.ngram_max, len(units)) + 1):
         if cfg.unit is NgramUnit.WORD:
             grams = frozenset(
                 tuple(units[i : i + n]) for i in range(len(units) - n + 1)
@@ -97,6 +118,7 @@ def ngram_sets(text: str, cfg: KernelConfig) -> tuple[frozenset, ...]:
 
 
 def _raw_kernel(sets_x: tuple[frozenset, ...], sets_y: tuple[frozenset, ...]) -> int:
+    # zip stops at the shorter tuple: longer n-grams cannot be shared.
     return sum(len(sx & sy) for sx, sy in zip(sets_x, sets_y))
 
 
@@ -118,45 +140,246 @@ def spectrum_kernel(x: str, y: str, cfg: KernelConfig = KernelConfig()) -> float
     return raw / math.sqrt(self_x * self_y)
 
 
-class _NgramIndex:
-    """Interned n-grams of a fixed list of texts, indexed both ways.
+def _units(
+    texts: Sequence[str], unit: NgramUnit, tokens: dict, new_tokens: dict
+) -> tuple[np.ndarray, list[int]]:
+    """The texts' units joined into one array, and each text's length.
 
-    Ids come from one vocabulary over every n in the range: CHAR grams of
-    different lengths are different strings and WORD grams of different
-    lengths are different tuples, so they never collide, and a text's
-    self kernel is its number of distinct ids.  Both directions are flat
-    arrays with offsets: the ids of text t are
-    ``text_grams[text_offsets[t]:text_offsets[t + 1]]`` and the texts that
-    hold id g are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
+    CHAR units are code points.  WORD units are whitespace tokens numbered
+    by ``tokens``; a token it lacks is numbered in ``new_tokens``, after
+    every number ``tokens`` holds.
+    """
+    if unit is NgramUnit.CHAR:
+        joined = "".join(texts).encode("utf-32-le", "surrogatepass")
+        return np.frombuffer(joined, dtype="<u4").astype(np.uint64), [len(t) for t in texts]
+    words = [text.split() for text in texts]
+    ids = [
+        tokens[w] if w in tokens else new_tokens.setdefault(w, len(tokens) + len(new_tokens))
+        for ws in words
+        for w in ws
+    ]
+    return np.array(ids, dtype=np.uint64), [len(ws) for ws in words]
+
+
+def _same(
+    a: np.ndarray, a_start: np.ndarray, a_size: np.ndarray,
+    b: np.ndarray, b_start: np.ndarray, b_size: np.ndarray,
+) -> np.ndarray:
+    """Whether ``a[a_start[k]:][:a_size[k]]`` equals ``b[b_start[k]:][:b_size[k]]``,
+    for each k.  Past the end of the shorter gram its last unit is compared
+    again.
+
+    Up to ``_SAME_CELLS`` units in all, every unit step is gathered in one
+    numpy call, which saves calls on a query's few grams; past that, one
+    step at a time, which keeps a block's many grams in cache.
+    """
+    same = a_size == b_size
+    last = np.minimum(a_size, b_size) - 1
+    steps = int(last.max(initial=-1)) + 1
+    if len(same) * steps <= _SAME_CELLS:
+        at = np.minimum(np.arange(steps)[:, None], last)
+        for step in a[a_start + at] == b[b_start + at]:
+            same &= step
+    else:
+        shift = b_start - a_start
+        for i in range(steps):
+            at = a_start + np.minimum(i, last)
+            same &= a[at] == b[at + shift]
+    return same
+
+
+def _windows(
+    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hash, start and size of every window of n units, ``lo <= n <= hi``,
+    inside one of the texts joined in ``units``, sorted by hash.
+
+    Each window's hash is one chain step on from the hash of the window one
+    unit shorter at the same start; no n past the longest text is tried.
+    """
+    positions = np.arange(len(units))
+    # Windows that cross from one text into the next hold no gram.
+    room = np.repeat(np.cumsum(lengths), lengths) - positions if len(lengths) > 1 else None
+    window_hashes, window_starts = [_EMPTY_GRAM_HASH[:0]], [positions[:0]]
+    hashes = _mix(_EMPTY_GRAM_HASH ^ units)
+    for n in range(1, min(hi, max(lengths, default=0)) + 1):
+        if n > 1:
+            hashes = _mix(hashes[:-1] ^ units[n - 1 :])
+        if n < lo:
+            continue
+        if room is None:
+            window_hashes.append(hashes)
+            window_starts.append(positions[: len(hashes)])
+        else:
+            inside = (room[: len(hashes)] >= n).nonzero()[0]
+            window_hashes.append(hashes[inside])
+            window_starts.append(inside)
+    sizes = np.arange(lo, lo + len(window_starts) - 1).repeat(
+        [len(starts) for starts in window_starts[1:]]
+    )
+    hashes = np.concatenate(window_hashes)
+    order = hashes.argsort()
+    return hashes[order], np.concatenate(window_starts)[order], sizes[order]
+
+
+def _group(
+    units: np.ndarray, hashes: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """For windows sorted by hash, the index of the first window of each
+    window's gram.
+
+    Each window is compared unit by unit with the first window of its run
+    of equal hashes; the ones that differ (hash collisions) are grouped
+    again among themselves, until every window has a first window that
+    holds the same units.
+    """
+    first = np.arange(len(hashes))
+    pending = np.arange(len(hashes))  # the windows still to group, in hash order
+    while len(pending):
+        runs = np.ones(len(pending), dtype=bool)
+        np.not_equal(hashes[1:], hashes[:-1], out=runs[1:])
+        head = np.maximum.accumulate(np.where(runs, np.arange(len(pending)), 0))
+        other = (~runs).nonzero()[0]
+        same = _same(
+            units, starts[head[other]], sizes[head[other]], units, starts[other], sizes[other]
+        )
+        grouped = other[same]
+        first[pending[grouped]] = pending[head[grouped]]
+        differ = other[~same]
+        pending, hashes, starts, sizes = (
+            pending[differ], hashes[differ], starts[differ], sizes[differ]
+        )
+    return first
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+class _NgramIndex:
+    """Numbered n-grams of a fixed list of texts, indexed both ways.
+
+    Ids come from one vocabulary over every n in the range: grams of
+    different lengths never hold the same units, so they never share an
+    id, and a text's self kernel is its number of distinct ids.  The
+    vocabulary is ``hashes`` (sorted) with each gram's units at
+    ``units[start:][:size]`` for ``start, size = gram_spans[g]``, and a
+    gram's id is its rank.  Both directions are flat arrays with offsets:
+    the ids of text t are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``
+    and the texts that hold id g are
+    ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
+
+    A list of texts, the indexed ones or a query, is read in one way: its
+    windows are hashed (``_windows``) and grouped into grams (``_group``),
+    and the grams are looked up in the vocabulary (``find``).  The build
+    reads the texts in blocks of about ``_BLOCK_UNITS`` units against the
+    vocabulary of the blocks before, and merges the grams it lacks into it
+    in hash order; ids are given their ranks once every block is in.
     """
 
     def __init__(self, texts: Sequence[str], cfg: KernelConfig):
-        vocab: dict = {}
-        ids: list[int] = []
-        sizes = []
-        for text in texts:
-            sets = ngram_sets(text, cfg)
-            ids.extend(vocab.setdefault(g, len(vocab)) for grams in sets for g in grams)
-            sizes.append(sum(map(len, sets)))
-        self.vocab = vocab
-        self.selfs = np.array(sizes, dtype=np.float64)
-        self.text_grams = np.array(ids, dtype=np.int32)
+        self.lo, self.hi, self.unit = cfg.ngram_min, cfg.ngram_max, cfg.unit
+        self.tokens: dict = {}
+        self.units, lengths = _units(texts, cfg.unit, {}, self.tokens)
+        text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=text_starts[1:])
+        self.hashes = _EMPTY_GRAM_HASH[:0]
+        self.gram_spans = np.zeros((0, 2), dtype=np.int64)
+        added = np.zeros(0, dtype=np.int64)  # the order each gram was added in
+        ranges, blocks, sizes = [], [], np.zeros(len(lengths), dtype=np.int64)
+        for block in _blocks(lengths, self.lo, _BLOCK_UNITS):
+            a, z = block[0], block[-1] + 1
+            hashes, starts, gram_sizes = _windows(
+                self.units[text_starts[a] : text_starts[z]], lengths[a:z], self.lo, self.hi
+            )
+            doc = np.arange(z - a).repeat(lengths[a:z])[starts]
+            starts += text_starts[a]
+            first = _group(self.units, hashes, starts, gram_sizes)
+            grams = (first == np.arange(len(first))).nonzero()[0]  # in hash order
+            found = self.find(hashes[grams], self.units, starts[grams], gram_sizes[grams])
+            new = found < 0
+            gram_ids = np.empty(len(grams), dtype=np.int64)
+            gram_ids[~new] = added[found[~new]]
+            gram_ids[new] = len(added) + np.arange(np.count_nonzero(new))
+            ids = np.empty(len(first), dtype=np.int64)  # each window's gram
+            ids[grams] = gram_ids
+            ids = ids[first]
+            new = grams[new]  # the windows that stand for the new grams
+            at = self.hashes.searchsorted(hashes[new], side="right")
+            self.hashes = np.insert(self.hashes, at, hashes[new])
+            new_spans = np.stack((starts[new], gram_sizes[new]), axis=1)
+            self.gram_spans = np.insert(self.gram_spans, at, new_spans, axis=0)
+            added = np.insert(added, at, ids[new])
+            # Each (text, gram) pair once, in text order.
+            shift = len(added).bit_length()
+            pairs = _distinct(doc << shift | ids)
+            doc, ids = pairs >> shift, pairs & ((1 << shift) - 1)
+            ranges.append((a, z))
+            blocks.append(ids.astype(np.int32))
+            sizes[a:z] = np.bincount(doc, minlength=z - a)
+        rank = np.empty(len(added), dtype=np.int32)
+        rank[added] = np.arange(len(added), dtype=np.int32)
+        self.text_grams = rank[np.concatenate(blocks or [np.zeros(0, np.int32)])]
+        del blocks
+        self.selfs = sizes.astype(np.float64)
+        self.nonempty = self.selfs > 0
+        self.nonempty_selfs = self.selfs[self.nonempty]
         self.text_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(np.array(sizes, dtype=np.int64), out=self.text_offsets[1:])
-        owners = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        self.gram_texts = owners[np.argsort(self.text_grams, kind="stable")]
-        self.gram_offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
-        counts = np.bincount(self.text_grams, minlength=len(vocab))
-        np.cumsum(counts, out=self.gram_offsets[1:])
+        np.cumsum(sizes, out=self.text_offsets[1:])
+        self.gram_offsets = np.zeros(len(added) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.text_grams, minlength=len(added)), out=self.gram_offsets[1:])
+        # Postings block by block: a block's texts come after the earlier
+        # blocks' texts, so each block appends to its grams' postings.
+        self.gram_texts = np.empty(len(self.text_grams), dtype=np.int32)
+        fill = self.gram_offsets[:-1].copy()
+        for a, z in ranges:
+            ids = self.text_grams[self.text_offsets[a] : self.text_offsets[z]]
+            shift = (z - a).bit_length()
+            pairs = np.sort(ids.astype(np.int64) << shift | np.arange(z - a).repeat(sizes[a:z]))
+            gram, doc = pairs >> shift, pairs & ((1 << shift) - 1)
+            runs = np.concatenate(([True], gram[1:] != gram[:-1])).nonzero()[0]
+            run_lengths = np.diff(runs, append=len(gram))
+            at = fill[gram] + np.arange(len(gram)) - runs.repeat(run_lengths)
+            self.gram_texts[at] = doc + a
+            fill[gram[runs]] += run_lengths
+
+    def find(
+        self, hashes: np.ndarray, units: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
+        """Vocabulary position of each gram ``units[starts[k]:][:sizes[k]]``
+        with hash ``hashes[k]``, or -1 for a gram the vocabulary lacks."""
+        found = np.empty(len(hashes), dtype=np.int64)
+        found.fill(-1)
+        at = self.hashes.searchsorted(hashes)
+        live = (at < len(self.hashes)).nonzero()[0]
+        while True:
+            live = live[self.hashes[at[live]] == hashes[live]]
+            grams = at[live]
+            spans = self.gram_spans[grams]
+            same = _same(units, starts[live], sizes[live], self.units, spans[:, 0], spans[:, 1])
+            found[live[same]] = grams[same]
+            # A gram that only shares its hash: try the next gram in hash order.
+            live = live[~same]
+            if not live.size:
+                return found
+            at[live] += 1
+            live = live[at[live] < len(self.hashes)]
+
+    def query(self, text: str) -> tuple[np.ndarray, int]:
+        """Distinct ids of the text's n-grams that some indexed text holds,
+        and the text's number of distinct n-grams."""
+        units, lengths = _units([text], self.unit, self.tokens, {})
+        hashes, starts, sizes = _windows(units, lengths, self.lo, self.hi)
+        grams = (_group(units, hashes, starts, sizes) == np.arange(len(hashes))).nonzero()[0]
+        found = self.find(hashes[grams], units, starts[grams], sizes[grams])
+        return found[found >= 0], len(grams)
 
     def grams_of(self, t: int) -> np.ndarray:
         return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
-
-    def query_ids(self, sets: tuple[frozenset, ...]) -> np.ndarray:
-        """Ids of the query's n-grams that occur in some indexed text."""
-        get = self.vocab.get
-        ids = [i for grams in sets for g in grams if (i := get(g)) is not None]
-        return np.array(ids, dtype=np.int64)
 
     def shared_counts(self, ids: np.ndarray) -> np.ndarray:
         """Exact count of the given distinct ids that each indexed text holds."""
@@ -176,8 +399,7 @@ class _NgramIndex:
         values = np.zeros(len(self.selfs), dtype=np.float64)
         if self_q == 0:
             return values
-        nonempty = self.selfs > 0
-        values[nonempty] = raw[nonempty] / np.sqrt(self_q * self.selfs[nonempty])
+        values[self.nonempty] = raw[self.nonempty] / np.sqrt(self_q * self.nonempty_selfs)
         return values
 
     def entry(self, i: int, j: int, normalize: bool) -> float:
@@ -244,9 +466,8 @@ class SvmModel:
 
     def decision(self, text: str, cfg: KernelConfig) -> float:
         index = self._support_index(cfg)
-        sets = ngram_sets(text, cfg)
-        shared = index.shared_counts(index.query_ids(sets))
-        terms = self.dual_coef * index.kernels(shared, sum(map(len, sets)), cfg.normalize)
+        ids, self_count = index.query(text)
+        terms = self.dual_coef * index.kernels(index.shared_counts(ids), self_count, cfg.normalize)
         total = self.bias
         for term in terms.tolist():  # left fold in support order, as pairwise
             total += term
@@ -393,12 +614,13 @@ def kernel_config_to_jsonable(cfg: KernelConfig) -> dict:
 
 def kernel_config_from_jsonable(data: dict) -> KernelConfig:
     try:
-        return KernelConfig(
-            ngram_min=int(data["ngram_min"]),
-            ngram_max=int(data["ngram_max"]),
-            unit=NgramUnit(data["unit"]),
-            normalize=bool(data["normalize"]),
-        )
+        values = {key: data[key] for key in ("ngram_min", "ngram_max", "normalize")}
+        for key in ("ngram_min", "ngram_max"):
+            if type(values[key]) is not int:  # bool is an int subclass: refuse it too
+                raise TypeError(f"{key} must be an integer, got {values[key]!r}")
+        if type(values["normalize"]) is not bool:
+            raise TypeError(f"normalize must be true or false, got {values['normalize']!r}")
+        return KernelConfig(unit=NgramUnit(data["unit"]), **values)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed kernel settings: {exc}") from exc
 

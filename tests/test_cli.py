@@ -23,6 +23,7 @@ from mgtdetect.evaluation import macro_f1
 from mgtdetect.embeddings import FallbackEmbedderConfig
 from mgtdetect.pipeline import build_raw_features, feature_names, load_model
 from mgtdetect.readability import format_feature_matrix
+from mgtdetect.textprep import preprocess
 
 from synthdata import synthetic_corpus
 
@@ -387,6 +388,37 @@ class TestPredict:
         rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 16
         assert all(prob == "0" and label == "human" for _, prob, label in rows)
+
+
+    def test_svm_checkpoint_with_a_huge_ngram_max_predicts(self, workdir, tmp_path):
+        # No n-gram is longer than its text, so ngram_max 10**9 scores as the
+        # longest text's length does, instead of trying every n up to it.
+        corpus = tmp_path / "twenty.tsv"
+        save_tsv(synthetic_corpus(10, 10, seed=9, name="twenty"), corpus)
+        ckpt = tmp_path / "svm.json"
+        code = _run(
+            "train", "--corpus", f"en={corpus}", "--model", "svm", "--output", str(ckpt)
+        )
+        assert code == 0
+        kind, payload = load_checkpoint(ckpt)
+        queries = load_tsv(workdir / "small.tsv", Language.EN)
+        texts = payload["model"]["support_texts"] + [
+            preprocess(doc.text, doc.language) for doc in queries
+        ]
+        predictions = []
+        for ngram_max in (10**9, max(map(len, texts))):
+            payload["kernel"]["ngram_max"] = ngram_max
+            save_checkpoint(ckpt, kind, payload)
+            out = tmp_path / f"preds-{ngram_max}.tsv"
+            code = _run(
+                "predict",
+                "--corpus", f"en={workdir / 'small.tsv'}",
+                "--model-path", str(ckpt),
+                "--output", str(out),
+            )
+            assert code == 0
+            predictions.append(out.read_text())
+        assert predictions[0] == predictions[1]
 
 
 class TestEvaluate:

@@ -91,6 +91,36 @@ class TestLoadTsv:
         assert loaded[0].text == tricky
         assert loaded[0].label is Label.HUMAN
 
+    def test_crlf_file_loads_like_its_lf_copy(self, tmp_path):
+        lf = "id\ttext\tlabel\nd1\tfirst text\thuman\nd2\tsecond\\nline\tgenerated\n"
+        crlf = write(tmp_path / "crlf.tsv", lf.replace("\n", "\r\n"))
+        expected = load_tsv(write(tmp_path / "lf.tsv", lf), Language.EN)
+        loaded = load_tsv(crlf, Language.EN)
+        assert [(d.id, d.text, d.label) for d in loaded] == [
+            (d.id, d.text, d.label) for d in expected
+        ]
+        assert loaded[1].text == "second\nline"
+
+    def test_unlabeled_crlf_file_keeps_no_carriage_return(self, tmp_path):
+        path = write(tmp_path / "c.tsv", "id\ttext\r\nd1\tlast column\r\n")
+        assert load_tsv(path, Language.EN)[0].text == "last column"
+
+    def test_line_separator_inside_a_text_stays(self, tmp_path):
+        # Only LF (or CR LF) ends a line; U+2028, U+0085 and a lone CR are text.
+        text = "one\u2028two\x85three\rfour"
+        path = write(tmp_path / "c.tsv", f"id\ttext\tlabel\nd1\t{text}\thuman\n")
+        loaded = load_tsv(path, Language.EN)
+        assert len(loaded) == 1
+        assert loaded[0].text == text
+
+    def test_carriage_return_round_trips(self, tmp_path):
+        # Escaped, so that a text ending in CR is not read as a CR LF line end.
+        original = Corpus([Document("d1", "ends in CR\r", Language.EN)], name="c")
+        path = tmp_path / "c.tsv"
+        save_tsv(original, path)
+        assert b"\r" not in path.read_bytes()
+        assert load_tsv(path, Language.EN)[0].text == "ends in CR\r"
+
     def test_save_load_save_identical_bytes(self, tmp_path, make_doc):
         corpus = Corpus(
             [

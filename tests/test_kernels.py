@@ -1,10 +1,14 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtdetect import kernels
 from mgtdetect.checkpoint import decode_array, encode_array
@@ -295,6 +299,26 @@ class TestSerialization:
         cfg = KernelConfig(ngram_min=2, ngram_max=4, unit=NgramUnit.WORD, normalize=False)
         assert kernel_config_from_jsonable(kernel_config_to_jsonable(cfg)) == cfg
 
+    def test_kernel_config_refuses_a_string_normalize(self):
+        data = kernel_config_to_jsonable(KernelConfig()) | {"normalize": "false"}
+        with pytest.raises(DataError, match="normalize"):
+            kernel_config_from_jsonable(data)
+
+    def test_kernel_config_refuses_a_fractional_ngram_bound(self):
+        data = kernel_config_to_jsonable(KernelConfig()) | {"ngram_min": 3.9}
+        with pytest.raises(DataError, match="ngram_min"):
+            kernel_config_from_jsonable(data)
+
+    def test_kernel_config_with_a_bad_range_is_malformed_data(self):
+        data = kernel_config_to_jsonable(KernelConfig()) | {"ngram_min": 0}
+        with pytest.raises(DataError, match="n-gram range"):
+            kernel_config_from_jsonable(data)
+
+    def test_kernel_config_refuses_a_boolean_ngram_bound(self):
+        data = kernel_config_to_jsonable(KernelConfig()) | {"ngram_max": True}
+        with pytest.raises(DataError, match="ngram_max"):
+            kernel_config_from_jsonable(data)
+
     def test_svm_round_trip_preserves_decisions(self):
         texts, labels = separable_texts()
         model = svm_train(texts, labels)
@@ -491,46 +515,176 @@ class TestSvmMatchesDenseReference:
 
 
 class TestKernelWork:
-    """n-gram sets are built once per text and never intersected pair by pair."""
+    """Each text's units are hashed once and no pair of texts is intersected
+    as n-gram sets."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        work = {"ngram_sets": 0, "pair_intersections": 0}
-        ngram_sets_ = kernels.ngram_sets
+        work = {"texts_hashed": 0, "pair_intersections": 0}
+        units = kernels._units
         raw_kernel = kernels._raw_kernel
 
-        def counting_ngram_sets(text, cfg):
-            work["ngram_sets"] += 1
-            return ngram_sets_(text, cfg)
+        def counting_units(texts, *args):
+            work["texts_hashed"] += len(texts)
+            return units(texts, *args)
 
         def counting_raw_kernel(sets_x, sets_y):
             work["pair_intersections"] += sets_x is not sets_y
             return raw_kernel(sets_x, sets_y)
 
-        monkeypatch.setattr(kernels, "ngram_sets", counting_ngram_sets)
+        monkeypatch.setattr(kernels, "_units", counting_units)
         monkeypatch.setattr(kernels, "_raw_kernel", counting_raw_kernel)
         return work
 
-    def test_scoring_builds_each_support_and_query_once(self, work):
+    def test_scoring_hashes_each_support_and_query_once(self, work):
         texts, labels = separable_texts()
         model = svm_train(texts, labels, C=1.0)
         s = len(model.support_indices)
         queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
-        work.update(ngram_sets=0, pair_intersections=0)
+        work.update(texts_hashed=0, pair_intersections=0)
         for query in queries:
             svm_predict_proba(model, query)
         assert s > 1
-        assert work == {"ngram_sets": s + len(queries), "pair_intersections": 0}
+        assert work == {"texts_hashed": s + len(queries), "pair_intersections": 0}
 
-    def test_svm_train_builds_each_text_once(self, work):
+    def test_svm_train_hashes_each_text_once(self, work):
         texts, labels = edge_case_problem(KernelConfig(), seed=3)
         svm_train(texts, labels, C=1.0)
-        assert work == {"ngram_sets": len(texts), "pair_intersections": 0}
+        assert work == {"texts_hashed": len(texts), "pair_intersections": 0}
 
-    def test_kernel_matrix_builds_each_text_once(self, work):
+    def test_kernel_matrix_hashes_each_text_once(self, work):
         texts = edge_case_texts(KernelConfig(), seed=3)
         kernel_matrix(texts)
-        assert work == {"ngram_sets": len(texts), "pair_intersections": 0}
+        assert work == {"texts_hashed": len(texts), "pair_intersections": 0}
+
+
+# Code points the index must treat as units like any other: NUL, astral
+# letters and emoji, lone surrogates, combining marks and whitespace.
+_UNIT_CHARS = [
+    "a", "b", " ", "\x00", "\U0001F600", "\U00010400", "\ud800", "\udfff", "\u0301", "\u2028"
+]
+_index_texts = st.lists(
+    st.lists(
+        st.one_of(st.sampled_from(_UNIT_CHARS), st.characters(codec="utf-8")), max_size=24
+    ).map("".join),
+    min_size=1,
+    max_size=7,
+)
+
+
+def assert_index_matches_pairwise(texts, cfg, queries):
+    """The index's rows, entries, self counts and decisions equal the
+    pairwise reference bit for bit."""
+    index = kernels._NgramIndex(texts, cfg)
+    for i, text in enumerate(texts):
+        assert index.selfs[i] == kernels._raw_kernel(ngram_sets(text, cfg), ngram_sets(text, cfg))
+        expected = np.array([spectrum_kernel(text, other, cfg) for other in texts])
+        assert index.row(i, cfg.normalize).tobytes() == expected.tobytes()
+        entries = [index.entry(i, j, cfg.normalize) for j in range(len(texts))]
+        assert np.array(entries).tobytes() == expected.tobytes()
+    coefs = np.linspace(-1.5, 2.0, len(texts))
+    model = kernels.SvmModel(tuple(range(len(texts))), coefs, 0.25, 1.0, tuple(texts))
+    for query in queries:
+        _, self_count = index.query(query)
+        sets = ngram_sets(query, cfg)
+        assert self_count == kernels._raw_kernel(sets, sets)
+        expected = model.bias
+        for coef, text in zip(coefs, texts):
+            expected += coef * spectrum_kernel(text, query, cfg)
+        assert bits(model.decision(query, cfg)) == bits(expected)
+
+
+class TestHashedIndexOverUnicode:
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        texts=_index_texts,
+        queries=_index_texts,
+        block_units=st.sampled_from([1, 2, 5, 17, kernels._BLOCK_UNITS]),
+    )
+    def test_equals_pairwise_reference(self, cfg, texts, queries, block_units):
+        # Small blocks make a text longer than a block and lists that cross
+        # block boundaries; most of the texts are shorter than some ngram_min.
+        with mock.patch.object(kernels, "_BLOCK_UNITS", block_units):
+            assert_index_matches_pairwise(texts, cfg, queries)
+
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_equals_pairwise_reference_across_real_blocks(self, cfg):
+        # One text longer than a block, then texts whose total crosses it.
+        rnd = random.Random(17)
+        words = ["ab", "a\x00b", "\U0001F600", "\ud800x", "b a", "aab"]
+        long_text = " ".join(rnd.choice(words) for _ in range(kernels._BLOCK_UNITS // 3))
+        texts = [long_text] + [
+            " ".join(rnd.choice(words) for _ in range(rnd.randint(0, 400))) for _ in range(12)
+        ]
+        assert len(long_text) > kernels._BLOCK_UNITS
+        assert sum(map(len, texts[1:])) > kernels._BLOCK_UNITS
+        assert_index_matches_pairwise(texts, cfg, [texts[5], "ab a\x00b", ""])
+
+    @pytest.mark.parametrize("same_cells", [0, kernels._SAME_CELLS])
+    @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
+    def test_every_hash_colliding_still_matches(self, cfg, same_cells):
+        # With a constant chain hash every window collides with every other:
+        # only the unit-by-unit comparison tells n-grams apart, one unit step
+        # at a time (same_cells 0) or all steps at once.
+        texts = edge_case_texts(cfg, seed=29, n=8)
+        rnd = random.Random(3)
+        queries = [random_text(rnd, max_len=30) for _ in range(4)] + ["", texts[2]]
+        with mock.patch.object(kernels, "_mix", np.zeros_like), mock.patch.object(
+            kernels, "_SAME_CELLS", same_cells
+        ):
+            assert_index_matches_pairwise(texts, cfg, queries)
+            np.testing.assert_array_equal(
+                kernel_matrix(texts, cfg).matrix,
+                [[spectrum_kernel(x, y, cfg) for y in texts] for x in texts],
+            )
+
+
+class TestHugeNgramMax:
+    """No n-gram is longer than its text, so an ngram_max past the longest
+    text is that text's length."""
+
+    def setup_method(self):
+        self.texts, self.labels = edge_case_problem(KernelConfig(), seed=4)
+        self.queries = [random_text(random.Random(8), max_len=40) for _ in range(5)]
+        longest = max(map(len, self.texts + self.queries))
+        self.huge = KernelConfig(3, 10**9)
+        self.exact = KernelConfig(3, longest)
+
+    def test_kernel_matrix(self):
+        huge = kernel_matrix(self.texts, self.huge).matrix
+        assert huge.tobytes() == kernel_matrix(self.texts, self.exact).matrix.tobytes()
+
+    def test_svm_train_and_decision(self):
+        huge = svm_train(self.texts, self.labels, cfg=self.huge, seed=2)
+        exact = svm_train(self.texts, self.labels, cfg=self.exact, seed=2)
+        assert huge.support_indices == exact.support_indices
+        assert huge.dual_coef.tobytes() == exact.dual_coef.tobytes()
+        assert bits(huge.bias) == bits(exact.bias)
+        for query in self.queries + self.texts[:3]:
+            assert bits(huge.decision(query, self.huge)) == bits(exact.decision(query, self.exact))
+
+    def test_ngram_sets_stop_at_the_text(self):
+        assert ngram_sets("abcd", KernelConfig(2, 10**9)) == ngram_sets("abcd", KernelConfig(2, 4))
+
+
+class TestIndexMemory:
+    def test_working_memory_does_not_grow_with_the_texts(self):
+        # The build hashes a block at a time: what it holds beyond the index
+        # it keeps is about the same for 400 texts as for 100.
+        corpus = synthetic_corpus(200, 200, seed=2)
+        texts = [preprocess(d.text, d.language) for d in corpus]
+        working = []
+        for n in (100, 400):
+            tracemalloc.start()
+            try:
+                index = kernels._NgramIndex(texts[:n], KernelConfig())
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert index.text_offsets[-1] > 0
+            working.append(peak - kept)
+        assert working[1] < 1.5 * working[0]
 
 
 class TestSmoSweepLimit:

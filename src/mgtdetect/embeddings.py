@@ -34,15 +34,11 @@ from .errors import ConfigError, DataError, check_settings, decode_utf8
 # The name a checkpoint stores for the n-gram hash below; a model trained
 # on features of another hash is refused.
 GRAM_HASH = "splitmix64-chain"
-# The splitmix64 finalizer's constants (Steele, Lea & Flood, OOPSLA 2014),
-# as 0-d arrays, which numpy applies to an array faster than scalars.
-_GOLDEN_GAMMA, _MIX_1, _MIX_2 = (
-    np.array(k, dtype=np.uint64)
-    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-)
-_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (
-    np.array(k, dtype=np.uint64) for k in (27, 30, 31, 63)
-)
+# The splitmix64 finalizer's constants (Steele, Lea & Flood, OOPSLA 2014).
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (np.uint64(k) for k in (27, 30, 31, 63))
 _BUCKET_MASK = np.uint64((1 << 63) - 1)
 # Documents are counted in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 15
@@ -184,12 +180,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
     warn on overflow, so callers pass arrays.
     """
     z = z + _GOLDEN_GAMMA
-    z ^= z >> _SHIFT_30
-    z *= _MIX_1
-    z ^= z >> _SHIFT_27
-    z *= _MIX_2
-    z ^= z >> _SHIFT_31
-    return z
+    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
+    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
+    return z ^ (z >> _SHIFT_31)
 
 
 def _blocks(sizes: Sequence[int], min_size: int, budget: int) -> Iterator[list[int]]:

@@ -14,20 +14,24 @@ It finds n-grams on arrays, not as Python strings: a text is an array of
 units (its code points, or its whitespace tokens numbered in order of
 first appearance), and every window of n units is hashed with the
 embedder's splitmix64 chain (``embeddings._mix``), one chain step on from
-the window one unit shorter at the same start.  Texts are hashed in
-blocks of about ``_BLOCK_UNITS`` units, so the build's working memory is
-bounded by a block, not by the corpus.  Windows with equal hashes are
-compared unit by unit, so a hash collision never merges two n-grams.  The
-vocabulary is the sorted hashes, each with the place of its n-gram's
-units in the indexed texts, and an n-gram's id is its rank.  A query's
-n-grams go through the same routine; their hashes are looked up with
-``np.searchsorted`` and each hit's units are compared with the stored
-n-gram's.  One ``np.bincount`` over the hits' postings then gives the
-exact integer count of n-grams the query shares with every indexed text;
-the cost grows with the postings the query touches, not with the number
-of texts times the query length.  No n-gram is longer than the text that
-holds it, whatever ``ngram_max`` is.  ``ngram_sets`` and
-``spectrum_kernel`` stay as the pairwise reference.
+the window one unit shorter at the same start.  Windows with equal hashes
+are compared unit by unit, so a hash collision never merges two n-grams.
+The build hashes the texts in blocks of about ``_BLOCK_UNITS`` units and
+keeps each block's distinct n-grams and each text's numbers of them;
+once every block is in, the blocks' n-grams are sorted by hash and
+grouped once more.  The vocabulary is the sorted hashes, each with the
+place of its n-gram's units in the indexed texts, and an n-gram's id is
+its rank.  The build's working memory grows with the (text, n-gram)
+postings it makes, not with the windows it hashes.  A query's windows
+are hashed the same way, looked up with ``np.searchsorted`` and compared
+with the n-gram each one finds; only the windows found nowhere are
+grouped among themselves, for the query's own count.  One
+``np.bincount`` over the found ids' postings then gives the exact integer
+count of n-grams the query shares with every indexed text; the cost
+grows with the postings the query touches, not with the number of texts
+times the query length.  No n-gram is longer than the text that holds
+it, whatever ``ngram_max`` is.  ``ngram_sets`` and ``spectrum_kernel``
+stay as the pairwise reference.
 
 The normalization ``raw / sqrt(self_x * self_y)`` and the decision's sum
 are computed as in the pairwise form: element-wise float64 division and
@@ -71,8 +75,6 @@ _SUPPORT_EPS = 1e-8
 _BLOCK_UNITS = 1 << 12
 # The chain hash of the empty gram; a gram's hash is one _mix step per unit.
 _EMPTY_GRAM_HASH = _mix(np.zeros(1, dtype=np.uint64))
-# Past this many units, _same compares grams one unit step at a time.
-_SAME_CELLS = 1 << 13
 
 
 class NgramUnit(Enum):
@@ -151,14 +153,14 @@ def _units(
     """
     if unit is NgramUnit.CHAR:
         joined = "".join(texts).encode("utf-32-le", "surrogatepass")
-        return np.frombuffer(joined, dtype="<u4").astype(np.uint64), [len(t) for t in texts]
+        return np.frombuffer(joined, dtype="<u4"), [len(t) for t in texts]
     words = [text.split() for text in texts]
     ids = [
         tokens[w] if w in tokens else new_tokens.setdefault(w, len(tokens) + len(new_tokens))
         for ws in words
         for w in ws
     ]
-    return np.array(ids, dtype=np.uint64), [len(ws) for ws in words]
+    return np.array(ids, dtype=np.uint32), [len(ws) for ws in words]
 
 
 def _same(
@@ -166,25 +168,13 @@ def _same(
     b: np.ndarray, b_start: np.ndarray, b_size: np.ndarray,
 ) -> np.ndarray:
     """Whether ``a[a_start[k]:][:a_size[k]]`` equals ``b[b_start[k]:][:b_size[k]]``,
-    for each k.  Past the end of the shorter gram its last unit is compared
-    again.
-
-    Up to ``_SAME_CELLS`` units in all, every unit step is gathered in one
-    numpy call, which saves calls on a query's few grams; past that, one
-    step at a time, which keeps a block's many grams in cache.
-    """
+    for each k, compared one unit step at a time.  Past the end of the
+    shorter gram its last unit is compared again."""
     same = a_size == b_size
     last = np.minimum(a_size, b_size) - 1
-    steps = int(last.max(initial=-1)) + 1
-    if len(same) * steps <= _SAME_CELLS:
-        at = np.minimum(np.arange(steps)[:, None], last)
-        for step in a[a_start + at] == b[b_start + at]:
-            same &= step
-    else:
-        shift = b_start - a_start
-        for i in range(steps):
-            at = a_start + np.minimum(i, last)
-            same &= a[at] == b[at + shift]
+    for i in range(int(last.max(initial=-1)) + 1):
+        step = np.minimum(i, last)
+        same &= a[a_start + step] == b[b_start + step]
     return same
 
 
@@ -224,9 +214,9 @@ def _windows(
 
 def _group(
     units: np.ndarray, hashes: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """For windows sorted by hash, the index of the first window of each
-    window's gram.
+) -> tuple[np.ndarray, np.ndarray]:
+    """For windows sorted by hash, the number of each window's gram and the
+    first window of each gram, grams numbered in hash order from 0.
 
     Each window is compared unit by unit with the first window of its run
     of equal hashes; the ones that differ (hash collisions) are grouped
@@ -238,18 +228,18 @@ def _group(
     while len(pending):
         runs = np.ones(len(pending), dtype=bool)
         np.not_equal(hashes[1:], hashes[:-1], out=runs[1:])
-        head = np.maximum.accumulate(np.where(runs, np.arange(len(pending)), 0))
         other = (~runs).nonzero()[0]
-        same = _same(
-            units, starts[head[other]], sizes[head[other]], units, starts[other], sizes[other]
-        )
-        grouped = other[same]
-        first[pending[grouped]] = pending[head[grouped]]
+        head = np.maximum.accumulate(np.where(runs, np.arange(len(pending)), 0))[other]
+        same = _same(units, starts[head], sizes[head], units, starts[other], sizes[other])
+        first[pending[other[same]]] = pending[head[same]]
         differ = other[~same]
         pending, hashes, starts, sizes = (
             pending[differ], hashes[differ], starts[differ], sizes[differ]
         )
-    return first
+    heads = (first == np.arange(len(first))).nonzero()[0]
+    numbers = np.empty(len(first), dtype=np.int64)
+    numbers[heads] = np.arange(len(heads))
+    return numbers[first], heads
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -266,19 +256,19 @@ class _NgramIndex:
     Ids come from one vocabulary over every n in the range: grams of
     different lengths never hold the same units, so they never share an
     id, and a text's self kernel is its number of distinct ids.  The
-    vocabulary is ``hashes`` (sorted) with each gram's units at
-    ``units[start:][:size]`` for ``start, size = gram_spans[g]``, and a
-    gram's id is its rank.  Both directions are flat arrays with offsets:
-    the ids of text t are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``
-    and the texts that hold id g are
-    ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
+    vocabulary is ``hashes`` (sorted), with gram g's units at
+    ``units[gram_starts[g]:][:gram_sizes[g]]``, and a gram's id is its rank.
+    Both directions are flat arrays with offsets: the ids of text t are
+    ``text_grams[text_offsets[t]:text_offsets[t + 1]]`` and the texts that
+    hold id g are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
 
-    A list of texts, the indexed ones or a query, is read in one way: its
-    windows are hashed (``_windows``) and grouped into grams (``_group``),
-    and the grams are looked up in the vocabulary (``find``).  The build
-    reads the texts in blocks of about ``_BLOCK_UNITS`` units against the
-    vocabulary of the blocks before, and merges the grams it lacks into it
-    in hash order; ids are given their ranks once every block is in.
+    The build reads the texts in blocks of about ``_BLOCK_UNITS`` units.
+    A block's windows are hashed (``_windows``) and grouped into the
+    block's grams (``_group``), and each text's distinct grams are kept
+    as numbers of the block's grams.  Once every block is in, the blocks'
+    grams are sorted by hash and grouped once more, which numbers the
+    vocabulary.  A query's windows are hashed by the same routine and
+    looked up in the vocabulary (``query``).
     """
 
     def __init__(self, texts: Sequence[str], cfg: KernelConfig):
@@ -287,96 +277,87 @@ class _NgramIndex:
         self.units, lengths = _units(texts, cfg.unit, {}, self.tokens)
         text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=text_starts[1:])
-        self.hashes = _EMPTY_GRAM_HASH[:0]
-        self.gram_spans = np.zeros((0, 2), dtype=np.int64)
-        added = np.zeros(0, dtype=np.int64)  # the order each gram was added in
-        ranges, blocks, sizes = [], [], np.zeros(len(lengths), dtype=np.int64)
+        # Each block's grams (hash, start, size), and each text's distinct
+        # grams as numbers of the grams of all blocks so far.
+        hashes, starts, sizes = [_EMPTY_GRAM_HASH[:0]], [text_starts[:0]], [text_starts[:0]]
+        postings = [np.zeros(0, dtype=np.int32)]
+        counts = np.zeros(len(lengths), dtype=np.int64)
+        numbered = 0
         for block in _blocks(lengths, self.lo, _BLOCK_UNITS):
             a, z = block[0], block[-1] + 1
-            hashes, starts, gram_sizes = _windows(
-                self.units[text_starts[a] : text_starts[z]], lengths[a:z], self.lo, self.hi
+            units = self.units[text_starts[a] : text_starts[z]]
+            window_hashes, window_starts, window_sizes = _windows(
+                units, lengths[a:z], self.lo, self.hi
             )
-            doc = np.arange(z - a).repeat(lengths[a:z])[starts]
-            starts += text_starts[a]
-            first = _group(self.units, hashes, starts, gram_sizes)
-            grams = (first == np.arange(len(first))).nonzero()[0]  # in hash order
-            found = self.find(hashes[grams], self.units, starts[grams], gram_sizes[grams])
-            new = found < 0
-            gram_ids = np.empty(len(grams), dtype=np.int64)
-            gram_ids[~new] = added[found[~new]]
-            gram_ids[new] = len(added) + np.arange(np.count_nonzero(new))
-            ids = np.empty(len(first), dtype=np.int64)  # each window's gram
-            ids[grams] = gram_ids
-            ids = ids[first]
-            new = grams[new]  # the windows that stand for the new grams
-            at = self.hashes.searchsorted(hashes[new], side="right")
-            self.hashes = np.insert(self.hashes, at, hashes[new])
-            new_spans = np.stack((starts[new], gram_sizes[new]), axis=1)
-            self.gram_spans = np.insert(self.gram_spans, at, new_spans, axis=0)
-            added = np.insert(added, at, ids[new])
+            grams, heads = _group(units, window_hashes, window_starts, window_sizes)
+            hashes.append(window_hashes[heads])
+            starts.append(window_starts[heads] + text_starts[a])
+            sizes.append(window_sizes[heads])
             # Each (text, gram) pair once, in text order.
-            shift = len(added).bit_length()
-            pairs = _distinct(doc << shift | ids)
-            doc, ids = pairs >> shift, pairs & ((1 << shift) - 1)
-            ranges.append((a, z))
-            blocks.append(ids.astype(np.int32))
-            sizes[a:z] = np.bincount(doc, minlength=z - a)
-        rank = np.empty(len(added), dtype=np.int32)
-        rank[added] = np.arange(len(added), dtype=np.int32)
-        self.text_grams = rank[np.concatenate(blocks or [np.zeros(0, np.int32)])]
-        del blocks
-        self.selfs = sizes.astype(np.float64)
-        self.nonempty = self.selfs > 0
-        self.nonempty_selfs = self.selfs[self.nonempty]
-        self.text_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.text_offsets[1:])
-        self.gram_offsets = np.zeros(len(added) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.text_grams, minlength=len(added)), out=self.gram_offsets[1:])
-        # Postings block by block: a block's texts come after the earlier
-        # blocks' texts, so each block appends to its grams' postings.
-        self.gram_texts = np.empty(len(self.text_grams), dtype=np.int32)
-        fill = self.gram_offsets[:-1].copy()
-        for a, z in ranges:
-            ids = self.text_grams[self.text_offsets[a] : self.text_offsets[z]]
-            shift = (z - a).bit_length()
-            pairs = np.sort(ids.astype(np.int64) << shift | np.arange(z - a).repeat(sizes[a:z]))
-            gram, doc = pairs >> shift, pairs & ((1 << shift) - 1)
-            runs = np.concatenate(([True], gram[1:] != gram[:-1])).nonzero()[0]
-            run_lengths = np.diff(runs, append=len(gram))
-            at = fill[gram] + np.arange(len(gram)) - runs.repeat(run_lengths)
-            self.gram_texts[at] = doc + a
-            fill[gram[runs]] += run_lengths
-
-    def find(
-        self, hashes: np.ndarray, units: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-    ) -> np.ndarray:
-        """Vocabulary position of each gram ``units[starts[k]:][:sizes[k]]``
-        with hash ``hashes[k]``, or -1 for a gram the vocabulary lacks."""
-        found = np.empty(len(hashes), dtype=np.int64)
-        found.fill(-1)
-        at = self.hashes.searchsorted(hashes)
-        live = (at < len(self.hashes)).nonzero()[0]
-        while True:
-            live = live[self.hashes[at[live]] == hashes[live]]
-            grams = at[live]
-            spans = self.gram_spans[grams]
-            same = _same(units, starts[live], sizes[live], self.units, spans[:, 0], spans[:, 1])
-            found[live[same]] = grams[same]
-            # A gram that only shares its hash: try the next gram in hash order.
-            live = live[~same]
-            if not live.size:
-                return found
-            at[live] += 1
-            live = live[at[live] < len(self.hashes)]
+            doc = np.arange(z - a).repeat(lengths[a:z])[window_starts]
+            shift = len(heads).bit_length()
+            pairs = _distinct(doc << shift | grams)
+            counts[a:z] = np.bincount(pairs >> shift, minlength=z - a)
+            postings.append((pairs & ((1 << shift) - 1)).astype(np.int32) + numbered)
+            numbered += len(heads)
+        # The blocks' grams, grouped once more in hash order, are the vocabulary.
+        hashes = np.concatenate(hashes)
+        order = hashes.argsort()
+        hashes = hashes[order]
+        starts = np.concatenate(starts)[order]
+        sizes = np.concatenate(sizes)[order]
+        grams, heads = _group(self.units, hashes, starts, sizes)
+        self.hashes, self.gram_starts, self.gram_sizes = hashes[heads], starts[heads], sizes[heads]
+        ids = np.empty(len(order), dtype=np.int32)
+        ids[order] = grams
+        self.text_grams = ids[np.concatenate(postings)]
+        del postings
+        self.selfs = counts.astype(np.float64)
+        self.text_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.text_offsets[1:])
+        self.gram_offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.text_grams, minlength=len(heads)), out=self.gram_offsets[1:])
+        # Each id's texts in text order, from the (id, text) pairs sorted.
+        shift = len(counts).bit_length()
+        pairs = self.text_grams.astype(np.int64)
+        pairs <<= shift
+        pairs |= np.arange(len(counts), dtype=np.int32).repeat(counts)
+        pairs.sort()
+        pairs &= (1 << shift) - 1
+        self.gram_texts = pairs.astype(np.int32)
 
     def query(self, text: str) -> tuple[np.ndarray, int]:
         """Distinct ids of the text's n-grams that some indexed text holds,
-        and the text's number of distinct n-grams."""
+        and the text's number of distinct n-grams.
+
+        Every window is looked up in the vocabulary and compared with the
+        gram it finds, so a window found there is known by its id; only the
+        windows not found are grouped among themselves.
+        """
         units, lengths = _units([text], self.unit, self.tokens, {})
         hashes, starts, sizes = _windows(units, lengths, self.lo, self.hi)
-        grams = (_group(units, hashes, starts, sizes) == np.arange(len(hashes))).nonzero()[0]
-        found = self.find(hashes[grams], units, starts[grams], sizes[grams])
-        return found[found >= 0], len(grams)
+        at = self.hashes.searchsorted(hashes)
+        found = [at[:0]]
+        missed = np.ones(len(hashes), dtype=bool)
+        live = (at < len(self.hashes)).nonzero()[0]
+        while len(live):
+            # A window with the hash of vocabulary gram at[k] holds its units,
+            # or only shares its hash: then the next gram in hash order is tried.
+            live = live[self.hashes[at[live]] == hashes[live]]
+            ids = at[live]
+            same = _same(
+                units, starts[live], sizes[live],
+                self.units, self.gram_starts[ids], self.gram_sizes[ids],
+            )
+            found.append(ids[same])
+            missed[live[same]] = False
+            live = live[~same]
+            at[live] += 1
+            live = live[at[live] < len(self.hashes)]
+        ids = _distinct(np.concatenate(found))
+        missed = missed.nonzero()[0]
+        _, heads = _group(units, hashes[missed], starts[missed], sizes[missed])
+        return ids, len(ids) + len(heads)
 
     def grams_of(self, t: int) -> np.ndarray:
         return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
@@ -399,7 +380,8 @@ class _NgramIndex:
         values = np.zeros(len(self.selfs), dtype=np.float64)
         if self_q == 0:
             return values
-        values[self.nonempty] = raw[self.nonempty] / np.sqrt(self_q * self.nonempty_selfs)
+        nonempty = self.selfs > 0
+        values[nonempty] = raw[nonempty] / np.sqrt(self_q * self.selfs[nonempty])
         return values
 
     def entry(self, i: int, j: int, normalize: bool) -> float:

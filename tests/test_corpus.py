@@ -113,6 +113,12 @@ class TestLoadTsv:
         assert len(loaded) == 1
         assert loaded[0].text == text
 
+    def test_raw_carriage_return_ending_the_last_column_is_a_line_end(self, tmp_path):
+        # Files from before CR was escaped may hold one raw; before a LF it
+        # reads as a CR LF line end, so that text loses its last CR.
+        path = write(tmp_path / "c.tsv", "id\ttext\nd1\tends in CR\r\nd2\tmid\rdle\n")
+        assert [d.text for d in load_tsv(path, Language.EN)] == ["ends in CR", "mid\rdle"]
+
     def test_carriage_return_round_trips(self, tmp_path):
         # Escaped, so that a text ending in CR is not read as a CR LF line end.
         original = Corpus([Document("d1", "ends in CR\r", Language.EN)], name="c")

@@ -229,6 +229,8 @@ def _group(
         runs = np.ones(len(pending), dtype=bool)
         np.not_equal(hashes[1:], hashes[:-1], out=runs[1:])
         other = (~runs).nonzero()[0]
+        if not len(other):  # no two windows share a hash
+            break
         head = np.maximum.accumulate(np.where(runs, np.arange(len(pending)), 0))[other]
         same = _same(units, starts[head], sizes[head], units, starts[other], sizes[other])
         first[pending[other[same]]] = pending[head[same]]
@@ -364,12 +366,12 @@ class _NgramIndex:
 
     def shared_counts(self, ids: np.ndarray) -> np.ndarray:
         """Exact count of the given distinct ids that each indexed text holds."""
-        starts = self.gram_offsets[ids]
-        lengths = self.gram_offsets[ids + 1] - starts
+        ends = self.gram_offsets[ids + 1]
+        lengths = ends - self.gram_offsets[ids]
         # Flat positions of every posting of every id, without a Python loop:
         # the k-th posting of an id sits at its start plus k.
-        firsts = np.cumsum(lengths) - lengths
-        positions = np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
+        positions = np.repeat(ends - np.cumsum(lengths), lengths)
+        positions += np.arange(len(positions))
         return np.bincount(self.gram_texts[positions], minlength=len(self.selfs))
 
     def kernels(self, shared: np.ndarray, self_q: float, normalize: bool) -> np.ndarray:

@@ -22,7 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_settings, decode_utf8
+from .checkpoint import atomic_write_text
+from .errors import ConfigError, DataError, check_settings, decode_lines
 
 HISTOGRAM_BIN_WIDTH = 100
 HISTOGRAM_UPPER = 2000
@@ -159,14 +160,7 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
-    text = decode_utf8(path.read_bytes(), path)
-    # CR LF line ends read as LF.  str.splitlines would also split a text
-    # on U+0085, U+2028 and the like, which a document may hold.
-    if "\r" in text:  # replace scans far slower than this test on wide text
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = decode_lines(path.read_bytes(), path)
     if not lines:
         raise DataError(f"{path}: empty corpus file")
     header = lines[0].split("\t")
@@ -198,8 +192,7 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
 
 
 def save_tsv(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the TSV format read by :func:`load_tsv`."""
-    path = Path(path)
+    """Write a corpus, atomically, in the TSV format read by :func:`load_tsv`."""
     any_label = any(doc.label is not None for doc in corpus)
     rows = ["id\ttext\tlabel" if any_label else "id\ttext"]
     for doc in corpus:
@@ -207,7 +200,7 @@ def save_tsv(corpus: Corpus, path: str | Path) -> None:
         if any_label:
             cells.append(doc.label.value if doc.label is not None else "")
         rows.append("\t".join(cells))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(rows) + "\n")
 
 
 def _round_half_up(x: float) -> int:

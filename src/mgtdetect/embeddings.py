@@ -8,15 +8,17 @@ the result.  A gram's hash is a splitmix64 chain over its code points,
 keyed by the seed (``GRAM_HASH`` names it; see ``embed_corpus``): feature
 hashing needs a well-mixed 64-bit hash, not a cryptographic one, and this
 one gives the hashes of every window of one length from those of the
-windows one shorter in a single array expression.  The embedder keeps the
-whole pipeline runnable anywhere, at the cost of weaker features than a
-learned embedding.  Features travel as matrices:
-``embed_corpus`` returns one float64 row per document, in corpus order;
-an ``EmbeddingTable`` is only an embedding file read into memory.
+windows one shorter in a single array expression (``window_levels``, which
+the string kernel hashes with too).  The embedder keeps the whole pipeline
+runnable anywhere, at the cost of weaker features than a learned embedding.
+Features travel as matrices: ``embed_corpus`` returns one float64 row per
+document, in corpus order; an ``EmbeddingTable`` is only an embedding file
+read into memory.
 
 Embedding files are TSV-like: ``id<TAB>v1 v2 ... vd`` with vector
 components separated by single spaces and serialized with 9 significant
-digits.  A component that is not a finite number is refused.
+digits.  Lines end in LF or CR LF; other line separators belong to the id.
+A component that is not a finite number is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document
-from .errors import ConfigError, DataError, check_settings, decode_utf8
+from .checkpoint import atomic_write_text
+from .errors import ConfigError, DataError, check_settings, decode_lines
 
 # The name a checkpoint stores for the n-gram hash below; a model trained
 # on features of another hash is refused.
@@ -79,10 +82,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     if not path.is_file():
         raise DataError(f"embedding file not found: {path}")
     raw = path.read_bytes()
-    lines = decode_utf8(raw, path).splitlines()
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(decode_lines(raw, path), start=1):
         if not line.strip():
             continue
         cells = line.split("\t")
@@ -115,12 +117,12 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
     Loading what was saved reproduces values up to that serialization
     precision; a table that already went through one save/load cycle (or
-    came from a file) round-trips exactly.
+    came from a file) round-trips exactly.  The file is written atomically.
     """
     lines = []
     for doc_id, vec in table.vectors.items():
         lines.append(doc_id + "\t" + " ".join(format(v, ".9g") for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -156,18 +158,19 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
 
     Documents are counted in blocks of about ``_BLOCK_CHARS`` characters, so
     the call's working memory is bounded by the larger of the block and the
-    longest document.  Within a block every window is hashed, each one chain
-    step on from the window one shorter at the same start, and no length past
-    the longest document is tried; nothing is cached across calls.  Every
-    bucket count and every row's sum of squares is a small integer, exact in
-    any summation order, so each row equals the one built gram by gram.
+    longest document.  Within a block ``window_levels`` hashes every window,
+    and no length past the longest document is tried; nothing is cached
+    across calls.  Every bucket count and every row's sum of squares is a
+    small integer, exact in any summation order, so each row equals the one
+    built gram by gram.
     """
     # Whitespace normalization keeps the embedding independent of
     # leading, trailing, or repeated whitespace.
     texts = [" ".join(doc.text.split()) for doc in corpus]
     rows = np.zeros((len(texts), cfg.dim), dtype=np.float64)
+    h0 = chain_start(cfg.seed)
     for block in _blocks([len(text) for text in texts], cfg.ngram_min, _BLOCK_CHARS):
-        rows[block] = _gram_counts([texts[i] for i in block], cfg)
+        rows[block] = _gram_counts([texts[i] for i in block], cfg, h0)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     np.divide(rows, norms, out=rows, where=norms > 0.0)
     return rows
@@ -183,6 +186,34 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _SHIFT_30)) * _MIX_1
     z = (z ^ (z >> _SHIFT_27)) * _MIX_2
     return z ^ (z >> _SHIFT_31)
+
+
+def code_points(texts: Sequence[str]) -> np.ndarray:
+    """The texts' code points joined, as uint32, lone surrogates included."""
+    return np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def chain_start(seed: int) -> np.ndarray:
+    """``h0 = mix(seed)``, the chain hash of the empty gram, as an array."""
+    return _mix(np.array([seed], dtype=np.uint64))
+
+
+def window_levels(
+    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int, h0: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """``(hashes, inside)`` for each n from ``lo`` to ``hi``, or to the longest
+    text, of the texts of ``lengths`` units joined in ``units``: ``hashes[i]``
+    chains the n units at i from ``h0``, one step on from the n - 1 units',
+    and ``inside`` marks the windows inside one text (None for one text)."""
+    units = units.astype(np.uint64)  # uint64 ^ uint32 casts on every level
+    # A window lies inside one text when its first and last units do.
+    doc = np.repeat(np.arange(len(lengths)), lengths) if len(lengths) > 1 else None
+    hashes = _mix(h0 ^ units)
+    for n in range(1, min(hi, max(lengths, default=0)) + 1):
+        if n > 1:
+            hashes = _mix(hashes[:-1] ^ units[n - 1 :])
+        if n >= lo:
+            yield hashes, None if doc is None else doc[: len(hashes)] == doc[n - 1 :]
 
 
 def _blocks(sizes: Sequence[int], min_size: int, budget: int) -> Iterator[list[int]]:
@@ -203,29 +234,17 @@ def _blocks(sizes: Sequence[int], min_size: int, budget: int) -> Iterator[list[i
         yield block
 
 
-def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig) -> np.ndarray:
+def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig, h0: np.ndarray) -> np.ndarray:
     """The (len(texts), dim) signed bucket counts of the texts' n-grams."""
-    chars = np.frombuffer(
-        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4"
-    ).astype(np.uint64)
-    doc = np.repeat(np.arange(len(texts)), [len(t) for t in texts])
+    lengths = [len(t) for t in texts]
+    doc = np.repeat(np.arange(len(texts)), lengths)
     counts = np.zeros(len(texts) * cfg.dim, dtype=np.float64)
-    # hashes[i] is the chain hash of the n-gram starting at position i of
-    # the joined texts, one step on from the (n-1)-gram's there.  No gram
-    # is longer than the longest text, whatever ngram_max is.
-    hashes = _mix(_mix(np.array([cfg.seed], dtype=np.uint64)) ^ chars)
-    for n in range(1, min(cfg.ngram_max, max(map(len, texts))) + 1):
-        if n > 1:
-            hashes = _mix(hashes[:-1] ^ chars[n - 1 :])
-        if n < cfg.ngram_min:
-            continue
-        # Only windows that start and end in the same document are n-grams.
-        start_doc = doc[: len(hashes)]
-        windows = start_doc == doc[n - 1 :]
-        grams = hashes[windows]
+    levels = window_levels(code_points(texts), lengths, cfg.ngram_min, cfg.ngram_max, h0)
+    for grams, inside in levels:
+        gram_doc = doc[: len(grams)]
+        if inside is not None:
+            grams, gram_doc = grams[inside], gram_doc[inside]
         bucket = ((grams & _BUCKET_MASK) % np.uint64(cfg.dim)).astype(np.int64)
         sign = np.where(grams >> _SHIFT_63, -1.0, 1.0)
-        counts += np.bincount(
-            start_doc[windows] * cfg.dim + bucket, weights=sign, minlength=len(counts)
-        )
+        counts += np.bincount(gram_doc * cfg.dim + bucket, weights=sign, minlength=len(counts))
     return counts.reshape(len(texts), cfg.dim)

@@ -1,5 +1,5 @@
-"""Error types shared across the package, the UTF-8 file boundary and the
-settings boundary check.
+"""Error types shared across the package, the UTF-8 file boundary (bytes to
+text, and text to lines) and the settings boundary check.
 
 The split matters for the command line tool, which maps error categories to
 exit codes: configuration problems exit 1, data problems exit 2, anything
@@ -31,6 +31,16 @@ def decode_utf8(raw: bytes, path: object) -> str:
         raise DataError(
             f"{path}: not valid UTF-8 at byte {start + exc.start} ({exc.reason})"
         ) from exc
+
+
+def decode_lines(raw: bytes, path: object) -> list[str]:
+    """A file's lines, decoded as ``decode_utf8`` does.  Lines end in LF or
+    CR LF; ``str.splitlines`` would also split on text (U+2028, U+0085, ...)."""
+    text = decode_utf8(raw, path)
+    if "\r" in text:  # replace scans far slower than this test on wide text
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def check_settings(settings: object) -> None:

@@ -13,7 +13,7 @@ and keeps for each id the sorted postings of the texts that contain it.
 It finds n-grams on arrays, not as Python strings: a text is an array of
 units (its code points, or its whitespace tokens numbered in order of
 first appearance), and every window of n units is hashed with the
-embedder's splitmix64 chain (``embeddings._mix``), one chain step on from
+embedder's splitmix64 chain (``embeddings.window_levels``), one step on from
 the window one unit shorter at the same start.  Windows with equal hashes
 are compared unit by unit, so a hash collision never merges two n-grams.
 The build hashes the texts in blocks of about ``_BLOCK_UNITS`` units and
@@ -64,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import decode_array, encode_array
-from .embeddings import _blocks, _mix
+from .embeddings import _blocks, chain_start, code_points, window_levels
 from .errors import ConfigError, DataError
 
 KKT_TOLERANCE = 1e-3
@@ -73,8 +73,6 @@ _MIN_ALPHA_STEP = 1e-12
 _SUPPORT_EPS = 1e-8
 # Texts are indexed in blocks of about this many units (see _NgramIndex).
 _BLOCK_UNITS = 1 << 12
-# The chain hash of the empty gram; a gram's hash is one _mix step per unit.
-_EMPTY_GRAM_HASH = _mix(np.zeros(1, dtype=np.uint64))
 
 
 class NgramUnit(Enum):
@@ -152,8 +150,7 @@ def _units(
     every number ``tokens`` holds.
     """
     if unit is NgramUnit.CHAR:
-        joined = "".join(texts).encode("utf-32-le", "surrogatepass")
-        return np.frombuffer(joined, dtype="<u4"), [len(t) for t in texts]
+        return code_points(texts), [len(t) for t in texts]
     words = [text.split() for text in texts]
     ids = [
         tokens[w] if w in tokens else new_tokens.setdefault(w, len(tokens) + len(new_tokens))
@@ -179,37 +176,20 @@ def _same(
 
 
 def _windows(
-    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int
+    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int, h0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The hash, start and size of every window of n units, ``lo <= n <= hi``,
-    inside one of the texts joined in ``units``, sorted by hash.
-
-    Each window's hash is one chain step on from the hash of the window one
-    unit shorter at the same start; no n past the longest text is tried.
-    """
+    inside one of the texts joined in ``units``, sorted by hash."""
     positions = np.arange(len(units))
-    # Windows that cross from one text into the next hold no gram.
-    room = np.repeat(np.cumsum(lengths), lengths) - positions if len(lengths) > 1 else None
-    window_hashes, window_starts = [_EMPTY_GRAM_HASH[:0]], [positions[:0]]
-    hashes = _mix(_EMPTY_GRAM_HASH ^ units)
-    for n in range(1, min(hi, max(lengths, default=0)) + 1):
-        if n > 1:
-            hashes = _mix(hashes[:-1] ^ units[n - 1 :])
-        if n < lo:
-            continue
-        if room is None:
-            window_hashes.append(hashes)
-            window_starts.append(positions[: len(hashes)])
-        else:
-            inside = (room[: len(hashes)] >= n).nonzero()[0]
-            window_hashes.append(hashes[inside])
-            window_starts.append(inside)
-    sizes = np.arange(lo, lo + len(window_starts) - 1).repeat(
-        [len(starts) for starts in window_starts[1:]]
-    )
-    hashes = np.concatenate(window_hashes)
+    hashes, starts = [np.zeros(0, dtype=np.uint64)], [positions[:0]]
+    for level, inside in window_levels(units, lengths, lo, hi, h0):
+        at = positions[: len(level)] if inside is None else inside.nonzero()[0]
+        hashes.append(level if inside is None else level[at])
+        starts.append(at)
+    sizes = np.arange(lo, lo + len(starts) - 1).repeat([len(at) for at in starts[1:]])
+    hashes = np.concatenate(hashes)
     order = hashes.argsort()
-    return hashes[order], np.concatenate(window_starts)[order], sizes[order]
+    return hashes[order], np.concatenate(starts)[order], sizes[order]
 
 
 def _group(
@@ -275,13 +255,14 @@ class _NgramIndex:
 
     def __init__(self, texts: Sequence[str], cfg: KernelConfig):
         self.lo, self.hi, self.unit = cfg.ngram_min, cfg.ngram_max, cfg.unit
+        self.h0 = chain_start(0)  # the kernel's windows hash with seed 0
         self.tokens: dict = {}
         self.units, lengths = _units(texts, cfg.unit, {}, self.tokens)
         text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=text_starts[1:])
         # Each block's grams (hash, start, size), and each text's distinct
         # grams as numbers of the grams of all blocks so far.
-        hashes, starts, sizes = [_EMPTY_GRAM_HASH[:0]], [text_starts[:0]], [text_starts[:0]]
+        hashes, starts, sizes = [np.zeros(0, dtype=np.uint64)], [text_starts[:0]], [text_starts[:0]]
         postings = [np.zeros(0, dtype=np.int32)]
         counts = np.zeros(len(lengths), dtype=np.int64)
         numbered = 0
@@ -289,7 +270,7 @@ class _NgramIndex:
             a, z = block[0], block[-1] + 1
             units = self.units[text_starts[a] : text_starts[z]]
             window_hashes, window_starts, window_sizes = _windows(
-                units, lengths[a:z], self.lo, self.hi
+                units, lengths[a:z], self.lo, self.hi, self.h0
             )
             grams, heads = _group(units, window_hashes, window_starts, window_sizes)
             hashes.append(window_hashes[heads])
@@ -337,7 +318,7 @@ class _NgramIndex:
         windows not found are grouped among themselves.
         """
         units, lengths = _units([text], self.unit, self.tokens, {})
-        hashes, starts, sizes = _windows(units, lengths, self.lo, self.hi)
+        hashes, starts, sizes = _windows(units, lengths, self.lo, self.hi, self.h0)
         at = self.hashes.searchsorted(hashes)
         found = [at[:0]]
         missed = np.ones(len(hashes), dtype=bool)

@@ -13,11 +13,11 @@ syllable heuristics, so scores are internally consistent rather than
 matching any particular external tool.
 
 ``readability_matrix`` scores a whole batch in one numpy pass over its code
-points.  It joins the texts, looks up each code point's class bits (token
-character, joiner, whitespace, terminator, the vowel, ``e`` and ``l``
-classes of its lowercase, and whether that lowercase breaks a vowel run) and,
-from those bits and the document ends alone, finds the tokens, sentence
-boundaries and syllable onsets that ``textprep.tokenize``,
+points (``embeddings.code_points``).  It looks up each code point's class
+bits (token character, joiner, whitespace, terminator, the vowel, ``e`` and
+``l`` classes of its lowercase, and whether that lowercase breaks a vowel
+run) and, from those bits and the document ends alone, finds the tokens,
+sentence boundaries and syllable onsets that ``textprep.tokenize``,
 ``textprep.sentence_split`` and ``textprep.count_syllables`` define, as
 boolean masks summed per token and per document.  Those counts are exact
 integers, and the ten columns apply the same IEEE operations in the same
@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Document, Language
+from .embeddings import code_points
 from .errors import DataError
 from .textprep import _EN_VOWELS, _ES_STRONG, _ES_VOWELS, _JOINERS, _TERMINATORS
 
@@ -139,11 +140,6 @@ def _char_bits(char: str) -> int:
     return bits
 
 
-def _code_points(text: str) -> np.ndarray:
-    # A lone surrogate passes as the one code point it is.
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-
-
 def _code_point_bits(points: np.ndarray) -> np.ndarray:
     """The class bits of each code point, as uint16.
 
@@ -218,7 +214,7 @@ def readability_matrix(docs: Iterable[Document]) -> np.ndarray:
         return np.empty((0, len(FEATURE_NAMES)), dtype=np.float64)
     texts = [doc.text for doc in docs]
     ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)))
-    bits = _code_point_bits(_code_points("".join(texts)))
+    bits = _code_point_bits(code_points(texts))
     # linked[i]: positions i and i + 1 are in the same document.
     linked = np.ones(bits.size - 1, dtype=bool)
     linked[ends[:-1] - 1] = False

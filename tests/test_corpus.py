@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -126,6 +127,12 @@ class TestLoadTsv:
         save_tsv(original, path)
         assert b"\r" not in path.read_bytes()
         assert load_tsv(path, Language.EN)[0].text == "ends in CR\r"
+
+    def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
+        corpus = Corpus([Document("d1", "text", Language.EN)], name="c")
+        with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}")):
+            save_tsv(corpus, tmp_path)
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_save_load_save_identical_bytes(self, tmp_path, make_doc):
         corpus = Corpus(

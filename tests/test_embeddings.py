@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from unittest import mock
 
@@ -12,9 +13,12 @@ from mgtdetect.corpus import Corpus, Document, Language
 from mgtdetect.embeddings import (
     EmbeddingTable,
     FallbackEmbedderConfig,
+    chain_start,
+    code_points,
     embed_corpus,
     load_embeddings,
     save_embeddings,
+    window_levels,
 )
 from mgtdetect.errors import ConfigError, DataError
 
@@ -43,12 +47,16 @@ def splitmix64(z):
     return z ^ (z >> 31)
 
 
-def gram_hash(gram, seed):
-    """A gram's keyed chain hash: h0 = mix(seed), hk = mix(h(k-1) ^ ck)."""
+def chain_hash(units, seed):
+    """A gram's keyed chain hash: h0 = mix(seed), hk = mix(h(k-1) ^ uk)."""
     h = splitmix64(seed)
-    for char in gram:
-        h = splitmix64(h ^ ord(char))
+    for unit in units:
+        h = splitmix64(h ^ unit)
     return h
+
+
+def gram_hash(gram, seed):
+    return chain_hash(map(ord, gram), seed)
 
 
 def bucket_and_sign(gram, seed, dim):
@@ -133,6 +141,57 @@ class TestMatchesGramByGramReference:
         cfg = FallbackEmbedderConfig(dim=64)
         docs = en_docs(texts)
         assert embed_corpus(docs, cfg).tobytes() == reference_embed_corpus(docs, cfg).tobytes()
+
+
+# Code-point texts: NUL, a lone surrogate and an astral code point among
+# them, and the empty text.
+_unit_texts = st.lists(
+    st.sampled_from(["a", "b", "ab", "\x00", "\ud800", "\U0001F600", " "]), max_size=12
+).map("".join)
+# Word-id texts: any uint32 ids, few of them distinct.
+_id_texts = st.lists(
+    st.sampled_from([0, 1, 7, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1), max_size=12
+)
+
+
+class TestWindowLevels:
+    """Each level's chain hashes equal a scalar reference's, window by window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.one_of(
+            st.lists(_unit_texts.map(lambda t: [ord(c) for c in t]), max_size=5),
+            st.lists(_id_texts, max_size=5),
+        ),
+        lo=st.integers(1, 4),
+        extra=st.integers(0, 14) | st.just(10**9),
+        seed=st.sampled_from([0, 1, 2**64 - 1]),
+    )
+    def test_equals_scalar_reference(self, texts, lo, extra, seed):
+        hi = lo + extra
+        joined = [unit for text in texts for unit in text]
+        text_of = [t for t, text in enumerate(texts) for _ in text]
+        units = np.array(joined, dtype=np.uint32)
+        lengths = [len(text) for text in texts]
+        levels = list(window_levels(units, lengths, lo, hi, chain_start(seed)))
+        # One level per n up to the longest text, whatever hi is.
+        longest = max(lengths, default=0)
+        assert len(levels) == len(range(lo, min(hi, longest) + 1))
+        for n, (hashes, inside) in enumerate(levels, start=lo):
+            windows = range(len(joined) - n + 1)
+            assert hashes.dtype == np.uint64
+            assert hashes.tolist() == [chain_hash(joined[i : i + n], seed) for i in windows]
+            expected_inside = [text_of[i] == text_of[i + n - 1] for i in windows]
+            if inside is None:
+                assert len(texts) == 1
+                assert all(expected_inside)
+            else:
+                assert inside.tolist() == expected_inside
+
+    def test_code_points_of_lone_surrogate_nul_and_astral(self):
+        texts = ["a\x00", "", "\ud800\U0001F600"]
+        assert code_points(texts).tolist() == [0x61, 0, 0xD800, 0x1F600]
+        assert code_points([]).tolist() == []
 
 
 class TestGoldenEmbedding:
@@ -366,3 +425,23 @@ class TestEmbeddingFiles:
         path.write_text("\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_embeddings(path)
+
+    def test_ids_with_line_separators_round_trip(self, tmp_path):
+        # Only LF (or CR LF) ends a line, as in a corpus file: U+2028, U+0085
+        # and U+001C belong to the id that holds them.
+        ids = ["a\u2028b", "c\x85d", "e\x1cf"]
+        table = EmbeddingTable(dim=2, vectors={i: np.array([1.0, -0.5]) for i in ids})
+        path = tmp_path / "e.tsv"
+        save_embeddings(table, path)
+        assert list(load_embeddings(path).vectors) == ids
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_embeddings(crlf)
+        assert list(loaded.vectors) == ids
+        np.testing.assert_array_equal(loaded.get(ids[1]), [1.0, -0.5])
+
+    def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
+        table = EmbeddingTable(dim=1, vectors={"a": np.array([1.0])})
+        with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}")):
+            save_embeddings(table, tmp_path)
+        assert list(tmp_path.rglob("*.tmp")) == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtdetect import kernels
+from mgtdetect import embeddings, kernels
 from mgtdetect.checkpoint import decode_array, encode_array
 from mgtdetect.corpus import Label
 from mgtdetect.errors import ConfigError, DataError
@@ -628,7 +628,7 @@ class TestHashedIndexOverUnicode:
         texts = edge_case_texts(cfg, seed=29, n=8)
         rnd = random.Random(3)
         queries = [random_text(rnd, max_len=30) for _ in range(4)] + ["", texts[2]]
-        with mock.patch.object(kernels, "_mix", np.zeros_like):
+        with mock.patch.object(embeddings, "_mix", np.zeros_like):
             assert_index_matches_pairwise(texts, cfg, queries)
             np.testing.assert_array_equal(
                 kernel_matrix(texts, cfg).matrix,

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .errors import ConfigError, DataError, check_settings, decode_lines
+from .errors import ConfigError, DataError, check_id_cell, check_settings, decode_lines
 
 HISTOGRAM_BIN_WIDTH = 100
 HISTOGRAM_UPPER = 2000
@@ -32,6 +32,11 @@ HISTOGRAM_UPPER = 2000
 class Language(Enum):
     EN = "en"
     ES = "es"
+
+    # Members are singletons, so identity is their equality.  Enum's own
+    # __hash__ is a Python-level call, and the stemmer hashes a language
+    # for every word it stems (its rule tables are cached per language).
+    __hash__ = object.__hash__
 
 
 class Label(Enum):
@@ -55,6 +60,8 @@ class Document:
             raise DataError(f"document {self.id!r}: text must be nonempty")
         if not isinstance(self.language, Language):
             raise DataError(f"document {self.id!r}: bad language {self.language!r}")
+        if self.label is not None and not isinstance(self.label, Label):
+            raise DataError(f"document {self.id!r}: bad label {self.label!r}")
 
 
 class Corpus:
@@ -192,10 +199,15 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
 
 
 def save_tsv(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus, atomically, in the TSV format read by :func:`load_tsv`."""
+    """Write a corpus, atomically, in the TSV format read by :func:`load_tsv`.
+
+    Ids are not escaped: an id holding a TAB or LF is a :class:`DataError`,
+    raised before anything is written.
+    """
     any_label = any(doc.label is not None for doc in corpus)
     rows = ["id\ttext\tlabel" if any_label else "id\ttext"]
     for doc in corpus:
+        check_id_cell(doc.id, path)
         cells = [doc.id, _escape(doc.text)]
         if any_label:
             cells.append(doc.label.value if doc.label is not None else "")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .checkpoint import atomic_write_text
-from .errors import ConfigError, DataError, check_settings, decode_lines
+from .errors import ConfigError, DataError, check_id_cell, check_settings, decode_lines
 
 # The name a checkpoint stores for the n-gram hash below; a model trained
 # on features of another hash is refused.
@@ -118,9 +118,12 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     Loading what was saved reproduces values up to that serialization
     precision; a table that already went through one save/load cycle (or
     came from a file) round-trips exactly.  The file is written atomically.
+    Ids are not escaped: an id holding a TAB or LF is a :class:`DataError`,
+    raised before anything is written.
     """
     lines = []
     for doc_id, vec in table.vectors.items():
+        check_id_cell(doc_id, path)
         lines.append(doc_id + "\t" + " ".join(format(v, ".9g") for v in vec))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

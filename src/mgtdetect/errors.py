@@ -43,6 +43,13 @@ def decode_lines(raw: bytes, path: object) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
+def check_id_cell(doc_id: str, path: object) -> None:
+    """Refuse an id that a TSV file would split: ids are written unescaped,
+    and readers split columns at TAB and lines at LF."""
+    if "\t" in doc_id or "\n" in doc_id:
+        raise DataError(f"{path}: cannot write id {doc_id!r}: it holds a TAB or LF")
+
+
 def check_settings(settings: object) -> None:
     """Refuse, on any settings dataclass, what the INI parsers refuse.
 

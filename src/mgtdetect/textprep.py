@@ -6,6 +6,9 @@ suffix-stripping stemming.  ``preprocess(text, language)`` always runs all
 four; no step can be switched off.  Stopword lists and stemmer rule tables
 are bundled plain-text files (UTF-8, one entry per line, ``#`` comments),
 so the behavior is data-driven and versioned with the package.
+Cleanup memoizes each distinct token per language (see ``preprocess``):
+word frequencies are skewed, so most tokens of a corpus repeat one seen
+before, and a repeat costs one dict lookup instead of a stemmer run.
 
 Both the sentence splitter and the syllable counters are deliberately
 simple, documented heuristics; they are consistent and deterministic, not
@@ -194,6 +197,15 @@ def _settled_stem(token: str, language: Language) -> str:
         current = candidate
 
 
+# Per language, each raw token seen so far and what cleanup makes of it
+# ("" for a dropped token).  A full memo is cleared, so it never holds
+# more than _CLEANED_MAX tokens.  It is a plain dict: lru_cache's linked
+# per-entry nodes made each miss slower than no memo at all.  Threads may
+# share it: every value stored is the one cleaned form of its token.
+_CLEANED_MAX = 1 << 16
+_cleaned: dict[Language, dict[str, str]] = {language: {} for language in Language}
+
+
 def preprocess(text: str, language: Language) -> str:
     """Cleanup pipeline; output tokens are rejoined with single spaces.
 
@@ -202,8 +214,28 @@ def preprocess(text: str, language: Language) -> str:
     can collide with a stopword ("thes" stems to "the"), stemmed output is
     filtered against the stopword list once more; that final sweep is what
     makes the whole pipeline idempotent.
+
+    What a token cleans to depends only on the token and the language, so
+    each token is cleaned once and then looked up in a per-language memo.
+    The memo is cleared whenever it holds ``_CLEANED_MAX`` (65,536) tokens,
+    at about 90-150 bytes each (5.4 MiB when full of short lowercase
+    words); it never changes a result.
     """
+    memo = _cleaned[language]
     sw = stopwords(language)
-    tokens = [t.lower() for t in tokenize(text) if t.lower() not in sw]
-    stems = (_settled_stem(t, language) for t in tokens)
-    return " ".join(t for t in stems if t and t not in sw)
+    out = []
+    for token in tokenize(text):
+        cleaned = memo.get(token)
+        if cleaned is None:
+            lowered = token.lower()
+            cleaned = "" if lowered in sw else _settled_stem(lowered, language)
+            if cleaned in sw:
+                cleaned = ""
+            elif cleaned == token:
+                cleaned = token  # the entry keeps one string, not two equal ones
+            if len(memo) >= _CLEANED_MAX:
+                memo.clear()
+            memo[token] = cleaned
+        if cleaned:
+            out.append(cleaned)
+    return " ".join(out)

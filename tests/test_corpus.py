@@ -38,6 +38,11 @@ class TestDocument:
         with pytest.raises(DataError):
             Document(id="a", text="hi", language="en")
 
+    @pytest.mark.parametrize("label", [1, "human", True])
+    def test_rejects_non_label(self, label):
+        with pytest.raises(DataError, match="bad label"):
+            Document(id="d1", text="text", language=Language.EN, label=label)
+
 
 class TestCorpus:
     def test_rejects_duplicate_ids(self, make_doc):
@@ -127,6 +132,16 @@ class TestLoadTsv:
         save_tsv(original, path)
         assert b"\r" not in path.read_bytes()
         assert load_tsv(path, Language.EN)[0].text == "ends in CR\r"
+
+    @pytest.mark.parametrize("bad_id", ["x\ty", "x\ny", "x\r\ny"])
+    def test_id_the_reader_would_split_is_refused_before_writing(self, tmp_path, bad_id):
+        corpus = Corpus(
+            [Document("ok", "text", Language.EN), Document(bad_id, "text", Language.EN)]
+        )
+        path = tmp_path / "sub" / "c.tsv"
+        with pytest.raises(DataError, match=re.escape(repr(bad_id))):
+            save_tsv(corpus, path)
+        assert not path.parent.exists()
 
     def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
         corpus = Corpus([Document("d1", "text", Language.EN)], name="c")

@@ -440,6 +440,14 @@ class TestEmbeddingFiles:
         assert list(loaded.vectors) == ids
         np.testing.assert_array_equal(loaded.get(ids[1]), [1.0, -0.5])
 
+    @pytest.mark.parametrize("bad_id", ["a\tb", "c\nd"])
+    def test_id_the_reader_would_split_is_refused_before_writing(self, tmp_path, bad_id):
+        table = EmbeddingTable(dim=1, vectors={"ok": np.array([1.0]), bad_id: np.array([2.0])})
+        path = tmp_path / "sub" / "e.tsv"
+        with pytest.raises(DataError, match=re.escape(repr(bad_id))):
+            save_embeddings(table, path)
+        assert not path.parent.exists()
+
     def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
         table = EmbeddingTable(dim=1, vectors={"a": np.array([1.0])})
         with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}")):

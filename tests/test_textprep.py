@@ -29,6 +29,28 @@ def _stem_by_table_scan(word: str, language: Language) -> str:
         current = candidate
 
 
+def _preprocess_by_formula(text: str, language: Language) -> str:
+    """The per-document cleanup formula ``preprocess`` had before its memo."""
+    sw = stopwords(language)
+    tokens = [t.lower() for t in tokenize(text) if t.lower() not in sw]
+    stems = (textprep._settled_stem(t, language) for t in tokens)
+    return " ".join(t for t in stems if t and t not in sw)
+
+
+# Words whose cleanup has edge cases: U+0130, whose lowercase is two code
+# points; sharp s (U+00DF, and capital U+1E9E lowercasing to it); sigma,
+# capital and final (U+03A3, U+03C2); U+2019 and hyphen joiners; digits;
+# and stems that land on a stopword ("thes" -> "the").
+_TRICKY_WORDS = [
+    "\u0130stanbul", "\u0130", "stra\u00dfe", "STRA\u1e9eE", "\u03a3\u039f\u03a6\u039f\u03a3",
+    "\u03c3\u03bf\u03c6\u03bf\u03c2", "don\u2019t", "DON\u2019T", "stop-me", "e-s", "x-s-s",
+    "2023", "4x4s", "thes", "THES", "Thes", "cats", "gatos", "las", "The",
+]
+_CLEANUP_TEXT = st.lists(
+    st.one_of(st.text(max_size=12), st.sampled_from(_TRICKY_WORDS)), max_size=12
+).map(" ".join)
+
+
 class TestTokenize:
     def test_keeps_internal_apostrophes_and_hyphens(self):
         assert tokenize("don't stop-me now") == ["don't", "stop-me", "now"]
@@ -293,6 +315,34 @@ class TestPreprocess:
     def test_idempotence_property(self, text):
         once = preprocess(text, Language.EN)
         assert preprocess(once, Language.EN) == once
+
+    @pytest.mark.parametrize("bound", [None, 1])
+    @settings(max_examples=300, deadline=None)
+    @given(text=_CLEANUP_TEXT, language=st.sampled_from([Language.EN, Language.ES]))
+    def test_memo_equals_the_per_document_formula(self, bound, text, language):
+        # Cold (memo cleared), then warm; with a bound of 1 the memo is
+        # cleared before each new token, in the middle of the document.
+        with pytest.MonkeyPatch.context() as patch:
+            if bound is not None:
+                patch.setattr(textprep, "_CLEANED_MAX", bound)
+            expected = _preprocess_by_formula(text, language)
+            for memo in textprep._cleaned.values():
+                memo.clear()
+            assert preprocess(text, language) == expected
+            if bound is None:
+                assert set(textprep._cleaned[language]) == set(tokenize(text))
+            assert preprocess(text, language) == expected
+            assert all(len(m) <= textprep._CLEANED_MAX for m in textprep._cleaned.values())
+
+    def test_memo_is_per_language(self):
+        # "las" is a Spanish stopword and an English word; each language's
+        # memo holds what that language made of it.
+        for memo in textprep._cleaned.values():
+            memo.clear()
+        assert preprocess("Las thes", Language.ES) == "thes"
+        assert preprocess("Las thes", Language.EN) == "la"
+        assert textprep._cleaned[Language.ES] == {"Las": "", "thes": "thes"}
+        assert textprep._cleaned[Language.EN] == {"Las": "la", "thes": ""}
 
     def test_stem_cannot_strand_an_edge_separator(self):
         # "e-s" stems to "e-", which the tokenizer would re-split; output

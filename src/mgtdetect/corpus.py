@@ -201,8 +201,9 @@ def load_tsv(path: str | Path, language: Language) -> Corpus:
 def save_tsv(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus, atomically, in the TSV format read by :func:`load_tsv`.
 
-    Ids are not escaped: an id holding a TAB or LF is a :class:`DataError`,
-    raised before anything is written.
+    Ids are not escaped: an id holding a TAB or LF, or starting or ending
+    with whitespace, is a :class:`DataError`, raised before anything is
+    written.
     """
     any_label = any(doc.label is not None for doc in corpus)
     rows = ["id\ttext\tlabel" if any_label else "id\ttext"]

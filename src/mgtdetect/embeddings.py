@@ -118,8 +118,9 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     Loading what was saved reproduces values up to that serialization
     precision; a table that already went through one save/load cycle (or
     came from a file) round-trips exactly.  The file is written atomically.
-    Ids are not escaped: an id holding a TAB or LF is a :class:`DataError`,
-    raised before anything is written.
+    Ids are not escaped: an id holding a TAB or LF, or starting or ending
+    with whitespace, is a :class:`DataError`, raised before anything is
+    written, as :func:`corpus.save_tsv` refuses it.
     """
     lines = []
     for doc_id, vec in table.vectors.items():

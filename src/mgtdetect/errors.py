@@ -44,10 +44,15 @@ def decode_lines(raw: bytes, path: object) -> list[str]:
 
 
 def check_id_cell(doc_id: str, path: object) -> None:
-    """Refuse an id that a TSV file would split: ids are written unescaped,
-    and readers split columns at TAB and lines at LF."""
+    """Refuse an id that a TSV file would not give back: ids are written
+    unescaped, readers split columns at TAB and lines at LF, and the corpus
+    reader strips the whitespace (as ``str.strip`` sees it) around an id."""
     if "\t" in doc_id or "\n" in doc_id:
         raise DataError(f"{path}: cannot write id {doc_id!r}: it holds a TAB or LF")
+    if doc_id != doc_id.strip():
+        raise DataError(
+            f"{path}: cannot write id {doc_id!r}: it starts or ends with whitespace"
+        )
 
 
 def check_settings(settings: object) -> None:

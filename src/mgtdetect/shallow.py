@@ -15,10 +15,14 @@ quality resolve to the lowest feature index and then the lowest threshold.
 
 The fit is the exact-greedy presorted column block of XGBoost (Chen &
 Guestrin, KDD 2016), without its histogram approximation: every column is
-stably sorted once per fit, each split partitions that order stably into
-its children, and a node scores every cut of every feature in one
-vectorized pass.  Tree t does not depend on the number of trees, so the
-grid search fits each (depth, rate) pair once, at the largest tree count.
+stably sorted once per fit, and each split partitions that order stably
+into its children, out of place between two work buffers and only for a
+child that will look for a split.  A node scores every cut of every
+feature in chunks of whole features sized to stay in cache, the paper's
+cache-aware access; every step is elementwise or a running sum along one
+feature, so the chunks give the gains of one pass bit for bit.  Tree t
+does not depend on the number of trees, so the grid search fits each
+(depth, rate) pair once, at the largest tree count.
 
 A model also keeps its trees as flat node arrays (feature, threshold,
 children, leaf value), the usual layout for scoring tree ensembles (as in
@@ -161,6 +165,22 @@ class TreeNode:
         return self.left is None
 
 
+def _searched(n: int, depth: int, max_depth: int) -> bool:
+    """Whether a node of ``n`` rows at ``depth`` looks for a split."""
+    return depth < max_depth and n >= 2 * MIN_SAMPLES_PER_LEAF
+
+
+# Cells (features x node rows) that one pass of the split search works on,
+# unless one feature holds more: each float64 working array of a chunk then
+# takes 256 KiB, so a chunk's arrays stay in cache between the passes.
+_SPLIT_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_features(n: int) -> int:
+    """Features per chunk of a node of ``n`` rows: at least one."""
+    return max(1, _SPLIT_CHUNK_CELLS // n)
+
+
 class _ColumnBlock:
     """One training matrix presorted per feature, reused by every tree.
 
@@ -170,9 +190,20 @@ class _ColumnBlock:
     and compares false, two sorted values compare with ``<`` exactly as their
     ranks do.  Both are flat buffers: the node holding sorted slots
     ``lo:hi`` owns ``[d * lo, d * hi)`` and reads it as a C-contiguous
-    ``(d, hi - lo)`` block.  A split partitions that block stably in place,
-    so each child again owns one contiguous block whose columns are sorted,
-    and no node sorts anything.
+    ``(d, hi - lo)`` block.
+
+    The root reads the presorted buffers, which every tree shares.  A split
+    partitions its block stably, out of place, into the same span of a work
+    buffer: a node at depth k >= 1 reads work buffer (k - 1) % 2 and writes
+    its children into the other, so each child again owns one contiguous
+    block whose columns are sorted, and no node sorts anything.  A node's
+    span is overwritten only by its own descendants, once it is split.  A
+    child that will not be searched (too deep or too small) is not written.
+
+    A node searches its features in chunks of at most ``_SPLIT_CHUNK_CELLS``
+    cells, each at least one whole feature.  Every step of the search is
+    elementwise or a running sum along one feature, so a chunk's gains are
+    bit for bit those of one pass over the whole block.
     """
 
     def __init__(self, x: np.ndarray) -> None:
@@ -181,31 +212,44 @@ class _ColumnBlock:
         xt = np.ascontiguousarray(x.T)
         order = np.argsort(xt, axis=1, kind="stable")
         values = np.take_along_axis(xt, order, axis=1)
+        # Each temporary is dropped as soon as it is used, to keep the peak low.
+        del xt
+        order = order.astype(np.int32 if self.n <= np.iinfo(np.int32).max else np.intp)
         ranks = np.zeros(values.shape, dtype=np.int32)
         np.cumsum(values[:, 1:] > values[:, :-1], axis=1, out=ranks[:, 1:])
         ranks[np.isnan(values)] = -1
-        ids = np.int32 if self.n <= np.iinfo(np.int32).max else np.intp
-        self._root_order = order.astype(ids).ravel()
-        self._root_ranks = ranks.ravel()
-        # Free the sort's temporaries before the work buffers exist.
-        del xt, order, values, ranks
-        self.order = np.empty_like(self._root_order)
-        self.ranks = np.empty_like(self._root_ranks)
-        # Scratch for one node's split search, read through ``_block`` from
-        # slot 0: running sums of the sorted residuals and of their squares.
-        self._csum = np.empty(self.n * self.d)
-        self._csq = np.empty(self.n * self.d)
+        del values
+        # (order, ranks) of the root, then of each work buffer, made when a
+        # tree first grows deep enough to write it.
+        self._buffers = [(order.ravel(), ranks.ravel())]
+        # Scratch for one chunk of a node's search: the gathered residuals
+        # (then their squares, then the gains), their running sums and the
+        # cuts refused.
+        cells = min(self.n * self.d, max(_SPLIT_CHUNK_CELLS, self.n))
+        self._res = np.empty(cells)
+        self._csum = np.empty(cells)
+        self._csq = np.empty(cells)
+        self._refused = np.empty(cells, dtype=bool)
+        # Rows left of each cut, as the divisor of its left mean.
+        self._counts = np.arange(1.0, self.n + 1.0)
+        self._best_cut = np.empty(self.d, dtype=np.intp)
+        self._best_gain = np.empty(self.d)
         self._goes_left = np.empty(self.n, dtype=bool)
 
     def _block(self, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return buf[self.d * lo : self.d * hi].reshape(self.d, hi - lo)
 
+    def _read(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (order, ranks) buffers the nodes at ``depth`` read."""
+        return self._buffers[0 if depth == 0 else 1 + (depth - 1) % 2]
+
     def fit_tree(
         self, residuals: np.ndarray, hessians: np.ndarray, max_depth: int
     ) -> tuple[TreeNode, np.ndarray]:
         """Grow one tree; also return the leaf value of every training row."""
-        np.copyto(self.order, self._root_order)
-        np.copyto(self.ranks, self._root_ranks)
+        # Depths 1 .. max_depth - 1 can be searched, each reading a work buffer.
+        while len(self._buffers) < min(3, max_depth):
+            self._buffers.append(tuple(np.empty_like(buf) for buf in self._buffers[0]))
         leaf_values = np.empty(self.n, dtype=np.float64)
         tree = self._grow(
             0, self.n, np.arange(self.n), residuals, hessians, 0, max_depth, leaf_values
@@ -226,13 +270,16 @@ class _ColumnBlock:
         # ``rows`` lists the node's row ids ascending, the order in which
         # the node's sums are taken.
         node_res = residuals[rows]
-        if depth < max_depth:
-            split = self._best_split(lo, hi, residuals, node_res)
+        if _searched(hi - lo, depth, max_depth):
+            split = self._best_split(lo, hi, depth, residuals, node_res)
             if split is not None:
                 feature, threshold = split
                 mask = self.x[rows, feature] <= threshold
                 mid = lo + int(np.count_nonzero(mask))
-                self._partition(lo, hi, rows, mask)
+                left = _searched(mid - lo, depth + 1, max_depth)
+                right = _searched(hi - mid, depth + 1, max_depth)
+                if left or right:
+                    self._partition(lo, mid, hi, depth, rows, mask, left, right)
                 args = (residuals, hessians, depth + 1, max_depth, leaf_values)
                 return TreeNode(
                     feature=feature,
@@ -245,7 +292,7 @@ class _ColumnBlock:
         return TreeNode(value=value)
 
     def _best_split(
-        self, lo: int, hi: int, residuals: np.ndarray, node_res: np.ndarray
+        self, lo: int, hi: int, depth: int, residuals: np.ndarray, node_res: np.ndarray
     ) -> tuple[int, float] | None:
         """Exact greedy search over every feature: (feature, threshold) or None.
 
@@ -256,49 +303,63 @@ class _ColumnBlock:
         rounds up onto the upper one.
         """
         n = hi - lo
-        if n < 2 * MIN_SAMPLES_PER_LEAF or self.d == 0:
+        if self.d == 0:
             return None
         total_sum = float(np.sum(node_res))
         total_sq = float(np.sum(node_res**2))
         parent_sse = total_sq - total_sum**2 / n
-        # Candidate cut i keeps sorted slots 0..i on the left; only cuts
-        # leaving MIN_SAMPLES_PER_LEAF on each side are scored.
-        cuts = slice(MIN_SAMPLES_PER_LEAF - 1, n - MIN_SAMPLES_PER_LEAF)
-        after = slice(cuts.start + 1, cuts.stop + 1)
-        left_n = np.arange(MIN_SAMPLES_PER_LEAF, n - MIN_SAMPLES_PER_LEAF + 1)
-        right_n = n - left_n
-        width = len(left_n)
-        order = self._block(self.order, lo, hi)
-        sorted_res = residuals[order]
-        csum = np.cumsum(sorted_res, axis=1, out=self._block(self._csum, 0, n))
-        np.multiply(sorted_res, sorted_res, out=sorted_res)
-        csq = np.cumsum(sorted_res, axis=1, out=self._block(self._csq, 0, n))
-        left_sum = csum[:, cuts]
-        left_sq = csq[:, cuts]
-        # sse = left_sq - left_sum**2 / left_n + right_sq - right_sum**2 / right_n,
-        # evaluated in that order; each buffer is overwritten once used.
-        gain = np.square(left_sum, out=sorted_res[:, :width])
-        np.divide(gain, left_n, out=gain)
-        np.subtract(left_sq, gain, out=gain)
-        right_sq = np.subtract(total_sq, left_sq, out=left_sq)
-        np.add(gain, right_sq, out=gain)
-        right_sum = np.subtract(total_sum, left_sum, out=left_sum)
-        np.square(right_sum, out=right_sum)
-        np.divide(right_sum, right_n, out=right_sum)
-        np.subtract(gain, right_sum, out=gain)
-        np.subtract(parent_sse, gain, out=gain)
-        # A cut between equal values is no cut.
-        ranks = self._block(self.ranks, lo, hi)
-        gain[ranks[:, cuts] >= ranks[:, after]] = -np.inf
-        best_cut = np.argmax(gain, axis=1)
-        best_gain = gain[np.arange(self.d), best_cut]
+        # Cut i keeps sorted slots 0..i on the left.  Every cut is scored, so
+        # each pass runs over whole contiguous rows; the cuts leaving fewer
+        # than MIN_SAMPLES_PER_LEAF on a side are then refused.  The last
+        # cut's right count is taken as 1, not 0, so no division warns.
+        left_n = self._counts[:n]
+        right_n = np.subtract(n, left_n)
+        right_n[-1] = 1.0
+        order_buf, ranks_buf = self._read(depth)
+        order = self._block(order_buf, lo, hi)
+        step = _chunk_features(n)
+        for start in range(0, self.d, step):
+            chunk = slice(start, min(start + step, self.d))
+            k = chunk.stop - start
+            sorted_res = self._res[: k * n].reshape(k, n)
+            # Every index is in range, so "clip" changes no value; it lets
+            # numpy write into ``out`` without a buffered copy.
+            np.take(residuals, order[chunk], out=sorted_res, mode="clip")
+            csum = np.cumsum(sorted_res, axis=1, out=self._csum[: k * n].reshape(k, n))
+            np.multiply(sorted_res, sorted_res, out=sorted_res)
+            csq = np.cumsum(sorted_res, axis=1, out=self._csq[: k * n].reshape(k, n))
+            # sse = left_sq - left_sum**2 / left_n + right_sq - right_sum**2 / right_n,
+            # evaluated in that order; each buffer is overwritten once used.
+            gain = np.square(csum, out=sorted_res)
+            np.divide(gain, left_n, out=gain)
+            np.subtract(csq, gain, out=gain)
+            right_sq = np.subtract(total_sq, csq, out=csq)
+            np.add(gain, right_sq, out=gain)
+            right_sum = np.subtract(total_sum, csum, out=csum)
+            np.square(right_sum, out=right_sum)
+            np.divide(right_sum, right_n, out=right_sum)
+            np.subtract(gain, right_sum, out=gain)
+            np.subtract(parent_sse, gain, out=gain)
+            # A cut between equal values is no cut.  The flat comparison
+            # also pairs each row's last slot with the next row's first;
+            # that cut is refused for its size anyway.
+            ranks = ranks_buf[self.d * lo + start * n : self.d * lo + chunk.stop * n]
+            refused = self._refused[: k * n]
+            np.greater_equal(ranks[:-1], ranks[1:], out=refused[:-1])
+            refused = refused.reshape(k, n)
+            refused[:, : MIN_SAMPLES_PER_LEAF - 1] = True
+            refused[:, n - MIN_SAMPLES_PER_LEAF :] = True
+            gain[refused] = -np.inf
+            best_cut = np.argmax(gain, axis=1, out=self._best_cut[chunk])
+            self._best_gain[chunk] = gain[np.arange(k), best_cut]
+        best_gain = self._best_gain
         # As in a scan keeping strict improvements over the floor, a feature
         # whose best gain is NaN or at most the floor never wins.
         best_gain[~(best_gain > _SPLIT_GAIN_EPS)] = -np.inf
         feature = int(np.argmax(best_gain))
         if not best_gain[feature] > _SPLIT_GAIN_EPS:
             return None
-        slot = int(best_cut[feature]) + cuts.start
+        slot = int(self._best_cut[feature])
         below = self.x[order[feature, slot], feature]
         above = self.x[order[feature, slot + 1], feature]
         threshold = (below + above) / 2.0
@@ -306,20 +367,43 @@ class _ColumnBlock:
             threshold = below
         return feature, float(threshold)
 
-    def _partition(self, lo: int, hi: int, rows: np.ndarray, mask: np.ndarray) -> None:
-        """Stably move the rows going left to the front of every column."""
+    def _partition(
+        self,
+        lo: int,
+        mid: int,
+        hi: int,
+        depth: int,
+        rows: np.ndarray,
+        mask: np.ndarray,
+        left: bool,
+        right: bool,
+    ) -> None:
+        """Stably write the left child's slots ``lo:mid`` and the right
+        child's ``mid:hi`` of every column into the next depth's buffers,
+        skipping a child that is not searched.  Features move in the
+        search's chunks, so a move's temporaries stay as small as a chunk."""
         self._goes_left[rows] = mask
-        span = slice(self.d * lo, self.d * hi)
-        # Row-major order keeps each feature's left rows together, in
-        # sorted order, as the C layout of a (d, left count) block.
-        left = self._goes_left[self.order[span]]
-        right = ~left
-        for buf in (self.order, self.ranks):
-            to_left = np.compress(left, buf[span])
-            to_right = np.compress(right, buf[span])
-            mid = span.start + to_left.size
-            buf[span.start : mid] = to_left
-            buf[mid : span.stop] = to_right
+        n = hi - lo
+        # (takes the left rows, first slot, end slot) of each child written.
+        children = []
+        if left:
+            children.append((True, lo, mid))
+        if right:
+            children.append((False, mid, hi))
+        source, dest = self._read(depth), self._read(depth + 1)
+        step = _chunk_features(n)
+        for start in range(0, self.d, step):
+            stop = min(start + step, self.d)
+            span = slice(self.d * lo + start * n, self.d * lo + stop * n)
+            # Row-major order keeps each feature's rows of one child
+            # together, in sorted order, as the C layout of its block.
+            goes_left = np.take(self._goes_left, source[0][span], mode="clip")
+            for to_left, c_lo, c_hi in children:
+                slots = np.flatnonzero(goes_left if to_left else ~goes_left)
+                size = c_hi - c_lo
+                into = slice(self.d * c_lo + start * size, self.d * c_lo + stop * size)
+                for src, dst in zip(source, dest):
+                    np.take(src[span], slots, out=dst[into], mode="clip")
 
 
 class _NodeArrays(NamedTuple):
@@ -446,7 +530,7 @@ def gbt_train(
         raise ConfigError(f"n_estimators must be at least 1, got {n_estimators}")
     if max_depth < 1:
         raise ConfigError(f"max_depth must be at least 1, got {max_depth}")
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     mean = float(np.mean(labels))
     if mean in (0.0, 1.0):
@@ -519,13 +603,20 @@ def _tree_from_jsonable(data: dict) -> TreeNode:
 
 def gbt_from_jsonable(data: dict) -> GbtModel:
     try:
-        return GbtModel(
+        model = GbtModel(
             trees=tuple(_tree_from_jsonable(tree) for tree in data["trees"]),
             learning_rate=float(data["learning_rate"]),
             base_score=float(data["base_score"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed boosted-tree model: {exc}") from exc
+    # As gbt_train refuses it: a rate at or below 0 would invert the scores.
+    if not model.learning_rate > 0:
+        raise DataError(
+            f"malformed boosted-tree model: learning_rate must be positive, "
+            f"got {model.learning_rate!r}"
+        )
+    return model
 
 
 def knn_to_jsonable(model: KnnModel) -> dict:

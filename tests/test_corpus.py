@@ -143,6 +143,15 @@ class TestLoadTsv:
             save_tsv(corpus, path)
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("bad_id", [" x", "x ", "x\r", "\u2028x", "\u3000"])
+    def test_id_the_reader_would_strip_is_refused_before_writing(self, tmp_path, bad_id):
+        # load_tsv strips ids, so " x" would load as "x" (or as a duplicate).
+        corpus = Corpus([Document("x", "text", Language.EN), Document(bad_id, "t", Language.EN)])
+        path = tmp_path / "sub" / "c.tsv"
+        with pytest.raises(DataError, match=re.escape(f"{bad_id!r}: it starts or ends")):
+            save_tsv(corpus, path)
+        assert not path.parent.exists()
+
     def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
         corpus = Corpus([Document("d1", "text", Language.EN)], name="c")
         with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}")):

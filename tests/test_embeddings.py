@@ -448,6 +448,15 @@ class TestEmbeddingFiles:
             save_embeddings(table, path)
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("bad_id", [" a", "a ", "\u00a0a"])
+    def test_id_a_corpus_reader_would_strip_is_refused_before_writing(self, tmp_path, bad_id):
+        # The corpus reader strips ids, so such an id could never match a document.
+        table = EmbeddingTable(dim=1, vectors={"a": np.array([1.0]), bad_id: np.array([2.0])})
+        path = tmp_path / "sub" / "e.tsv"
+        with pytest.raises(DataError, match=re.escape(f"{bad_id!r}: it starts or ends")):
+            save_embeddings(table, path)
+        assert not path.parent.exists()
+
     def test_saving_onto_a_directory_is_a_data_error(self, tmp_path):
         table = EmbeddingTable(dim=1, vectors={"a": np.array([1.0])})
         with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}")):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,82 @@ class TestGbtExactness:
         assert np.all(probs[:4] < 0.5) and np.all(probs[4:] > 0.5)
 
 
+class TestGbtColumnBlock:
+    """Chunked search and two-buffer partition: the same trees, less work."""
+
+    @staticmethod
+    def tied_matrix(rng, n=60, d=11):
+        x = np.round(rng.normal(size=(n, d)), 1)
+        x[:, 4] = x[:, 1]
+        x[rng.choice(n, size=6, replace=False), 2] = np.nan
+        y = (x[:, 0] + x[:, 3] > 0).astype(np.int64)
+        y[rng.choice(n, size=8, replace=False)] ^= 1
+        return x, y
+
+    # 1: one feature a chunk; 37: the root's 60 rows do not fit, small nodes
+    # take several features; 240: the root's 11 features in chunks of 4, 4, 3.
+    @pytest.mark.parametrize("cells", [1, 37, 240])
+    def test_chunk_budgets_grow_the_same_trees(self, rng, monkeypatch, cells):
+        x, y = self.tied_matrix(rng)
+        assert x.size <= shallow._SPLIT_CHUNK_CELLS  # one chunk by default
+        want = [gbt_train(x, y, 3, depth, 0.3) for depth in (1, 2, 3, 8)]
+        monkeypatch.setattr(shallow, "_SPLIT_CHUNK_CELLS", cells)
+        assert [gbt_train(x, y, 3, depth, 0.3) for depth in (1, 2, 3, 8)] == want
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 6])
+    def test_partitions_once_per_split_with_a_searched_child(self, rng, monkeypatch, max_depth):
+        x, y = self.tied_matrix(rng)
+        calls = []
+        partition = shallow._ColumnBlock._partition
+
+        def counting(self, lo, mid, hi, depth, rows, mask, left, right):
+            calls.append((depth, left, right))
+            partition(self, lo, mid, hi, depth, rows, mask, left, right)
+
+        monkeypatch.setattr(shallow._ColumnBlock, "_partition", counting)
+        model = gbt_train(x, y, 3, max_depth, 0.3)
+        want = []
+
+        def walk(node, rows, depth):
+            # Preorder, as the fit splits; a child is searched when it may
+            # split again and holds enough rows for two leaves.
+            if node.is_leaf:
+                return
+            goes_left = x[rows, node.feature] <= node.threshold
+            parts = (rows[goes_left], rows[~goes_left])
+            searched = [
+                depth + 1 < max_depth and len(part) >= 2 * MIN_SAMPLES_PER_LEAF
+                for part in parts
+            ]
+            if any(searched):
+                want.append((depth, *searched))
+            walk(node.left, parts[0], depth + 1)
+            walk(node.right, parts[1], depth + 1)
+
+        for tree in model.trees:
+            walk(tree, np.arange(len(x)), 0)
+        assert calls == want
+        if max_depth > 2:
+            assert any(not (left and right) for _, left, right in calls)
+
+    @pytest.mark.parametrize("shape", [(1000, 200), (500, 800)])
+    def test_peak_memory_is_three_blocks_and_a_chunk(self, rng, shape):
+        # The root's and two work buffers' int32 order and ranks take 24
+        # bytes a cell, as the sort's three 8-byte temporaries do.  The
+        # search's scratch and a move's temporaries are bounded by the
+        # chunk; the parent's full-size float64 scratch took about 48 a cell.
+        x = rng.normal(size=shape)
+        y = (x[:, 0] > 0).astype(np.int64)
+        gbt_train(x[:40, :3], y[:40], 1, 2, 0.3)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            gbt_train(x, y, n_estimators=2, max_depth=3, learning_rate=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * x.size + 64 * shallow._SPLIT_CHUNK_CELLS
+
+
 class TestGbtLossCurve:
     @pytest.mark.parametrize("lr", [0.05, 0.1, 0.3])
     def test_training_loss_non_increasing_per_round(self, rng, lr):
@@ -472,6 +549,8 @@ class TestGbtStructure:
             gbt_train(x, y, max_depth=0)
         with pytest.raises(ConfigError):
             gbt_train(x, y, learning_rate=0.0)
+        with pytest.raises(ConfigError):
+            gbt_train(x, y, learning_rate=float("nan"))
 
 
 class TestGridSearch:
@@ -690,6 +769,13 @@ class TestSerialization:
         blob = gbt_to_jsonable(_one_split_model(0))
         blob["trees"][0]["left"] = child
         with pytest.raises(DataError, match="malformed boosted-tree model"):
+            gbt_from_jsonable(blob)
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, -0.0, float("nan")])
+    def test_learning_rate_not_above_zero_rejected(self, rate):
+        blob = gbt_to_jsonable(_one_split_model(0))
+        blob["learning_rate"] = rate
+        with pytest.raises(DataError, match="learning_rate must be positive"):
             gbt_from_jsonable(blob)
 
     def test_negative_split_feature_rejected(self):

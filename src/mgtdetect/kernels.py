@@ -43,10 +43,16 @@ to the pairwise evaluation.
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
-training is deterministic for a given seed.  It reads kernel values from
-an index over the training texts on demand, as the kernel caches of
-LIBSVM and SVMlight do, so memory grows with the rows SMO's updates use
-times n, not with n squared; every value is bit-equal to the Gram entry.
+training is deterministic for a given seed; they are drawn a block at a
+time, which yields the same stream as one draw per violator.  SMO's
+per-example bookkeeping (labels, alphas, errors, bias) is Python floats,
+which round exactly as numpy float64 scalars but cost less to read.  It
+reads kernel values from an index over the training texts on demand, as
+the kernel caches of LIBSVM and SVMlight do, and keeps the rows its
+updates use in least-recently-used order under a fixed byte budget
+(``_ROW_CACHE_BYTES``), so training memory is bounded by that budget
+plus the index, not n squared; an evicted row is computed again, and
+every value is bit-equal to the Gram entry.
 The fitted ``SvmModel`` is the support set alone (the support vectors'
 training rows, texts and dual coefficients, plus the bias), because the
 decision reads nothing else; the other training texts and the zero
@@ -73,6 +79,9 @@ _MIN_ALPHA_STEP = 1e-12
 _SUPPORT_EPS = 1e-8
 # Texts are indexed in blocks of about this many units (see _NgramIndex).
 _BLOCK_UNITS = 1 << 12
+# svm_train keeps at most this many bytes of kernel rows (LIBSVM's kernel
+# cache defaults to 100 MB).
+_ROW_CACHE_BYTES = 1 << 27
 
 
 class NgramUnit(Enum):
@@ -449,6 +458,14 @@ def _as_pm1_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _partner_offsets(rng: np.random.Generator, m: int, block: int):
+    """Draws of ``rng.integers(m)`` one at a time, taken from the generator
+    ``block`` at a time.  PCG64 keeps the unused half of a 64-bit output
+    in its state, so the stream equals that of scalar draws."""
+    while True:
+        yield from rng.integers(m, size=block).tolist()
+
+
 def svm_train(
     texts: Sequence[str],
     labels: Sequence[int] | np.ndarray,
@@ -463,71 +480,96 @@ def svm_train(
 
     Sweeps all examples, optimizing each KKT violator against a seeded
     random partner, until one full sweep changes nothing or ``max_passes``
-    sweeps elapse.  Kernel rows come from an index over the texts, each
-    computed once per fit and kept; a pair's value comes from a kept row
-    or from ``_NgramIndex.entry``.  No n x n Gram is held.
+    sweeps elapse.  Partners are drawn n at a time and taken in order, one
+    per violator, which gives the stream of one draw per violator.  The
+    labels, alphas, bias and errors are Python floats, read from the
+    decision values with ``f.item``: IEEE binary64 rounds them exactly as
+    numpy float64 scalars, and every expression keeps its operand order.
+
+    Kernel rows come from an index over the texts.  The rows an update
+    adds to the decision values are kept in least-recently-used order, at
+    most ``_ROW_CACHE_BYTES`` of them (read at each call); an evicted row
+    is computed again, bit-equal.  A pair's value comes from a kept row or
+    from ``_NgramIndex.entry``.  No n x n Gram is held.
     """
-    if C <= 0:
-        raise ConfigError(f"C must be positive, got {C}")
-    y = _as_pm1_labels(labels)
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be positive and finite, got {C}")
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"tol must be finite and at least 0, got {tol}")
+    if not max_passes >= 1:
+        raise ConfigError(f"max_passes must be at least 1, got {max_passes}")
+    if not seed >= 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    C, tol = float(C), float(tol)
+    y = _as_pm1_labels(labels).tolist()
     n = len(texts)
-    if y.shape[0] != n:
-        raise DataError(f"{y.shape[0]} labels for {n} texts")
+    if len(y) != n:
+        raise DataError(f"{len(y)} labels for {n} texts")
     index = _NgramIndex(texts, cfg)
-    rows: dict[int, np.ndarray] = {}
+    capacity = _ROW_CACHE_BYTES // (8 * n)  # whole float64 rows
+    rows: dict[int, np.ndarray] = {}  # least recently used first
 
     def row(t: int) -> np.ndarray:
-        if t not in rows:
-            rows[t] = index.row(t, cfg.normalize)
-        return rows[t]
+        values = rows.pop(t, None)  # put back below as the most recent
+        if values is None:
+            values = index.row(t, cfg.normalize)
+        if capacity:
+            if len(rows) == capacity:
+                del rows[next(iter(rows))]
+            rows[t] = values
+        return values
 
-    def k(a: int, b: int) -> float:
-        # A cached row holds the element formula's bits; most pairs have one.
-        return rows[a][b] if a in rows else index.entry(a, b, cfg.normalize)
-
-    rng = np.random.default_rng(seed)
-    alpha = np.zeros(n, dtype=np.float64)
+    # The Gram diagonal: each value is the one row(t) holds at t.
+    diag = [index.entry(t, t, cfg.normalize) for t in range(n)]
+    partners = _partner_offsets(np.random.default_rng(seed), n - 1, n)
+    alpha = [0.0] * n
     b = 0.0
     # f_i = sum_j alpha_j y_j K_ij + b, kept incrementally.
     f = np.full(n, b, dtype=np.float64)
+    f_at = f.item  # f is only ever updated in place
 
     for _ in range(max_passes):
         num_changed = 0
         for i in range(n):
-            e_i = f[i] - y[i]
-            r_i = e_i * y[i]
+            y_i = y[i]
+            e_i = f_at(i) - y_i
+            r_i = e_i * y_i
             if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0)):
                 continue
-            j = int((i + 1 + rng.integers(n - 1)) % n)
-            e_j = f[j] - y[j]
-            if y[i] != y[j]:
-                low = max(0.0, alpha[j] - alpha[i])
-                high = min(C, C + alpha[j] - alpha[i])
+            j = (i + 1 + next(partners)) % n
+            y_j, a_i, a_j = y[j], alpha[i], alpha[j]
+            e_j = f_at(j) - y_j
+            if y_i != y_j:
+                low = max(0.0, a_j - a_i)
+                high = min(C, C + a_j - a_i)
             else:
-                low = max(0.0, alpha[i] + alpha[j] - C)
-                high = min(C, alpha[i] + alpha[j])
+                low = max(0.0, a_i + a_j - C)
+                high = min(C, a_i + a_j)
             if low >= high:
                 continue
-            k_ii, k_jj, k_ij = k(i, i), k(j, j), k(i, j)
+            k_ii, k_jj = diag[i], diag[j]
+            # A kept row holds the element formula's bits; most pairs have one.
+            kept = rows.get(i)
+            k_ij = index.entry(i, j, cfg.normalize) if kept is None else kept.item(j)
             eta = k_ii + k_jj - 2.0 * k_ij
             if eta <= 0:
                 continue
-            alpha_j_new = alpha[j] + y[j] * (e_i - e_j) / eta
+            alpha_j_new = a_j + y_j * (e_i - e_j) / eta
             alpha_j_new = min(high, max(low, alpha_j_new))
-            d_j = alpha_j_new - alpha[j]
+            d_j = alpha_j_new - a_j
             if abs(d_j) < _MIN_ALPHA_STEP:
                 continue
-            d_i = -y[i] * y[j] * d_j
-            alpha_i_new = alpha[i] + d_i
-            b1 = b - e_i - y[i] * d_i * k_ii - y[j] * d_j * k_ij
-            b2 = b - e_j - y[i] * d_i * k_ij - y[j] * d_j * k_jj
+            d_i = -y_i * y_j * d_j
+            alpha_i_new = a_i + d_i
+            b1 = b - e_i - y_i * d_i * k_ii - y_j * d_j * k_ij
+            b2 = b - e_j - y_i * d_i * k_ij - y_j * d_j * k_jj
             if 0.0 < alpha_i_new < C:
                 b_new = b1
             elif 0.0 < alpha_j_new < C:
                 b_new = b2
             else:
                 b_new = 0.5 * (b1 + b2)
-            f += y[i] * d_i * row(i) + y[j] * d_j * row(j) + (b_new - b)
+            f += y_i * d_i * row(i) + y_j * d_j * row(j) + (b_new - b)
             alpha[i] = alpha_i_new
             alpha[j] = alpha_j_new
             b = b_new
@@ -543,13 +585,13 @@ def svm_train(
             stacklevel=2,
         )
 
-    support = tuple(int(i) for i in np.flatnonzero(alpha > _SUPPORT_EPS))
+    support = tuple(i for i in range(n) if alpha[i] > _SUPPORT_EPS)
     dual_coef = np.array([alpha[i] * y[i] for i in support], dtype=np.float64)
     return SvmModel(
         support_indices=support,
         dual_coef=dual_coef,
-        bias=float(b),
-        C=float(C),
+        bias=b,
+        C=C,
         support_texts=tuple(texts[i] for i in support),
     )
 

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -282,6 +284,26 @@ class TestSvm:
         with pytest.raises(DataError, match="3 labels for 2 texts"):
             svm_train(["aaaa", "bbbb"], [1, -1, 1])
 
+    @pytest.mark.parametrize("C", [-1.0, math.nan, math.inf])
+    def test_c_outside_zero_to_infinity_rejected(self, C):
+        # A NaN C used to train an empty support set with bias 0.
+        with pytest.raises(ConfigError, match="^C must be positive and finite"):
+            svm_train(["aaaa", "bbbb"], [1, -1], C=C)
+
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf])
+    def test_tol_not_finite_and_at_least_zero_rejected(self, tol):
+        with pytest.raises(ConfigError, match="^tol must be finite and at least 0"):
+            svm_train(["aaaa", "bbbb"], [1, -1], tol=tol)
+
+    @pytest.mark.parametrize("max_passes", [0, -3])
+    def test_max_passes_below_one_rejected(self, max_passes):
+        with pytest.raises(ConfigError, match="^max_passes must be at least 1"):
+            svm_train(["aaaa", "bbbb"], [1, -1], max_passes=max_passes)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be at least 0"):
+            svm_train(["aaaa", "bbbb"], [1, -1], seed=-1)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("key", ["support_indices", "dual_coef", "support_texts"])
@@ -512,6 +534,126 @@ class TestSvmMatchesDenseReference:
 
         monkeypatch.setattr(kernels._NgramIndex, "row", counting_row)
         return computed
+
+
+_smo_texts = st.lists(st.text(alphabet="abcde ", max_size=30), min_size=2, max_size=12)
+
+
+class TestSvmMatchesDenseReferenceProperty:
+    """Any problem, box, tolerance, sweep limit, seed and row budget trains
+    the dense-Gram reference's solution bit for bit, also when every
+    n-gram hash collides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cfg=st.sampled_from(EXACTNESS_CONFIGS),
+        texts=_smo_texts,
+        signs=st.lists(st.booleans(), min_size=12, max_size=12),
+        C=st.one_of(st.sampled_from([0.05, 1.0, 1e3]), st.floats(1e-3, 1e3)),
+        seed=st.integers(0, 2**64 - 1),
+        tol=st.one_of(st.sampled_from([0.0, 1e-3, 0.5]), st.floats(0.0, 1.0)),
+        max_passes=st.integers(1, 60),
+        collide=st.booleans(),
+        cache_rows=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_solution_is_bit_identical(
+        self, cfg, texts, signs, C, seed, tol, max_passes, collide, cache_rows
+    ):
+        labels = np.array([1.0, -1.0] + [1.0 if s else -1.0 for s in signs[: len(texts) - 2]])
+        alpha, b, _ = dense_smo(
+            kernel_matrix(texts, cfg).matrix, labels, C, seed, tol=tol, max_passes=max_passes
+        )
+        budget = kernels._ROW_CACHE_BYTES if cache_rows is None else cache_rows * 8 * len(texts)
+        mix = np.zeros_like if collide else embeddings._mix
+        with (
+            mock.patch.object(embeddings, "_mix", mix),
+            mock.patch.object(kernels, "_ROW_CACHE_BYTES", budget),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("ignore")  # the sweep limit's warning
+            model = svm_train(texts, labels, C, cfg=cfg, seed=seed, tol=tol, max_passes=max_passes)
+        support = np.flatnonzero(alpha > kernels._SUPPORT_EPS)
+        assert model.support_indices == tuple(support.tolist())
+        assert model.dual_coef.tobytes() == (alpha[support] * labels[support]).tobytes()
+        assert bits(model.bias) == bits(b)
+
+
+class TestPartnerDraws:
+    """svm_train draws partners in blocks and takes them one per violator;
+    that equals one scalar draw per violator only because the generator
+    keeps the unused half of a 64-bit output for the next bounded draw."""
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 7, 1000, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40]
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_blocks_of_draws_equal_scalar_draws(self, m, seed):
+        scalar = np.random.default_rng(seed)
+        expected = [int(scalar.integers(m)) for _ in range(40)]
+        blocks = np.random.default_rng(seed)
+        drawn = []
+        for size in (1, 3, 4, 7, 25):  # odd sizes leave half an output unused
+            drawn += blocks.integers(m, size=size).tolist()
+        assert drawn == expected
+        assert int(blocks.integers(m)) == int(scalar.integers(m))
+
+    @pytest.mark.parametrize("m, block", [(1, 2), (5, 3), (319, 320), (2**40, 7)])
+    def test_partner_offsets_equal_scalar_draws(self, m, block):
+        scalar = np.random.default_rng(9)
+        expected = [int(scalar.integers(m)) for _ in range(3 * block + 1)]
+        offsets = kernels._partner_offsets(np.random.default_rng(9), m, block)
+        assert list(itertools.islice(offsets, len(expected))) == expected
+
+
+class TestRowCache:
+    """SMO keeps at most ``_ROW_CACHE_BYTES`` of kernel rows; a row evicted
+    and needed again is computed again, and the solution does not move."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        corpus = synthetic_corpus(40, 40, seed=3)
+        texts = [preprocess(d.text, d.language) for d in corpus]
+        labels = [1 if d.label is Label.GENERATED else -1 for d in corpus]
+        return texts, labels, svm_train(texts, labels, C=1.0, seed=4)
+
+    @staticmethod
+    def train_counting(problem, budget, monkeypatch):
+        """Train under a row budget; return the model, the rows computed and
+        the most rows alive at any row computation."""
+        texts, labels, _ = problem
+        computed, returned, most_alive = [], [], [0]
+        row = kernels._NgramIndex.row
+
+        def counting_row(self, i, normalize):
+            # Between two calls only the cache holds a row: count the live ones.
+            most_alive[0] = max(most_alive[0], sum(ref() is not None for ref in returned))
+            values = row(self, i, normalize)
+            computed.append(i)
+            returned.append(weakref.ref(values))
+            return values
+
+        monkeypatch.setattr(kernels._NgramIndex, "row", counting_row)
+        monkeypatch.setattr(kernels, "_ROW_CACHE_BYTES", budget)
+        return svm_train(texts, labels, C=1.0, seed=4), computed, most_alive[0]
+
+    @pytest.mark.parametrize("budget_rows", [0, 1, 3])
+    def test_small_budget_trains_the_same_model(self, problem, budget_rows, monkeypatch):
+        texts, _, expected = problem
+        model, computed, most_alive = self.train_counting(
+            problem, budget_rows * 8 * len(texts), monkeypatch
+        )
+        assert model.support_indices == expected.support_indices
+        assert model.dual_coef.tobytes() == expected.dual_coef.tobytes()
+        assert bits(model.bias) == bits(expected.bias)
+        assert len(computed) > len(set(computed))
+        assert most_alive <= budget_rows
+
+    def test_default_budget_keeps_every_row(self, problem, monkeypatch):
+        # The count of live rows sees the cache: here nothing is evicted.
+        _, computed, most_alive = self.train_counting(
+            problem, kernels._ROW_CACHE_BYTES, monkeypatch
+        )
+        assert len(computed) == len(set(computed)) == most_alive + 1 > 4
 
 
 class TestKernelWork:

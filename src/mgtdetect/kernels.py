@@ -6,40 +6,51 @@ the binary n-gram indicator space (the spectrum feature map of Leslie,
 Eskin & Noble, PSB 2002), so Gram matrices are positive semidefinite;
 with cosine normalization the diagonal is exactly 1.
 
-Gram rows and SVM decisions are not computed pair by pair.  An
-``_NgramIndex`` numbers the distinct n-grams of a fixed list of texts (the
-training texts, or a model's support texts), one vocabulary for every n,
-and keeps for each id the sorted postings of the texts that contain it.
-It finds n-grams on arrays, not as Python strings: a text is an array of
-units (its code points, or its whitespace tokens numbered in order of
-first appearance), and every window of n units is hashed with the
-embedder's splitmix64 chain (``embeddings.window_levels``), one step on from
-the window one unit shorter at the same start.  Windows with equal hashes
-are compared unit by unit, so a hash collision never merges two n-grams.
-The build hashes the texts in blocks of about ``_BLOCK_UNITS`` units and
-keeps each block's distinct n-grams and each text's numbers of them;
-once every block is in, the blocks' n-grams are sorted by hash and
-grouped once more.  The vocabulary is the sorted hashes, each with the
-place of its n-gram's units in the indexed texts, and an n-gram's id is
-its rank.  The build's working memory grows with the (text, n-gram)
-postings it makes, not with the windows it hashes.  A query's windows
-are hashed the same way, looked up with ``np.searchsorted`` and compared
-with the n-gram each one finds; only the windows found nowhere are
-grouped among themselves, for the query's own count.  One
-``np.bincount`` over the found ids' postings then gives the exact integer
-count of n-grams the query shares with every indexed text; the cost
-grows with the postings the query touches, not with the number of texts
-times the query length.  No n-gram is longer than the text that holds
-it, whatever ``ngram_max`` is.  ``ngram_sets`` and ``spectrum_kernel``
-stay as the pairwise reference.
+Gram rows are not computed pair by pair.  An ``_NgramIndex`` numbers the
+distinct n-grams of a fixed list of texts (the training texts, or a
+model's support texts), one vocabulary for every n, and keeps each text's
+ids.  It finds n-grams on arrays, not as Python strings: a text is an
+array of units (its code points, or its whitespace tokens numbered in
+order of first appearance), and every window of n units is hashed with
+the embedder's splitmix64 chain (``embeddings.window_levels``), one step
+on from the window one unit shorter at the same start.  Windows with
+equal hashes are compared unit by unit, so a hash collision never merges
+two n-grams.  The build hashes the texts in blocks of about
+``_BLOCK_UNITS`` units and keeps each block's distinct n-grams and each
+text's numbers of them; once every block is in, the blocks' n-grams are
+sorted by hash and grouped once more.  The vocabulary is the sorted
+hashes, each with the place of its n-gram's units in the indexed texts,
+and an n-gram's id is its rank.  The build's working memory grows with
+the (text, n-gram) postings it makes, not with the windows it hashes.  A
+query's windows are hashed the same way, looked up with
+``np.searchsorted`` and compared with the n-gram each one finds; only the
+windows found nowhere are grouped among themselves, for the query's own
+count.  For a kernel row, one ``np.bincount`` over the found ids'
+postings (the texts that hold each id, inverted once per index) gives the
+exact integer count of n-grams the query shares with every indexed text.
+No n-gram is longer than the text that holds it, whatever ``ngram_max``
+is.  ``ngram_sets`` and ``spectrum_kernel`` stay as the pairwise
+reference.  A row's normalization ``raw / sqrt(self_x * self_y)`` is
+element-wise float64 division and square root, which round exactly like
+their scalar forms, so Gram matrices and SMO solutions are identical to
+the pairwise evaluation.
 
-The normalization ``raw / sqrt(self_x * self_y)`` and the decision's sum
-are computed as in the pairwise form: element-wise float64 division and
-square root round exactly like their scalar forms, and the decision adds
-the support terms one by one, in support order, because ``np.dot`` or
-``np.sum`` would add them in another order and change the last bits.
-Gram matrices, SMO solutions and probabilities are therefore identical
-to the pairwise evaluation.
+The SVM is served in primal form.  The normalized kernel is the dot
+product of ``phi(x) / |phi(x)|``, with ``phi`` the 0/1 indicator of
+distinct n-grams, so the dual decision ``b + sum_i c_i K(s_i, x)`` equals
+``b + sum over x's n-grams g of w_g, divided by sqrt(|G(x)|)``, with
+``w_g = sum over the supports s_i that hold g of c_i / sqrt(|G(s_i)|)``
+(no roots when unnormalized; ``b`` for a text without n-grams).  The
+weights are folded once per model and kernel config, by one
+``np.bincount`` over the support texts' ids in support order, and a
+decision then costs one vocabulary lookup of the text's windows, whatever
+the size of the support set.  The query's weights are summed by
+``math.fsum``, which is correctly rounded, so the decision depends
+neither on the order of the ids nor on zero weights: folded from the
+training index or from an index over the support texts alone, the
+decision is the same to the bit.  It differs from the dual form's left
+fold of support terms in the last bits only (at most ~1e-14 on the
+benchmark and end-to-end corpora).
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
@@ -56,7 +67,9 @@ every value is bit-equal to the Gram entry.
 The fitted ``SvmModel`` is the support set alone (the support vectors'
 training rows, texts and dual coefficients, plus the bias), because the
 decision reads nothing else; the other training texts and the zero
-alphas are not kept.
+alphas are not kept.  A model ``svm_train`` returns already holds the
+weights folded from the training index's support rows, so scoring it
+builds no second index; a loaded model folds them on its first decision.
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Sequence
 
@@ -241,93 +255,45 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class _NgramIndex:
-    """Numbered n-grams of a fixed list of texts, indexed both ways.
+def _spans(offsets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Flat positions of the entries ``offsets[k]:offsets[k + 1]`` of every
+    key k, key after key, without a Python loop: the j-th entry of a key
+    sits at its start plus j."""
+    ends = offsets[keys + 1]
+    lengths = ends - offsets[keys]
+    positions = np.repeat(ends - np.cumsum(lengths), lengths)
+    positions += np.arange(len(positions))
+    return positions
+
+
+class _Vocabulary:
+    """Distinct n-grams, each known by its units, numbered in hash order.
 
     Ids come from one vocabulary over every n in the range: grams of
     different lengths never hold the same units, so they never share an
-    id, and a text's self kernel is its number of distinct ids.  The
-    vocabulary is ``hashes`` (sorted), with gram g's units at
-    ``units[gram_starts[g]:][:gram_sizes[g]]``, and a gram's id is its rank.
-    Both directions are flat arrays with offsets: the ids of text t are
-    ``text_grams[text_offsets[t]:text_offsets[t + 1]]`` and the texts that
-    hold id g are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``.
-
-    The build reads the texts in blocks of about ``_BLOCK_UNITS`` units.
-    A block's windows are hashed (``_windows``) and grouped into the
-    block's grams (``_group``), and each text's distinct grams are kept
-    as numbers of the block's grams.  Once every block is in, the blocks'
-    grams are sorted by hash and grouped once more, which numbers the
-    vocabulary.  A query's windows are hashed by the same routine and
-    looked up in the vocabulary (``query``).
+    id.  The vocabulary is ``hashes`` (sorted), with gram g's units at
+    ``units[gram_starts[g]:][:gram_sizes[g]]``, and a gram's id is its
+    rank.  WORD units are token numbers from ``tokens``.
     """
 
-    def __init__(self, texts: Sequence[str], cfg: KernelConfig):
-        self.lo, self.hi, self.unit = cfg.ngram_min, cfg.ngram_max, cfg.unit
-        self.h0 = chain_start(0)  # the kernel's windows hash with seed 0
-        self.tokens: dict = {}
-        self.units, lengths = _units(texts, cfg.unit, {}, self.tokens)
-        text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=text_starts[1:])
-        # Each block's grams (hash, start, size), and each text's distinct
-        # grams as numbers of the grams of all blocks so far.
-        hashes, starts, sizes = [np.zeros(0, dtype=np.uint64)], [text_starts[:0]], [text_starts[:0]]
-        postings = [np.zeros(0, dtype=np.int32)]
-        counts = np.zeros(len(lengths), dtype=np.int64)
-        numbered = 0
-        for block in _blocks(lengths, self.lo, _BLOCK_UNITS):
-            a, z = block[0], block[-1] + 1
-            units = self.units[text_starts[a] : text_starts[z]]
-            window_hashes, window_starts, window_sizes = _windows(
-                units, lengths[a:z], self.lo, self.hi, self.h0
-            )
-            grams, heads = _group(units, window_hashes, window_starts, window_sizes)
-            hashes.append(window_hashes[heads])
-            starts.append(window_starts[heads] + text_starts[a])
-            sizes.append(window_sizes[heads])
-            # Each (text, gram) pair once, in text order.
-            doc = np.arange(z - a).repeat(lengths[a:z])[window_starts]
-            shift = len(heads).bit_length()
-            pairs = _distinct(doc << shift | grams)
-            counts[a:z] = np.bincount(pairs >> shift, minlength=z - a)
-            postings.append((pairs & ((1 << shift) - 1)).astype(np.int32) + numbered)
-            numbered += len(heads)
-        # The blocks' grams, grouped once more in hash order, are the vocabulary.
-        hashes = np.concatenate(hashes)
-        order = hashes.argsort()
-        hashes = hashes[order]
-        starts = np.concatenate(starts)[order]
-        sizes = np.concatenate(sizes)[order]
-        grams, heads = _group(self.units, hashes, starts, sizes)
-        self.hashes, self.gram_starts, self.gram_sizes = hashes[heads], starts[heads], sizes[heads]
-        ids = np.empty(len(order), dtype=np.int32)
-        ids[order] = grams
-        self.text_grams = ids[np.concatenate(postings)]
-        del postings
-        self.selfs = counts.astype(np.float64)
-        self.text_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.text_offsets[1:])
-        self.gram_offsets = np.zeros(len(heads) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.text_grams, minlength=len(heads)), out=self.gram_offsets[1:])
-        # Each id's texts in text order, from the (id, text) pairs sorted.
-        shift = len(counts).bit_length()
-        pairs = self.text_grams.astype(np.int64)
-        pairs <<= shift
-        pairs |= np.arange(len(counts), dtype=np.int32).repeat(counts)
-        pairs.sort()
-        pairs &= (1 << shift) - 1
-        self.gram_texts = pairs.astype(np.int32)
+    def __init__(
+        self, cfg: KernelConfig, h0: np.ndarray, tokens: dict, units: np.ndarray,
+        hashes: np.ndarray, gram_starts: np.ndarray, gram_sizes: np.ndarray,
+    ):
+        self.cfg, self.h0, self.tokens, self.units = cfg, h0, tokens, units
+        self.hashes, self.gram_starts, self.gram_sizes = hashes, gram_starts, gram_sizes
 
     def query(self, text: str) -> tuple[np.ndarray, int]:
-        """Distinct ids of the text's n-grams that some indexed text holds,
-        and the text's number of distinct n-grams.
+        """Distinct ids of the text's n-grams that the vocabulary holds, and
+        the text's number of distinct n-grams.
 
         Every window is looked up in the vocabulary and compared with the
         gram it finds, so a window found there is known by its id; only the
         windows not found are grouped among themselves.
         """
-        units, lengths = _units([text], self.unit, self.tokens, {})
-        hashes, starts, sizes = _windows(units, lengths, self.lo, self.hi, self.h0)
+        cfg = self.cfg
+        units, lengths = _units([text], cfg.unit, self.tokens, {})
+        hashes, starts, sizes = _windows(units, lengths, cfg.ngram_min, cfg.ngram_max, self.h0)
         at = self.hashes.searchsorted(hashes)
         found = [at[:0]]
         missed = np.ones(len(hashes), dtype=bool)
@@ -351,21 +317,123 @@ class _NgramIndex:
         _, heads = _group(units, hashes[missed], starts[missed], sizes[missed])
         return ids, len(ids) + len(heads)
 
+
+class _NgramIndex(_Vocabulary):
+    """The vocabulary of a fixed list of texts, with each text's ids.
+
+    A text's self kernel is its number of distinct ids.  The ids of text t
+    are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
+    postings, the texts that hold id g, are built on the first
+    ``shared_counts``: only kernel rows read them.
+
+    The build reads the texts in blocks of about ``_BLOCK_UNITS`` units.
+    A block's windows are hashed (``_windows``) and grouped into the
+    block's grams (``_group``), and each text's distinct grams are kept
+    as numbers of the block's grams.  Once every block is in, the blocks'
+    grams are sorted by hash and grouped once more, which numbers the
+    vocabulary.  A query's windows are hashed by the same routine and
+    looked up in the vocabulary (``query``).
+    """
+
+    def __init__(self, texts: Sequence[str], cfg: KernelConfig):
+        lo, hi = cfg.ngram_min, cfg.ngram_max
+        h0 = chain_start(0)  # the kernel's windows hash with seed 0
+        tokens: dict = {}
+        every_unit, lengths = _units(texts, cfg.unit, {}, tokens)
+        text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=text_starts[1:])
+        # Each block's grams (hash, start, size), and each text's distinct
+        # grams as numbers of the grams of all blocks so far.
+        hashes, starts, sizes = [np.zeros(0, dtype=np.uint64)], [text_starts[:0]], [text_starts[:0]]
+        postings = [np.zeros(0, dtype=np.int32)]
+        counts = np.zeros(len(lengths), dtype=np.int64)
+        numbered = 0
+        for block in _blocks(lengths, lo, _BLOCK_UNITS):
+            a, z = block[0], block[-1] + 1
+            units = every_unit[text_starts[a] : text_starts[z]]
+            window_hashes, window_starts, window_sizes = _windows(
+                units, lengths[a:z], lo, hi, h0
+            )
+            grams, heads = _group(units, window_hashes, window_starts, window_sizes)
+            hashes.append(window_hashes[heads])
+            starts.append(window_starts[heads] + text_starts[a])
+            sizes.append(window_sizes[heads])
+            # Each (text, gram) pair once, in text order.
+            doc = np.arange(z - a).repeat(lengths[a:z])[window_starts]
+            shift = len(heads).bit_length()
+            pairs = _distinct(doc << shift | grams)
+            counts[a:z] = np.bincount(pairs >> shift, minlength=z - a)
+            postings.append((pairs & ((1 << shift) - 1)).astype(np.int32) + numbered)
+            numbered += len(heads)
+        # The blocks' grams, grouped once more in hash order, are the vocabulary.
+        hashes = np.concatenate(hashes)
+        order = hashes.argsort()
+        hashes = hashes[order]
+        starts = np.concatenate(starts)[order]
+        sizes = np.concatenate(sizes)[order]
+        grams, heads = _group(every_unit, hashes, starts, sizes)
+        super().__init__(cfg, h0, tokens, every_unit, hashes[heads], starts[heads], sizes[heads])
+        ids = np.empty(len(order), dtype=np.int32)
+        ids[order] = grams
+        self.text_grams = ids[np.concatenate(postings)]
+        del postings
+        self.selfs = counts.astype(np.float64)
+        self.text_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.text_offsets[1:])
+
+    @cached_property
+    def _postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(gram_offsets, gram_texts)``: the texts that hold id g, in text
+        order, are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``."""
+        counts = np.diff(self.text_offsets)
+        gram_offsets = np.zeros(len(self.hashes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.text_grams, minlength=len(self.hashes)), out=gram_offsets[1:])
+        # Each id's texts in text order, from the (id, text) pairs sorted.
+        shift = len(counts).bit_length()
+        pairs = self.text_grams.astype(np.int64)
+        pairs <<= shift
+        pairs |= np.arange(len(counts), dtype=np.int32).repeat(counts)
+        pairs.sort()
+        pairs &= (1 << shift) - 1
+        return gram_offsets, pairs.astype(np.int32)
+
     def grams_of(self, t: int) -> np.ndarray:
         return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
 
+    def primal(
+        self, rows: Sequence[int], coefs: np.ndarray, normalize: bool
+    ) -> tuple[_Vocabulary, np.ndarray]:
+        """The n-grams of the given indexed texts, each with its primal weight
+        ``w_g = sum of coefs[k] / sqrt(self kernel of rows[k])`` over the
+        texts that hold g (no root unnormalized), added in the order of
+        ``rows``.  The vocabulary keeps these n-grams alone, and no postings.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        grams = self.text_grams[_spans(self.text_offsets, rows)]
+        counts = self.text_offsets[rows + 1] - self.text_offsets[rows]
+        terms = np.asarray(coefs, dtype=np.float64)
+        if normalize:  # a text without n-grams adds no term
+            roots = np.sqrt(self.selfs[rows])
+            terms = np.divide(terms, roots, out=np.zeros(len(rows)), where=counts > 0)
+        # bincount adds each gram's terms one by one, in the order of grams.
+        weights = np.bincount(grams, weights=terms.repeat(counts), minlength=len(self.hashes))
+        held = np.bincount(grams, minlength=len(self.hashes)) > 0
+        vocabulary = _Vocabulary(
+            self.cfg, self.h0, self.tokens, self.units,
+            self.hashes[held], self.gram_starts[held], self.gram_sizes[held],
+        )
+        return vocabulary, weights[held]
+
     def shared_counts(self, ids: np.ndarray) -> np.ndarray:
-        """Exact count of the given distinct ids that each indexed text holds."""
-        ends = self.gram_offsets[ids + 1]
-        lengths = ends - self.gram_offsets[ids]
-        # Flat positions of every posting of every id, without a Python loop:
-        # the k-th posting of an id sits at its start plus k.
-        positions = np.repeat(ends - np.cumsum(lengths), lengths)
-        positions += np.arange(len(positions))
-        return np.bincount(self.gram_texts[positions], minlength=len(self.selfs))
+        """Exact count of the given distinct ids that each indexed text holds.
+        Only ``row`` reads it, for SMO and ``kernel_matrix``; the svm's
+        decision does not."""
+        gram_offsets, gram_texts = self._postings
+        return np.bincount(gram_texts[_spans(gram_offsets, ids)], minlength=len(self.selfs))
 
     def kernels(self, shared: np.ndarray, self_q: float, normalize: bool) -> np.ndarray:
-        """Kernel of a query with every indexed text, from its shared counts."""
+        """Kernel of a query with every indexed text, from its shared counts.
+        Only ``row`` reads it, for SMO and ``kernel_matrix``."""
         raw = shared.astype(np.float64)
         if not normalize:
             return raw
@@ -377,7 +445,8 @@ class _NgramIndex:
         return values
 
     def entry(self, i: int, j: int, normalize: bool) -> float:
-        """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``."""
+        """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``.
+        SMO reads it for a pair whose row it does not keep."""
         if i == j:  # normalized: 1.0, or 0.0 for a text without n-grams
             return float(self.selfs[i] > 0) if normalize else float(self.selfs[i])
         # A text's ids are distinct, so the intersection counts shared ids.
@@ -389,7 +458,8 @@ class _NgramIndex:
         return shared / math.sqrt(self.selfs[i] * self.selfs[j])
 
     def row(self, i: int, normalize: bool) -> np.ndarray:
-        """Kernel of indexed text i with every indexed text."""
+        """Kernel of indexed text i with every indexed text, for SMO and
+        ``kernel_matrix``."""
         values = self.kernels(self.shared_counts(self.grams_of(i)), self.selfs[i], normalize)
         values[i] = self.entry(i, i, normalize)
         return values
@@ -420,8 +490,9 @@ class SvmModel:
     bias: float
     C: float
     support_texts: tuple[str, ...]  # training texts in support_indices order
-    # Index over the support texts per kernel config, built on first use.
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Per kernel config, the support n-grams and their primal weights
+    # (``_NgramIndex.primal``), folded on the first decision.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = (len(self.support_indices), len(self.dual_coef), len(self.support_texts))
@@ -431,21 +502,22 @@ class SvmModel:
                 f"and {sizes[2]} support texts"
             )
 
-    def _support_index(self, cfg: KernelConfig) -> _NgramIndex:
-        index = self._indexes.get(cfg)
-        if index is None:
-            index = _NgramIndex(self.support_texts, cfg)
-            self._indexes[cfg] = index
-        return index
-
     def decision(self, text: str, cfg: KernelConfig) -> float:
-        index = self._support_index(cfg)
-        ids, self_count = index.query(text)
-        terms = self.dual_coef * index.kernels(index.shared_counts(ids), self_count, cfg.normalize)
-        total = self.bias
-        for term in terms.tolist():  # left fold in support order, as pairwise
-            total += term
-        return float(total)
+        """``b + sum of w_g over the text's n-grams g``, the sum divided by
+        the root of their number when normalized, and ``b`` for a text
+        without n-grams.  ``math.fsum`` rounds the sum once, so it depends
+        neither on the order of the ids nor on zero weights."""
+        table = self._tables.get(cfg)
+        if table is None:
+            index = _NgramIndex(self.support_texts, cfg)
+            table = index.primal(range(len(self.support_texts)), self.dual_coef, cfg.normalize)
+            self._tables[cfg] = table
+        vocabulary, weights = table
+        ids, count = vocabulary.query(text)
+        if count == 0:
+            return float(self.bias)
+        total = math.fsum(weights[ids].tolist())
+        return float(self.bias + (total / math.sqrt(count) if cfg.normalize else total))
 
 
 def _as_pm1_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -587,13 +659,17 @@ def svm_train(
 
     support = tuple(i for i in range(n) if alpha[i] > _SUPPORT_EPS)
     dual_coef = np.array([alpha[i] * y[i] for i in support], dtype=np.float64)
-    return SvmModel(
+    model = SvmModel(
         support_indices=support,
         dual_coef=dual_coef,
         bias=b,
         C=C,
         support_texts=tuple(texts[i] for i in support),
     )
+    # The support rows of this index give the table an index over the
+    # support texts would: the same n-grams, weights and decisions.
+    model._tables[cfg] = index.primal(support, dual_coef, cfg.normalize)
+    return model
 
 
 def svm_predict_proba(model: SvmModel, text: str, cfg: KernelConfig = KernelConfig()) -> float:

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtdetect import embeddings, kernels
+from mgtdetect import embeddings, kernels, pipeline
 from mgtdetect.checkpoint import decode_array, encode_array
-from mgtdetect.corpus import Label
+from mgtdetect.config import AppConfig
+from mgtdetect.corpus import Label, SplitSpec, split
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.kernels import (
     KernelConfig,
@@ -342,13 +343,21 @@ class TestSerialization:
             kernel_config_from_jsonable(data)
 
     def test_svm_round_trip_preserves_decisions(self):
-        texts, labels = separable_texts()
-        model = svm_train(texts, labels)
+        # The trained model scores from its training index's support rows,
+        # the restored one from an index over its support texts.
+        corpus = synthetic_corpus(60, 60, seed=9)
+        texts = [preprocess(d.text, d.language) for d in corpus]
+        labels = [1 if d.label is Label.GENERATED else -1 for d in corpus]
+        model = svm_train(texts[:80], labels[:80])
         restored = svm_from_jsonable(svm_to_jsonable(model))
-        for probe in ["aaa bbb fresh", "zzz yyy fresh", "totally new words"]:
-            assert restored.decision(probe, KernelConfig()) == model.decision(
-                probe, KernelConfig()
-            )
+        assert not restored._tables  # folded on the first decision, not when loaded
+        cfg = KernelConfig()
+        for probe in texts + ["aaa bbb fresh", "zzz yyy fresh", "totally new words", ""]:
+            assert bits(restored.decision(probe, cfg)) == bits(model.decision(probe, cfg))
+        [(trained, _)], [(loaded, _)] = model._tables.values(), restored._tables.values()
+        # Neither keeps postings, and both hold the support n-grams alone.
+        assert type(trained) is type(loaded) is kernels._Vocabulary
+        assert len(trained.hashes) == len(loaded.hashes)
 
 
 class TestNgramSets:
@@ -389,6 +398,53 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
+def gram_set(text, cfg):
+    """Every distinct n-gram of the text, of every n in the range."""
+    return frozenset().union(*ngram_sets(text, cfg))
+
+
+def primal_decision(model, text, cfg):
+    """Scalar oracle of the primal decision: each support n-gram's weight is
+    its supports' ``coef / sqrt(|grams|)`` (``coef`` unnormalized) added by
+    a left fold in support order, and the query's weights are summed by
+    ``math.fsum``, then divided by ``sqrt(|query grams|)`` when normalized."""
+    weights = {}
+    for coef, support in zip(model.dual_coef.tolist(), model.support_texts):
+        grams = gram_set(support, cfg)
+        term = coef / math.sqrt(len(grams)) if cfg.normalize and grams else coef
+        for gram in grams:
+            weights[gram] = weights.get(gram, 0.0) + term
+    grams = gram_set(text, cfg)
+    if not grams:
+        return model.bias
+    total = math.fsum(weights.get(gram, 0.0) for gram in grams)
+    return model.bias + (total / math.sqrt(len(grams)) if cfg.normalize else total)
+
+
+def pairwise_dual_decision(model, text, cfg):
+    """The dual form ``b + sum of c_i K(s_i, x)``, by the pairwise kernel."""
+    total = model.bias
+    for coef, support in zip(model.dual_coef.tolist(), model.support_texts):
+        total += coef * spectrum_kernel(support, text, cfg)
+    return total
+
+
+def indexed_dual_decisions(model, texts, cfg):
+    """The dual form over an index of the support texts, a left fold of the
+    support terms in support order, as the svm was served before its
+    decision was folded into primal weights."""
+    index = kernels._NgramIndex(model.support_texts, cfg)
+    decisions = []
+    for text in texts:
+        ids, self_count = index.query(text)
+        terms = model.dual_coef * index.kernels(index.shared_counts(ids), self_count, cfg.normalize)
+        total = model.bias
+        for term in terms.tolist():
+            total += term
+        decisions.append(total)
+    return np.array(decisions)
+
+
 class TestIndexedKernelsAreExact:
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
     def test_kernel_matrix_equals_pairwise_matrix(self, cfg):
@@ -409,7 +465,7 @@ class TestIndexedKernelsAreExact:
             assert np.array(entries).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
-    def test_decision_equals_pairwise_left_fold(self, cfg):
+    def test_decision_equals_primal_oracle(self, cfg):
         texts = edge_case_texts(cfg, seed=23)
         labels = [1 if i % 2 else -1 for i in range(len(texts))]
         model = svm_train(texts, labels, C=1.0, cfg=cfg, seed=5)
@@ -418,12 +474,19 @@ class TestIndexedKernelsAreExact:
         queries = [random_text(rnd, max_len=40) for _ in range(8)] + ["", "XYZWQRST"]
         assert all(spectrum_kernel(t, "XYZWQRST", cfg) == 0 for t in texts)
         restored = svm_from_jsonable(svm_to_jsonable(model))
-        for query in queries:
-            expected = model.bias
-            for idx, coef in zip(model.support_indices, model.dual_coef):
-                expected += coef * spectrum_kernel(texts[idx], query, cfg)
+        for query in queries + texts:
+            expected = primal_decision(model, query, cfg)
             assert bits(model.decision(query, cfg)) == bits(expected)
             assert bits(restored.decision(query, cfg)) == bits(expected)
+            assert abs(expected - pairwise_dual_decision(model, query, cfg)) <= 1e-12
+        assert bits(model.decision("", cfg)) == bits(model.bias)
+
+    @pytest.mark.parametrize("bias", [0.25, -0.0, 0.0])
+    @pytest.mark.parametrize("cfg", [KernelConfig(), KernelConfig(normalize=False)])
+    def test_query_without_ngrams_returns_the_bias(self, cfg, bias):
+        model = kernels.SvmModel((0, 1), np.array([0.5, -0.5]), bias, 1.0, ("abcd", "xyzw"))
+        for query in ["", "ab", "  "]:
+            assert bits(model.decision(query, cfg)) == bits(bias)
 
 
 def dense_smo(K, y, C, seed, tol=kernels.KKT_TOLERANCE, max_passes=kernels.MAX_PASSES):
@@ -681,12 +744,18 @@ class TestKernelWork:
     def test_scoring_hashes_each_support_and_query_once(self, work):
         texts, labels = separable_texts()
         model = svm_train(texts, labels, C=1.0)
+        restored = svm_from_jsonable(svm_to_jsonable(model))
         s = len(model.support_indices)
         queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
+        assert s > 1
+        # A trained model folds its table from the training index.
         work.update(texts_hashed=0, pair_intersections=0)
         for query in queries:
             svm_predict_proba(model, query)
-        assert s > 1
+        assert work == {"texts_hashed": len(queries), "pair_intersections": 0}
+        work.update(texts_hashed=0)
+        for query in queries:
+            svm_predict_proba(restored, query)
         assert work == {"texts_hashed": s + len(queries), "pair_intersections": 0}
 
     def test_svm_train_hashes_each_text_once(self, work):
@@ -715,8 +784,8 @@ _index_texts = st.lists(
 
 
 def assert_index_matches_pairwise(texts, cfg, queries):
-    """The index's rows, entries, self counts and decisions equal the
-    pairwise reference bit for bit."""
+    """The index's rows, entries and self counts equal the pairwise
+    reference bit for bit, and decisions the primal oracle."""
     index = kernels._NgramIndex(texts, cfg)
     for i, text in enumerate(texts):
         assert index.selfs[i] == kernels._raw_kernel(ngram_sets(text, cfg), ngram_sets(text, cfg))
@@ -730,10 +799,9 @@ def assert_index_matches_pairwise(texts, cfg, queries):
         _, self_count = index.query(query)
         sets = ngram_sets(query, cfg)
         assert self_count == kernels._raw_kernel(sets, sets)
-        expected = model.bias
-        for coef, text in zip(coefs, texts):
-            expected += coef * spectrum_kernel(text, query, cfg)
+        expected = primal_decision(model, query, cfg)
         assert bits(model.decision(query, cfg)) == bits(expected)
+        assert abs(expected - pairwise_dual_decision(model, query, cfg)) <= 1e-12
 
 
 class TestHashedIndexOverUnicode:
@@ -800,10 +868,35 @@ class TestHugeNgramMax:
         assert huge.dual_coef.tobytes() == exact.dual_coef.tobytes()
         assert bits(huge.bias) == bits(exact.bias)
         for query in self.queries + self.texts[:3]:
-            assert bits(huge.decision(query, self.huge)) == bits(exact.decision(query, self.exact))
+            expected = primal_decision(exact, query, self.exact)
+            assert bits(huge.decision(query, self.huge)) == bits(expected)
+            assert bits(exact.decision(query, self.exact)) == bits(expected)
 
     def test_ngram_sets_stop_at_the_text(self):
         assert ngram_sets("abcd", KernelConfig(2, 10**9)) == ngram_sets("abcd", KernelConfig(2, 4))
+
+
+class TestPrimalOnTheEndToEndCorpus:
+    def test_labels_equal_the_indexed_dual_form(self, tmp_path):
+        # test_09's corpus and split, with the svm's shipped defaults.
+        corpus = synthetic_corpus(2000, 2000, seed=42, name="e2e")
+        fit_part, test_part = split(
+            corpus, SplitSpec(train_fraction=0.8, seed=42, stratify_by_label=True)
+        )
+        trained, _ = pipeline.train_model("svm", fit_part, AppConfig())
+        model, cfg = trained.models["svm"], trained.preps["kernel"]
+        texts = [preprocess(d.text, d.language) for d in test_part]
+        primal = np.array([model.decision(text, cfg) for text in texts])
+        dual = indexed_dual_decisions(model, texts, cfg)
+        assert np.max(np.abs(primal - dual)) <= 1e-12
+        probs = trained.predict_proba(test_part)
+        dual_probs = 1.0 / (1.0 + np.exp(-dual))  # no margin here is near exp's range
+        threshold = pipeline.DEFAULT_DECISION_THRESHOLD
+        np.testing.assert_array_equal(probs >= threshold, dual_probs >= threshold)
+        # The loaded model folds its table from its support texts alone.
+        pipeline.save_model(trained, tmp_path / "svm.json")
+        loaded = pipeline.load_model(tmp_path / "svm.json")
+        assert loaded.predict_proba(test_part).tobytes() == probs.tobytes()
 
 
 class TestIndexMemory:

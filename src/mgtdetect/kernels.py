@@ -25,15 +25,15 @@ the (text, n-gram) postings it makes, not with the windows it hashes.  A
 query's windows are hashed the same way, looked up with
 ``np.searchsorted`` and compared with the n-gram each one finds; only the
 windows found nowhere are grouped among themselves, for the query's own
-count.  For a kernel row, one ``np.bincount`` over the found ids'
-postings (the texts that hold each id, inverted once per index) gives the
-exact integer count of n-grams the query shares with every indexed text.
-No n-gram is longer than the text that holds it, whatever ``ngram_max``
-is.  ``ngram_sets`` and ``spectrum_kernel`` stay as the pairwise
-reference.  A row's normalization ``raw / sqrt(self_x * self_y)`` is
-element-wise float64 division and square root, which round exactly like
-their scalar forms, so Gram matrices and SMO solutions are identical to
-the pairwise evaluation.
+count.  For a kernel row of indexed text i, one ``np.bincount`` over the
+postings of i's ids (the texts that hold each id, inverted once per
+index) gives the exact integer count of n-grams i shares with every
+indexed text.  No n-gram is longer than the text that holds it, whatever
+``ngram_max`` is.  A row's normalization ``raw / sqrt(self_x * self_y)``
+is element-wise float64 division and square root, which round exactly
+like their scalar forms, so a row equals the pairwise ``entry`` values
+bit for bit.  ``spectrum_kernel`` is the one pairwise form: the entry of
+an index over its two texts.
 
 The SVM is served in primal form.  The normalized kernel is the dot
 product of ``phi(x) / |phi(x)|``, with ``phi`` the 0/1 indicator of
@@ -117,50 +117,15 @@ class KernelConfig:
             )
 
 
-def ngram_sets(text: str, cfg: KernelConfig) -> tuple[frozenset, ...]:
-    """Distinct n-grams of the text for each n in the configured range,
-    up to the text's length.
-
-    CHAR slides over the raw string (spaces included); WORD slides over the
-    whitespace-token sequence, yielding token tuples.
-    """
-    if cfg.unit is NgramUnit.WORD:
-        units: Sequence = text.split()
-    else:
-        units = text
-    sets = []
-    for n in range(cfg.ngram_min, min(cfg.ngram_max, len(units)) + 1):
-        if cfg.unit is NgramUnit.WORD:
-            grams = frozenset(
-                tuple(units[i : i + n]) for i in range(len(units) - n + 1)
-            )
-        else:
-            grams = frozenset(units[i : i + n] for i in range(len(units) - n + 1))
-        sets.append(grams)
-    return tuple(sets)
-
-
-def _raw_kernel(sets_x: tuple[frozenset, ...], sets_y: tuple[frozenset, ...]) -> int:
-    # zip stops at the shorter tuple: longer n-grams cannot be shared.
-    return sum(len(sx & sy) for sx, sy in zip(sets_x, sets_y))
-
-
 def spectrum_kernel(x: str, y: str, cfg: KernelConfig = KernelConfig()) -> float:
-    """Shared distinct n-gram count, optionally cosine-normalized.
+    """Shared distinct n-gram count, optionally cosine-normalized: the Gram
+    entry of an index over the two texts.  For many pairs, ``kernel_matrix``
+    indexes every text once.
 
     When either string has no n-grams at all, the normalized kernel is
     defined as 0.
     """
-    sets_x = ngram_sets(x, cfg)
-    sets_y = ngram_sets(y, cfg)
-    raw = _raw_kernel(sets_x, sets_y)
-    if not cfg.normalize:
-        return float(raw)
-    self_x = _raw_kernel(sets_x, sets_x)
-    self_y = _raw_kernel(sets_y, sets_y)
-    if self_x == 0 or self_y == 0:
-        return 0.0
-    return raw / math.sqrt(self_x * self_y)
+    return _NgramIndex([x, y], cfg).entry(0, 1, cfg.normalize)
 
 
 def _units(
@@ -323,8 +288,8 @@ class _NgramIndex(_Vocabulary):
 
     A text's self kernel is its number of distinct ids.  The ids of text t
     are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
-    postings, the texts that hold id g, are built on the first
-    ``shared_counts``: only kernel rows read them.
+    postings, the texts that hold id g, are built on the first ``row``:
+    only kernel rows read them.
 
     The build reads the texts in blocks of about ``_BLOCK_UNITS`` units.
     A block's windows are hashed (``_windows``) and grouped into the
@@ -424,26 +389,6 @@ class _NgramIndex(_Vocabulary):
         )
         return vocabulary, weights[held]
 
-    def shared_counts(self, ids: np.ndarray) -> np.ndarray:
-        """Exact count of the given distinct ids that each indexed text holds.
-        Only ``row`` reads it, for SMO and ``kernel_matrix``; the svm's
-        decision does not."""
-        gram_offsets, gram_texts = self._postings
-        return np.bincount(gram_texts[_spans(gram_offsets, ids)], minlength=len(self.selfs))
-
-    def kernels(self, shared: np.ndarray, self_q: float, normalize: bool) -> np.ndarray:
-        """Kernel of a query with every indexed text, from its shared counts.
-        Only ``row`` reads it, for SMO and ``kernel_matrix``."""
-        raw = shared.astype(np.float64)
-        if not normalize:
-            return raw
-        values = np.zeros(len(self.selfs), dtype=np.float64)
-        if self_q == 0:
-            return values
-        nonempty = self.selfs > 0
-        values[nonempty] = raw[nonempty] / np.sqrt(self_q * self.selfs[nonempty])
-        return values
-
     def entry(self, i: int, j: int, normalize: bool) -> float:
         """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``.
         SMO reads it for a pair whose row it does not keep."""
@@ -459,8 +404,16 @@ class _NgramIndex(_Vocabulary):
 
     def row(self, i: int, normalize: bool) -> np.ndarray:
         """Kernel of indexed text i with every indexed text, for SMO and
-        ``kernel_matrix``."""
-        values = self.kernels(self.shared_counts(self.grams_of(i)), self.selfs[i], normalize)
+        ``kernel_matrix``: the count of i's ids each text holds, from one
+        ``np.bincount`` over their postings, then normalized."""
+        gram_offsets, gram_texts = self._postings
+        shared = np.bincount(
+            gram_texts[_spans(gram_offsets, self.grams_of(i))], minlength=len(self.selfs)
+        )
+        values = shared.astype(np.float64)
+        if normalize:
+            held = shared > 0  # so both texts hold n-grams
+            values[held] /= np.sqrt(self.selfs[i] * self.selfs[held])
         values[i] = self.entry(i, i, normalize)
         return values
 
@@ -495,6 +448,8 @@ class SvmModel:
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if np.ndim(self.dual_coef) != 1:
+            raise DataError(f"dual coefficients of shape {np.shape(self.dual_coef)}, not 1-d")
         sizes = (len(self.support_indices), len(self.dual_coef), len(self.support_texts))
         if len(set(sizes)) != 1:
             raise DataError(

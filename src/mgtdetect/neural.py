@@ -283,28 +283,15 @@ def _task_parts(
     return loss, fwd, dz_bot, dz_lang
 
 
-def batch_loss(
-    params: MlpParams,
-    batch: Batch,
-    mtl: MtlConfig = MtlConfig(),
-    vat: VatConfig = VatConfig(),
-) -> float:
-    """The exact scalar that ``backward`` differentiates."""
-    loss, _, _, _ = _task_parts(params, batch, mtl)
-    if vat.enabled:
-        if batch.r_adv is None or batch.clean_p_bot is None:
-            raise DataError("vat loss needs r_adv and clean_p_bot on the batch")
-        loss += vat.alpha_vat * vat_loss(params, batch.x, batch.r_adv, batch.clean_p_bot)
-    return float(loss)
-
-
 def backward(
     params: MlpParams,
     batch: Batch,
     mtl: MtlConfig = MtlConfig(),
     vat: VatConfig = VatConfig(),
 ) -> tuple[float, MlpParams]:
-    """Loss and analytic gradients for one batch."""
+    """One batch's loss and its analytic gradients.  The loss is the one
+    definition of the training objective: the task loss plus, with VAT on,
+    ``alpha_vat`` times ``vat_loss`` at the batch's frozen offsets."""
     loss, fwd, dz_bot, dz_lang = _task_parts(params, batch, mtl)
     hd = fwd.hidden_dropped
     d_w_bot = hd.T @ dz_bot

@@ -7,8 +7,8 @@ concatenated training matrix.  Scaling the concatenation is equivalent to
 scaling the blocks separately because standardization is per-column.
 Features travel as float64 matrices, one row per document in corpus order,
 from the embedder to the scaler.  The string-kernel SVM takes a different
-route: documents are preprocessed per language and compared directly as
-character n-gram sets.
+route: documents are preprocessed per language and scored in primal form
+over the hashed index of their character n-grams (see ``kernels``).
 
 Document embeddings come from a seeded hashing embedder by default; a
 table of precomputed vectors keyed by document id can be supplied instead,

@@ -729,7 +729,9 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["before_support_set", "short_support_texts"])
+    @pytest.mark.parametrize(
+        "damage", ["before_support_set", "short_support_texts", "column_dual_coef"]
+    )
     def test_malformed_svm_checkpoint_is_2(self, workdir, tmp_path, damage):
         ckpt = tmp_path / "svm.json"
         code = _run(
@@ -749,6 +751,10 @@ class TestExitCodes:
             model["texts"] = model.pop("support_texts")
             model["alphas"] = encode_array(np.abs(dual_coef))
             model["labels"] = encode_array(np.where(dual_coef > 0, 1.0, -1.0))
+        elif damage == "column_dual_coef":
+            # One coefficient a row: as many as supports, but not 1-d.
+            dual_coef = decode_array(model["dual_coef"], np.float64)
+            model["dual_coef"] = encode_array(dual_coef.reshape(-1, 1))
         else:
             model["support_texts"].pop()
         save_checkpoint(ckpt, kind, payload)

@@ -23,7 +23,6 @@ from mgtdetect.kernels import (
     kernel_config_from_jsonable,
     kernel_config_to_jsonable,
     kernel_matrix,
-    ngram_sets,
     spectrum_kernel,
     svm_from_jsonable,
     svm_predict_proba,
@@ -35,23 +34,27 @@ from mgtdetect.textprep import preprocess
 from synthdata import synthetic_corpus
 
 
+def gram_sets(text, cfg):
+    """The text's distinct n-grams by hand, one set per n from ``ngram_min``
+    up to ``ngram_max`` or the text's length, whichever is smaller.  CHAR
+    n-grams are substrings (spaces included), WORD n-grams tuples of
+    whitespace tokens."""
+    units = text.split() if cfg.unit is NgramUnit.WORD else text
+    sets = []
+    for n in range(cfg.ngram_min, min(cfg.ngram_max, len(units)) + 1):
+        windows = (units[i : i + n] for i in range(len(units) - n + 1))
+        sets.append({tuple(w) if cfg.unit is NgramUnit.WORD else w for w in windows})
+    return sets
+
+
 def brute_force_kernel(x, y, cfg):
-    """Reference evaluation: build the distinct n-gram sets by hand and
-    intersect them, one n at a time."""
-    total = 0
-    self_x = 0
-    self_y = 0
-    for n in range(cfg.ngram_min, cfg.ngram_max + 1):
-        if cfg.unit is NgramUnit.WORD:
-            ux, uy = x.split(), y.split()
-            gx = {tuple(ux[i : i + n]) for i in range(len(ux) - n + 1)}
-            gy = {tuple(uy[i : i + n]) for i in range(len(uy) - n + 1)}
-        else:
-            gx = {x[i : i + n] for i in range(len(x) - n + 1)}
-            gy = {y[i : i + n] for i in range(len(y) - n + 1)}
-        total += len(gx & gy)
-        self_x += len(gx)
-        self_y += len(gy)
+    """Reference evaluation: intersect the two texts' distinct n-gram sets
+    one n at a time."""
+    sets_x, sets_y = gram_sets(x, cfg), gram_sets(y, cfg)
+    # zip stops at the shorter list: longer n-grams cannot be shared.
+    total = sum(len(gx & gy) for gx, gy in zip(sets_x, sets_y))
+    self_x = sum(map(len, sets_x))
+    self_y = sum(map(len, sets_y))
     if not cfg.normalize:
         return float(total)
     if self_x == 0 or self_y == 0:
@@ -151,7 +154,7 @@ class TestKernelMatrix:
             for j in range(6):
                 if i == j:
                     continue
-                assert km.matrix[i, j] == spectrum_kernel(texts[i], texts[j], cfg)
+                assert km.matrix[i, j] == brute_force_kernel(texts[i], texts[j], cfg)
 
     def test_symmetric(self):
         km = kernel_matrix(self.texts(9))
@@ -161,7 +164,7 @@ class TestKernelMatrix:
         cfg = KernelConfig(normalize=False)
         texts = ["abcdef", "bcdefg"]
         km = kernel_matrix(texts, cfg)
-        assert km.matrix[0, 0] == spectrum_kernel("abcdef", "abcdef", cfg)
+        assert km.matrix[0, 0] == brute_force_kernel("abcdef", "abcdef", cfg)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -361,14 +364,16 @@ class TestSerialization:
 
 
 class TestNgramSets:
+    """The tests-side oracle ``gram_sets``, on which ``brute_force_kernel``
+    is built, against sets written out by hand."""
+
     def test_char_sets(self):
         cfg = KernelConfig(ngram_min=2, ngram_max=3)
-        sets = ngram_sets("abc", cfg)
-        assert sets == (frozenset({"ab", "bc"}), frozenset({"abc"}))
+        assert gram_sets("abc", cfg) == [{"ab", "bc"}, {"abc"}]
 
     def test_word_sets(self):
         cfg = KernelConfig(ngram_min=1, ngram_max=1, unit=NgramUnit.WORD)
-        assert ngram_sets("a b a", cfg) == (frozenset({("a",), ("b",)}),)
+        assert gram_sets("a b a", cfg) == [{("a",), ("b",)}]
 
 
 # test_04's six configs: CHAR and WORD, normalized and not.
@@ -400,7 +405,7 @@ def bits(value):
 
 def gram_set(text, cfg):
     """Every distinct n-gram of the text, of every n in the range."""
-    return frozenset().union(*ngram_sets(text, cfg))
+    return frozenset().union(*gram_sets(text, cfg))
 
 
 def primal_decision(model, text, cfg):
@@ -422,22 +427,22 @@ def primal_decision(model, text, cfg):
 
 
 def pairwise_dual_decision(model, text, cfg):
-    """The dual form ``b + sum of c_i K(s_i, x)``, by the pairwise kernel."""
+    """The dual form ``b + sum of c_i K(s_i, x)``, by the brute-force kernel."""
     total = model.bias
     for coef, support in zip(model.dual_coef.tolist(), model.support_texts):
-        total += coef * spectrum_kernel(support, text, cfg)
+        total += coef * brute_force_kernel(support, text, cfg)
     return total
 
 
 def indexed_dual_decisions(model, texts, cfg):
-    """The dual form over an index of the support texts, a left fold of the
-    support terms in support order, as the svm was served before its
-    decision was folded into primal weights."""
-    index = kernels._NgramIndex(model.support_texts, cfg)
+    """The dual form over indexed kernel rows, a left fold of the support
+    terms in support order, as the svm was served before its decision was
+    folded into primal weights."""
+    s = len(model.support_texts)
+    gram = kernel_matrix(list(model.support_texts) + list(texts), cfg).matrix
     decisions = []
-    for text in texts:
-        ids, self_count = index.query(text)
-        terms = model.dual_coef * index.kernels(index.shared_counts(ids), self_count, cfg.normalize)
+    for row in gram[s:, :s]:
+        terms = model.dual_coef * row
         total = model.bias
         for term in terms.tolist():
             total += term
@@ -450,7 +455,7 @@ class TestIndexedKernelsAreExact:
     def test_kernel_matrix_equals_pairwise_matrix(self, cfg):
         texts = edge_case_texts(cfg, seed=11)
         expected = np.array(
-            [[spectrum_kernel(x, y, cfg) for y in texts] for x in texts]
+            [[brute_force_kernel(x, y, cfg) for y in texts] for x in texts]
         )
         km = kernel_matrix(texts, cfg)
         assert np.all(km.matrix == expected)
@@ -720,25 +725,18 @@ class TestRowCache:
 
 
 class TestKernelWork:
-    """Each text's units are hashed once and no pair of texts is intersected
-    as n-gram sets."""
+    """Each text's units are hashed once."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        work = {"texts_hashed": 0, "pair_intersections": 0}
+        work = {"texts_hashed": 0}
         units = kernels._units
-        raw_kernel = kernels._raw_kernel
 
         def counting_units(texts, *args):
             work["texts_hashed"] += len(texts)
             return units(texts, *args)
 
-        def counting_raw_kernel(sets_x, sets_y):
-            work["pair_intersections"] += sets_x is not sets_y
-            return raw_kernel(sets_x, sets_y)
-
         monkeypatch.setattr(kernels, "_units", counting_units)
-        monkeypatch.setattr(kernels, "_raw_kernel", counting_raw_kernel)
         return work
 
     def test_scoring_hashes_each_support_and_query_once(self, work):
@@ -749,24 +747,24 @@ class TestKernelWork:
         queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
         assert s > 1
         # A trained model folds its table from the training index.
-        work.update(texts_hashed=0, pair_intersections=0)
+        work.update(texts_hashed=0)
         for query in queries:
             svm_predict_proba(model, query)
-        assert work == {"texts_hashed": len(queries), "pair_intersections": 0}
+        assert work == {"texts_hashed": len(queries)}
         work.update(texts_hashed=0)
         for query in queries:
             svm_predict_proba(restored, query)
-        assert work == {"texts_hashed": s + len(queries), "pair_intersections": 0}
+        assert work == {"texts_hashed": s + len(queries)}
 
     def test_svm_train_hashes_each_text_once(self, work):
         texts, labels = edge_case_problem(KernelConfig(), seed=3)
         svm_train(texts, labels, C=1.0)
-        assert work == {"texts_hashed": len(texts), "pair_intersections": 0}
+        assert work == {"texts_hashed": len(texts)}
 
     def test_kernel_matrix_hashes_each_text_once(self, work):
         texts = edge_case_texts(KernelConfig(), seed=3)
         kernel_matrix(texts)
-        assert work == {"texts_hashed": len(texts), "pair_intersections": 0}
+        assert work == {"texts_hashed": len(texts)}
 
 
 # Code points the index must treat as units like any other: NUL, astral
@@ -784,21 +782,23 @@ _index_texts = st.lists(
 
 
 def assert_index_matches_pairwise(texts, cfg, queries):
-    """The index's rows, entries and self counts equal the pairwise
-    reference bit for bit, and decisions the primal oracle."""
+    """The index's rows, entries and self counts, and ``spectrum_kernel``
+    over every pair, equal the brute-force reference bit for bit, and
+    decisions the primal oracle."""
     index = kernels._NgramIndex(texts, cfg)
     for i, text in enumerate(texts):
-        assert index.selfs[i] == kernels._raw_kernel(ngram_sets(text, cfg), ngram_sets(text, cfg))
-        expected = np.array([spectrum_kernel(text, other, cfg) for other in texts])
+        assert index.selfs[i] == len(gram_set(text, cfg))
+        expected = np.array([brute_force_kernel(text, other, cfg) for other in texts])
         assert index.row(i, cfg.normalize).tobytes() == expected.tobytes()
         entries = [index.entry(i, j, cfg.normalize) for j in range(len(texts))]
         assert np.array(entries).tobytes() == expected.tobytes()
+        pairwise = [spectrum_kernel(text, other, cfg) for other in texts]
+        assert np.array(pairwise).tobytes() == expected.tobytes()
     coefs = np.linspace(-1.5, 2.0, len(texts))
     model = kernels.SvmModel(tuple(range(len(texts))), coefs, 0.25, 1.0, tuple(texts))
     for query in queries:
         _, self_count = index.query(query)
-        sets = ngram_sets(query, cfg)
-        assert self_count == kernels._raw_kernel(sets, sets)
+        assert self_count == len(gram_set(query, cfg))
         expected = primal_decision(model, query, cfg)
         assert bits(model.decision(query, cfg)) == bits(expected)
         assert abs(expected - pairwise_dual_decision(model, query, cfg)) <= 1e-12
@@ -842,7 +842,7 @@ class TestHashedIndexOverUnicode:
             assert_index_matches_pairwise(texts, cfg, queries)
             np.testing.assert_array_equal(
                 kernel_matrix(texts, cfg).matrix,
-                [[spectrum_kernel(x, y, cfg) for y in texts] for x in texts],
+                [[brute_force_kernel(x, y, cfg) for y in texts] for x in texts],
             )
 
 
@@ -872,8 +872,14 @@ class TestHugeNgramMax:
             assert bits(huge.decision(query, self.huge)) == bits(expected)
             assert bits(exact.decision(query, self.exact)) == bits(expected)
 
+    def test_spectrum_kernel(self):
+        for x, y in itertools.product(self.texts[:6] + self.queries, repeat=2):
+            huge = spectrum_kernel(x, y, self.huge)
+            assert bits(huge) == bits(spectrum_kernel(x, y, self.exact))
+
     def test_ngram_sets_stop_at_the_text(self):
-        assert ngram_sets("abcd", KernelConfig(2, 10**9)) == ngram_sets("abcd", KernelConfig(2, 4))
+        # The oracle's own sets stop too, so brute_force_kernel stays cheap.
+        assert gram_sets("abcd", KernelConfig(2, 10**9)) == gram_sets("abcd", KernelConfig(2, 4))
 
 
 class TestPrimalOnTheEndToEndCorpus:

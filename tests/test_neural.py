@@ -18,7 +18,6 @@ from mgtdetect.neural import (
     VatConfig,
     _AdamW,
     backward,
-    batch_loss,
     bce_loss,
     forward,
     init_params,
@@ -101,12 +100,15 @@ def run_gradient_check(case):
         dropout_mask=mask, r_adv=r_adv, clean_p_bot=clean_p,
     )
     loss, grads = backward(params, batch, mtl, vat)
-    assert loss == batch_loss(params, batch, mtl, vat)
+    if vat.enabled:
+        # The VAT term adds to the task loss as the documented formula says.
+        task = backward(params, batch, mtl, VatConfig())[0]
+        assert loss == task + vat.alpha_vat * vat_loss(params, x, r_adv, clean_p)
 
     worst = 0.0
     for field, idx in _coords_to_check(params, rng):
-        up = batch_loss(_perturbed(params, field, idx, FD_STEP), batch, mtl, vat)
-        down = batch_loss(_perturbed(params, field, idx, -FD_STEP), batch, mtl, vat)
+        up = backward(_perturbed(params, field, idx, FD_STEP), batch, mtl, vat)[0]
+        down = backward(_perturbed(params, field, idx, -FD_STEP), batch, mtl, vat)[0]
         numeric = (up - down) / (2.0 * FD_STEP)
         analytic = _grad_entry(grads, field, idx)
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
@@ -506,7 +508,7 @@ class TestTrain:
         assert float(np.mean(preds == va.y_bot)) >= 0.95
 
     def test_single_small_step_never_increases_batch_loss(self):
-        # The step direction comes from the exact gradient of batch_loss,
+        # The step direction comes from the exact gradient of the loss,
         # so a small enough step must not move that loss upward.
         cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.0)
         failures = 0
@@ -522,7 +524,7 @@ class TestTrain:
                           r_adv=None, clean_p_bot=None)
             before, grads = backward(params, batch, MtlConfig(), VatConfig())
             stepped = _AdamW(cfg).step(params, grads)
-            after = batch_loss(stepped, batch, MtlConfig(), VatConfig())
+            after = backward(stepped, batch, MtlConfig(), VatConfig())[0]
             if after > before:
                 failures += 1
         assert failures == 0

@@ -18,14 +18,11 @@ equal hashes are compared unit by unit, so a hash collision never merges
 two n-grams.  The build hashes the texts in blocks of about
 ``_BLOCK_UNITS`` units and keeps each block's distinct n-grams and each
 text's numbers of them; once every block is in, the blocks' n-grams are
-sorted by hash and grouped once more.  The vocabulary is the sorted
-hashes, each with the place of its n-gram's units in the indexed texts,
-and an n-gram's id is its rank.  The build's working memory grows with
-the (text, n-gram) postings it makes, not with the windows it hashes.  A
-query's windows are hashed the same way, looked up with
-``np.searchsorted`` and compared with the n-gram each one finds; only the
-windows found nowhere are grouped among themselves, for the query's own
-count.  For a kernel row of indexed text i, one ``np.bincount`` over the
+sorted by hash and grouped once more.  An n-gram's id is its rank in
+hash order, and the index keeps the place of its units in the indexed
+texts.  The build's working memory grows with
+the (text, n-gram) postings it makes, not with the windows it hashes.
+For a kernel row of indexed text i, one ``np.bincount`` over the
 postings of i's ids (the texts that hold each id, inverted once per
 index) gives the exact integer count of n-grams i shares with every
 indexed text.  No n-gram is longer than the text that holds it, whatever
@@ -42,15 +39,18 @@ distinct n-grams, so the dual decision ``b + sum_i c_i K(s_i, x)`` equals
 ``w_g = sum over the supports s_i that hold g of c_i / sqrt(|G(s_i)|)``
 (no roots when unnormalized; ``b`` for a text without n-grams).  The
 weights are folded once per model and kernel config, by one
-``np.bincount`` over the support texts' ids in support order, and a
-decision then costs one vocabulary lookup of the text's windows, whatever
-the size of the support set.  The query's weights are summed by
-``math.fsum``, which is correctly rounded, so the decision depends
-neither on the order of the ids nor on zero weights: folded from the
-training index or from an index over the support texts alone, the
-decision is the same to the bit.  It differs from the dual form's left
-fold of support terms in the last bits only (at most ~1e-14 on the
-benchmark and end-to-end corpora).
+``np.bincount`` over the support texts' ids in support order, into a
+dict keyed by the n-grams themselves: CHAR n-grams as strings, WORD
+n-grams as tuples of tokens.  A decision then builds the set of the
+text's distinct n-grams in Python and looks each one up in the dict,
+whatever the size of the support set; the text is never indexed or
+hashed as units.  The found weights are summed by ``math.fsum``, which
+is correctly rounded, so the decision depends neither on the set's
+iteration order (and so not on the string hash seed) nor on zero
+weights: folded from the training index or from an index over the
+support texts alone, the decision is the same to the bit.  It differs
+from the dual form's left fold of support terms in the last bits only
+(at most ~1e-14 on the benchmark and end-to-end corpora).
 
 The SVM solves the soft-margin dual with sequential minimal optimization
 over index pairs.  Pair partners are chosen with a seeded generator, so
@@ -69,7 +69,9 @@ training rows, texts and dual coefficients, plus the bias), because the
 decision reads nothing else; the other training texts and the zero
 alphas are not kept.  A model ``svm_train`` returns already holds the
 weights folded from the training index's support rows, so scoring it
-builds no second index; a loaded model folds them on its first decision.
+builds no second index, and the table's keys are copies, so the training
+index is freed when ``svm_train`` returns; a loaded model folds its
+weights on its first decision.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -129,22 +132,17 @@ def spectrum_kernel(x: str, y: str, cfg: KernelConfig = KernelConfig()) -> float
 
 
 def _units(
-    texts: Sequence[str], unit: NgramUnit, tokens: dict, new_tokens: dict
+    texts: Sequence[str], unit: NgramUnit, tokens: dict
 ) -> tuple[np.ndarray, list[int]]:
     """The texts' units joined into one array, and each text's length.
 
-    CHAR units are code points.  WORD units are whitespace tokens numbered
-    by ``tokens``; a token it lacks is numbered in ``new_tokens``, after
-    every number ``tokens`` holds.
+    CHAR units are code points.  WORD units are whitespace tokens, numbered
+    in ``tokens`` in order of first appearance.
     """
     if unit is NgramUnit.CHAR:
         return code_points(texts), [len(t) for t in texts]
     words = [text.split() for text in texts]
-    ids = [
-        tokens[w] if w in tokens else new_tokens.setdefault(w, len(tokens) + len(new_tokens))
-        for ws in words
-        for w in ws
-    ]
+    ids = [tokens.setdefault(w, len(tokens)) for ws in words for w in ws]
     return np.array(ids, dtype=np.uint32), [len(ws) for ws in words]
 
 
@@ -231,63 +229,16 @@ def _spans(offsets: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return positions
 
 
-class _Vocabulary:
-    """Distinct n-grams, each known by its units, numbered in hash order.
+class _NgramIndex:
+    """The distinct n-grams of a fixed list of texts, with each text's ids.
 
     Ids come from one vocabulary over every n in the range: grams of
     different lengths never hold the same units, so they never share an
-    id.  The vocabulary is ``hashes`` (sorted), with gram g's units at
-    ``units[gram_starts[g]:][:gram_sizes[g]]``, and a gram's id is its
-    rank.  WORD units are token numbers from ``tokens``.
-    """
-
-    def __init__(
-        self, cfg: KernelConfig, h0: np.ndarray, tokens: dict, units: np.ndarray,
-        hashes: np.ndarray, gram_starts: np.ndarray, gram_sizes: np.ndarray,
-    ):
-        self.cfg, self.h0, self.tokens, self.units = cfg, h0, tokens, units
-        self.hashes, self.gram_starts, self.gram_sizes = hashes, gram_starts, gram_sizes
-
-    def query(self, text: str) -> tuple[np.ndarray, int]:
-        """Distinct ids of the text's n-grams that the vocabulary holds, and
-        the text's number of distinct n-grams.
-
-        Every window is looked up in the vocabulary and compared with the
-        gram it finds, so a window found there is known by its id; only the
-        windows not found are grouped among themselves.
-        """
-        cfg = self.cfg
-        units, lengths = _units([text], cfg.unit, self.tokens, {})
-        hashes, starts, sizes = _windows(units, lengths, cfg.ngram_min, cfg.ngram_max, self.h0)
-        at = self.hashes.searchsorted(hashes)
-        found = [at[:0]]
-        missed = np.ones(len(hashes), dtype=bool)
-        live = (at < len(self.hashes)).nonzero()[0]
-        while len(live):
-            # A window with the hash of vocabulary gram at[k] holds its units,
-            # or only shares its hash: then the next gram in hash order is tried.
-            live = live[self.hashes[at[live]] == hashes[live]]
-            ids = at[live]
-            same = _same(
-                units, starts[live], sizes[live],
-                self.units, self.gram_starts[ids], self.gram_sizes[ids],
-            )
-            found.append(ids[same])
-            missed[live[same]] = False
-            live = live[~same]
-            at[live] += 1
-            live = live[at[live] < len(self.hashes)]
-        ids = _distinct(np.concatenate(found))
-        missed = missed.nonzero()[0]
-        _, heads = _group(units, hashes[missed], starts[missed], sizes[missed])
-        return ids, len(ids) + len(heads)
-
-
-class _NgramIndex(_Vocabulary):
-    """The vocabulary of a fixed list of texts, with each text's ids.
-
-    A text's self kernel is its number of distinct ids.  The ids of text t
-    are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
+    id.  Gram g's units are ``units[gram_starts[g]:][:gram_sizes[g]]``,
+    with ``units`` the texts' units joined (WORD units are token numbers
+    from ``tokens``), and ids are numbered in hash order.  A text's self
+    kernel is its number of distinct ids.  The ids of text t are
+    ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
     postings, the texts that hold id g, are built on the first ``row``:
     only kernel rows read them.
 
@@ -296,15 +247,14 @@ class _NgramIndex(_Vocabulary):
     block's grams (``_group``), and each text's distinct grams are kept
     as numbers of the block's grams.  Once every block is in, the blocks'
     grams are sorted by hash and grouped once more, which numbers the
-    vocabulary.  A query's windows are hashed by the same routine and
-    looked up in the vocabulary (``query``).
+    vocabulary.
     """
 
     def __init__(self, texts: Sequence[str], cfg: KernelConfig):
         lo, hi = cfg.ngram_min, cfg.ngram_max
         h0 = chain_start(0)  # the kernel's windows hash with seed 0
         tokens: dict = {}
-        every_unit, lengths = _units(texts, cfg.unit, {}, tokens)
+        every_unit, lengths = _units(texts, cfg.unit, tokens)
         text_starts = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=text_starts[1:])
         # Each block's grams (hash, start, size), and each text's distinct
@@ -337,7 +287,8 @@ class _NgramIndex(_Vocabulary):
         starts = np.concatenate(starts)[order]
         sizes = np.concatenate(sizes)[order]
         grams, heads = _group(every_unit, hashes, starts, sizes)
-        super().__init__(cfg, h0, tokens, every_unit, hashes[heads], starts[heads], sizes[heads])
+        self.unit, self.tokens, self.units = cfg.unit, tokens, every_unit
+        self.gram_starts, self.gram_sizes = starts[heads], sizes[heads]
         ids = np.empty(len(order), dtype=np.int32)
         ids[order] = grams
         self.text_grams = ids[np.concatenate(postings)]
@@ -351,8 +302,10 @@ class _NgramIndex(_Vocabulary):
         """``(gram_offsets, gram_texts)``: the texts that hold id g, in text
         order, are ``gram_texts[gram_offsets[g]:gram_offsets[g + 1]]``."""
         counts = np.diff(self.text_offsets)
-        gram_offsets = np.zeros(len(self.hashes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.text_grams, minlength=len(self.hashes)), out=gram_offsets[1:])
+        gram_offsets = np.zeros(len(self.gram_starts) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.text_grams, minlength=len(self.gram_starts)), out=gram_offsets[1:]
+        )
         # Each id's texts in text order, from the (id, text) pairs sorted.
         shift = len(counts).bit_length()
         pairs = self.text_grams.astype(np.int64)
@@ -365,13 +318,12 @@ class _NgramIndex(_Vocabulary):
     def grams_of(self, t: int) -> np.ndarray:
         return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
 
-    def primal(
-        self, rows: Sequence[int], coefs: np.ndarray, normalize: bool
-    ) -> tuple[_Vocabulary, np.ndarray]:
+    def primal(self, rows: Sequence[int], coefs: np.ndarray, normalize: bool) -> dict:
         """The n-grams of the given indexed texts, each with its primal weight
         ``w_g = sum of coefs[k] / sqrt(self kernel of rows[k])`` over the
         texts that hold g (no root unnormalized), added in the order of
-        ``rows``.  The vocabulary keeps these n-grams alone, and no postings.
+        ``rows``.  CHAR n-grams are strings and WORD n-grams tuples of
+        tokens, as ``SvmModel.decision`` makes them.
         """
         rows = np.asarray(rows, dtype=np.int64)
         grams = self.text_grams[_spans(self.text_offsets, rows)]
@@ -381,13 +333,24 @@ class _NgramIndex(_Vocabulary):
             roots = np.sqrt(self.selfs[rows])
             terms = np.divide(terms, roots, out=np.zeros(len(rows)), where=counts > 0)
         # bincount adds each gram's terms one by one, in the order of grams.
-        weights = np.bincount(grams, weights=terms.repeat(counts), minlength=len(self.hashes))
-        held = np.bincount(grams, minlength=len(self.hashes)) > 0
-        vocabulary = _Vocabulary(
-            self.cfg, self.h0, self.tokens, self.units,
-            self.hashes[held], self.gram_starts[held], self.gram_sizes[held],
-        )
-        return vocabulary, weights[held]
+        size = len(self.gram_starts)
+        weights = np.bincount(grams, weights=terms.repeat(counts), minlength=size)
+        held = np.bincount(grams, minlength=size) > 0
+        # The joined texts, unit by unit: code points index a str as they
+        # index the units, lone surrogates included.
+        if self.unit is NgramUnit.CHAR:
+            joined = self.units.tobytes().decode("utf-32-le", "surrogatepass")
+        else:
+            words = list(self.tokens)  # in the order of their numbers
+            joined = tuple([words[u] for u in self.units.tolist()])
+        return {
+            joined[start : start + n]: weight
+            for start, n, weight in zip(
+                self.gram_starts[held].tolist(),
+                self.gram_sizes[held].tolist(),
+                weights[held].tolist(),
+            )
+        }
 
     def entry(self, i: int, j: int, normalize: bool) -> float:
         """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``.
@@ -443,7 +406,7 @@ class SvmModel:
     bias: float
     C: float
     support_texts: tuple[str, ...]  # training texts in support_indices order
-    # Per kernel config, the support n-grams and their primal weights
+    # Per kernel config, ``{support n-gram: primal weight}``
     # (``_NgramIndex.primal``), folded on the first decision.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -458,21 +421,27 @@ class SvmModel:
             )
 
     def decision(self, text: str, cfg: KernelConfig) -> float:
-        """``b + sum of w_g over the text's n-grams g``, the sum divided by
-        the root of their number when normalized, and ``b`` for a text
-        without n-grams.  ``math.fsum`` rounds the sum once, so it depends
-        neither on the order of the ids nor on zero weights."""
+        """``b + sum of w_g over the text's distinct n-grams g``, the sum
+        divided by the root of their number when normalized, and ``b`` for
+        a text without n-grams.  ``math.fsum`` rounds the sum once, so it
+        depends neither on the set's iteration order, which the string
+        hash seed decides, nor on the zero weights of unseen n-grams."""
         table = self._tables.get(cfg)
         if table is None:
             index = _NgramIndex(self.support_texts, cfg)
             table = index.primal(range(len(self.support_texts)), self.dual_coef, cfg.normalize)
             self._tables[cfg] = table
-        vocabulary, weights = table
-        ids, count = vocabulary.query(text)
-        if count == 0:
+        units = tuple(text.split()) if cfg.unit is NgramUnit.WORD else text
+        size = len(units)
+        grams = {
+            units[i : i + n]
+            for n in range(cfg.ngram_min, min(cfg.ngram_max, size) + 1)
+            for i in range(size - n + 1)
+        }
+        if not grams:
             return float(self.bias)
-        total = math.fsum(weights[ids].tolist())
-        return float(self.bias + (total / math.sqrt(count) if cfg.normalize else total))
+        total = math.fsum(map(table.get, grams, repeat(0.0)))  # 0 for an unseen n-gram
+        return float(self.bias + (total / math.sqrt(len(grams)) if cfg.normalize else total))
 
 
 def _as_pm1_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -1,10 +1,16 @@
 import dataclasses
+import gc
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -357,10 +363,11 @@ class TestSerialization:
         cfg = KernelConfig()
         for probe in texts + ["aaa bbb fresh", "zzz yyy fresh", "totally new words", ""]:
             assert bits(restored.decision(probe, cfg)) == bits(model.decision(probe, cfg))
-        [(trained, _)], [(loaded, _)] = model._tables.values(), restored._tables.values()
-        # Neither keeps postings, and both hold the support n-grams alone.
-        assert type(trained) is type(loaded) is kernels._Vocabulary
-        assert len(trained.hashes) == len(loaded.hashes)
+        [trained], [loaded] = model._tables.values(), restored._tables.values()
+        # Both are plain dicts of the support n-grams alone, weight for weight.
+        assert type(trained) is type(loaded) is dict
+        assert trained.keys() == loaded.keys()
+        assert all(bits(trained[gram]) == bits(loaded[gram]) for gram in trained)
 
 
 class TestNgramSets:
@@ -408,17 +415,24 @@ def gram_set(text, cfg):
     return frozenset().union(*gram_sets(text, cfg))
 
 
-def primal_decision(model, text, cfg):
-    """Scalar oracle of the primal decision: each support n-gram's weight is
-    its supports' ``coef / sqrt(|grams|)`` (``coef`` unnormalized) added by
-    a left fold in support order, and the query's weights are summed by
-    ``math.fsum``, then divided by ``sqrt(|query grams|)`` when normalized."""
+def primal_weights(model, cfg):
+    """Scalar oracle of the primal table: each support n-gram's weight is its
+    supports' ``coef / sqrt(|grams|)`` (``coef`` unnormalized) added by a
+    left fold in support order."""
     weights = {}
     for coef, support in zip(model.dual_coef.tolist(), model.support_texts):
         grams = gram_set(support, cfg)
         term = coef / math.sqrt(len(grams)) if cfg.normalize and grams else coef
         for gram in grams:
             weights[gram] = weights.get(gram, 0.0) + term
+    return weights
+
+
+def primal_decision(model, text, cfg):
+    """Scalar oracle of the primal decision: the query's ``primal_weights``
+    summed by ``math.fsum``, then divided by ``sqrt(|query grams|)`` when
+    normalized."""
+    weights = primal_weights(model, cfg)
     grams = gram_set(text, cfg)
     if not grams:
         return model.bias
@@ -725,7 +739,7 @@ class TestRowCache:
 
 
 class TestKernelWork:
-    """Each text's units are hashed once."""
+    """Each indexed text's units are hashed once, and a query's never."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -739,22 +753,23 @@ class TestKernelWork:
         monkeypatch.setattr(kernels, "_units", counting_units)
         return work
 
-    def test_scoring_hashes_each_support_and_query_once(self, work):
+    def test_scoring_hashes_no_query_and_each_support_once(self, work):
         texts, labels = separable_texts()
         model = svm_train(texts, labels, C=1.0)
         restored = svm_from_jsonable(svm_to_jsonable(model))
         s = len(model.support_indices)
         queries = ["aaa bbb fresh", "zzz yyy fresh", "totally new words", "aaa bbb"]
         assert s > 1
-        # A trained model folds its table from the training index.
+        # A trained model folds its table from the training index, and a
+        # query's n-grams are looked up as strings, never hashed as units.
         work.update(texts_hashed=0)
         for query in queries:
             svm_predict_proba(model, query)
-        assert work == {"texts_hashed": len(queries)}
-        work.update(texts_hashed=0)
+        assert work == {"texts_hashed": 0}
+        # A restored model indexes its support texts once, on first use.
         for query in queries:
             svm_predict_proba(restored, query)
-        assert work == {"texts_hashed": s + len(queries)}
+        assert work == {"texts_hashed": s}
 
     def test_svm_train_hashes_each_text_once(self, work):
         texts, labels = edge_case_problem(KernelConfig(), seed=3)
@@ -781,10 +796,30 @@ _index_texts = st.lists(
 )
 
 
+def assert_table_matches_oracle(model, cfg):
+    """The model's table holds the n-grams of its support texts, each
+    weighed as the oracle's left fold to the bit."""
+    table = model._tables[cfg]
+    expected = primal_weights(model, cfg)
+    assert type(table) is dict
+    assert table.keys() == frozenset().union(*(gram_set(t, cfg) for t in model.support_texts))
+    assert all(bits(table[gram]) == bits(weight) for gram, weight in expected.items())
+
+
+def gram_count(query, cfg):
+    """The decision's count of the query's distinct n-grams: for a model
+    whose one support is the query, with coefficient 1 and no bias,
+    unnormalized, each n-gram adds 1."""
+    counting = dataclasses.replace(cfg, normalize=False)
+    return kernels.SvmModel((0,), np.ones(1), 0.0, 1.0, (query,)).decision(query, counting)
+
+
 def assert_index_matches_pairwise(texts, cfg, queries):
     """The index's rows, entries and self counts, and ``spectrum_kernel``
-    over every pair, equal the brute-force reference bit for bit, and
-    decisions the primal oracle."""
+    over every pair, equal the brute-force reference bit for bit; primal
+    tables the oracle's weights, and decisions the primal oracle, for a
+    model over the texts and, with both classes, for a trained model and
+    its reloaded copy."""
     index = kernels._NgramIndex(texts, cfg)
     for i, text in enumerate(texts):
         assert index.selfs[i] == len(gram_set(text, cfg))
@@ -796,12 +831,21 @@ def assert_index_matches_pairwise(texts, cfg, queries):
         assert np.array(pairwise).tobytes() == expected.tobytes()
     coefs = np.linspace(-1.5, 2.0, len(texts))
     model = kernels.SvmModel(tuple(range(len(texts))), coefs, 0.25, 1.0, tuple(texts))
+    models = [model]
+    if len(texts) > 1:
+        labels = [1, -1] * (len(texts) // 2) + [1] * (len(texts) % 2)
+        trained = svm_train(texts, labels, C=1.0, cfg=cfg)
+        models += [trained, svm_from_jsonable(svm_to_jsonable(trained))]
     for query in queries:
-        _, self_count = index.query(query)
-        assert self_count == len(gram_set(query, cfg))
+        assert gram_count(query, cfg) == len(gram_set(query, cfg))
+        for scored in models:
+            expected = primal_decision(scored, query, cfg)
+            assert bits(scored.decision(query, cfg)) == bits(expected)
         expected = primal_decision(model, query, cfg)
-        assert bits(model.decision(query, cfg)) == bits(expected)
         assert abs(expected - pairwise_dual_decision(model, query, cfg)) <= 1e-12
+    for scored in models:
+        scored.decision("", cfg)  # folds a reloaded model's table
+        assert_table_matches_oracle(scored, cfg)
 
 
 class TestHashedIndexOverUnicode:
@@ -830,6 +874,21 @@ class TestHashedIndexOverUnicode:
         assert len(long_text) > kernels._BLOCK_UNITS
         assert sum(map(len, texts[1:])) > kernels._BLOCK_UNITS
         assert_index_matches_pairwise(texts, cfg, [texts[5], "ab a\x00b", ""])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            KernelConfig(1, 10**9),
+            KernelConfig(2, 10**9, normalize=False),
+            KernelConfig(1, 10**9, unit=NgramUnit.WORD),
+            KernelConfig(2, 10**9, unit=NgramUnit.WORD, normalize=False),
+        ],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(texts=_index_texts, queries=_index_texts)
+    def test_ngram_max_past_every_text(self, cfg, texts, queries):
+        # Every n-gram of a text, up to the whole text, is a table key.
+        assert_index_matches_pairwise(texts, cfg, queries)
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
     def test_every_hash_colliding_still_matches(self, cfg):
@@ -923,6 +982,69 @@ class TestIndexMemory:
             postings = int(index.text_offsets[-1])
             assert postings > 100 * n
             assert peak - kept < 48 * postings
+
+    @pytest.mark.parametrize("unit", list(NgramUnit))
+    def test_trained_model_keeps_no_training_index(self, unit, monkeypatch):
+        # The table's keys are n-gram strings or token tuples of their own,
+        # so neither the training index nor its units outlive svm_train.
+        refs = []
+        init = kernels._NgramIndex.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            refs.extend([weakref.ref(self), weakref.ref(self.units)])
+
+        monkeypatch.setattr(kernels._NgramIndex, "__init__", recording_init)
+        texts, labels = separable_texts()
+        cfg = KernelConfig(ngram_min=1, ngram_max=2, unit=unit)
+        model = svm_train(texts, labels, C=1.0, cfg=cfg)
+        gc.collect()
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+        assert model._tables[cfg]
+
+
+_SCORE_IN_A_PROCESS = """
+import json, sys
+import numpy as np
+from mgtdetect.kernels import kernel_config_from_jsonable, svm_from_jsonable, svm_predict_proba
+data = json.load(sys.stdin)
+model = svm_from_jsonable(data["model"])
+cfg = kernel_config_from_jsonable(data["cfg"])
+probs = [svm_predict_proba(model, query, cfg) for query in data["queries"]]
+print(np.array(probs).tobytes().hex())
+"""
+
+
+class TestHashSeedIndependence:
+    """A decision sums its n-grams' weights in the iteration order of a set
+    of strings, which the string hash seed decides; ``math.fsum`` rounds
+    the sum once, so the probabilities do not depend on it."""
+
+    @pytest.mark.parametrize(
+        "cfg", [KernelConfig(), KernelConfig(ngram_min=1, ngram_max=3, unit=NgramUnit.WORD)]
+    )
+    def test_probabilities_equal_across_hash_seeds(self, cfg):
+        corpus = synthetic_corpus(30, 30, seed=5)
+        texts = [preprocess(d.text, d.language) for d in corpus]
+        labels = [1 if d.label is Label.GENERATED else -1 for d in corpus]
+        model = svm_train(texts[:40], labels[:40], cfg=cfg)
+        queries = texts[40:] + ["", "a\x00b \U0001F600 \ud800 e\u0301 \u2028 x"]
+        payload = json.dumps(
+            {"model": svm_to_jsonable(model), "cfg": kernel_config_to_jsonable(cfg),
+             "queries": queries}
+        )
+        src = str(Path(kernels.__file__).parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _SCORE_IN_A_PROCESS], input=payload, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+                capture_output=True, check=True,
+            ).stdout.strip()
+            for seed in (0, 1)
+        ]
+        here = np.array([svm_predict_proba(model, query, cfg) for query in queries])
+        assert outputs == [here.tobytes().hex()] * 2
 
 
 class TestSmoSweepLimit:

@@ -28,9 +28,9 @@ index) gives the exact integer count of n-grams i shares with every
 indexed text.  No n-gram is longer than the text that holds it, whatever
 ``ngram_max`` is.  A row's normalization ``raw / sqrt(self_x * self_y)``
 is element-wise float64 division and square root, which round exactly
-like their scalar forms, so a row equals the pairwise ``entry`` values
-bit for bit.  ``spectrum_kernel`` is the one pairwise form: the entry of
-an index over its two texts.
+like their scalar forms, so a row equals the scalar formula bit for bit,
+its diagonal included.  Every Gram value is read from a row:
+``spectrum_kernel``'s too, from an index over its two texts.
 
 The SVM is served in primal form.  The normalized kernel is the dot
 product of ``phi(x) / |phi(x)|``, with ``phi`` the 0/1 indicator of
@@ -58,9 +58,10 @@ training is deterministic for a given seed; they are drawn a block at a
 time, which yields the same stream as one draw per violator.  SMO's
 per-example bookkeeping (labels, alphas, errors, bias) is Python floats,
 which round exactly as numpy float64 scalars but cost less to read.  It
-reads kernel values from an index over the training texts on demand, as
-the kernel caches of LIBSVM and SVMlight do, and keeps the rows its
-updates use in least-recently-used order under a fixed byte budget
+reads every kernel value from a row of an index over the training texts
+(the diagonal from its self counts), as LIBSVM reads each Q_ij from a
+cached kernel column.  Rows are computed on demand and kept in one
+least-recently-used cache under a fixed byte budget
 (``_ROW_CACHE_BYTES``), so training memory is bounded by that budget
 plus the index, not n squared; an evicted row is computed again, and
 every value is bit-equal to the Gram entry.
@@ -79,7 +80,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from enum import Enum
 from itertools import repeat
 from typing import Sequence
@@ -121,14 +122,14 @@ class KernelConfig:
 
 
 def spectrum_kernel(x: str, y: str, cfg: KernelConfig = KernelConfig()) -> float:
-    """Shared distinct n-gram count, optionally cosine-normalized: the Gram
-    entry of an index over the two texts.  For many pairs, ``kernel_matrix``
+    """Shared distinct n-gram count, optionally cosine-normalized: read from
+    a row of an index over the two texts.  For many pairs, ``kernel_matrix``
     indexes every text once.
 
     When either string has no n-grams at all, the normalized kernel is
     defined as 0.
     """
-    return _NgramIndex([x, y], cfg).entry(0, 1, cfg.normalize)
+    return _NgramIndex([x, y], cfg).row(0, cfg.normalize).item(1)
 
 
 def _units(
@@ -211,7 +212,8 @@ def _group(
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted."""
+    """The distinct values of an integer array, sorted.  Not ``np.unique``,
+    which hashes on numpy 2.4: ~9x slower (331 vs 38 us, 4,096 int64)."""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -237,10 +239,10 @@ class _NgramIndex:
     id.  Gram g's units are ``units[gram_starts[g]:][:gram_sizes[g]]``,
     with ``units`` the texts' units joined (WORD units are token numbers
     from ``tokens``), and ids are numbered in hash order.  A text's self
-    kernel is its number of distinct ids.  The ids of text t are
-    ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
+    kernel is its number of distinct ids (``selfs``).  The ids of text t
+    are ``text_grams[text_offsets[t]:text_offsets[t + 1]]``.  The inverse
     postings, the texts that hold id g, are built on the first ``row``:
-    only kernel rows read them.
+    only kernel rows read them, and every Gram value is read from a row.
 
     The build reads the texts in blocks of about ``_BLOCK_UNITS`` units.
     A block's windows are hashed (``_windows``) and grouped into the
@@ -315,9 +317,6 @@ class _NgramIndex:
         pairs &= (1 << shift) - 1
         return gram_offsets, pairs.astype(np.int32)
 
-    def grams_of(self, t: int) -> np.ndarray:
-        return self.text_grams[self.text_offsets[t] : self.text_offsets[t + 1]]
-
     def primal(self, rows: Sequence[int], coefs: np.ndarray, normalize: bool) -> dict:
         """The n-grams of the given indexed texts, each with its primal weight
         ``w_g = sum of coefs[k] / sqrt(self kernel of rows[k])`` over the
@@ -352,32 +351,21 @@ class _NgramIndex:
             )
         }
 
-    def entry(self, i: int, j: int, normalize: bool) -> float:
-        """Kernel of indexed texts i and j, bit-equal to ``row(i)[j]``.
-        SMO reads it for a pair whose row it does not keep."""
-        if i == j:  # normalized: 1.0, or 0.0 for a text without n-grams
-            return float(self.selfs[i] > 0) if normalize else float(self.selfs[i])
-        # A text's ids are distinct, so the intersection counts shared ids.
-        shared = np.intersect1d(self.grams_of(i), self.grams_of(j), assume_unique=True).size
-        if not normalize:
-            return float(shared)
-        if self.selfs[i] == 0 or self.selfs[j] == 0:
-            return 0.0
-        return shared / math.sqrt(self.selfs[i] * self.selfs[j])
-
     def row(self, i: int, normalize: bool) -> np.ndarray:
-        """Kernel of indexed text i with every indexed text, for SMO and
-        ``kernel_matrix``: the count of i's ids each text holds, from one
-        ``np.bincount`` over their postings, then normalized."""
+        """Kernel of indexed text i with every indexed text, the one source
+        of Gram values for SMO, ``kernel_matrix`` and ``spectrum_kernel``:
+        the count of i's ids each text holds, from one ``np.bincount`` over
+        their postings, then normalized."""
         gram_offsets, gram_texts = self._postings
-        shared = np.bincount(
-            gram_texts[_spans(gram_offsets, self.grams_of(i))], minlength=len(self.selfs)
-        )
+        ids = self.text_grams[self.text_offsets[i] : self.text_offsets[i + 1]]
+        shared = np.bincount(gram_texts[_spans(gram_offsets, ids)], minlength=len(self.selfs))
         values = shared.astype(np.float64)
         if normalize:
             held = shared > 0  # so both texts hold n-grams
             values[held] /= np.sqrt(self.selfs[i] * self.selfs[held])
-        values[i] = self.entry(i, i, normalize)
+        # The diagonal needs no special case: text i shares its s ids with
+        # itself, and for s below 2**26, s * s is exact in binary64, so
+        # sqrt(s * s) == s and s / s == 1.0 (0.0 when s == 0: not held).
         return values
 
 
@@ -482,11 +470,11 @@ def svm_train(
     decision values with ``f.item``: IEEE binary64 rounds them exactly as
     numpy float64 scalars, and every expression keeps its operand order.
 
-    Kernel rows come from an index over the texts.  The rows an update
-    adds to the decision values are kept in least-recently-used order, at
-    most ``_ROW_CACHE_BYTES`` of them (read at each call); an evicted row
-    is computed again, bit-equal.  A pair's value comes from a kept row or
-    from ``_NgramIndex.entry``.  No n x n Gram is held.
+    Kernel rows come from an index over the texts, through one
+    ``lru_cache`` of at most ``_ROW_CACHE_BYTES`` of rows (read at each
+    call); an evicted row is computed again, bit-equal.  A pair's ``K_ij``
+    is read from row i, and the diagonal from the index's self counts.
+    No n x n Gram is held.
     """
     if not 0 < C < math.inf:
         raise ConfigError(f"C must be positive and finite, got {C}")
@@ -502,21 +490,11 @@ def svm_train(
     if len(y) != n:
         raise DataError(f"{len(y)} labels for {n} texts")
     index = _NgramIndex(texts, cfg)
-    capacity = _ROW_CACHE_BYTES // (8 * n)  # whole float64 rows
-    rows: dict[int, np.ndarray] = {}  # least recently used first
-
-    def row(t: int) -> np.ndarray:
-        values = rows.pop(t, None)  # put back below as the most recent
-        if values is None:
-            values = index.row(t, cfg.normalize)
-        if capacity:
-            if len(rows) == capacity:
-                del rows[next(iter(rows))]
-            rows[t] = values
-        return values
-
+    row = lru_cache(maxsize=_ROW_CACHE_BYTES // (8 * n))(  # whole float64 rows
+        partial(index.row, normalize=cfg.normalize)
+    )
     # The Gram diagonal: each value is the one row(t) holds at t.
-    diag = [index.entry(t, t, cfg.normalize) for t in range(n)]
+    diag = [float(s > 0) if cfg.normalize else s for s in index.selfs.tolist()]
     partners = _partner_offsets(np.random.default_rng(seed), n - 1, n)
     alpha = [0.0] * n
     b = 0.0
@@ -543,10 +521,7 @@ def svm_train(
                 high = min(C, a_i + a_j)
             if low >= high:
                 continue
-            k_ii, k_jj = diag[i], diag[j]
-            # A kept row holds the element formula's bits; most pairs have one.
-            kept = rows.get(i)
-            k_ij = index.entry(i, j, cfg.normalize) if kept is None else kept.item(j)
+            k_ii, k_jj, k_ij = diag[i], diag[j], row(i).item(j)
             eta = k_ii + k_jj - 2.0 * k_ij
             if eta <= 0:
                 continue

@@ -475,13 +475,22 @@ class TestIndexedKernelsAreExact:
         assert np.all(km.matrix == expected)
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
-    def test_entry_equals_row(self, cfg):
-        texts = edge_case_texts(cfg, seed=13)
+    def test_row_diagonal_is_exact(self, cfg):
+        # A row's own value is the bincount's, with no special case: 1.0
+        # normalized (0.0 without n-grams) and the self count unnormalized,
+        # also for a text of more than 20,000 distinct n-grams.
+        rnd = random.Random(17)
+        if cfg.unit is NgramUnit.WORD:
+            big = " ".join(f"w{rnd.randrange(50_000)}" for _ in range(12_000))
+        else:
+            big = "".join(chr(rnd.randrange(0x4E00, 0xA000)) for _ in range(12_000))
+        texts = [big, "", "abc de"]
         index = kernels._NgramIndex(texts, cfg)
-        for i in range(len(texts)):
-            row = index.row(i, cfg.normalize)
-            entries = [index.entry(i, j, cfg.normalize) for j in range(len(texts))]
-            assert np.array(entries).tobytes() == row.tobytes()
+        counts = [len(gram_set(text, cfg)) for text in texts]
+        assert counts[0] >= 20_000 and counts[1] == 0
+        for i, count in enumerate(counts):
+            expected = float(count > 0) if cfg.normalize else float(count)
+            assert bits(index.row(i, cfg.normalize)[i]) == bits(expected)
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
     def test_decision_equals_primal_oracle(self, cfg):
@@ -815,7 +824,7 @@ def gram_count(query, cfg):
 
 
 def assert_index_matches_pairwise(texts, cfg, queries):
-    """The index's rows, entries and self counts, and ``spectrum_kernel``
+    """The index's rows and self counts, and ``spectrum_kernel``
     over every pair, equal the brute-force reference bit for bit; primal
     tables the oracle's weights, and decisions the primal oracle, for a
     model over the texts and, with both classes, for a trained model and
@@ -825,8 +834,6 @@ def assert_index_matches_pairwise(texts, cfg, queries):
         assert index.selfs[i] == len(gram_set(text, cfg))
         expected = np.array([brute_force_kernel(text, other, cfg) for other in texts])
         assert index.row(i, cfg.normalize).tobytes() == expected.tobytes()
-        entries = [index.entry(i, j, cfg.normalize) for j in range(len(texts))]
-        assert np.array(entries).tobytes() == expected.tobytes()
         pairwise = [spectrum_kernel(text, other, cfg) for other in texts]
         assert np.array(pairwise).tobytes() == expected.tobytes()
     coefs = np.linspace(-1.5, 2.0, len(texts))

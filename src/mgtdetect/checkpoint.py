@@ -12,7 +12,10 @@ forms round-trip every double bit for bit, so saving and reloading a model
 reproduces its parameters exactly.  A checkpoint holding ``NaN`` or
 ``Infinity``, as a JSON number or inside an array, or a number too large
 for a double, such as ``1e400``, is refused when read, and so is one
-nested too deeply for the JSON decoder.
+nested too deeply for the JSON decoder.  A decoder reads each scalar field
+through :func:`stored_int` or :func:`stored_float`, so a string, a bool, a
+fraction where an integer belongs or an integer too large for a double is
+refused too, by the field's key.
 Writers write format version 3, and readers read versions 2 and 3.  The
 two differ only in the featurizer, whose ``"hash"`` key version 3 added:
 a version 2 featurizer hashed n-grams with an earlier hash than the
@@ -161,6 +164,28 @@ def _finite_float(token: str) -> float:
     if not math.isfinite(value):
         _refuse_non_finite(token)
     return value
+
+
+def stored_int(value: object, key: str) -> int:
+    """A payload's integer field: a JSON integer, not a bool (an int subclass),
+    a float or a string."""
+    if type(value) is not int:
+        raise DataError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def stored_float(value: object, key: str) -> float:
+    """A payload's float field: a finite JSON number, integer or not, and not
+    a bool or a string.  An integer too large for a double is refused."""
+    if type(value) not in (int, float):
+        raise DataError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise DataError(f"{key} is an integer too large for a double") from None
+    if not math.isfinite(number):
+        raise DataError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict]:

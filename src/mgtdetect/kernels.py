@@ -87,7 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import decode_array, encode_array
+from .checkpoint import decode_array, encode_array, stored_float, stored_int
 from .embeddings import _blocks, chain_start, code_points, window_levels
 from .errors import ConfigError, DataError
 
@@ -596,10 +596,8 @@ def kernel_config_to_jsonable(cfg: KernelConfig) -> dict:
 
 def kernel_config_from_jsonable(data: dict) -> KernelConfig:
     try:
-        values = {key: data[key] for key in ("ngram_min", "ngram_max", "normalize")}
-        for key in ("ngram_min", "ngram_max"):
-            if type(values[key]) is not int:  # bool is an int subclass: refuse it too
-                raise TypeError(f"{key} must be an integer, got {values[key]!r}")
+        values = {key: stored_int(data[key], key) for key in ("ngram_min", "ngram_max")}
+        values["normalize"] = data["normalize"]
         if type(values["normalize"]) is not bool:
             raise TypeError(f"normalize must be true or false, got {values['normalize']!r}")
         return KernelConfig(unit=NgramUnit(data["unit"]), **values)
@@ -620,10 +618,12 @@ def svm_to_jsonable(model: SvmModel) -> dict:
 def svm_from_jsonable(data: dict) -> SvmModel:
     try:
         return SvmModel(
-            support_indices=tuple(int(i) for i in data["support_indices"]),
+            support_indices=tuple(
+                stored_int(i, "support_indices") for i in data["support_indices"]
+            ),
             dual_coef=decode_array(data["dual_coef"], np.float64),
-            bias=float(data["bias"]),
-            C=float(data["C"]),
+            bias=stored_float(data["bias"], "bias"),
+            C=stored_float(data["C"], "C"),
             support_texts=tuple(str(t) for t in data["support_texts"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

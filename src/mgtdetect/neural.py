@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 import numpy as np
 
-from .checkpoint import decode_array, encode_array
+from .checkpoint import decode_array, encode_array, stored_float, stored_int
 from .errors import ConfigError, DataError, check_settings
 
 HIDDEN_UNITS = 64
@@ -597,13 +597,15 @@ def params_from_jsonable(data: dict) -> MlpParams:
             W1=decode_array(data["W1"], np.float64),
             b1=decode_array(data["b1"], np.float64),
             w_bot=decode_array(data["w_bot"], np.float64),
-            b_bot=float(data["b_bot"]),
+            b_bot=stored_float(data["b_bot"], "b_bot"),
             w_lang=(
                 decode_array(data["w_lang"], np.float64) if "w_lang" in data else None
             ),
-            b_lang=float(data["b_lang"]) if "b_lang" in data else None,
+            b_lang=stored_float(data["b_lang"], "b_lang") if "b_lang" in data else None,
         )
-        stored_shape = (data["input_dim"], data["hidden"])
+        stored_shape = tuple(
+            stored_int(data[key], key) for key in ("input_dim", "hidden")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed network weights: {exc}") from exc
     if params.W1.ndim != 2 or params.b1.shape != (params.W1.shape[1],):

@@ -51,6 +51,8 @@ from .checkpoint import (
     encode_array,
     load_checkpoint,
     save_checkpoint,
+    stored_float,
+    stored_int,
 )
 from .embeddings import (
     GRAM_HASH,
@@ -197,9 +199,8 @@ def _featurizer_to_jsonable(featurizer: Featurizer) -> dict:
 def _featurizer_from_jsonable(data: dict) -> Featurizer:
     try:
         emb = data["embedder"]
-        embedder = FallbackEmbedderConfig(
-            *(int(emb[key]) for key in ("dim", "ngram_min", "ngram_max", "seed"))
-        )
+        keys = ("dim", "ngram_min", "ngram_max", "seed")
+        embedder = FallbackEmbedderConfig(*(stored_int(emb[key], key) for key in keys))
         path = str(data.get("embeddings_path", ""))
         pinned = str(data["embeddings_sha256"]) if path else ""
         scaler = _scaler_from_jsonable(data["scaler"])
@@ -535,10 +536,7 @@ def _decode_base(
         )
     except KeyError as exc:
         raise DataError(f"payload is missing {exc}") from exc
-    try:
-        threshold = float(threshold)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed threshold: {exc}") from exc
+    threshold = stored_float(threshold, "threshold")
     model = spec.model_from_jsonable(model_data)
     if key not in preps:
         preps[key] = spec.prep.from_jsonable(stored)
@@ -598,9 +596,11 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
         meta_model = gbt_from_jsonable(manifest["meta_model"])
         hp = manifest["meta_hyperparams"]
         meta_hyperparams = GbtHyperparams(
-            int(hp["n_estimators"]), int(hp["max_depth"]), float(hp["learning_rate"])
+            stored_int(hp["n_estimators"], "n_estimators"),
+            stored_int(hp["max_depth"], "max_depth"),
+            stored_float(hp["learning_rate"], "learning_rate"),
         )
-        threshold = float(manifest["threshold"])
+        threshold = stored_float(manifest["threshold"], "threshold")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed ensemble manifest: {exc}") from exc
     if not base_names:

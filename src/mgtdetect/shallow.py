@@ -20,9 +20,13 @@ into its children, out of place between two work buffers and only for a
 child that will look for a split.  A node scores every cut of every
 feature in chunks of whole features sized to stay in cache, the paper's
 cache-aware access; every step is elementwise or a running sum along one
-feature, so the chunks give the gains of one pass bit for bit.  Tree t
-does not depend on the number of trees, so the grid search fits each
-(depth, rate) pair once, at the largest tree count.
+feature, so the chunks give the gains of one pass bit for bit.  Each row
+carries its residual and squared residual as one complex number, so one
+running sum of the gathered complex values gives both sums of every cut:
+complex addition adds the real and the imaginary parts apart, with no
+multiply, so the two parts are bit for bit the two real running sums.
+Tree t does not depend on the number of trees, so the grid search fits
+each (depth, rate) pair once, at the largest tree count.
 
 A model also keeps its trees as flat node arrays (feature, threshold,
 children, leaf value), the usual layout for scoring tree ensembles (as in
@@ -41,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .checkpoint import decode_array, encode_array
+from .checkpoint import decode_array, encode_array, stored_float, stored_int
 from .errors import ConfigError, DataError, check_settings
 from .evaluation import macro_f1
 
@@ -171,8 +175,8 @@ def _searched(n: int, depth: int, max_depth: int) -> bool:
 
 
 # Cells (features x node rows) that one pass of the split search works on,
-# unless one feature holds more: each float64 working array of a chunk then
-# takes 256 KiB, so a chunk's arrays stay in cache between the passes.
+# unless one feature holds more: each complex working array of a chunk then
+# takes 512 KiB, so a chunk's arrays stay in cache between the passes.
 _SPLIT_CHUNK_CELLS = 1 << 15
 
 
@@ -203,7 +207,10 @@ class _ColumnBlock:
     A node searches its features in chunks of at most ``_SPLIT_CHUNK_CELLS``
     cells, each at least one whole feature.  Every step of the search is
     elementwise or a running sum along one feature, so a chunk's gains are
-    bit for bit those of one pass over the whole block.
+    bit for bit those of one pass over the whole block.  A chunk's scratch
+    takes 33 bytes a cell: the gathered complex moments (16), which then
+    hold the gains and the right-hand terms as float64, their complex
+    running sums (16) and the cuts refused (1).
     """
 
     def __init__(self, x: np.ndarray) -> None:
@@ -222,13 +229,11 @@ class _ColumnBlock:
         # (order, ranks) of the root, then of each work buffer, made when a
         # tree first grows deep enough to write it.
         self._buffers = [(order.ravel(), ranks.ravel())]
-        # Scratch for one chunk of a node's search: the gathered residuals
-        # (then their squares, then the gains), their running sums and the
-        # cuts refused.
+        # Scratch for one chunk of a node's search, laid out as the class
+        # docstring says.
         cells = min(self.n * self.d, max(_SPLIT_CHUNK_CELLS, self.n))
-        self._res = np.empty(cells)
-        self._csum = np.empty(cells)
-        self._csq = np.empty(cells)
+        self._moments = np.empty(cells, dtype=np.complex128)
+        self._sums = np.empty(cells, dtype=np.complex128)
         self._refused = np.empty(cells, dtype=bool)
         # Rows left of each cut, as the divisor of its left mean.
         self._counts = np.arange(1.0, self.n + 1.0)
@@ -250,9 +255,13 @@ class _ColumnBlock:
         # Depths 1 .. max_depth - 1 can be searched, each reading a work buffer.
         while len(self._buffers) < min(3, max_depth):
             self._buffers.append(tuple(np.empty_like(buf) for buf in self._buffers[0]))
+        # Each row's residual and squared residual, summed in one pass.
+        moments = np.empty(self.n, dtype=np.complex128)
+        moments.real = residuals
+        np.multiply(residuals, residuals, out=moments.imag)
         leaf_values = np.empty(self.n, dtype=np.float64)
         tree = self._grow(
-            0, self.n, np.arange(self.n), residuals, hessians, 0, max_depth, leaf_values
+            0, self.n, np.arange(self.n), moments, hessians, 0, max_depth, leaf_values
         )
         return tree, leaf_values
 
@@ -261,7 +270,7 @@ class _ColumnBlock:
         lo: int,
         hi: int,
         rows: np.ndarray,
-        residuals: np.ndarray,
+        moments: np.ndarray,
         hessians: np.ndarray,
         depth: int,
         max_depth: int,
@@ -269,9 +278,9 @@ class _ColumnBlock:
     ) -> TreeNode:
         # ``rows`` lists the node's row ids ascending, the order in which
         # the node's sums are taken.
-        node_res = residuals[rows]
+        node_res = moments.real[rows]
         if _searched(hi - lo, depth, max_depth):
-            split = self._best_split(lo, hi, depth, residuals, node_res)
+            split = self._best_split(lo, hi, depth, moments, node_res)
             if split is not None:
                 feature, threshold = split
                 mask = self.x[rows, feature] <= threshold
@@ -280,7 +289,7 @@ class _ColumnBlock:
                 right = _searched(hi - mid, depth + 1, max_depth)
                 if left or right:
                     self._partition(lo, mid, hi, depth, rows, mask, left, right)
-                args = (residuals, hessians, depth + 1, max_depth, leaf_values)
+                args = (moments, hessians, depth + 1, max_depth, leaf_values)
                 return TreeNode(
                     feature=feature,
                     threshold=threshold,
@@ -292,7 +301,7 @@ class _ColumnBlock:
         return TreeNode(value=value)
 
     def _best_split(
-        self, lo: int, hi: int, depth: int, residuals: np.ndarray, node_res: np.ndarray
+        self, lo: int, hi: int, depth: int, moments: np.ndarray, node_res: np.ndarray
     ) -> tuple[int, float] | None:
         """Exact greedy search over every feature: (feature, threshold) or None.
 
@@ -301,6 +310,12 @@ class _ColumnBlock:
         lowest threshold win ties.  The threshold is the midpoint of the two
         sorted values it separates, or the lower one when the midpoint
         rounds up onto the upper one.
+
+        ``moments`` holds each row's residual as the real part and its
+        square as the imaginary part.  One complex running sum of the
+        gathered moments gives each cut's left sum and left sum of squares,
+        bit for bit the two real running sums; the gains then reuse the
+        gathered moments' buffer.
         """
         n = hi - lo
         if self.d == 0:
@@ -321,24 +336,28 @@ class _ColumnBlock:
         for start in range(0, self.d, step):
             chunk = slice(start, min(start + step, self.d))
             k = chunk.stop - start
-            sorted_res = self._res[: k * n].reshape(k, n)
+            gathered = self._moments[: k * n].reshape(k, n)
             # Every index is in range, so "clip" changes no value; it lets
             # numpy write into ``out`` without a buffered copy.
-            np.take(residuals, order[chunk], out=sorted_res, mode="clip")
-            csum = np.cumsum(sorted_res, axis=1, out=self._csum[: k * n].reshape(k, n))
-            np.multiply(sorted_res, sorted_res, out=sorted_res)
-            csq = np.cumsum(sorted_res, axis=1, out=self._csq[: k * n].reshape(k, n))
+            np.take(moments, order[chunk], out=gathered, mode="clip")
+            sums = np.cumsum(gathered, axis=1, out=self._sums[: k * n].reshape(k, n))
+            csum, csq = sums.real, sums.imag
+            # The gathered moments are used up: their 2 k n doubles hold the
+            # gains, then the right-hand terms.
+            scratch = self._moments[: k * n].view(np.float64)
+            gain = scratch[: k * n].reshape(k, n)
+            right = scratch[k * n :].reshape(k, n)
             # sse = left_sq - left_sum**2 / left_n + right_sq - right_sum**2 / right_n,
-            # evaluated in that order; each buffer is overwritten once used.
-            gain = np.square(csum, out=sorted_res)
+            # evaluated in that order.
+            np.square(csum, out=gain)
             np.divide(gain, left_n, out=gain)
             np.subtract(csq, gain, out=gain)
-            right_sq = np.subtract(total_sq, csq, out=csq)
-            np.add(gain, right_sq, out=gain)
-            right_sum = np.subtract(total_sum, csum, out=csum)
-            np.square(right_sum, out=right_sum)
-            np.divide(right_sum, right_n, out=right_sum)
-            np.subtract(gain, right_sum, out=gain)
+            np.subtract(total_sq, csq, out=right)
+            np.add(gain, right, out=gain)
+            np.subtract(total_sum, csum, out=right)
+            np.square(right, out=right)
+            np.divide(right, right_n, out=right)
+            np.subtract(gain, right, out=gain)
             np.subtract(parent_sse, gain, out=gain)
             # A cut between equal values is no cut.  The flat comparison
             # also pairs each row's last slot with the next row's first;
@@ -590,12 +609,12 @@ def _tree_from_jsonable(data: dict) -> TreeNode:
         elif not isinstance(node, dict):
             raise TypeError(f"a tree node must be an object, got {type(node).__name__}")
         elif "value" in node:
-            built.append(TreeNode(value=float(node["value"])))
+            built.append(TreeNode(value=stored_float(node["value"], "value")))
         else:
-            feature = int(node["feature"])
+            feature = stored_int(node["feature"], "feature")
             if feature < 0:
                 raise DataError(f"boosted tree splits on feature {feature}, below 0")
-            stack.append((node, (feature, float(node["threshold"]))))
+            stack.append((node, (feature, stored_float(node["threshold"], "threshold"))))
             stack.append((node["right"], None))
             stack.append((node["left"], None))
     return built.pop()
@@ -605,8 +624,8 @@ def gbt_from_jsonable(data: dict) -> GbtModel:
     try:
         model = GbtModel(
             trees=tuple(_tree_from_jsonable(tree) for tree in data["trees"]),
-            learning_rate=float(data["learning_rate"]),
-            base_score=float(data["base_score"]),
+            learning_rate=stored_float(data["learning_rate"], "learning_rate"),
+            base_score=stored_float(data["base_score"], "base_score"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed boosted-tree model: {exc}") from exc
@@ -632,7 +651,7 @@ def knn_from_jsonable(data: dict) -> KnnModel:
         return KnnModel(
             x=decode_array(data["x"], np.float64),
             labels=decode_array(data["labels"], np.int64),
-            k=int(data["k"]),
+            k=stored_int(data["k"], "k"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed neighbor model: {exc}") from exc

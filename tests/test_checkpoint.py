@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import stat
 import struct
 from pathlib import Path
@@ -19,12 +20,16 @@ from mgtdetect.checkpoint import (
     encode_array,
     load_checkpoint,
     save_checkpoint,
+    stored_float,
+    stored_int,
 )
 from mgtdetect.cli import main as cli_main
 from mgtdetect.config import AppConfig
 from mgtdetect.corpus import save_tsv
 from mgtdetect.embeddings import FallbackEmbedderConfig
 from mgtdetect.errors import DataError
+from mgtdetect.kernels import svm_from_jsonable, svm_to_jsonable, svm_train
+from mgtdetect.neural import MlpParams, params_from_jsonable, params_to_jsonable
 from mgtdetect.pipeline import (
     Featurizer,
     TrainedModel,
@@ -33,7 +38,7 @@ from mgtdetect.pipeline import (
     train_model,
 )
 from mgtdetect.readability import ScalerParams
-from mgtdetect.shallow import KnnModel
+from mgtdetect.shallow import KnnModel, gbt_from_jsonable, gbt_to_jsonable, gbt_train
 
 from synthdata import synthetic_corpus
 
@@ -454,3 +459,221 @@ class TestGoldenCheckpoint:
             f"checkpoint {damaged}: malformed neighbor model: "
             "array holds a non-finite number"
         ) in capsys.readouterr().err
+
+    # A string threshold such as "nan" loaded as NaN, and the knn then called
+    # no document generated; a 400-digit integer overflowed float() and
+    # exited 3.
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            pytest.param("nan", "must be a number, got 'nan'", id="str-nan"),
+            pytest.param("0.5", "must be a number, got '0.5'", id="str"),
+            pytest.param(True, "must be a number, got True", id="true"),
+            pytest.param(None, "must be a number, got None", id="null"),
+            pytest.param(10**400, "is an integer too large for a double", id="int-1e400"),
+        ],
+    )
+    def test_threshold_that_is_not_a_finite_number_is_exit_2(
+        self, tmp_path, capsys, threshold, message
+    ):
+        def set_threshold(document):
+            document["payload"]["threshold"] = threshold
+
+        path = self._golden_edited(tmp_path, set_threshold)
+        code, out = self._predict(tmp_path, path)
+        assert code == 2
+        assert not out.exists()
+        assert f"checkpoint {path}: threshold {message}" in capsys.readouterr().err
+
+    def test_integer_threshold_is_read_as_a_float(self, tmp_path):
+        def set_threshold(document):
+            document["payload"]["threshold"] = 1
+
+        loaded = load_model(self._golden_edited(tmp_path, set_threshold))
+        assert type(loaded.threshold) is float and loaded.threshold == 1.0
+
+    # int() read a k of 2.9 as 2.
+    @pytest.mark.parametrize("k", [2.9, 1.0, True, "1"])
+    def test_k_that_is_not_an_integer_is_refused(self, tmp_path, k):
+        def set_k(document):
+            document["payload"]["model"]["k"] = k
+
+        path = self._golden_edited(tmp_path, set_k)
+        with pytest.raises(DataError, match="malformed neighbor model: k must be an integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["dim", "ngram_min", "ngram_max", "seed"])
+    @pytest.mark.parametrize("value", [1.0, True, "1"])
+    def test_embedder_field_that_is_not_an_integer_is_refused(self, tmp_path, key, value):
+        def set_field(document):
+            document["payload"]["featurizer"]["embedder"][key] = value
+
+        path = self._golden_edited(tmp_path, set_field)
+        message = f"malformed featurizer settings: {key} must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(path)
+
+
+# JSON values a float field of a payload refuses, each with the end of its
+# message.
+_NOT_FLOATS = [
+    pytest.param("nan", "must be a number, got 'nan'", id="str-nan"),
+    pytest.param("inf", "must be a number, got 'inf'", id="str-inf"),
+    pytest.param(True, "must be a number, got True", id="true"),
+    pytest.param(None, "must be a number, got None", id="null"),
+    pytest.param([0.5], "must be a number, got [0.5]", id="list"),
+    pytest.param(10**400, "is an integer too large for a double", id="int-1e400"),
+]
+# Refused too, though no checkpoint file holds them: the JSON reader refuses
+# NaN and Infinity itself.
+_NON_FINITE = [
+    pytest.param(float("nan"), "must be a finite number, got nan", id="nan"),
+    pytest.param(float("-inf"), "must be a finite number, got -inf", id="-inf"),
+]
+_NOT_INTS = [1.9, 1.0, True, "1", None]
+
+
+def _tiny_gbt() -> dict:
+    x = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0], [5.0, 0.0]])
+    return gbt_to_jsonable(gbt_train(x, [0, 0, 0, 1, 1, 1], 2, 2, 0.3))
+
+
+def _tiny_params(language_head: bool = True) -> dict:
+    rng = np.random.default_rng(0)
+    return params_to_jsonable(
+        MlpParams(
+            W1=rng.normal(size=(3, 2)),
+            b1=rng.normal(size=2),
+            w_bot=rng.normal(size=2),
+            b_bot=0.25,
+            w_lang=rng.normal(size=2) if language_head else None,
+            b_lang=-0.5 if language_head else None,
+        )
+    )
+
+
+class TestStoredScalars:
+    """A payload's scalar is a JSON number of its field's kind, or a DataError
+    that names the field's key."""
+
+    @pytest.mark.parametrize("value", [0, -3, 2**70])
+    def test_json_integers_are_ints(self, value):
+        assert stored_int(value, "k") == value
+
+    @pytest.mark.parametrize("value", _NOT_INTS)
+    def test_everything_else_is_no_int(self, value):
+        with pytest.raises(DataError, match=re.escape(f"k must be an integer, got {value!r}")):
+            stored_int(value, "k")
+
+    @pytest.mark.parametrize(
+        "value", [0, 3, -0.0, 5e-324, 1.5, pytest.param(10**308, id="int-1e308"), -1.797e308]
+    )
+    def test_finite_json_numbers_are_floats(self, value):
+        got = stored_float(value, "bias")
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", float(value))
+
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
+    def test_everything_else_is_no_float(self, value, message):
+        with pytest.raises(DataError, match=re.escape(f"bias {message}")):
+            stored_float(value, "bias")
+
+    # learning_rate "inf" made every probability 0, with overflow warnings.
+    @pytest.mark.parametrize("key", ["learning_rate", "base_score"])
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
+    def test_gbt_model_floats(self, key, value, message):
+        payload = _tiny_gbt() | {key: value}
+        with pytest.raises(DataError, match=re.escape(f"boosted-tree model: {key} {message}")):
+            gbt_from_jsonable(payload)
+
+    @pytest.mark.parametrize("key", ["value", "threshold"])
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
+    def test_gbt_node_floats(self, key, value, message):
+        payload = _tiny_gbt()
+        root = payload["trees"][0]
+        node = root if key == "threshold" else root["left"]
+        while key == "value" and "value" not in node:
+            node = node["left"]
+        node[key] = value
+        with pytest.raises(DataError, match=re.escape(f"boosted-tree model: {key} {message}")):
+            gbt_from_jsonable(payload)
+
+    # int() read a split feature of 1.9, true or "1" as feature 1.
+    @pytest.mark.parametrize("value", _NOT_INTS)
+    def test_gbt_split_feature(self, value):
+        payload = _tiny_gbt()
+        payload["trees"][0]["feature"] = value
+        message = f"boosted-tree model: feature must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            gbt_from_jsonable(payload)
+
+    @pytest.fixture(scope="class")
+    def svm_payload(self):
+        texts = ["aaaa abab", "bbbb baba", "aaab abba", "bbba baab"]
+        return svm_to_jsonable(svm_train(texts, [1, -1, 1, -1]))
+
+    # A bias of "nan" made every probability NaN.
+    @pytest.mark.parametrize("key", ["bias", "C"])
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
+    def test_svm_floats(self, svm_payload, key, value, message):
+        with pytest.raises(DataError, match=re.escape(f"svm model: {key} {message}")):
+            svm_from_jsonable(svm_payload | {key: value})
+
+    @pytest.mark.parametrize("value", _NOT_INTS)
+    def test_svm_support_index(self, svm_payload, value):
+        indices = [value, *svm_payload["support_indices"][1:]]
+        message = f"svm model: support_indices must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            svm_from_jsonable(svm_payload | {"support_indices": indices})
+
+    @pytest.mark.parametrize("key", ["b_bot", "b_lang"])
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
+    def test_network_floats(self, key, value, message):
+        payload = _tiny_params() | {key: value}
+        with pytest.raises(DataError, match=re.escape(f"network weights: {key} {message}")):
+            params_from_jsonable(payload)
+
+    # A shape stored as 3.0 compared equal to W1's 3 and loaded.
+    @pytest.mark.parametrize("key", ["input_dim", "hidden"])
+    @pytest.mark.parametrize("convert", [float, str, bool], ids=["float", "str", "bool"])
+    def test_network_shape(self, key, convert):
+        payload = _tiny_params(language_head=False)
+        payload[key] = convert(payload[key])
+        message = f"network weights: {key} must be an integer, got {payload[key]!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            params_from_jsonable(payload)
+
+    def test_network_round_trip_keeps_both_biases(self):
+        params = params_from_jsonable(_tiny_params())
+        assert (params.b_bot, params.b_lang) == (0.25, -0.5)
+
+    def _manifest(self, tmp_path, **changes):
+        manifest = {
+            "base_names": ["knn"],
+            "meta_model": _tiny_gbt(),
+            "meta_hyperparams": {"n_estimators": 2, "max_depth": 2, "learning_rate": 0.3},
+            "threshold": 0.5,
+        }
+        for key, value in changes.items():
+            if key in manifest["meta_hyperparams"]:
+                manifest["meta_hyperparams"][key] = value
+            else:
+                manifest[key] = value
+        bundle = tmp_path / "ensemble"
+        save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
+        return bundle
+
+    @pytest.mark.parametrize("key", ["threshold", "learning_rate"])
+    @pytest.mark.parametrize("value, message", _NOT_FLOATS)
+    def test_manifest_floats(self, tmp_path, key, value, message):
+        bundle = self._manifest(tmp_path, **{key: value})
+        with pytest.raises(DataError, match=re.escape(f"ensemble manifest: {key} {message}")):
+            load_model(bundle)
+
+    @pytest.mark.parametrize("key", ["n_estimators", "max_depth"])
+    @pytest.mark.parametrize("value", _NOT_INTS)
+    def test_manifest_ints(self, tmp_path, key, value):
+        bundle = self._manifest(tmp_path, **{key: value})
+        message = f"ensemble manifest: {key} must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(bundle)

@@ -874,7 +874,9 @@ class TestExitCodes:
         assert not out.exists()
         assert "malformed ensemble manifest: 'meta_model'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("feature", [999, -1])
+    # A feature that is not a JSON integer was read by int(): 1.5, true and
+    # "0" would all have split on a column the file does not name.
+    @pytest.mark.parametrize("feature", [999, -1, 1.5, True, "0"])
     def test_gbt_split_on_a_missing_column_is_2(self, workdir, tmp_path, capsys, feature):
         ckpt = tmp_path / "gbt.json"
         code = _run(
@@ -901,7 +903,11 @@ class TestExitCodes:
         )
         assert code == 2
         assert not out.exists()
-        assert f"splits on feature {feature}" in capsys.readouterr().err
+        if type(feature) is int:
+            want = f"splits on feature {feature}"
+        else:
+            want = f"malformed boosted-tree model: feature must be an integer, got {feature!r}"
+        assert want in capsys.readouterr().err
 
     def test_manifest_repeating_a_base_is_2(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "ensemble"

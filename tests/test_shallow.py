@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,20 +179,19 @@ class TestKnnSelection:
         assert knn_predict_proba_many(model, np.zeros((0, 3))).shape == (0,)
 
 
-def reference_best_split(x, residuals):
+def reference_feature_splits(x, residuals):
     """Reference: one stable argsort and one gain scan per feature.
 
-    First feature and lowest threshold win ties; the threshold is the
+    Each feature's (best gain, threshold): the gain is -inf when no cut is
+    allowed, and the lowest threshold wins ties.  The threshold is the
     midpoint, or the lower value when the midpoint rounds onto the upper.
+    The two running sums are real ``np.cumsum`` calls.
     """
     n = x.shape[0]
-    if n < 2 * MIN_SAMPLES_PER_LEAF:
-        return None
     total_sum = float(np.sum(residuals))
     total_sq = float(np.sum(residuals**2))
     parent_sse = total_sq - total_sum**2 / n
-    best_gain = 1e-12
-    best = None
+    splits = []
     for feature in range(x.shape[1]):
         order = np.argsort(x[:, feature], kind="stable")
         col = x[order, feature]
@@ -212,12 +212,24 @@ def reference_best_split(x, residuals):
         )
         gain = np.where(valid, parent_sse - sse, -np.inf)
         idx = int(np.argmax(gain))
-        if gain[idx] > best_gain:
-            best_gain = float(gain[idx])
-            threshold = (col[idx] + col[idx + 1]) / 2.0
-            if not threshold < col[idx + 1]:
-                threshold = col[idx]
-            best = (feature, float(threshold))
+        threshold = (col[idx] + col[idx + 1]) / 2.0
+        if not threshold < col[idx + 1]:
+            threshold = col[idx]
+        splits.append((float(gain[idx]), float(threshold)))
+    return splits
+
+
+def reference_best_split(x, residuals):
+    """Reference: the first feature whose best gain is the largest one above
+    the floor, at its lowest best threshold."""
+    if x.shape[0] < 2 * MIN_SAMPLES_PER_LEAF:
+        return None
+    best_gain = 1e-12
+    best = None
+    for feature, (gain, threshold) in enumerate(reference_feature_splits(x, residuals)):
+        if gain > best_gain:
+            best_gain = gain
+            best = (feature, threshold)
     return best
 
 
@@ -361,6 +373,23 @@ class TestGbtColumnBlock:
         monkeypatch.setattr(shallow, "_SPLIT_CHUNK_CELLS", cells)
         assert [gbt_train(x, y, 3, depth, 0.3) for depth in (1, 2, 3, 8)] == want
 
+    def test_a_node_taller_than_a_chunk_grows_the_reference_trees(self, rng):
+        # One feature holds more rows than a chunk's cells, so each chunk is
+        # one feature and the scratch is sized by the row count, as on a
+        # corpus of tens of thousands of documents; the gains and right-hand
+        # terms then fill all 2 n doubles of the gathered moments.
+        n = shallow._SPLIT_CHUNK_CELLS + 17
+        x = np.round(rng.normal(size=(n, 3)), 1)
+        x[rng.choice(n, size=500, replace=False), 2] = np.nan
+        y = (x[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
+        assert shallow._ColumnBlock(x)._moments.size == n
+        got = gbt_train(x, y, n_estimators=2, max_depth=3, learning_rate=0.3)
+        want = reference_gbt(x, y, 2, 3, 0.3)
+        assert len(got.trees) == 2
+        for got_tree, want_tree in zip(got.trees, want.trees):
+            assert got_tree == want_tree
+        assert got == want
+
     @pytest.mark.parametrize("max_depth", [1, 2, 3, 6])
     def test_partitions_once_per_split_with_a_searched_child(self, rng, monkeypatch, max_depth):
         x, y = self.tied_matrix(rng)
@@ -401,8 +430,11 @@ class TestGbtColumnBlock:
     def test_peak_memory_is_three_blocks_and_a_chunk(self, rng, shape):
         # The root's and two work buffers' int32 order and ranks take 24
         # bytes a cell, as the sort's three 8-byte temporaries do.  The
-        # search's scratch and a move's temporaries are bounded by the
-        # chunk; the parent's full-size float64 scratch took about 48 a cell.
+        # search's scratch (33 bytes a chunk cell: the gathered complex
+        # moments, which then hold the gains and right-hand terms, their
+        # complex running sums and the cuts refused) and a move's
+        # temporaries are bounded by the chunk; a full-size float64 scratch,
+        # as the search once kept, took about 48 a cell.
         x = rng.normal(size=shape)
         y = (x[:, 0] > 0).astype(np.int64)
         gbt_train(x[:40, :3], y[:40], 1, 2, 0.3)  # numpy's one-time allocations
@@ -413,6 +445,81 @@ class TestGbtColumnBlock:
         finally:
             tracemalloc.stop()
         assert peak < 24 * x.size + 64 * shallow._SPLIT_CHUNK_CELLS
+
+
+# Residuals whose squares and sums stay finite: signed zeros, subnormals,
+# magnitudes from 1e-150 to 1e150 and ordinary values.
+_RESIDUALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e-150, -1e150]),
+    st.builds(
+        lambda sign, magnitude: sign * magnitude,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1e-150, 1e150),
+    ),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def stump_cases(draw):
+    """A matrix with tied, duplicate, constant and NaN columns, and residuals
+    that either mix magnitudes or cancel: large values and their negations
+    around small ones, so each running sum depends on every rounding."""
+    n = draw(st.integers(2 * MIN_SAMPLES_PER_LEAF, 40))
+    d = draw(st.integers(1, 4))
+    cell = draw(
+        st.sampled_from(
+            [st.integers(0, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)]
+        )
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    x = np.array(rows, dtype=np.float64).reshape(n, d)
+    for extra in draw(
+        st.lists(st.sampled_from(["duplicate", "constant", "nan", "some nan"]), max_size=3)
+    ):
+        if extra == "duplicate":
+            column = x[:, draw(st.integers(0, x.shape[1] - 1))]
+        elif extra == "constant":
+            column = np.full(n, draw(cell))
+        elif extra == "nan":
+            column = np.full(n, np.nan)
+        else:
+            column = x[:, 0].copy()
+            column[draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))] = np.nan
+        x = np.insert(x, draw(st.integers(0, x.shape[1])), column, axis=1)
+    values = _RESIDUALS
+    if draw(st.booleans()):
+        big = draw(st.floats(1e100, 1e150))
+        values = st.one_of(
+            st.sampled_from([big, -big, np.nextafter(big, np.inf), -np.nextafter(big, 0.0)]),
+            _RESIDUALS,
+        )
+    residuals = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    return x, residuals
+
+
+class TestComplexAccumulate:
+    """One complex running sum gives the two real running sums bit for bit.
+
+    A stump's search runs once, at the root, so after the fit the block
+    still holds every feature's best gain, floored as the search floors it.
+    """
+
+    @pytest.mark.parametrize("budget", ["one cell", "three features", "default"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=stump_cases())
+    def test_every_feature_gain_equals_two_real_running_sums(self, budget, case):
+        x, residuals = case
+        n = x.shape[0]
+        cells = {"one cell": 1, "three features": 3 * n}.get(budget, shallow._SPLIT_CHUNK_CELLS)
+        hessians = np.full(n, 0.25)
+        with mock.patch.object(shallow, "_SPLIT_CHUNK_CELLS", cells):
+            block = shallow._ColumnBlock(x)
+            tree, _ = block.fit_tree(residuals, hessians, max_depth=1)
+        assert tree == reference_tree(x, residuals, hessians, 0, 1)
+        want = np.array([gain for gain, _ in reference_feature_splits(x, residuals)])
+        want[~(want > shallow._SPLIT_GAIN_EPS)] = -np.inf
+        assert block._best_gain.tobytes() == want.tobytes()
 
 
 class TestGbtLossCurve:
@@ -775,7 +882,9 @@ class TestSerialization:
     def test_learning_rate_not_above_zero_rejected(self, rate):
         blob = gbt_to_jsonable(_one_split_model(0))
         blob["learning_rate"] = rate
-        with pytest.raises(DataError, match="learning_rate must be positive"):
+        # A NaN is refused as no finite number before its sign is checked.
+        message = "a finite number, got nan" if rate != rate else "positive"
+        with pytest.raises(DataError, match=f"learning_rate must be {message}"):
             gbt_from_jsonable(blob)
 
     def test_negative_split_feature_rejected(self):

@@ -121,6 +121,11 @@ _UNESCAPED = {"n": "\n", "r": "\r", "t": "\t", "\\": "\\"}
 
 
 def _unescape(value: str, path: str, lineno: int) -> str:
+    # Every escape starts with a backslash, so a cell without one is its
+    # own text; the test is far cheaper than a regex pass that finds nothing.
+    if "\\" not in value:
+        return value
+
     def replace(match: re.Match) -> str:
         code = match.group(1)
         if not code:

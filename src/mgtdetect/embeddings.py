@@ -5,15 +5,18 @@ expensive to produce and are expected to arrive via file.  The fallback
 embedder is a fully offline, deterministic substitute: it feature-hashes
 character n-grams into a fixed number of signed buckets and L2-normalizes
 the result.  A gram's hash is a splitmix64 chain over its code points,
-keyed by the seed (``GRAM_HASH`` names it; see ``embed_corpus``): feature
+keyed by the seed (``GRAM_HASH`` names it; see ``gram_counts``): feature
 hashing needs a well-mixed 64-bit hash, not a cryptographic one, and this
 one gives the hashes of every window of one length from those of the
 windows one shorter in a single array expression (``window_levels``, which
 the string kernel hashes with too).  The embedder keeps the whole pipeline
 runnable anywhere, at the cost of weaker features than a learned embedding.
-Features travel as matrices: ``embed_corpus`` returns one float64 row per
-document, in corpus order; an ``EmbeddingTable`` is only an embedding file
-read into memory.
+Features travel as matrices: ``gram_counts`` returns one row of integer
+bucket counts per document, in corpus order, ``normalize_counts`` turns
+counts into float64 rows, and ``embed_corpus`` is the two in turn.  The
+counts are what a fitted kNN checkpoint stores (see ``pipeline``): one or
+two bytes a bucket where the normalized row takes eight.  An
+``EmbeddingTable`` is only an embedding file read into memory.
 
 Embedding files are TSV-like: ``id<TAB>v1 v2 ... vd`` with vector
 components separated by single spaces and serialized with 9 significant
@@ -149,11 +152,19 @@ class FallbackEmbedderConfig:
 
 
 def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> np.ndarray:
-    """The (n, dim) embedding rows of ``corpus``, in corpus order.
+    """The (n, dim) embedding rows of ``corpus``, in corpus order:
+    ``normalize_counts(gram_counts(corpus, cfg))``.
 
     Each row is a signed hashed n-gram embedding, L2-normalized.  Texts
     shorter than ``ngram_min`` characters after whitespace normalization
     have no n-grams and map to the zero row; every other row has unit norm.
+    """
+    return normalize_counts(gram_counts(corpus, cfg))
+
+
+def gram_counts(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig) -> np.ndarray:
+    """The (n, dim) int64 signed bucket counts of ``corpus``'s n-grams, in
+    corpus order.
 
     A gram of code points c1..cn hashes as a keyed splitmix64 chain:
     ``h0 = mix(seed)``, ``hk = mix(h(k-1) ^ ck)``, all mod 2**64, where
@@ -164,17 +175,24 @@ def embed_corpus(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfi
     the call's working memory is bounded by the larger of the block and the
     longest document.  Within a block ``window_levels`` hashes every window,
     and no length past the longest document is tried; nothing is cached
-    across calls.  Every bucket count and every row's sum of squares is a
-    small integer, exact in any summation order, so each row equals the one
-    built gram by gram.
+    across calls.
     """
     # Whitespace normalization keeps the embedding independent of
     # leading, trailing, or repeated whitespace.
     texts = [" ".join(doc.text.split()) for doc in corpus]
-    rows = np.zeros((len(texts), cfg.dim), dtype=np.float64)
+    counts = np.zeros((len(texts), cfg.dim), dtype=np.int64)
     h0 = chain_start(cfg.seed)
     for block in _blocks([len(text) for text in texts], cfg.ngram_min, _BLOCK_CHARS):
-        rows[block] = _gram_counts([texts[i] for i in block], cfg, h0)
+        counts[block] = _gram_counts([texts[i] for i in block], cfg, h0)
+    return counts
+
+
+def normalize_counts(counts: np.ndarray) -> np.ndarray:
+    """Integer bucket counts as float64 rows of unit L2 norm; a zero row stays
+    zero.  Every count and every row's sum of squares is a small integer,
+    exact in any summation order, so each row equals the one built gram by
+    gram, whatever integer width holds the counts."""
+    rows = counts.astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     np.divide(rows, norms, out=rows, where=norms > 0.0)
     return rows

@@ -87,7 +87,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import decode_array, encode_array, stored_float, stored_int
+from .checkpoint import (
+    decode_array,
+    encode_array,
+    stored_float,
+    stored_int,
+    stored_list,
+    stored_str,
+)
 from .embeddings import _blocks, chain_start, code_points, window_levels
 from .errors import ConfigError, DataError
 
@@ -624,7 +631,10 @@ def svm_from_jsonable(data: dict) -> SvmModel:
             dual_coef=decode_array(data["dual_coef"], np.float64),
             bias=stored_float(data["bias"], "bias"),
             C=stored_float(data["C"], "C"),
-            support_texts=tuple(str(t) for t in data["support_texts"]),
+            support_texts=tuple(
+                stored_str(t, f"support_texts[{i}]")
+                for i, t in enumerate(stored_list(data["support_texts"], "support_texts"))
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed svm model: {exc}") from exc

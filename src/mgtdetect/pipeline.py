@@ -5,11 +5,17 @@ share one feature pipeline: ten readability statistics concatenated with a
 document embedding, standardized by a single scaler fitted on the full
 concatenated training matrix.  Scaling the concatenation is equivalent to
 scaling the blocks separately because standardization is per-column.
-Features travel as float64 matrices, one row per document in corpus order,
-from the embedder to the scaler.  The string-kernel SVM takes a different
-route: documents are preprocessed per language and scored in primal form,
-their distinct character n-grams looked up in a dict of weights folded
-from the support texts (see ``kernels``).
+Features travel as matrices, one row per document in corpus order: a
+corpus is featurized once into unscaled blocks (``FeatureBlocks``: the
+statistics, and the embedder's integer n-gram counts or a table's vectors),
+and ``Featurizer.rows`` turns blocks into the scaled float64 rows every
+vector-space base reads.  The kNN base memorizes its training rows, and its
+checkpoint stores their blocks, not the rows: the counts take one or two
+bytes a bucket where a scaled row takes eight, and loading rebuilds the
+rows bit for bit through the same ``Featurizer.rows``.  The string-kernel
+SVM takes a different route: documents are preprocessed per language and
+scored in primal form, their distinct character n-grams looked up in a dict
+of weights folded from the support texts (see ``kernels``).
 
 Document embeddings come from a seeded hashing embedder by default; a
 table of precomputed vectors keyed by document id can be supplied instead,
@@ -50,16 +56,22 @@ from .checkpoint import (
     decode_array,
     encode_array,
     load_checkpoint,
+    narrowest_int,
     save_checkpoint,
     stored_float,
     stored_int,
+    stored_str,
 )
+# ``embed_corpus`` is not called here (the featurizer keeps the counts it
+# normalizes); perfbench/tracer.py wraps it by this name.
 from .embeddings import (
     GRAM_HASH,
     EmbeddingTable,
     FallbackEmbedderConfig,
     embed_corpus,
+    gram_counts,
     load_embeddings,
+    normalize_counts,
 )
 from .ensemble import (
     EnsembleModel,
@@ -98,11 +110,11 @@ from .readability import (
 )
 from .shallow import (
     GbtHyperparams,
+    KnnModel,
     gbt_from_jsonable,
     gbt_predict_proba_many,
     gbt_to_jsonable,
     grid_search,
-    knn_fit,
     knn_from_jsonable,
     knn_predict_proba_many,
     knn_to_jsonable,
@@ -118,20 +130,46 @@ def feature_names(embedding_dim: int) -> tuple[str, ...]:
     return FEATURE_NAMES + tuple(f"emb_{i}" for i in range(embedding_dim))
 
 
+class FeatureBlocks(NamedTuple):
+    """The unscaled blocks of some documents' feature rows, one row each, in
+    corpus order: ``stats``, the readability statistics, and ``embedding``,
+    the hashing embedder's integer bucket counts (normalized when the rows
+    are made) or an embeddings table's float64 vectors."""
+
+    stats: np.ndarray
+    embedding: np.ndarray
+
+
+def feature_blocks(
+    corpus: Corpus,
+    embedder: FallbackEmbedderConfig = FallbackEmbedderConfig(),
+    table: EmbeddingTable | None = None,
+) -> FeatureBlocks:
+    """``corpus``'s unscaled feature blocks: every document is featurized here."""
+    if len(corpus) == 0:
+        raise DataError("cannot featurize an empty corpus")
+    if table is None:
+        embedding = gram_counts(corpus, embedder)
+    else:
+        embedding = np.array([table.get(doc.id) for doc in corpus])
+    return FeatureBlocks(readability_matrix(corpus), embedding)
+
+
+def raw_rows(blocks: FeatureBlocks) -> np.ndarray:
+    """The unscaled rows of ``blocks``, with ``feature_names(dim)`` columns."""
+    embedding = blocks.embedding
+    if embedding.dtype.kind == "i":
+        embedding = normalize_counts(embedding)
+    return np.hstack([blocks.stats, embedding])
+
+
 def build_raw_features(
     corpus: Corpus,
     embedder: FallbackEmbedderConfig = FallbackEmbedderConfig(),
     table: EmbeddingTable | None = None,
 ) -> np.ndarray:
     """Unscaled feature rows in corpus order, with ``feature_names(dim)`` columns."""
-    if len(corpus) == 0:
-        raise DataError("cannot featurize an empty corpus")
-    if table is None:
-        embedded = embed_corpus(corpus, embedder)
-    else:
-        embedded = np.array([table.get(doc.id) for doc in corpus])
-    stats = readability_matrix(corpus)
-    return np.hstack([stats, embedded])
+    return raw_rows(feature_blocks(corpus, embedder, table))
 
 
 def embeddings_table(path: str) -> EmbeddingTable | None:
@@ -153,21 +191,29 @@ class Featurizer:
     scaler: ScalerParams
     table: EmbeddingTable | None = field(default=None, repr=False, compare=False)
 
+    def rows(self, blocks: FeatureBlocks) -> np.ndarray:
+        """The scaled rows of ``blocks``: every model input the featurizer
+        makes, and every kNN row rebuilt from a checkpoint, is made here."""
+        return transform(raw_rows(blocks), self.scaler)
+
     def features(self, corpus: Corpus) -> np.ndarray:
-        return transform(build_raw_features(corpus, self.embedder, self.table), self.scaler)
+        return self.rows(feature_blocks(corpus, self.embedder, self.table))
 
 
-def fit_featurizer(corpus: Corpus, cfg: AppConfig) -> tuple[Featurizer, np.ndarray]:
-    """The featurizer fitted on ``corpus``, and ``corpus``'s scaled rows."""
+def fit_featurizer(
+    corpus: Corpus, cfg: AppConfig
+) -> tuple[Featurizer, np.ndarray, FeatureBlocks]:
+    """The featurizer fitted on ``corpus``, ``corpus``'s scaled rows and the
+    unscaled blocks they were scaled from."""
     table = embeddings_table(cfg.embeddings_path)
-    raw = build_raw_features(corpus, cfg.embedder, table)
+    blocks = feature_blocks(corpus, cfg.embedder, table)
     featurizer = Featurizer(
         embedder=cfg.embedder,
         embeddings_path=cfg.embeddings_path,
-        scaler=fit_scaler(raw),
+        scaler=fit_scaler(raw_rows(blocks)),
         table=table,
     )
-    return featurizer, transform(raw, featurizer.scaler)
+    return featurizer, featurizer.rows(blocks), blocks
 
 
 def _scaler_to_jsonable(scaler: ScalerParams) -> dict:
@@ -201,8 +247,8 @@ def _featurizer_from_jsonable(data: dict) -> Featurizer:
         emb = data["embedder"]
         keys = ("dim", "ngram_min", "ngram_max", "seed")
         embedder = FallbackEmbedderConfig(*(stored_int(emb[key], key) for key in keys))
-        path = str(data.get("embeddings_path", ""))
-        pinned = str(data["embeddings_sha256"]) if path else ""
+        path = stored_str(data.get("embeddings_path", ""), "embeddings_path")
+        pinned = stored_str(data["embeddings_sha256"], "embeddings_sha256") if path else ""
         scaler = _scaler_from_jsonable(data["scaler"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed featurizer settings: {exc}") from exc
@@ -235,16 +281,17 @@ def _preprocessed_texts(kernel: KernelConfig, corpus: Corpus) -> list[str]:
     return [preprocess(doc.text, doc.language) for doc in corpus]
 
 
-def _fit_kernel(train: Corpus, cfg: AppConfig) -> tuple[KernelConfig, list[str]]:
+def _fit_kernel(train: Corpus, cfg: AppConfig) -> tuple[KernelConfig, list[str], None]:
     kernel = KernelConfig()
-    return kernel, _preprocessed_texts(kernel, train)
+    return kernel, _preprocessed_texts(kernel, train), None
 
 
 class _Prep(NamedTuple):
     """A base's input preparation.
 
-    ``fit`` takes (train corpus, cfg) and returns the preparation with the
-    training part's inputs; ``inputs`` takes (preparation, corpus).  The
+    ``fit`` takes (train corpus, cfg) and returns the preparation, the
+    training part's inputs and what they were made from (the featurizer's
+    unscaled blocks, or None); ``inputs`` takes (preparation, corpus).  The
     codec stores the preparation under ``key`` in a base's payload.
     """
 
@@ -272,17 +319,20 @@ _KERNEL = _Prep(
 
 
 class _Part(NamedTuple):
-    """One corpus part as a base sees it."""
+    """One corpus part as a base sees it.  ``source`` is what the training
+    part's inputs were made from, for a base that stores it in their place."""
 
     corpus: Corpus
     inputs: object
     labels: np.ndarray
+    source: object = None
 
 
 # A fit takes (prep, train, val, cfg, log), both parts already prepared, and
-# returns the model; a score takes (model, prep, inputs).  Layer functions
-# are named in these bodies, never stored, so each call looks them up in
-# this module when it runs.
+# returns the model; a score takes (model, prep, inputs), and the codec
+# (model, prep) or (stored model, prep).  Layer functions are named in these
+# bodies, never stored, so each call looks them up in this module when it
+# runs.
 
 
 def _fit_neural(featurizer, train, val, cfg, log):
@@ -308,8 +358,81 @@ def _fit_gbt(featurizer, train, val, cfg, log):
     return model
 
 
+@dataclass(frozen=True)
+class FeaturizedKnn(KnnModel):
+    """A kNN base whose rows are its featurizer's ``rows(blocks)``.
+
+    Its checkpoint stores ``blocks`` in place of the rows, with the counts
+    at the narrowest integer width that holds them (narrowed here, so the
+    stored width depends on the values alone), and loading rebuilds the
+    rows from them through the same featurizer.  A ``KnnModel`` built from
+    rows has no blocks, and its checkpoint stores the rows.
+    """
+
+    blocks: FeatureBlocks = field(kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        stats, embedding = self.blocks
+        if embedding.dtype.kind == "i":
+            embedding = narrowest_int(embedding)
+        object.__setattr__(self, "blocks", FeatureBlocks(stats, embedding))
+
+
 def _fit_knn(featurizer, train, val, cfg, log):
-    return knn_fit(train.inputs, train.labels, k=cfg.knn_k)
+    return FeaturizedKnn(x=train.inputs, labels=train.labels, k=cfg.knn_k, blocks=train.source)
+
+
+def _knn_to_jsonable(model: KnnModel, featurizer: Featurizer) -> dict:
+    if not isinstance(model, FeaturizedKnn):
+        return knn_to_jsonable(model)
+    stats, embedding = model.blocks
+    return {
+        "k": model.k,
+        "labels": encode_array(model.labels),
+        "stats": encode_array(stats),
+        _embedding_key(featurizer): encode_array(embedding),
+    }
+
+
+def _embedding_key(featurizer: Featurizer) -> str:
+    return "counts" if featurizer.table is None else "vectors"
+
+
+def _knn_from_jsonable(data: dict, featurizer: Featurizer) -> KnnModel:
+    """A stored kNN base: its scaled rows, as version 3 and a ``KnnModel``
+    built from rows store them, or its blocks, whose rows are rebuilt."""
+    if isinstance(data, dict) and "x" in data:
+        return knn_from_jsonable(data)
+    hashed = featurizer.table is None
+    key = _embedding_key(featurizer)
+    width = featurizer.embedder.dim if hashed else featurizer.table.dim
+    try:
+        stats = decode_array(data["stats"], np.float64)
+        embedding = decode_array(
+            data[key], np.int64 if hashed else np.float64, any_int_width=hashed
+        )
+        labels = decode_array(data["labels"], np.int64)
+        if stats.ndim != 2 or stats.shape[1] != len(FEATURE_NAMES):
+            raise DataError(
+                f"stats have shape {stats.shape}, expected (n, {len(FEATURE_NAMES)})"
+            )
+        if embedding.ndim != 2 or embedding.shape[1] != width:
+            raise DataError(f"{key} have shape {embedding.shape}, expected (n, {width})")
+        if not len(stats) == len(embedding) == len(labels):
+            raise DataError(
+                f"stats, {key} and labels hold {len(stats)}, {len(embedding)} "
+                f"and {len(labels)} rows"
+            )
+        blocks = FeatureBlocks(stats, embedding)
+        return FeaturizedKnn(
+            x=featurizer.rows(blocks),
+            labels=labels,
+            k=stored_int(data["k"], "k"),
+            blocks=blocks,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed neighbor model: {exc}") from exc
 
 
 def _fit_svm(kernel, train, val, cfg, log):
@@ -328,8 +451,8 @@ class _Kind:
     fit: Callable[..., object]
     score: Callable[[object, object, object], np.ndarray]
     model_key: str
-    model_to_jsonable: Callable[[object], dict]
-    model_from_jsonable: Callable[[dict], object]
+    model_to_jsonable: Callable[[object, object], dict]
+    model_from_jsonable: Callable[[dict, object], object]
     prep: _Prep = _FEATURIZER
 
 
@@ -338,22 +461,22 @@ _KINDS: dict[str, _Kind] = {
         _fit_neural,
         lambda params, featurizer, x: neural_predict_proba(params, x),
         "params",
-        params_to_jsonable,
-        params_from_jsonable,
+        lambda params, featurizer: params_to_jsonable(params),
+        lambda data, featurizer: params_from_jsonable(data),
     ),
     "gbt": _Kind(
         _fit_gbt,
         lambda model, featurizer, x: gbt_predict_proba_many(model, x),
         "model",
-        gbt_to_jsonable,
-        gbt_from_jsonable,
+        lambda model, featurizer: gbt_to_jsonable(model),
+        lambda data, featurizer: gbt_from_jsonable(data),
     ),
     "knn": _Kind(
         _fit_knn,
         lambda model, featurizer, x: knn_predict_proba_many(model, x),
         "model",
-        knn_to_jsonable,
-        knn_from_jsonable,
+        _knn_to_jsonable,
+        _knn_from_jsonable,
     ),
     "svm": _Kind(
         _fit_svm,
@@ -361,8 +484,8 @@ _KINDS: dict[str, _Kind] = {
             [svm_predict_proba(model, text, kernel) for text in texts], dtype=np.float64
         ),
         "model",
-        svm_to_jsonable,
-        svm_from_jsonable,
+        lambda model, kernel: svm_to_jsonable(model),
+        lambda data, kernel: svm_from_jsonable(data),
         prep=_KERNEL,
     ),
 }
@@ -433,9 +556,9 @@ def _train_bases(
         spec = _KINDS[kind]
         key = spec.prep.key
         if key not in preps:
-            preps[key], x_train = spec.prep.fit(train, cfg)
+            preps[key], x_train, source = spec.prep.fit(train, cfg)
             x_val = spec.prep.inputs(preps[key], val)
-            parts[key] = (_Part(train, x_train, y_train), _Part(val, x_val, y_val))
+            parts[key] = (_Part(train, x_train, y_train, source), _Part(val, x_val, y_val))
         train_part, val_part = parts[key]
         models[kind] = spec.fit(preps[key], train_part, val_part, cfg, log)
         probs = spec.score(models[kind], preps[key], val_part.inputs)
@@ -496,9 +619,10 @@ def _train_ensemble_model(
 
 def _base_payload(model: TrainedModel, kind: str, threshold: float) -> dict:
     spec = _KINDS[kind]
+    prep = model.preps[spec.prep.key]
     return {
-        spec.model_key: spec.model_to_jsonable(model.models[kind]),
-        spec.prep.key: spec.prep.to_jsonable(model.preps[spec.prep.key]),
+        spec.model_key: spec.model_to_jsonable(model.models[kind], prep),
+        spec.prep.key: spec.prep.to_jsonable(prep),
         "threshold": threshold,
     }
 
@@ -537,7 +661,7 @@ def _decode_base(
     except KeyError as exc:
         raise DataError(f"payload is missing {exc}") from exc
     threshold = stored_float(threshold, "threshold")
-    model = spec.model_from_jsonable(model_data)
+    # The preparation first: a kNN base's rows are rebuilt through it.
     if key not in preps:
         preps[key] = spec.prep.from_jsonable(stored)
         entries[key] = stored
@@ -545,7 +669,7 @@ def _decode_base(
         raise DataError(
             f"base {kind!r} stores a {key} that differs from the other bases' {key}"
         )
-    return kind, model, threshold
+    return kind, spec.model_from_jsonable(model_data, preps[key]), threshold
 
 
 MANIFEST_FILENAME = "manifest.json"

@@ -1,14 +1,16 @@
 import base64
+import dataclasses
 import json
 import os
 import re
 import stat
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,18 +21,25 @@ from mgtdetect.checkpoint import (
     decode_array,
     encode_array,
     load_checkpoint,
+    narrowest_int,
     save_checkpoint,
     stored_float,
     stored_int,
 )
 from mgtdetect.cli import main as cli_main
-from mgtdetect.config import AppConfig
-from mgtdetect.corpus import save_tsv
-from mgtdetect.embeddings import FallbackEmbedderConfig
+from mgtdetect.config import AppConfig, EnsembleSettings
+from mgtdetect.corpus import Corpus, Document, Label, Language, save_tsv
+from mgtdetect.embeddings import (
+    EmbeddingTable,
+    FallbackEmbedderConfig,
+    gram_counts,
+    save_embeddings,
+)
 from mgtdetect.errors import DataError
 from mgtdetect.kernels import svm_from_jsonable, svm_to_jsonable, svm_train
 from mgtdetect.neural import MlpParams, params_from_jsonable, params_to_jsonable
 from mgtdetect.pipeline import (
+    FeaturizedKnn,
     Featurizer,
     TrainedModel,
     load_model,
@@ -38,14 +47,22 @@ from mgtdetect.pipeline import (
     train_model,
 )
 from mgtdetect.readability import ScalerParams
-from mgtdetect.shallow import KnnModel, gbt_from_jsonable, gbt_to_jsonable, gbt_train
+from mgtdetect.shallow import (
+    GbtGrid,
+    KnnModel,
+    gbt_from_jsonable,
+    gbt_to_jsonable,
+    gbt_train,
+    knn_to_jsonable,
+)
 
 from synthdata import synthetic_corpus
 
 # A knn checkpoint written by format version 3, committed so that a change
-# to the stored form shows as a failure here.  Its rows are 10 readability
-# features plus a 1-d hashed embedding.  It is ``save_model`` of
-# ``golden_knn_model()``; write it again only with a new format version.
+# to how a version 3 file reads shows as a failure here.  Its rows are 10
+# readability features plus a 1-d hashed embedding.  It is ``save_model`` of
+# ``golden_knn_model()`` as format version 3 wrote it, which stored the
+# scaled rows; version 4 writes that model in the same form.
 GOLDEN_PATH = Path(__file__).parent / "golden" / "knn_v3.json"
 GOLDEN_KNN = {
     "x": [
@@ -57,6 +74,34 @@ GOLDEN_KNN = {
     "means": [120.0, 6.0, 180.0, 12.0, 9.0, 4.5, 20.0, 60.0, 11.0, 10.0, 0.0],
     "stddevs": [40.0, 2.0, 60.0, 5.0, 4.0, 0.5, 6.0, 15.0, 3.0, 2.5, 1.0],
 }
+
+
+# A knn checkpoint written by format version 4 in its compact form: the
+# readability statistics and hashed n-gram counts of the training rows, not
+# the rows.  It is ``save_model`` of ``golden_v4_model()``, trained on the
+# fixed corpus below; write it again only with a new format version.
+GOLDEN_V4_PATH = Path(__file__).parent / "golden" / "knn_v4.json"
+# Rows 1 and 7 are the validation part (the split's seed is 0).
+GOLDEN_V4_DOCS = (
+    ("h0", "The garden was quiet at dawn, and the river ran slow.", "human"),
+    ("g0", "In conclusion, the garden is a quiet and peaceful place.", "generated"),
+    ("h1", "We walked to the market; bread was cheap today!", "human"),
+    ("g1", "Overall, the market offers bread, fruit and many other goods.", "generated"),
+    ("h2", "Hi", "human"),  # shorter than ngram_min: no n-grams, the zero row
+    ("g2", "a" * 30, "generated"),  # one 3-, 4- and 5-gram, 28, 27 and 26 times
+    ("h3", "Stone walls, old windows. A quiet street.", "human"),
+    ("g3", "The window provides light, and the stone provides strength.", "generated"),
+)
+
+
+def golden_v4_model() -> TrainedModel:
+    corpus = Corpus(
+        [Document(i, text, Language.EN, Label(label)) for i, text, label in GOLDEN_V4_DOCS],
+        name="golden",
+    )
+    cfg = dataclasses.replace(AppConfig(), embedder=FallbackEmbedderConfig(dim=4), knn_k=1)
+    model, _ = train_model("knn", corpus, cfg)
+    return model
 
 
 def golden_knn_model() -> TrainedModel:
@@ -143,6 +188,50 @@ def _without(key):
     obj = encode_array(np.array([1.0]))
     del obj[key]
     return obj
+
+
+class TestIntegerWidths:
+    # The narrowest signed width of each value: an int8, int16 or int32 edge
+    # and one past it.
+    @pytest.mark.parametrize(
+        "value, code",
+        [
+            (0, "<i1"), (127, "<i1"), (-128, "<i1"), (128, "<i2"), (-129, "<i2"),
+            (32767, "<i2"), (-32768, "<i2"), (32768, "<i4"), (-32769, "<i4"),
+            (2**31 - 1, "<i4"), (-(2**31), "<i4"), (2**31, "<i8"), (-(2**31) - 1, "<i8"),
+            (2**63 - 1, "<i8"), (-(2**63), "<i8"),
+        ],
+    )
+    def test_narrowest_width_holds_the_values(self, value, code):
+        arr = np.array([[0, value], [1, -1]], dtype=np.int64)
+        narrow = narrowest_int(arr)
+        stored = encode_array(narrow)
+        assert stored["dtype"] == code
+        restored = decode_array(_through_json(stored), np.int64, any_int_width=True)
+        assert restored.dtype == np.dtype(code).newbyteorder("=")
+        assert restored.dtype.isnative and restored.flags.writeable
+        assert np.array_equal(restored, arr)
+        # Another field keeps its 8-byte integers and refuses a narrow one.
+        assert encode_array(arr)["dtype"] == "<i8"
+        if code != "<i8":
+            with pytest.raises(DataError, match=f"dtype '{code}', expected '<i8'"):
+                decode_array(stored, np.int64)
+
+    def test_empty_counts_are_int8(self):
+        assert narrowest_int(np.zeros((0, 3), dtype=np.int64)).dtype == np.int8
+
+    @pytest.mark.parametrize("code", ["<u1", "<i3", "<f8", ">i2", "i1", None])
+    def test_width_code_not_allowed(self, code):
+        stored = encode_array(np.array([1, 2], dtype=np.int8))
+        stored["dtype"] = code
+        with pytest.raises(DataError, match="dtype"):
+            decode_array(stored, np.int64, any_int_width=True)
+
+    def test_byte_length_follows_the_width(self):
+        stored = encode_array(np.array([1, 2, 3], dtype=np.int16))
+        stored["shape"] = [6]
+        with pytest.raises(DataError, match="holds 6 bytes"):
+            decode_array(stored, np.int64, any_int_width=True)
 
 
 class TestArrayRefusals:
@@ -365,8 +454,35 @@ class TestGoldenCheckpoint:
         assert loaded.models["knn"].k == 1 and loaded.threshold == 0.5
 
     def test_writer_reproduces_the_golden_bytes(self, tmp_path):
+        save_model(golden_v4_model(), tmp_path / "knn.json")
+        assert (tmp_path / "knn.json").read_bytes() == GOLDEN_V4_PATH.read_bytes()
+
+    def test_version_4_golden_stores_the_blocks_and_loads_the_rows(self):
+        _, payload = load_checkpoint(GOLDEN_V4_PATH, expected_kind="knn")
+        stored = payload["model"]
+        assert list(stored) == ["k", "labels", "stats", "counts"]
+        assert stored["counts"]["dtype"] == "<i1" and stored["counts"]["shape"] == [6, 4]
+        counts = decode_array(stored["counts"], np.int64, any_int_width=True)
+        assert not counts[3].any() and np.abs(counts[4]).max() == 28
+        trained, loaded = golden_v4_model(), load_model(GOLDEN_V4_PATH)
+        assert loaded.models["knn"].x.tobytes() == trained.models["knn"].x.tobytes()
+        assert loaded.models["knn"].x_sq.tobytes() == trained.models["knn"].x_sq.tobytes()
+        probe = synthetic_corpus(3, 3, seed=2, name="probe", labeled=False)
+        assert loaded.predict_proba(probe).tobytes() == trained.predict_proba(probe).tobytes()
+
+    def test_scaled_rows_are_written_as_version_3_wrote_them(self, tmp_path):
+        # A knn built from scaled rows has no blocks to store.
         save_model(golden_knn_model(), tmp_path / "knn.json")
-        assert (tmp_path / "knn.json").read_bytes() == GOLDEN_PATH.read_bytes()
+        as_v3 = GOLDEN_PATH.read_bytes().replace(
+            b'{"format_version": 3,', b'{"format_version": 4,', 1
+        )
+        assert (tmp_path / "knn.json").read_bytes() == as_v3
+
+    def test_version_3_golden_scores_as_its_model(self):
+        probe = synthetic_corpus(3, 3, seed=2, name="probe", labeled=False)
+        loaded, built = load_model(GOLDEN_PATH), golden_knn_model()
+        assert loaded.models["knn"].x_sq.tobytes() == built.models["knn"].x_sq.tobytes()
+        assert loaded.predict_proba(probe).tobytes() == built.predict_proba(probe).tobytes()
 
     def _predict(self, tmp_path, model_path):
         corpus = tmp_path / "probe.tsv"
@@ -677,3 +793,153 @@ class TestStoredScalars:
         message = f"ensemble manifest: {key} must be an integer, got {value!r}"
         with pytest.raises(DataError, match=re.escape(message)):
             load_model(bundle)
+
+
+# The embedder of the stored-form property: 3-grams only, so a text of one
+# character repeated n + 2 times counts one 3-gram n times in one bucket.
+_COUNTING = FallbackEmbedderConfig(dim=8, ngram_min=3, ngram_max=3)
+# A character whose 3-gram is counted with a positive sign, so n times it
+# needs the width of +n: int8 to 127, int16 from 128 to 32,767, then int32.
+_PLUS = next(
+    c for c in "abcdefghijklmnopqrstuvwxyz"
+    if gram_counts([Document("c", c * 3, Language.EN)], _COUNTING).max() == 1
+)
+_WIDTH_OF_REPEATS = {127: "<i1", 128: "<i2", 32767: "<i2", 32768: "<i4"}
+
+
+def _stored_form_config(embeddings_path: str = "") -> AppConfig:
+    return dataclasses.replace(
+        AppConfig(),
+        embedder=_COUNTING,
+        embeddings_path=embeddings_path,
+        knn_k=3,
+        gbt_grid=GbtGrid(estimators=(5,), depths=(2,), learning_rates=(0.3,)),
+        ensemble=EnsembleSettings(bases=("knn",)),
+    )
+
+
+def _with_special_docs(base: Corpus, text: str) -> Corpus:
+    # Several copies, spread through the corpus, so that both splits leave
+    # some in the kNN's training part; the test checks that they did.
+    docs = list(base)
+    for j in range(6):
+        docs.insert(j * 13, Document(f"special{j}", text, Language.EN, Label.GENERATED))
+    return Corpus(docs, name="stored-form")
+
+
+def _refusals(payload: dict, key: str) -> list[tuple[dict, str]]:
+    """Copies of a knn payload that each break one rule of the stored form."""
+    model = payload["model"]
+    embedding = decode_array(
+        model[key], np.int64 if key == "counts" else np.float64, any_int_width=key == "counts"
+    )
+    stats = decode_array(model["stats"], np.float64)
+    labels = decode_array(model["labels"], np.int64)
+    # Counts as unsigned bytes, or vectors as integers.
+    bad_code = encode_array(embedding.astype(np.int8 if key == "counts" else np.int64))
+    if key == "counts":
+        bad_code["dtype"] = "<u1"
+    changes = [
+        ({key: bad_code}, f"array has dtype '{bad_code['dtype']}'"),
+        ({key: encode_array(np.hstack([embedding, embedding[:, :1]]))}, f"{key} have shape"),
+        ({"stats": encode_array(stats[:, :-1])}, "stats have shape"),
+        ({"labels": encode_array(labels[:-1])}, "rows"),
+    ]
+    broken = []
+    for change, message in changes:
+        copy = json.loads(json.dumps(payload))
+        copy["model"].update(change)
+        broken.append((copy, message))
+    return broken
+
+
+class TestStoredKnnForm:
+    """A trained knn stores the blocks of its rows, and loads them back."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        special=st.sampled_from([*_WIDTH_OF_REPEATS, "no n-grams", "table"]),
+        seed=st.integers(0, 2),
+        ensemble=st.booleans(),
+    )
+    @example(special=127, seed=0, ensemble=False)
+    @example(special=127, seed=0, ensemble=True)
+    @example(special=128, seed=0, ensemble=False)
+    @example(special=128, seed=0, ensemble=True)
+    @example(special=32767, seed=0, ensemble=False)
+    @example(special=32767, seed=0, ensemble=True)
+    @example(special=32768, seed=0, ensemble=False)
+    @example(special=32768, seed=0, ensemble=True)
+    @example(special="no n-grams", seed=0, ensemble=False)
+    @example(special="no n-grams", seed=0, ensemble=True)
+    @example(special="table", seed=0, ensemble=False)
+    @example(special="table", seed=0, ensemble=True)
+    def test_round_trip_re_save_and_refusals(self, special, seed, ensemble):
+        base = synthetic_corpus(40, 40, seed=seed, name="base")
+        text = _PLUS * (special + 2) if type(special) is int else "Hi"
+        corpus = _with_special_docs(base, text)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = ""
+            if special == "table":
+                rng = np.random.default_rng(seed)
+                table = EmbeddingTable(5, {d.id: rng.normal(size=5) for d in corpus})
+                save_embeddings(table, tmp / "vectors.tsv")
+                path = str(tmp / "vectors.tsv")
+            cfg = _stored_form_config(path)
+            trained, _ = train_model("ensemble" if ensemble else "knn", corpus, cfg)
+            target = tmp / ("bundle" if ensemble else "knn.json")
+            knn_file = target / "knn.json" if ensemble else target
+            save_model(trained, target)
+
+            key = "vectors" if special == "table" else "counts"
+            _, payload = load_checkpoint(knn_file)
+            assert list(payload["model"]) == ["k", "labels", "stats", key]
+            knn = trained.models["knn"]
+            if type(special) is int:
+                assert knn.blocks.embedding.max() == special
+                assert payload["model"]["counts"]["dtype"] == _WIDTH_OF_REPEATS[special]
+            if special == "no n-grams":
+                assert not knn.blocks.embedding.any(axis=1).all()
+
+            loaded = load_model(target)
+            assert loaded.models["knn"].x.tobytes() == knn.x.tobytes()
+            assert loaded.models["knn"].x_sq.tobytes() == knn.x_sq.tobytes()
+            assert loaded.predict_proba(base).tobytes() == trained.predict_proba(base).tobytes()
+            again = tmp / "again"
+            save_model(loaded, again)
+            for name in [p.name for p in target.iterdir()] if ensemble else []:
+                assert (again / name).read_bytes() == (target / name).read_bytes(), name
+            if not ensemble:
+                assert again.read_bytes() == target.read_bytes()
+
+            save_tsv(base, tmp / "probe.tsv")
+            original = knn_file.read_bytes()
+            for broken, message in _refusals(payload, key):
+                save_checkpoint(knn_file, "knn", broken)
+                with pytest.raises(DataError, match=message):
+                    load_model(target)
+                argv = ["predict", "--corpus", f"en={tmp / 'probe.tsv'}",
+                        "--model-path", str(target), "--output", str(tmp / "p.tsv")]
+                assert cli_main(argv) == 2
+                assert not (tmp / "p.tsv").exists()
+            knn_file.write_bytes(original)
+
+    def test_a_version_3_knn_in_a_bundle_scores_as_before(self, tmp_path):
+        # The bundle as version 3 wrote it: the knn base stores its scaled rows.
+        corpus = synthetic_corpus(40, 40, seed=1, name="v3")
+        trained, _ = train_model("ensemble", corpus, _stored_form_config())
+        save_model(trained, tmp_path / "bundle")
+        knn_file = tmp_path / "bundle" / "knn.json"
+        kind, payload = load_checkpoint(knn_file)
+        payload["model"] = knn_to_jsonable(
+            KnnModel(x=trained.models["knn"].x, labels=trained.models["knn"].labels, k=3)
+        )
+        document = json.loads(checkpoint_text(kind, payload))
+        document["format_version"] = 3
+        knn_file.write_text(json.dumps(document, ensure_ascii=False) + "\n", encoding="utf-8")
+        loaded = load_model(tmp_path / "bundle")
+        assert not isinstance(loaded.models["knn"], FeaturizedKnn)
+        assert loaded.models["knn"].x.tobytes() == trained.models["knn"].x.tobytes()
+        probe = synthetic_corpus(5, 5, seed=2, name="probe", labeled=False)
+        assert loaded.predict_proba(probe).tobytes() == trained.predict_proba(probe).tobytes()

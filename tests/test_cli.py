@@ -20,7 +20,7 @@ from mgtdetect.checkpoint import (
 from mgtdetect.cli import main
 from mgtdetect.corpus import Corpus, Document, Label, Language, load_tsv, merge_bilingual, save_tsv
 from mgtdetect.evaluation import macro_f1
-from mgtdetect.embeddings import FallbackEmbedderConfig
+from mgtdetect.embeddings import EmbeddingTable, FallbackEmbedderConfig, save_embeddings
 from mgtdetect.pipeline import build_raw_features, feature_names, load_model
 from mgtdetect.readability import format_feature_matrix
 from mgtdetect.textprep import preprocess
@@ -529,6 +529,47 @@ def gbt_checkpoint(workdir):
     return path
 
 
+@pytest.fixture(scope="module")
+def svm_checkpoint(workdir):
+    path = workdir / "svm-model.json"
+    code = _run(
+        "train",
+        "--corpus", f"en={workdir / 'en.tsv'}",
+        "--config", str(workdir / "fast.ini"),
+        "--model", "svm",
+        "--output", str(path),
+        "--log", str(workdir / "svm-train.jsonl"),
+    )
+    assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def table_knn_checkpoint(workdir):
+    """A knn trained on embeddings read from a file, and its config file."""
+    rng = np.random.default_rng(0)
+    ids = [doc.id for doc in load_tsv(workdir / "en.tsv", Language.EN)]
+    ids += [doc.id for doc in load_tsv(workdir / "small.tsv", Language.EN)]
+    table = EmbeddingTable(dim=4, vectors={i: rng.normal(size=4) for i in dict.fromkeys(ids)})
+    save_embeddings(table, workdir / "vectors.tsv")
+    ini = workdir / "vectors.ini"
+    ini.write_text(
+        f"[features]\nembeddings_path = {workdir / 'vectors.tsv'}\n\n[knn]\nk = 5\n",
+        encoding="utf-8",
+    )
+    path = workdir / "knn-vectors-model.json"
+    code = _run(
+        "train",
+        "--corpus", f"en={workdir / 'en.tsv'}",
+        "--config", str(ini),
+        "--model", "knn",
+        "--output", str(path),
+        "--log", str(workdir / "knn-vectors-train.jsonl"),
+    )
+    assert code == 0
+    return path, ini
+
+
 def _leaves(tree: dict) -> list[dict]:
     stack, leaves = [tree], []
     while stack:
@@ -807,6 +848,28 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    # Stored texts were read by str(): a null support text loaded as the
+    # text "None", and a null embeddings path looked for a file "None".
+    @pytest.mark.parametrize("value", [None, 7, ["text"], True], ids=repr)
+    @pytest.mark.parametrize(
+        "field", ["support_texts[1]", "embeddings_path", "embeddings_sha256"]
+    )
+    def test_checkpoint_text_that_is_not_a_string_is_2(
+        self, workdir, svm_checkpoint, table_knn_checkpoint, tmp_path, capsys, field, value
+    ):
+        ckpt = tmp_path / "model.json"
+        if field == "support_texts[1]":
+            kind, payload = load_checkpoint(svm_checkpoint)
+            payload["model"]["support_texts"][1] = value
+            where = "malformed svm model"
+        else:
+            kind, payload = load_checkpoint(table_knn_checkpoint[0])
+            payload["featurizer"][field] = value
+            where = "malformed featurizer settings"
+        save_checkpoint(ckpt, kind, payload)
+        message = f"checkpoint {ckpt}: {where}: {field} must be a string, got {value!r}"
+        self._predict_is_2(workdir, ckpt, tmp_path, capsys, message)
 
     def test_overflowing_checkpoint_number_is_2(
         self, workdir, gbt_checkpoint, tmp_path, capsys

@@ -215,6 +215,39 @@ class TestLoadTsv:
         with pytest.raises(DataError, match=r"c\.tsv:2: dangling escape"):
             load_tsv(path, Language.EN)
 
+    def test_every_escape_and_none(self, tmp_path):
+        # Texts without a backslash skip the unescaping pass; each escape,
+        # alone, together, and next to a cell holding none, still decodes.
+        cells = {
+            "plain": ("no escapes at all", "no escapes at all"),
+            "n": ("a\\nb", "a\nb"),
+            "r": ("a\\rb", "a\rb"),
+            "t": ("a\\tb", "a\tb"),
+            "backslash": ("a\\\\b", "a\\b"),
+            "all": ("\\n\\r\\t\\\\n", "\n\r\t\\n"),
+            "unicode": ("caf\u00e9 \U0001f600 \u2028", "caf\u00e9 \U0001f600 \u2028"),
+        }
+        body = "".join(f"{name}\t{cell}\n" for name, (cell, _) in cells.items())
+        loaded = load_tsv(write(tmp_path / "c.tsv", "id\ttext\n" + body), Language.EN)
+        assert {d.id: d.text for d in loaded} == {
+            name: text for name, (_, text) in cells.items()
+        }
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("bad \\x escape", ":3: unknown escape \\x"),
+            ("ok \\n then \\q", ":3: unknown escape \\q"),
+            ("ends in \\", ":3: dangling escape in text field"),
+            ("\\", ":3: dangling escape in text field"),
+        ],
+    )
+    def test_escape_errors_name_the_line(self, tmp_path, cell, message):
+        path = write(tmp_path / "c.tsv", f"id\ttext\nd1\tplain text\nd2\t{cell}\n")
+        with pytest.raises(DataError) as caught:
+            load_tsv(path, Language.EN)
+        assert str(caught.value) == f"{path}{message}"
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(tmp_path / "c.tsv", "id\ttext\nd1\tone\nd1\ttwo\n")
         with pytest.raises(DataError, match="duplicate"):

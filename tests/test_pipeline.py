@@ -123,7 +123,7 @@ class TestBuildRawFeatures:
 class TestFeaturizer:
     def test_training_features_are_standardized(self, base_corpus):
         cfg = fast_config()
-        featurizer, _ = fit_featurizer(base_corpus, cfg)
+        featurizer, _, _ = fit_featurizer(base_corpus, cfg)
         feats = featurizer.features(base_corpus)
         raw = build_raw_features(base_corpus, embedder=cfg.embedder)
         means = feats.mean(axis=0)
@@ -134,12 +134,12 @@ class TestFeaturizer:
         assert np.all(feats[:, ~moving] == 0.0)
 
     def test_fit_returns_the_scaled_training_rows(self, base_corpus):
-        featurizer, rows = fit_featurizer(base_corpus, fast_config())
+        featurizer, rows, _ = fit_featurizer(base_corpus, fast_config())
         assert rows.tobytes() == featurizer.features(base_corpus).tobytes()
 
     def test_transform_matches_manual_scaling(self, base_corpus):
         cfg = fast_config()
-        featurizer, _ = fit_featurizer(base_corpus, cfg)
+        featurizer, _, _ = fit_featurizer(base_corpus, cfg)
         probe = synthetic_corpus(4, 4, seed=9, name="probe")
         feats = featurizer.features(probe)
         raw = build_raw_features(probe, embedder=cfg.embedder)
@@ -152,7 +152,7 @@ class TestFeaturizer:
         path = tmp_path / "vectors.tsv"
         save_embeddings(table, path)
         cfg = dataclasses.replace(fast_config(), embeddings_path=str(path))
-        featurizer, _ = fit_featurizer(base_corpus, cfg)
+        featurizer, _, _ = fit_featurizer(base_corpus, cfg)
         feats = featurizer.features(base_corpus)
         assert feats.shape == (len(base_corpus), len(FEATURE_NAMES) + SMALL_EMBEDDER.dim)
 
@@ -217,7 +217,7 @@ _POOL = (
 @functools.cache
 def pool_featurizer():
     """A featurizer fitted once, and each pool document's row featurized alone."""
-    featurizer, _ = fit_featurizer(synthetic_corpus(20, 20, seed=5), fast_config())
+    featurizer, _, _ = fit_featurizer(synthetic_corpus(20, 20, seed=5), fast_config())
     alone = {doc.id: featurizer.features(Corpus([doc])).tobytes() for doc in _POOL}
     return featurizer, alone
 

@@ -13,10 +13,14 @@ the string kernel hashes with too).  The embedder keeps the whole pipeline
 runnable anywhere, at the cost of weaker features than a learned embedding.
 Features travel as matrices: ``gram_counts`` returns one row of integer
 bucket counts per document, in corpus order, ``normalize_counts`` turns
-counts into float64 rows, and ``embed_corpus`` is the two in turn.  The
-counts are what a fitted kNN checkpoint stores (see ``pipeline``): one or
-two bytes a bucket where the normalized row takes eight.  An
-``EmbeddingTable`` is only an embedding file read into memory.
+counts into float64 rows, and ``embed_corpus`` is the two in turn.
+Documents are counted in blocks, each in one count pass: the windows of
+every length in the block are hashed a length at a time, and a single
+``np.bincount`` of their (document, bucket) slots, weighted by their
+signs, gives the block's counts.  The counts are what a fitted kNN
+checkpoint stores (see ``pipeline``): one or two bytes a bucket where the
+normalized row takes eight.  An ``EmbeddingTable`` is only an embedding
+file read into memory.
 
 Embedding files are TSV-like: ``id<TAB>v1 v2 ... vd`` with vector
 components separated by single spaces and serialized with 9 significant
@@ -44,8 +48,10 @@ GRAM_HASH = "splitmix64-chain"
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_27, _SHIFT_30, _SHIFT_31, _SHIFT_63 = (np.uint64(k) for k in (27, 30, 31, 63))
+_SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (27, 30, 31))
 _BUCKET_MASK = np.uint64((1 << 63) - 1)
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.float64(1.0).view(np.uint64)  # the bits of the float64 1.0
 # Documents are counted in blocks of about this many characters.
 _BLOCK_CHARS = 1 << 15
 
@@ -174,8 +180,11 @@ def gram_counts(corpus: Corpus | Iterable[Document], cfg: FallbackEmbedderConfig
     Documents are counted in blocks of about ``_BLOCK_CHARS`` characters, so
     the call's working memory is bounded by the larger of the block and the
     longest document.  Within a block ``window_levels`` hashes every window,
-    and no length past the longest document is tried; nothing is cached
-    across calls.
+    and no length past the longest document is tried; then one weighted
+    ``np.bincount`` counts the windows of every length at once, into one
+    slot per (document, bucket), with a window across two documents
+    weighted 0.  Every count is a sum of integers, exact in any order, so
+    the counts do not depend on the blocks.  Nothing is cached across calls.
     """
     # Whitespace normalization keeps the embedding independent of
     # leading, trailing, or repeated whitespace.
@@ -201,13 +210,20 @@ def normalize_counts(counts: np.ndarray) -> np.ndarray:
 def _mix(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer of each element of a uint64 array.
 
+    The steps run in place on one fresh array, never on the caller's.
     Array arithmetic wraps mod 2**64 without a warning; numpy scalars would
     warn on overflow, so callers pass arrays.
     """
     z = z + _GOLDEN_GAMMA
-    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
-    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
-    return z ^ (z >> _SHIFT_31)
+    shifted = z >> _SHIFT_30
+    z ^= shifted
+    z *= _MIX_1
+    np.right_shift(z, _SHIFT_27, out=shifted)
+    z ^= shifted
+    z *= _MIX_2
+    np.right_shift(z, _SHIFT_31, out=shifted)
+    z ^= shifted
+    return z
 
 
 def code_points(texts: Sequence[str]) -> np.ndarray:
@@ -220,16 +236,30 @@ def chain_start(seed: int) -> np.ndarray:
     return _mix(np.array([seed], dtype=np.uint64))
 
 
+def text_index(lengths: Sequence[int]) -> np.ndarray:
+    """The index of the text each unit belongs to, for texts of ``lengths``
+    units joined in one array."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
 def window_levels(
-    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int, h0: np.ndarray
+    units: np.ndarray,
+    lengths: Sequence[int],
+    lo: int,
+    hi: int,
+    h0: np.ndarray,
+    doc: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """``(hashes, inside)`` for each n from ``lo`` to ``hi``, or to the longest
     text, of the texts of ``lengths`` units joined in ``units``: ``hashes[i]``
     chains the n units at i from ``h0``, one step on from the n - 1 units',
-    and ``inside`` marks the windows inside one text (None for one text)."""
+    and ``inside`` marks the windows inside one text (None for one text).
+    ``doc`` is ``text_index(lengths)``, built once by the caller, which
+    needs it too."""
     units = units.astype(np.uint64)  # uint64 ^ uint32 casts on every level
     # A window lies inside one text when its first and last units do.
-    doc = np.repeat(np.arange(len(lengths)), lengths) if len(lengths) > 1 else None
+    if len(lengths) < 2:
+        doc = None
     hashes = _mix(h0 ^ units)
     for n in range(1, min(hi, max(lengths, default=0)) + 1):
         if n > 1:
@@ -257,16 +287,27 @@ def _blocks(sizes: Sequence[int], min_size: int, budget: int) -> Iterator[list[i
 
 
 def _gram_counts(texts: list[str], cfg: FallbackEmbedderConfig, h0: np.ndarray) -> np.ndarray:
-    """The (len(texts), dim) signed bucket counts of the texts' n-grams."""
+    """The (len(texts), dim) signed bucket counts of the texts' n-grams,
+    counted in one pass over the windows of every length."""
     lengths = [len(t) for t in texts]
-    doc = np.repeat(np.arange(len(texts)), lengths)
-    counts = np.zeros(len(texts) * cfg.dim, dtype=np.float64)
-    levels = window_levels(code_points(texts), lengths, cfg.ngram_min, cfg.ngram_max, h0)
-    for grams, inside in levels:
-        gram_doc = doc[: len(grams)]
-        if inside is not None:
-            grams, gram_doc = grams[inside], gram_doc[inside]
-        bucket = ((grams & _BUCKET_MASK) % np.uint64(cfg.dim)).astype(np.int64)
-        sign = np.where(grams >> _SHIFT_63, -1.0, 1.0)
-        counts += np.bincount(gram_doc * cfg.dim + bucket, weights=sign, minlength=len(counts))
+    doc = text_index(lengths)
+    levels = list(
+        window_levels(code_points(texts), lengths, cfg.ngram_min, cfg.ngram_max, h0, doc)
+    )
+    grams = np.concatenate([hashes for hashes, _ in levels])
+    # Each window's weight is the float64 +1.0 or -1.0 whose sign bit is the
+    # hash's top bit, or 0.0 for a window across two texts.
+    sign = grams & _SIGN_BIT
+    sign |= _ONE_BITS
+    if len(texts) > 1:
+        sign *= np.concatenate([inside for _, inside in levels])
+    # Its slot is its text's row start plus its bucket, the low 63 bits
+    # modulo dim (by floor division: % is slower on uint64).
+    row = doc * cfg.dim
+    keys = np.concatenate([row[: len(hashes)] for hashes, _ in levels])
+    grams &= _BUCKET_MASK
+    dim = np.uint64(cfg.dim)
+    grams -= grams // dim * dim
+    keys += grams.view(np.int64)
+    counts = np.bincount(keys, weights=sign.view(np.float64), minlength=len(texts) * cfg.dim)
     return counts.reshape(len(texts), cfg.dim)

@@ -95,7 +95,7 @@ from .checkpoint import (
     stored_list,
     stored_str,
 )
-from .embeddings import _blocks, chain_start, code_points, window_levels
+from .embeddings import _blocks, chain_start, code_points, text_index, window_levels
 from .errors import ConfigError, DataError
 
 KKT_TOLERANCE = 1e-3
@@ -170,13 +170,19 @@ def _same(
 
 
 def _windows(
-    units: np.ndarray, lengths: Sequence[int], lo: int, hi: int, h0: np.ndarray
+    units: np.ndarray,
+    lengths: Sequence[int],
+    lo: int,
+    hi: int,
+    h0: np.ndarray,
+    doc: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The hash, start and size of every window of n units, ``lo <= n <= hi``,
-    inside one of the texts joined in ``units``, sorted by hash."""
+    inside one of the texts joined in ``units``, sorted by hash; ``doc`` is
+    ``text_index(lengths)``."""
     positions = np.arange(len(units))
     hashes, starts = [np.zeros(0, dtype=np.uint64)], [positions[:0]]
-    for level, inside in window_levels(units, lengths, lo, hi, h0):
+    for level, inside in window_levels(units, lengths, lo, hi, h0, doc):
         at = positions[: len(level)] if inside is None else inside.nonzero()[0]
         hashes.append(level if inside is None else level[at])
         starts.append(at)
@@ -275,17 +281,17 @@ class _NgramIndex:
         for block in _blocks(lengths, lo, _BLOCK_UNITS):
             a, z = block[0], block[-1] + 1
             units = every_unit[text_starts[a] : text_starts[z]]
+            doc = text_index(lengths[a:z])
             window_hashes, window_starts, window_sizes = _windows(
-                units, lengths[a:z], lo, hi, h0
+                units, lengths[a:z], lo, hi, h0, doc
             )
             grams, heads = _group(units, window_hashes, window_starts, window_sizes)
             hashes.append(window_hashes[heads])
             starts.append(window_starts[heads] + text_starts[a])
             sizes.append(window_sizes[heads])
             # Each (text, gram) pair once, in text order.
-            doc = np.arange(z - a).repeat(lengths[a:z])[window_starts]
             shift = len(heads).bit_length()
-            pairs = _distinct(doc << shift | grams)
+            pairs = _distinct(doc[window_starts] << shift | grams)
             counts[a:z] = np.bincount(pairs >> shift, minlength=z - a)
             postings.append((pairs & ((1 << shift) - 1)).astype(np.int32) + numbered)
             numbered += len(heads)

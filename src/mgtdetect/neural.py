@@ -1,9 +1,11 @@
 """Feedforward classifier trained with hand-written backpropagation.
 
 One hidden relu layer feeds a sigmoid detection head and, optionally, a
-sigmoid language head for multi-task training.  All gradients are derived
-analytically, so the finite-difference tests in the suite exercise the
-real code path rather than an autograd wrapper.
+sigmoid language head for multi-task training.  Only the task loss reads
+the language head, so only it asks ``forward`` for it; prediction,
+validation and the adversarial passes compute the detection head alone.
+All gradients are derived analytically, so the finite-difference tests in
+the suite exercise the real code path rather than an autograd wrapper.
 
 Virtual adversarial smoothing is available as an extra loss term: for each
 input the locally most-sensitive direction is estimated by power iteration
@@ -212,8 +214,15 @@ def forward(
     params: MlpParams,
     x: np.ndarray,
     dropout_mask: np.ndarray | None = None,
+    language: bool = False,
 ) -> ForwardPass:
-    """Run the network.  The mask already folds in the inverted-dropout scale."""
+    """Run the network.  The mask already folds in the inverted-dropout scale.
+
+    The detection head is always computed.  The language head is computed
+    only when ``language`` is set and the network has one (the task loss
+    reads it); otherwise ``p_lang`` is None.  Either way ``p_bot`` holds
+    the same bits: the two heads share nothing past the hidden layer.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise DataError(
@@ -224,7 +233,7 @@ def forward(
     hd = h if dropout_mask is None else h * dropout_mask
     p_bot = _stable_sigmoid(hd @ params.w_bot + params.b_bot)
     p_lang = None
-    if params.has_language_head:
+    if language and params.has_language_head:
         p_lang = _stable_sigmoid(hd @ params.w_lang + params.b_lang)
     return ForwardPass(z1=z1, hidden_dropped=hd, p_bot=p_bot, p_lang=p_lang)
 
@@ -264,7 +273,7 @@ def _task_parts(
     params: MlpParams, batch: Batch, mtl: MtlConfig
 ) -> tuple[float, ForwardPass, np.ndarray, np.ndarray | None]:
     """Task loss plus the per-head dz terms (already weighted and averaged)."""
-    fwd = forward(params, batch.x, batch.dropout_mask)
+    fwd = forward(params, batch.x, batch.dropout_mask, language=mtl.enabled)
     n = batch.x.shape[0]
     y_bot = np.asarray(batch.y_bot, dtype=np.float64)
     loss_bot = bce_loss(fwd.p_bot, y_bot)

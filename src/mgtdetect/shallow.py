@@ -29,13 +29,15 @@ Tree t does not depend on the number of trees, so the grid search fits
 each (depth, rate) pair once, at the largest tree count.
 
 A model also keeps its trees as flat node arrays (feature, threshold,
-children, leaf value), the usual layout for scoring tree ensembles (as in
-QuickScorer, Lucchese et al., SIGIR 2015), always derived from the trees.
-Scoring routes all rows through all trees one level per step and adds the
-trees' outputs in tree order, so it gives the same sums, bit for bit, as
-walking each tree in turn.  The grid search routes the validation rows
-through a fit once and scores every tree count from the running sum of
-its trees' outputs, the sums a model of that many trees would give.
+interleaved left and right children, leaf value), the usual layout for
+scoring tree ensembles (as in QuickScorer, Lucchese et al., SIGIR 2015),
+always derived from the trees.  Scoring routes all rows through all trees
+one level per step, each step one gather of every row's next node, and
+adds the trees' outputs in tree order with one sequential
+``np.add.accumulate``, a left fold, so it gives the same sums, bit for
+bit, as walking each tree in turn.  The grid search routes the validation
+rows through a fit once and scores every tree count from the same running
+sums, the sums a model of that many trees would give.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ _SPLIT_GAIN_EPS = 1e-12
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-z))
+    # Below about -709, exp(-z) overflows to inf and the value is 0.0, as
+    # it should be; only the warning is silenced.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _check_features(x: np.ndarray, what: str) -> np.ndarray:
@@ -137,8 +142,12 @@ def _nearest_k(model: KnnModel, q: np.ndarray) -> np.ndarray:
     # Squared Euclidean distances via the expansion.  BLAS may sum a product
     # in another order for another block shape or output column, so the
     # last bits of a distance can depend on the rows scored with it.
+    # The steps of q_sq + x_sq - 2 (q . x), clipped at 0, run in place.
     q_sq = np.sum(q**2, axis=1)
-    d2 = np.maximum(q_sq[:, None] + model.x_sq[None, :] - 2.0 * (q @ model.x.T), 0.0)
+    d2 = q @ model.x.T
+    d2 *= 2.0
+    np.subtract(q_sq[:, None] + model.x_sq, d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
     kth = np.partition(d2, model.k - 1, axis=1)[:, model.k - 1 : model.k]
     below = d2 < kth
     ties = d2 == kth
@@ -429,17 +438,17 @@ class _NodeArrays(NamedTuple):
     """A model's trees as flat node arrays, tree after tree, each in preorder.
 
     A split node sends a row left when ``x[feature] <= threshold`` and right
-    otherwise, NaN included.  A leaf has feature -1 and is its own left and
-    right child, so a row routed for more levels than its tree is deep stays
-    on its leaf; a split has value 0.0.  ``roots`` and ``depths`` hold each
-    tree's first node and depth; ``max_feature`` is the highest split
-    feature, or -1.
+    otherwise, NaN included.  Node i's children are ``kids[2 * i]`` (left)
+    and ``kids[2 * i + 1]`` (right), so a row's next node is one gather.  A
+    leaf has feature -1 and is its own left and right child, so a row
+    routed for more levels than its tree is deep stays on its leaf; a split
+    has value 0.0.  ``roots`` and ``depths`` hold each tree's first node and
+    depth; ``max_feature`` is the highest split feature, or -1.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    kids: np.ndarray
     value: np.ndarray
     roots: np.ndarray
     depths: np.ndarray
@@ -450,8 +459,7 @@ class _NodeArrays(NamedTuple):
         """Flatten trees with an explicit stack: no tree depth makes Python recurse."""
         feature: list[int] = []
         threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
+        kids: list[int] = []
         value: list[float] = []
         roots: list[int] = []
         depths: list[int] = []
@@ -464,28 +472,25 @@ class _NodeArrays(NamedTuple):
                 node, parent, level = stack.pop()
                 index = len(feature)
                 if parent >= 0:
-                    right[parent] = index
+                    kids[2 * parent + 1] = index
                 if node.is_leaf:
                     feature.append(-1)
                     threshold.append(0.0)
                     value.append(node.value)
-                    left.append(index)
-                    right.append(index)
+                    kids += (index, index)
                     depth = max(depth, level)
                 else:
                     feature.append(node.feature)
                     threshold.append(node.threshold)
                     value.append(0.0)
-                    left.append(index + 1)  # preorder: the left child is next
-                    right.append(-1)
+                    kids += (index + 1, -1)  # preorder: the left child is next
                     stack.append((node.right, index, level + 1))
                     stack.append((node.left, -1, level + 1))
             depths.append(depth)
         return cls(
             feature=np.array(feature, dtype=np.intp),
             threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
+            kids=np.array(kids, dtype=np.intp),
             value=np.array(value, dtype=np.float64),
             roots=np.array(roots, dtype=np.intp),
             depths=np.array(depths, dtype=np.intp),
@@ -499,12 +504,19 @@ class _NodeArrays(NamedTuple):
                 f"boosted tree splits on feature {self.max_feature}, "
                 f"but its input has {x.shape[1]} columns"
             )
-        rows = np.arange(x.shape[0])
+        # Row r's cell of feature f is flat[r * width + f]; a leaf's -1
+        # reads some cell, and either answer keeps the row on the leaf.
+        flat = np.ascontiguousarray(x).ravel()
+        row_starts = np.arange(x.shape[0]) * x.shape[1]
         node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
         for _ in range(int(self.depths.max(initial=0))):
-            goes_left = x[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(goes_left, self.left[node], self.right[node])
-        return self.value[node]
+            cell = self.feature.take(node)
+            cell += row_starts
+            goes_right = ~(flat.take(cell) <= self.threshold.take(node))
+            node *= 2
+            node += goes_right
+            node = self.kids.take(node)
+        return self.value.take(node)
 
 
 @dataclass(frozen=True)
@@ -518,13 +530,18 @@ class GbtModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _NodeArrays.of(self.trees))
 
+    def raw_sums(self, x: np.ndarray) -> np.ndarray:
+        """(trees + 1, rows): row t is the raw score of the model's first t
+        trees, the base score plus their outputs added in tree order."""
+        leaves = self.nodes.leaf_values(x)
+        sums = np.empty((len(leaves) + 1, x.shape[0]), dtype=np.float64)
+        sums[0] = self.base_score
+        np.multiply(self.learning_rate, leaves, out=sums[1:])
+        # accumulate is a sequential left fold: row t is row t - 1 plus tree t.
+        return np.add.accumulate(sums, axis=0, out=sums)
+
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        x = _check_features(x, "gbt query matrix")
-        raw = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        # Tree outputs are added one tree at a time, in tree order.
-        for leaves in self.learning_rate * self.nodes.leaf_values(x):
-            raw += leaves
-        return raw
+        return self.raw_sums(_check_features(x, "gbt query matrix"))[-1]
 
 
 def gbt_predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:
@@ -699,8 +716,9 @@ def grid_search(
     rate.  Tree t of a fit does not depend on the number of trees asked
     for, so each (depth, rate) pair is fit once, at the largest tree count.
     The validation rows are routed through that fit once, and each tree
-    count is scored from the running sum of the trees' outputs, added in
-    tree order as ``predict_raw`` adds them for a model of that many trees.
+    count is scored from the running sums of the trees' outputs
+    (``GbtModel.raw_sums``), the sum ``predict_raw`` gives for a model of
+    that many trees.
     """
     x_train = _check_features(x_train, "grid-search training matrix")
     x_val = _check_features(x_val, "grid-search validation matrix")
@@ -717,13 +735,9 @@ def grid_search(
                 max_depth=max_depth,
                 learning_rate=learning_rate,
             )
-            raw = np.full(x_val.shape[0], full.base_score, dtype=np.float64)
-            scaled = full.learning_rate * full.nodes.leaf_values(x_val)
-            for n_trees, leaves in enumerate(scaled, start=1):
-                raw += leaves
-                if n_trees not in estimators:
-                    continue
-                preds = (_sigmoid(raw) >= 0.5).astype(np.int64)
+            sums = full.raw_sums(x_val)
+            for n_trees in estimators:
+                preds = (_sigmoid(sums[n_trees]) >= 0.5).astype(np.int64)
                 rank = (-macro_f1(y_val, preds), n_trees, max_depth, learning_rate)
                 if best is None or rank < best[0]:
                     params = GbtHyperparams(n_trees, max_depth, learning_rate)

@@ -390,6 +390,32 @@ class TestPredict:
         assert all(prob == "0" and label == "human" for _, prob, label in rows)
 
 
+    def test_gbt_score_past_the_exp_range_is_human_without_a_warning(
+        self, workdir, gbt_checkpoint, tmp_path
+    ):
+        # exp(-z) overflows a double below a raw score of about -709.78.  The
+        # command runs in a process of its own, where a numpy warning would
+        # print to stderr instead of failing the suite: stderr holds only
+        # the command's own report.
+        kind, payload = load_checkpoint(gbt_checkpoint)
+        payload["model"].update(trees=[{"value": -1000.0}], learning_rate=1.0, base_score=0.0)
+        ckpt = tmp_path / "gbt.json"
+        save_checkpoint(ckpt, kind, payload)
+        out = tmp_path / "preds.tsv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = [
+            "predict",
+            "--corpus", f"en={workdir / 'small.tsv'}",
+            "--model-path", str(ckpt),
+            "--output", str(out),
+        ]
+        done = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env, capture_output=True)
+        assert done.returncode == 0
+        assert done.stderr.decode() == f"wrote 16 predictions to {out}\n"
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(prob == "0" and label == "human" for _, prob, label in rows)
+
     def test_svm_checkpoint_with_a_huge_ngram_max_predicts(self, workdir, tmp_path):
         # No n-gram is longer than its text, so ngram_max 10**9 scores as the
         # longest text's length does, instead of trying every n up to it.

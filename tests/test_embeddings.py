@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,10 @@ from mgtdetect.embeddings import (
     chain_start,
     code_points,
     embed_corpus,
+    gram_counts,
     load_embeddings,
     save_embeddings,
+    text_index,
     window_levels,
 )
 from mgtdetect.errors import ConfigError, DataError
@@ -143,6 +146,75 @@ class TestMatchesGramByGramReference:
         assert embed_corpus(docs, cfg).tobytes() == reference_embed_corpus(docs, cfg).tobytes()
 
 
+def reference_gram_counts(docs, cfg):
+    """Integer counts window by window: each window's chain hash from the
+    scalar reference, its top bit the sign and its low bits the bucket."""
+    rows = np.zeros((len(docs), cfg.dim), dtype=np.int64)
+    for row, doc in zip(rows, docs):
+        text = " ".join(doc.text.split())
+        for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+            for i in range(len(text) - n + 1):
+                h = gram_hash(text[i : i + n], cfg.seed)
+                row[(h & _BUCKET_MASK) % cfg.dim] += -1 if h & _SIGN_BIT else 1
+    return rows
+
+
+class TestGramCounts:
+    """The single count pass per block, against a window-by-window count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_texts, max_size=8), cfg=_configs)
+    def test_equals_window_by_window_reference(self, texts, cfg):
+        docs = en_docs(texts)
+        counts = gram_counts(docs, cfg)
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == reference_gram_counts(docs, cfg).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(_texts, max_size=10),
+        cuts=st.lists(st.integers(0, 10), max_size=3),
+        cfg=_configs,
+        block_chars=st.integers(1, 64),
+    )
+    def test_consecutive_calls_give_the_counts_of_one_call(self, texts, cuts, cfg, block_chars):
+        docs = en_docs(texts)
+        whole = gram_counts(docs, cfg)
+        bounds = sorted({min(cut, len(docs)) for cut in cuts} | {0, len(docs)})
+        with mock.patch.object(embeddings, "_BLOCK_CHARS", block_chars):
+            parts = [gram_counts(docs[a:b], cfg) for a, b in zip(bounds, bounds[1:])]
+        joined = np.concatenate([whole[:0], *parts])
+        assert joined.tobytes() == whole.tobytes()
+
+    def test_one_block_keeps_one_slot_per_document_and_bucket(self):
+        # 2,000 three-character documents make one block, whose counts are
+        # held twice: the int64 rows returned and the float64 count pass,
+        # n * dim slots each, with the windows' arrays small beside them.  A
+        # pass of two slots per (document, bucket), or a per-length pass
+        # summed into a third buffer, would take half as much again.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        texts = ["".join(letters[i // 26**k % 26] for k in range(3)) for i in range(2000)]
+        docs = en_docs(texts)
+        cfg = FallbackEmbedderConfig()
+        assert sum(map(len, texts)) <= embeddings._BLOCK_CHARS
+        gram_counts(docs[:2], cfg)
+        tracemalloc.start()
+        try:
+            counts = gram_counts(docs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slots = len(docs) * cfg.dim * 8
+        assert peak < 2.5 * slots
+        assert counts.tobytes() == reference_gram_counts(docs, cfg).tobytes()
+
+    def test_mix_leaves_its_argument_alone(self):
+        z = np.arange(5, dtype=np.uint64)
+        mixed = embeddings._mix(z)
+        assert z.tolist() == [0, 1, 2, 3, 4]
+        assert mixed.tolist() == [splitmix64(v) for v in range(5)]
+
+
 # Code-point texts: NUL, a lone surrogate and an astral code point among
 # them, and the empty text.
 _unit_texts = st.lists(
@@ -173,7 +245,9 @@ class TestWindowLevels:
         text_of = [t for t, text in enumerate(texts) for _ in text]
         units = np.array(joined, dtype=np.uint32)
         lengths = [len(text) for text in texts]
-        levels = list(window_levels(units, lengths, lo, hi, chain_start(seed)))
+        doc = text_index(lengths)
+        assert doc.tolist() == text_of
+        levels = list(window_levels(units, lengths, lo, hi, chain_start(seed), doc))
         # One level per n up to the longest text, whatever hi is.
         longest = max(lengths, default=0)
         assert len(levels) == len(range(lo, min(hi, longest) + 1))

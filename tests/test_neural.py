@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtdetect import neural
 from mgtdetect.checkpoint import encode_array
@@ -325,6 +327,75 @@ class TestForward:
             W1=np.array([[1000.0]]), b1=np.zeros(1), w_bot=np.array([2.0]), b_bot=0.0
         )
         assert predict_proba(positive, np.array([[1.0]]))[0] == pytest.approx(1.0)
+
+
+class TestLanguageHead:
+    """Only the task loss computes the language head, and the detection
+    head's bits do not depend on whether it was computed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        with_head=st.booleans(),
+        mtl=st.booleans(),
+        # Logits far past where exp overflows a double.
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 3e4]),
+        rows=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_detection_head_alone_keeps_its_bits(self, with_head, mtl, scale, rows, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(4, hidden=5, with_language_head=with_head, seed=rng)
+        params = dataclasses.replace(
+            params,
+            W1=params.W1 * scale,
+            w_bot=params.w_bot * scale,
+            w_lang=None if params.w_lang is None else params.w_lang * scale,
+        )
+        x = rng.normal(size=(rows, 4)) * scale
+        full = forward(params, x, language=True)
+        assert (full.p_lang is not None) == with_head
+        assert forward(params, x).p_lang is None
+        assert predict_proba(params, x).tobytes() == full.p_bot.tobytes()
+        batch = Batch(
+            x=x,
+            y_bot=(rng.random(rows) < 0.5).astype(float),
+            y_lang=(rng.random(rows) < 0.5).astype(float),
+        )
+        if mtl and not with_head:
+            with pytest.raises(DataError):
+                neural._task_parts(params, batch, MtlConfig(enabled=True))
+            return
+        _, fwd, _, dz_lang = neural._task_parts(params, batch, MtlConfig(enabled=mtl))
+        assert fwd.p_bot.tobytes() == full.p_bot.tobytes()
+        if mtl:
+            assert fwd.p_lang.tobytes() == full.p_lang.tobytes()
+            assert dz_lang is not None
+        else:
+            assert fwd.p_lang is None and dz_lang is None
+
+    def test_training_computes_it_once_per_batch(self, monkeypatch):
+        # Per batch: the clean pass, one power iteration, the two signs and
+        # the perturbed loss skip it; the task loss computes it.  The
+        # validation pass skips it too.
+        heads = []
+        real_forward = neural.forward
+
+        def recorded(*args, **kwargs):
+            fwd = real_forward(*args, **kwargs)
+            heads.append(fwd.p_lang is not None)
+            return fwd
+
+        monkeypatch.setattr(neural, "forward", recorded)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(48, 5))
+        tr = LabeledSet(x=x, y_bot=(x[:, 0] > 0).astype(float), y_lang=(x[:, 1] > 0).astype(float))
+        va = LabeledSet(x=x[:8], y_bot=tr.y_bot[:8])
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=24, seed=0)
+        params, _ = train(
+            tr, va, mtl=MtlConfig(enabled=True), vat=VatConfig(enabled=True), cfg=cfg, hidden=4
+        )
+        assert params.has_language_head
+        assert heads == ([False] * 4 + [True, False]) * 2 + [False]
 
 
 class TestBceLoss:

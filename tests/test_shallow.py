@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -846,6 +847,28 @@ class TestGbtNodeArrays:
             model.predict_raw(x), [0.0, 0.0, 3.0, 4998.0, -1.0, -1.0]
         )
         assert model.predict_raw(x).tobytes() == predict_raw_reference(model, x).tobytes()
+
+
+class TestGbtSigmoid:
+    """Probabilities of raw scores past the exp range are 0.0, with no warning."""
+
+    def test_score_past_the_exp_range_is_0_without_a_warning(self):
+        # exp(-z) overflows a double below a raw score of about -709.78.
+        model = GbtModel(trees=(TreeNode(value=-1000.0),), learning_rate=1.0, base_score=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = gbt_predict_proba_many(model, np.zeros((3, 2)))
+            assert shallow._sigmoid(-1000.0) == 0.0
+        assert probs.tolist() == [0.0, 0.0, 0.0]
+
+    def test_every_probability_keeps_the_bits_of_the_plain_formula(self):
+        z = np.concatenate([
+            np.linspace(-709.78, 709.78, 1001),
+            [-709.7, -36.0, -1e-300, -0.0, 0.0, 1e-300, 36.0, 710.0, 1e3, 1e308],
+        ])
+        assert shallow._sigmoid(z).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
+        past = np.array([-709.8, -745.2, -1e3, -1e308, -np.inf])
+        assert shallow._sigmoid(past).tolist() == [0.0] * len(past)
 
 
 def _one_split_model(feature: int) -> GbtModel:

@@ -15,11 +15,16 @@ Python's shortest-repr rule.  Both forms round-trip every double bit for
 bit, so saving and reloading a model reproduces its parameters exactly.  A
 checkpoint holding ``NaN`` or ``Infinity``, as a JSON number or inside an
 array, or a number too large for a double, such as ``1e400``, is refused
-when read, and so is one nested too deeply for the JSON decoder.  A decoder
-reads each scalar field through :func:`stored_int`, :func:`stored_float` or
-:func:`stored_str`, so a string where a number belongs, a bool, a fraction
-where an integer belongs, an integer too large for a double or a non-string
-where a text belongs is refused too, by the field's key.
+when read, and so is one nested too deeply for the JSON decoder.
+
+Each payload kind has one table, beside its writer, that names every field
+the writer writes, its JSON kind and whether it may be absent.  A decoder
+reads its payload through :func:`checked`, which refuses a missing field,
+a field the table does not name and a value of the wrong kind (a string
+where a number belongs, a bool, a fraction where an integer belongs, an
+integer too large for a double), naming the field's path in the payload,
+such as ``model.support_texts[3]``.  The decoder builds its model from the
+checked values and checks what spans fields, such as shapes that agree.
 
 Writers write format version 4, and readers read versions 2, 3 and 4.
 Version 4 changed the kNN base: it stores the unscaled blocks its rows were
@@ -30,8 +35,10 @@ read as it is.  Versions 2 and 3 differ only in the featurizer, whose
 ``"hash"`` key version 3 added: a version 2 featurizer hashed n-grams with
 an earlier hash than the splitmix64 chain, so the pipeline refuses one that
 names no hash and the model must be retrained, while a version 2 svm, which
-has no featurizer, is read as it is.  Version 1, which stored arrays as
-nested JSON lists, and every other version are refused.
+has no featurizer, is read as it is.  No payload since version 2 holds a
+field today's writers do not write, so one set of tables reads them all.
+Version 1, which stored arrays as nested JSON lists, and every other
+version are refused.
 
 Writes go through a temporary file in the destination directory followed
 by an atomic rename, so a crash mid-write never leaves a truncated
@@ -45,12 +52,16 @@ import base64
 import json
 import math
 import os
+import reprlib
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 import numpy as np
 
-from .errors import DataError, decode_utf8
+from .errors import ConfigError, DataError, decode_utf8
+
+T = TypeVar("T")
 
 FORMAT_VERSION = 4
 READ_VERSIONS = (2, 3, FORMAT_VERSION)
@@ -94,7 +105,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 # The signed integer widths an array may be stored at, narrowest first.
 INT_CODES = ("<i1", "<i2", "<i4", "<i8")
-_ARRAY_KEYS = ("dtype", "shape", "b64")
+# The fields of an encode_array object.
+_ARRAY_TABLE = {"dtype": str, "shape": [int], "b64": str}
 
 
 def _stored_code(dtype: np.dtype) -> str | None:
@@ -133,45 +145,41 @@ def narrowest_int(arr: np.ndarray) -> np.ndarray:
     raise AssertionError("an int64 array fits int64")
 
 
-def decode_array(obj: object, dtype: type, any_int_width: bool = False) -> np.ndarray:
+def decode_array(
+    obj: object, dtype: type, any_int_width: bool = False, path: str = "array"
+) -> np.ndarray:
     """Read an array written by :func:`encode_array` as a native ``dtype`` copy.
 
-    Refuses, with :class:`DataError`, a stored dtype other than ``dtype``'s,
-    a shape that is not a list of non-negative ints, invalid base64, a byte
-    length that does not match the shape, and non-finite floats.  With
+    Refuses, with :class:`DataError` naming ``path``, an object without
+    exactly those fields, a stored dtype other than ``dtype``'s, a shape
+    that is not a list of non-negative ints, invalid base64, a byte length
+    that does not match the shape, and non-finite floats.  With
     ``any_int_width``, an integer array may be stored at any width of
     ``INT_CODES`` and is returned at that width.
     """
     expected = np.dtype(dtype)
     allowed = INT_CODES if any_int_width else (_stored_code(expected),)
-    if not isinstance(obj, dict):
-        raise DataError(f"an array must be an object with keys {_ARRAY_KEYS}")
-    missing = [key for key in _ARRAY_KEYS if key not in obj]
-    if missing:
-        raise DataError(f"array is missing {missing}")
-    code = obj["dtype"]
+    fields = checked(obj, _ARRAY_TABLE, path)
+    code, shape = fields["dtype"], fields["shape"]
     if code not in allowed:
         want = " or ".join(map(repr, allowed))
-        raise DataError(f"array has dtype {code!r}, expected {want}")
-    shape = obj["shape"]
-    if not isinstance(shape, list) or not all(
-        type(n) is int and n >= 0 for n in shape
-    ):
-        raise DataError(f"array shape must be a list of non-negative ints, got {shape!r}")
+        raise DataError(f"{path} has dtype {reprlib.repr(code)}, expected {want}")
+    if min(shape, default=0) < 0:
+        raise DataError(f"{path} shape must be non-negative, got {reprlib.repr(shape)}")
     try:
-        raw = base64.b64decode(obj["b64"], validate=True)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"array bytes are not valid base64: {exc}") from exc
+        raw = base64.b64decode(fields["b64"], validate=True)
+    except ValueError as exc:
+        raise DataError(f"{path} bytes are not valid base64: {exc}") from exc
     stored = np.dtype(code)
     if len(raw) != stored.itemsize * math.prod(shape):
-        raise DataError(f"array of shape {shape} holds {len(raw)} bytes")
+        raise DataError(f"{path} of shape {shape} holds {len(raw)} bytes")
     native = stored.newbyteorder("=") if any_int_width else expected
     try:
         arr = np.frombuffer(raw, dtype=stored).astype(native).reshape(shape)
     except ValueError as exc:  # an empty array with an axis numpy cannot index
-        raise DataError(f"array shape {shape} is too large: {exc}") from exc
+        raise DataError(f"{path} shape {shape} is too large: {exc}") from exc
     if expected.kind == "f" and not np.isfinite(arr).all():
-        raise DataError("array holds a non-finite number")
+        raise DataError(f"{path} holds a non-finite number")
     return arr
 
 
@@ -203,40 +211,123 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def stored_int(value: object, key: str) -> int:
-    """A payload's integer field: a JSON integer, not a bool (an int subclass),
-    a float or a string."""
-    if type(value) is not int:
-        raise DataError(f"{key} must be an integer, got {value!r}")
-    return value
+class Array(NamedTuple):
+    """A table's array field: an :func:`encode_array` object of ``dtype``
+    with ``ndim`` axes, stored at any width of ``INT_CODES`` when
+    ``any_int_width``."""
+
+    dtype: type
+    ndim: int
+    any_int_width: bool = False
 
 
-def stored_float(value: object, key: str) -> float:
-    """A payload's float field: a finite JSON number, integer or not, and not
-    a bool or a string.  An integer too large for a double is refused."""
-    if type(value) not in (int, float):
-        raise DataError(f"{key} must be a number, got {value!r}")
+class _Optional(NamedTuple):
+    spec: object
+
+
+def optional(spec: object) -> _Optional:
+    """A table's field that may be absent."""
+    return _Optional(spec)
+
+
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _at(path: str, key: str | int) -> str:
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _refuse(value: object, path: str, key: str | int, expected: str) -> NoReturn:
+    # reprlib bounds the repr: a refused value may be a whole list or object.
+    raise DataError(f"{_at(path, key)} must be {expected}, got {reprlib.repr(value)}")
+
+
+def _check(value: object, spec: object, path: str, key: str | int) -> object:
+    """``value``, field ``key`` of the object at ``path`` (item ``key`` of
+    the list there when ``key`` is an int), checked against ``spec``."""
+    if type(spec) is type:
+        # The type itself, not a subclass: a bool is no integer.  A number
+        # field takes a finite fraction, or an integer as a float.
+        if type(value) is spec:
+            if spec is not float or math.isfinite(value):
+                return value
+            _refuse(value, path, key, "a finite number")
+        if spec is float and type(value) is int:
+            try:
+                return float(value)
+            except OverflowError:
+                too_large = f"{_at(path, key)} is an integer too large for a double"
+                raise DataError(too_large) from None
+        _refuse(value, path, key, _EXPECTED[spec])
+    where = _at(path, key)
+    if type(spec) is dict:
+        return checked(value, spec, where)
+    if type(spec) is list:
+        items = _check(value, list, path, key)
+        return [_check(item, spec[0], where, i) for i, item in enumerate(items)]
+    if type(spec) is Array:
+        arr = decode_array(value, spec.dtype, spec.any_int_width, where)
+        if arr.ndim != spec.ndim:
+            raise DataError(f"{where} must have {spec.ndim} axes, got shape {list(arr.shape)}")
+        return arr
+    if type(spec) is frozenset:
+        if type(value) is str and value in spec:
+            return value
+        _refuse(value, path, key, f"one of {', '.join(map(repr, sorted(spec)))}")
+    if type(spec) is _Optional:
+        return _check(value, spec.spec, path, key)
+    return spec(value, where)
+
+
+def checked(data: object, table: dict, path: str = "") -> dict:
+    """``data``'s fields checked against ``table``, as a dict of checked values.
+
+    A table maps each field's key to its spec: ``int``, ``float`` (a finite
+    number, read as a float), ``str``, ``bool``, ``dict`` (an object its
+    own decoder checks), a one-item list (a list of that spec), an
+    :class:`Array`, a frozenset of the strings allowed, a nested table, a
+    function ``(value, path)`` that decodes a nested payload, or any of
+    these wrapped by :func:`optional`.  ``path`` is where ``data`` sits in
+    its payload, ``""`` for the payload itself.  Every refusal names the
+    field's path; a missing field is named before an unknown one.
+    """
+    if type(data) is not dict:
+        raise DataError(f"{path or 'payload'} must be an object, got {reprlib.repr(data)}")
+    values = {}
+    for key, value in data.items():
+        spec = table.get(key)
+        if spec is None:
+            break
+        # Inline, the common case: a value of its spec's type, a float finite.
+        if type(value) is not spec or spec is float and not math.isfinite(value):
+            value = _check(value, spec, path, key)
+        values[key] = value
+    if len(values) != len(table):
+        for name, spec in table.items():
+            if name not in data and type(spec) is not _Optional:
+                raise DataError(f"{_at(path, name)} is missing")
+    if len(values) != len(data):
+        raise DataError(f"{_at(path, key)} is an unknown field")
+    return values
+
+
+def built(cls: Callable[..., T], path: str, **values: object) -> T:
+    """``cls(**values)``, its refusal naming ``path``: a decoder builds a
+    model or its settings from a payload here, so a settings class's
+    :class:`ConfigError` is the payload's fault, a :class:`DataError`."""
     try:
-        number = float(value)
-    except OverflowError:
-        raise DataError(f"{key} is an integer too large for a double") from None
-    if not math.isfinite(number):
-        raise DataError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def stored_str(value: object, key: str) -> str:
-    """A payload's text field: a JSON string, not null, a number or a list."""
-    if type(value) is not str:
-        raise DataError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def stored_list(value: object, key: str) -> list:
-    """A payload's list field: a JSON array, not a string or an object."""
-    if type(value) is not list:
-        raise DataError(f"{key} must be a list, got {value!r}")
-    return value
+        return cls(**values)
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict]:

@@ -25,12 +25,13 @@ the (text, n-gram) postings it makes, not with the windows it hashes.
 For a kernel row of indexed text i, one ``np.bincount`` over the
 postings of i's ids (the texts that hold each id, inverted once per
 index) gives the exact integer count of n-grams i shares with every
-indexed text.  No n-gram is longer than the text that holds it, whatever
-``ngram_max`` is.  A row's normalization ``raw / sqrt(self_x * self_y)``
-is element-wise float64 division and square root, which round exactly
-like their scalar forms, so a row equals the scalar formula bit for bit,
-its diagonal included.  Every Gram value is read from a row:
-``spectrum_kernel``'s too, from an index over its two texts.
+indexed text.  No n-gram is longer than the text that holds it, or than
+``ngram_max``, which ``KernelConfig`` bounds by ``MAX_NGRAM``.  A row's
+normalization ``raw / sqrt(self_x * self_y)`` is element-wise float64
+division and square root, which round exactly like their scalar forms, so
+a row equals the scalar formula bit for bit, its diagonal included.
+Every Gram value is read from a row: ``spectrum_kernel``'s too, from an
+index over its two texts.
 
 The SVM is served in primal form.  The normalized kernel is the dot
 product of ``phi(x) / |phi(x)|``, with ``phi`` the 0/1 indicator of
@@ -87,14 +88,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import (
-    decode_array,
-    encode_array,
-    stored_float,
-    stored_int,
-    stored_list,
-    stored_str,
-)
+from .checkpoint import Array, built, checked, encode_array
 from .embeddings import _blocks, chain_start, code_points, text_index, window_levels
 from .errors import ConfigError, DataError
 
@@ -104,6 +98,9 @@ _MIN_ALPHA_STEP = 1e-12
 _SUPPORT_EPS = 1e-8
 # Texts are indexed in blocks of about this many units (see _NgramIndex).
 _BLOCK_UNITS = 1 << 12
+# The longest n-gram a kernel counts: past the texts, ngram_max costs the
+# cube of their length.  Every shipped configuration counts 3- to 5-grams.
+MAX_NGRAM = 32
 # svm_train keeps at most this many bytes of kernel rows (LIBSVM's kernel
 # cache defaults to 100 MB).
 _ROW_CACHE_BYTES = 1 << 27
@@ -125,6 +122,10 @@ class KernelConfig:
         if not (1 <= self.ngram_min <= self.ngram_max):
             raise ConfigError(
                 f"bad n-gram range ({self.ngram_min}, {self.ngram_max})"
+            )
+        if self.ngram_max > MAX_NGRAM:
+            raise ConfigError(
+                f"ngram_max must be at most {MAX_NGRAM}, got {self.ngram_max}"
             )
 
 
@@ -607,15 +608,17 @@ def kernel_config_to_jsonable(cfg: KernelConfig) -> dict:
     }
 
 
-def kernel_config_from_jsonable(data: dict) -> KernelConfig:
-    try:
-        values = {key: stored_int(data[key], key) for key in ("ngram_min", "ngram_max")}
-        values["normalize"] = data["normalize"]
-        if type(values["normalize"]) is not bool:
-            raise TypeError(f"normalize must be true or false, got {values['normalize']!r}")
-        return KernelConfig(unit=NgramUnit(data["unit"]), **values)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed kernel settings: {exc}") from exc
+_KERNEL_TABLE = {
+    "ngram_min": int,
+    "ngram_max": int,
+    "unit": frozenset(unit.value for unit in NgramUnit),
+    "normalize": bool,
+}
+
+
+def kernel_config_from_jsonable(data: dict, path: str = "kernel") -> KernelConfig:
+    values = checked(data, _KERNEL_TABLE, path)
+    return built(KernelConfig, path, **values | {"unit": NgramUnit(values["unit"])})
 
 
 def svm_to_jsonable(model: SvmModel) -> dict:
@@ -628,19 +631,16 @@ def svm_to_jsonable(model: SvmModel) -> dict:
     }
 
 
-def svm_from_jsonable(data: dict) -> SvmModel:
-    try:
-        return SvmModel(
-            support_indices=tuple(
-                stored_int(i, "support_indices") for i in data["support_indices"]
-            ),
-            dual_coef=decode_array(data["dual_coef"], np.float64),
-            bias=stored_float(data["bias"], "bias"),
-            C=stored_float(data["C"], "C"),
-            support_texts=tuple(
-                stored_str(t, f"support_texts[{i}]")
-                for i, t in enumerate(stored_list(data["support_texts"], "support_texts"))
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed svm model: {exc}") from exc
+_SVM_TABLE = {
+    "support_indices": [int],
+    "dual_coef": Array(np.float64, 1),
+    "bias": float,
+    "C": float,
+    "support_texts": [str],
+}
+
+
+def svm_from_jsonable(data: dict, path: str = "model") -> SvmModel:
+    values = checked(data, _SVM_TABLE, path)
+    texts = {key: tuple(values[key]) for key in ("support_indices", "support_texts")}
+    return built(SvmModel, path, **values | texts)

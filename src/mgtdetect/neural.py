@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 import numpy as np
 
-from .checkpoint import decode_array, encode_array, stored_float, stored_int
+from .checkpoint import Array, checked, encode_array, optional
 from .errors import ConfigError, DataError, check_settings
 
 HIDDEN_UNITS = 64
@@ -600,32 +600,32 @@ def params_to_jsonable(params: MlpParams) -> dict:
     return out
 
 
-def params_from_jsonable(data: dict) -> MlpParams:
-    try:
-        params = MlpParams(
-            W1=decode_array(data["W1"], np.float64),
-            b1=decode_array(data["b1"], np.float64),
-            w_bot=decode_array(data["w_bot"], np.float64),
-            b_bot=stored_float(data["b_bot"], "b_bot"),
-            w_lang=(
-                decode_array(data["w_lang"], np.float64) if "w_lang" in data else None
-            ),
-            b_lang=stored_float(data["b_lang"], "b_lang") if "b_lang" in data else None,
-        )
-        stored_shape = tuple(
-            stored_int(data[key], key) for key in ("input_dim", "hidden")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed network weights: {exc}") from exc
-    if params.W1.ndim != 2 or params.b1.shape != (params.W1.shape[1],):
-        raise DataError("malformed network weights: inconsistent layer shapes")
+_PARAMS_TABLE = {
+    "input_dim": int,
+    "hidden": int,
+    "W1": Array(np.float64, 2),
+    "b1": Array(np.float64, 1),
+    "w_bot": Array(np.float64, 1),
+    "b_bot": float,
+    "w_lang": optional(Array(np.float64, 1)),
+    "b_lang": optional(float),
+}
+
+
+def params_from_jsonable(data: dict, path: str = "params") -> MlpParams:
+    values = checked(data, _PARAMS_TABLE, path)
+    stored_shape = (values.pop("input_dim"), values.pop("hidden"))
+    params = MlpParams(**values)
     if stored_shape != params.W1.shape:
         raise DataError(
-            f"malformed network weights: input_dim and hidden {stored_shape} "
-            f"do not match W1 shape {params.W1.shape}"
+            f"{path}.input_dim and {path}.hidden {stored_shape} "
+            f"do not match {path}.W1 shape {params.W1.shape}"
         )
-    if params.w_bot.shape != (params.W1.shape[1],):
-        raise DataError("malformed network weights: detection head shape mismatch")
-    if params.w_lang is not None and params.w_lang.shape != (params.W1.shape[1],):
-        raise DataError("malformed network weights: language head shape mismatch")
+    for key in ("b1", "w_bot", "w_lang"):
+        if key in values and values[key].shape != (params.hidden,):
+            raise DataError(
+                f"{path}.{key} has shape {values[key].shape}, expected ({params.hidden},)"
+            )
+    if ("w_lang" in values) != ("b_lang" in values):
+        raise DataError(f"{path} holds only one of w_lang and b_lang")
     return params

@@ -53,14 +53,14 @@ from .config import BASE_MODEL_NAMES, AppConfig
 from .corpus import Corpus, Language, SplitSpec, split
 from .checkpoint import (
     MODEL_KINDS,
-    decode_array,
+    Array,
+    built,
+    checked,
     encode_array,
     load_checkpoint,
     narrowest_int,
+    optional,
     save_checkpoint,
-    stored_float,
-    stored_int,
-    stored_str,
 )
 # ``embed_corpus`` is not called here (the featurizer keeps the counts it
 # normalizes); perfbench/tracer.py wraps it by this name.
@@ -82,6 +82,7 @@ from .errors import ConfigError, DataError
 from .evaluation import macro_f1
 # ``kernel_matrix`` is not called here; perfbench/tracer.py wraps it by this name.
 from .kernels import (
+    _KERNEL_TABLE,
     KernelConfig,
     kernel_config_from_jsonable,
     kernel_config_to_jsonable,
@@ -220,16 +221,6 @@ def _scaler_to_jsonable(scaler: ScalerParams) -> dict:
     return {"means": encode_array(scaler.means), "stddevs": encode_array(scaler.stddevs)}
 
 
-def _scaler_from_jsonable(data: dict) -> ScalerParams:
-    try:
-        return ScalerParams(
-            means=decode_array(data["means"], np.float64),
-            stddevs=decode_array(data["stddevs"], np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed scaler parameters: {exc}") from exc
-
-
 def _featurizer_to_jsonable(featurizer: Featurizer) -> dict:
     data = {
         "embedder": asdict(featurizer.embedder),
@@ -242,29 +233,43 @@ def _featurizer_to_jsonable(featurizer: Featurizer) -> dict:
     return data
 
 
-def _featurizer_from_jsonable(data: dict) -> Featurizer:
-    try:
-        emb = data["embedder"]
-        keys = ("dim", "ngram_min", "ngram_max", "seed")
-        embedder = FallbackEmbedderConfig(*(stored_int(emb[key], key) for key in keys))
-        path = stored_str(data.get("embeddings_path", ""), "embeddings_path")
-        pinned = stored_str(data["embeddings_sha256"], "embeddings_sha256") if path else ""
-        scaler = _scaler_from_jsonable(data["scaler"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed featurizer settings: {exc}") from exc
-    if data.get("hash") != GRAM_HASH:
-        named = f"n-gram hash {data['hash']!r}" if "hash" in data else "no n-gram hash"
+# A version 2 featurizer has no "hash"; it is refused below, by name.
+_FEATURIZER_TABLE = {
+    "embedder": {"dim": int, "ngram_min": int, "ngram_max": int, "seed": int},
+    "hash": optional(str),
+    "embeddings_path": str,
+    "embeddings_sha256": optional(str),
+    "scaler": {"means": Array(np.float64, 1), "stddevs": Array(np.float64, 1)},
+}
+
+
+def _featurizer_from_jsonable(data: dict, path: str = "featurizer") -> Featurizer:
+    values = checked(data, _FEATURIZER_TABLE, path)
+    if values.get("hash") != GRAM_HASH:
+        named = f"n-gram hash {values['hash']!r}" if "hash" in values else "no n-gram hash"
         raise DataError(
-            f"featurizer names {named}, but this build hashes n-grams with "
+            f"{path} names {named}, but this build hashes n-grams with "
             f"{GRAM_HASH!r}, so retrain the model"
         )
-    table = embeddings_table(path)
+    embedder = built(FallbackEmbedderConfig, f"{path}.embedder", **values["embedder"])
+    scaler = built(ScalerParams, f"{path}.scaler", **values["scaler"])
+    embeddings_path, pinned = values["embeddings_path"], values.get("embeddings_sha256")
+    if embeddings_path and pinned is None:
+        raise DataError(
+            f"{path}.embeddings_sha256 is missing, but {path}.embeddings_path "
+            f"names {embeddings_path}"
+        )
+    if pinned is not None and not embeddings_path:
+        raise DataError(f"{path}.embeddings_sha256 is stored, but no embeddings_path")
+    table = embeddings_table(embeddings_path)
     if table is not None and table.sha256 != pinned:
         raise DataError(
-            f"embeddings file {path} has sha256 {table.sha256}, but the model "
-            f"was trained on a file with sha256 {pinned}"
+            f"embeddings file {embeddings_path} has sha256 {table.sha256}, but the "
+            f"model was trained on a file with sha256 {pinned}"
         )
-    return Featurizer(embedder=embedder, embeddings_path=path, scaler=scaler, table=table)
+    return Featurizer(
+        embedder=embedder, embeddings_path=embeddings_path, scaler=scaler, table=table
+    )
 
 
 def _require_labels(corpus: Corpus) -> np.ndarray:
@@ -292,7 +297,8 @@ class _Prep(NamedTuple):
     ``fit`` takes (train corpus, cfg) and returns the preparation, the
     training part's inputs and what they were made from (the featurizer's
     unscaled blocks, or None); ``inputs`` takes (preparation, corpus).  The
-    codec stores the preparation under ``key`` in a base's payload.
+    codec stores the preparation under ``key`` in a base's payload, and
+    ``table`` is the stored form's table.
     """
 
     key: str
@@ -300,6 +306,7 @@ class _Prep(NamedTuple):
     inputs: Callable[[object, Corpus], object]
     to_jsonable: Callable[[object], dict]
     from_jsonable: Callable[[dict], object]
+    table: dict
 
 
 _FEATURIZER = _Prep(
@@ -308,6 +315,7 @@ _FEATURIZER = _Prep(
     Featurizer.features,
     _featurizer_to_jsonable,
     _featurizer_from_jsonable,
+    _FEATURIZER_TABLE,
 )
 _KERNEL = _Prep(
     "kernel",
@@ -315,6 +323,7 @@ _KERNEL = _Prep(
     _preprocessed_texts,
     kernel_config_to_jsonable,
     kernel_config_from_jsonable,
+    _KERNEL_TABLE,
 )
 
 
@@ -399,40 +408,37 @@ def _embedding_key(featurizer: Featurizer) -> str:
     return "counts" if featurizer.table is None else "vectors"
 
 
-def _knn_from_jsonable(data: dict, featurizer: Featurizer) -> KnnModel:
+# A kNN base's blocks, as ``_knn_to_jsonable`` stores them, by embedding key.
+_KNN_BLOCKS = {"k": int, "labels": Array(np.int64, 1), "stats": Array(np.float64, 2)}
+_KNN_BLOCKS_TABLES = {
+    "counts": _KNN_BLOCKS | {"counts": Array(np.int64, 2, any_int_width=True)},
+    "vectors": _KNN_BLOCKS | {"vectors": Array(np.float64, 2)},
+}
+
+
+def _knn_from_jsonable(data: dict, featurizer: Featurizer, path: str = "model") -> KnnModel:
     """A stored kNN base: its scaled rows, as version 3 and a ``KnnModel``
     built from rows store them, or its blocks, whose rows are rebuilt."""
-    if isinstance(data, dict) and "x" in data:
-        return knn_from_jsonable(data)
-    hashed = featurizer.table is None
+    if "x" in data:
+        return knn_from_jsonable(data, path)
     key = _embedding_key(featurizer)
-    width = featurizer.embedder.dim if hashed else featurizer.table.dim
-    try:
-        stats = decode_array(data["stats"], np.float64)
-        embedding = decode_array(
-            data[key], np.int64 if hashed else np.float64, any_int_width=hashed
+    values = checked(data, _KNN_BLOCKS_TABLES[key], path)
+    stats, embedding, labels = values["stats"], values[key], values["labels"]
+    width = featurizer.embedder.dim if featurizer.table is None else featurizer.table.dim
+    if stats.shape[1] != len(FEATURE_NAMES):
+        raise DataError(
+            f"{path}.stats have shape {stats.shape}, expected (n, {len(FEATURE_NAMES)})"
         )
-        labels = decode_array(data["labels"], np.int64)
-        if stats.ndim != 2 or stats.shape[1] != len(FEATURE_NAMES):
-            raise DataError(
-                f"stats have shape {stats.shape}, expected (n, {len(FEATURE_NAMES)})"
-            )
-        if embedding.ndim != 2 or embedding.shape[1] != width:
-            raise DataError(f"{key} have shape {embedding.shape}, expected (n, {width})")
-        if not len(stats) == len(embedding) == len(labels):
-            raise DataError(
-                f"stats, {key} and labels hold {len(stats)}, {len(embedding)} "
-                f"and {len(labels)} rows"
-            )
-        blocks = FeatureBlocks(stats, embedding)
-        return FeaturizedKnn(
-            x=featurizer.rows(blocks),
-            labels=labels,
-            k=stored_int(data["k"], "k"),
-            blocks=blocks,
+    if embedding.shape[1] != width:
+        raise DataError(f"{path}.{key} have shape {embedding.shape}, expected (n, {width})")
+    if not len(stats) == len(embedding) == len(labels):
+        raise DataError(
+            f"{path}.stats, {key} and labels hold {len(stats)}, {len(embedding)} "
+            f"and {len(labels)} rows"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed neighbor model: {exc}") from exc
+    blocks = FeatureBlocks(stats, embedding)
+    x = featurizer.rows(blocks)
+    return built(FeaturizedKnn, path, x=x, labels=labels, k=values["k"], blocks=blocks)
 
 
 def _fit_svm(kernel, train, val, cfg, log):
@@ -627,6 +633,14 @@ def _base_payload(model: TrainedModel, kind: str, threshold: float) -> dict:
     }
 
 
+def _decoded(path, decode: Callable[..., object], *args) -> object:
+    """``decode(*args)``, its refusal naming the checkpoint file ``path``."""
+    try:
+        return decode(*args)
+    except DataError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
+
+
 def _read_base(
     path, preps: dict, entries: dict, expected_kind: str | None = None
 ) -> tuple[str, object, float]:
@@ -643,10 +657,7 @@ def _read_base(
             "ensemble checkpoints are directory bundles; "
             "pass the bundle directory, not a file inside it"
         )
-    try:
-        return _decode_base(kind, payload, preps, entries)
-    except DataError as exc:
-        raise DataError(f"checkpoint {path}: {exc}") from exc
+    return _decoded(path, _decode_base, kind, payload, preps, entries)
 
 
 def _decode_base(
@@ -654,22 +665,22 @@ def _decode_base(
 ) -> tuple[str, object, float]:
     spec = _KINDS[kind]
     key = spec.prep.key
-    try:
-        model_data, stored, threshold = (
-            payload[spec.model_key], payload[key], payload["threshold"]
-        )
-    except KeyError as exc:
-        raise DataError(f"payload is missing {exc}") from exc
-    threshold = stored_float(threshold, "threshold")
-    # The preparation first: a kNN base's rows are rebuilt through it.
+    values = checked(payload, {spec.model_key: dict, key: dict, "threshold": float})
+    stored = values[key]
+    # The preparation first: a kNN base's rows are rebuilt through it.  It
+    # is decoded once; a later base's entry is checked against its table,
+    # so that == cannot take 1.0 or true for 1, and must equal the first.
     if key not in preps:
         preps[key] = spec.prep.from_jsonable(stored)
         entries[key] = stored
+    else:
+        checked(stored, spec.prep.table, key)
     if stored != entries[key]:
         raise DataError(
             f"base {kind!r} stores a {key} that differs from the other bases' {key}"
         )
-    return kind, spec.model_from_jsonable(model_data, preps[key]), threshold
+    model = spec.model_from_jsonable(values[spec.model_key], preps[key])
+    return kind, model, values["threshold"]
 
 
 MANIFEST_FILENAME = "manifest.json"
@@ -710,23 +721,21 @@ def _save_ensemble_bundle(model: TrainedModel, path) -> None:
     save_checkpoint(bundle / MANIFEST_FILENAME, "ensemble", manifest)
 
 
+_MANIFEST_TABLE = {
+    "base_names": [str],
+    "meta_model": gbt_from_jsonable,
+    "meta_hyperparams": {"n_estimators": int, "max_depth": int, "learning_rate": float},
+    "threshold": float,
+}
+
+
 def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
     manifest_path = bundle / MANIFEST_FILENAME
     if not manifest_path.is_file():
         raise DataError(f"{bundle} has no {MANIFEST_FILENAME}; not an ensemble bundle")
     _, manifest = load_checkpoint(manifest_path, expected_kind="ensemble")
-    try:
-        base_names = tuple(str(n) for n in manifest["base_names"])
-        meta_model = gbt_from_jsonable(manifest["meta_model"])
-        hp = manifest["meta_hyperparams"]
-        meta_hyperparams = GbtHyperparams(
-            stored_int(hp["n_estimators"], "n_estimators"),
-            stored_int(hp["max_depth"], "max_depth"),
-            stored_float(hp["learning_rate"], "learning_rate"),
-        )
-        threshold = stored_float(manifest["threshold"], "threshold")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed ensemble manifest: {exc}") from exc
+    values = _decoded(manifest_path, checked, manifest, _MANIFEST_TABLE)
+    base_names = tuple(values["base_names"])
     if not base_names:
         raise DataError(f"ensemble manifest {manifest_path} lists no base models")
     models: dict[str, object] = {}
@@ -743,14 +752,22 @@ def _load_ensemble_bundle(bundle: Path) -> TrainedModel:
             raise DataError(f"ensemble bundle is missing base checkpoint {base_path.name}")
         _, models[name], base_threshold = _read_base(base_path, preps, entries, name)
         thresholds.append(base_threshold)
+    # A base left out of the manifest would shift the stacking layer's
+    # columns onto other bases; _save_ensemble_bundle deletes such files.
+    for kind in MODEL_KINDS:
+        if kind not in models and (bundle / f"{kind}.json").is_file():
+            raise DataError(
+                f"ensemble bundle holds {kind}.json, but the base_names of "
+                f"{manifest_path} do not list {kind!r}"
+            )
     stack = EnsembleModel(
         base_names=base_names,
         base_thresholds=tuple(thresholds),
-        meta_model=meta_model,
-        meta_hyperparams=meta_hyperparams,
-        threshold=threshold,
+        meta_model=values["meta_model"],
+        meta_hyperparams=GbtHyperparams(**values["meta_hyperparams"]),
+        threshold=values["threshold"],
     )
-    return TrainedModel(models, preps, threshold, stack)
+    return TrainedModel(models, preps, stack.threshold, stack)
 
 
 def save_model(model: TrainedModel, path) -> None:

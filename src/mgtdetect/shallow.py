@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .checkpoint import decode_array, encode_array, stored_float, stored_int
+from .checkpoint import Array, built, checked, encode_array
 from .errors import ConfigError, DataError, check_settings
 from .evaluation import macro_f1
 
@@ -609,50 +609,50 @@ def gbt_to_jsonable(model: GbtModel) -> dict:
     }
 
 
-def _tree_from_jsonable(data: dict) -> TreeNode:
+_LEAF_TABLE = {"value": float}
+_SPLIT_TABLE = {"feature": int, "threshold": float, "left": dict, "right": dict}
+
+
+def _tree_from_jsonable(data: object, path: str) -> TreeNode:
     """Build a tree as ``_tree_to_jsonable`` stores it, children first.
 
     An explicit stack holds the nodes still to build, so no tree depth makes
-    Python recurse.  A split's (feature, threshold) goes back on the stack
-    once its children are queued, and is built from the last two built.
+    Python recurse.  Each node is checked against the leaf table when it
+    holds a ``"value"`` and the split table otherwise; a split's (feature,
+    threshold) goes back on the stack once its children are queued, and is
+    built from the last two built.
     """
-    built: list[TreeNode] = []
-    stack: list[tuple[object, tuple[int, float] | None]] = [(data, None)]
+    nodes: list[TreeNode] = []
+    stack: list[tuple[object, str, tuple[int, float] | None]] = [(data, path, None)]
     while stack:
-        node, split = stack.pop()
+        node, where, split = stack.pop()
         if split is not None:
-            right = built.pop()
-            built.append(TreeNode(*split, left=built.pop(), right=right))
-        elif not isinstance(node, dict):
-            raise TypeError(f"a tree node must be an object, got {type(node).__name__}")
-        elif "value" in node:
-            built.append(TreeNode(value=stored_float(node["value"], "value")))
+            right = nodes.pop()
+            nodes.append(TreeNode(*split, left=nodes.pop(), right=right))
+        elif type(node) is dict and "value" in node:
+            nodes.append(TreeNode(value=checked(node, _LEAF_TABLE, where)["value"]))
         else:
-            feature = stored_int(node["feature"], "feature")
+            values = checked(node, _SPLIT_TABLE, where)
+            feature = values["feature"]
             if feature < 0:
-                raise DataError(f"boosted tree splits on feature {feature}, below 0")
-            stack.append((node, (feature, stored_float(node["threshold"], "threshold"))))
-            stack.append((node["right"], None))
-            stack.append((node["left"], None))
-    return built.pop()
+                raise DataError(f"{where} splits on feature {feature}, below 0")
+            stack.append((None, where, (feature, values["threshold"])))
+            stack.append((values["right"], f"{where}.right", None))
+            stack.append((values["left"], f"{where}.left", None))
+    return nodes.pop()
 
 
-def gbt_from_jsonable(data: dict) -> GbtModel:
-    try:
-        model = GbtModel(
-            trees=tuple(_tree_from_jsonable(tree) for tree in data["trees"]),
-            learning_rate=stored_float(data["learning_rate"], "learning_rate"),
-            base_score=stored_float(data["base_score"], "base_score"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed boosted-tree model: {exc}") from exc
+_GBT_TABLE = {"learning_rate": float, "base_score": float, "trees": [_tree_from_jsonable]}
+
+
+def gbt_from_jsonable(data: object, path: str = "model") -> GbtModel:
+    values = checked(data, _GBT_TABLE, path)
     # As gbt_train refuses it: a rate at or below 0 would invert the scores.
-    if not model.learning_rate > 0:
+    if not values["learning_rate"] > 0:
         raise DataError(
-            f"malformed boosted-tree model: learning_rate must be positive, "
-            f"got {model.learning_rate!r}"
+            f"{path}.learning_rate must be positive, got {values['learning_rate']!r}"
         )
-    return model
+    return GbtModel(**values | {"trees": tuple(values["trees"])})
 
 
 def knn_to_jsonable(model: KnnModel) -> dict:
@@ -663,15 +663,12 @@ def knn_to_jsonable(model: KnnModel) -> dict:
     }
 
 
-def knn_from_jsonable(data: dict) -> KnnModel:
-    try:
-        return KnnModel(
-            x=decode_array(data["x"], np.float64),
-            labels=decode_array(data["labels"], np.int64),
-            k=stored_int(data["k"], "k"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed neighbor model: {exc}") from exc
+# The scaled rows of a kNN base, as version 3 stored every kNN base.
+_KNN_ROWS_TABLE = {"k": int, "x": Array(np.float64, 2), "labels": Array(np.int64, 1)}
+
+
+def knn_from_jsonable(data: dict, path: str = "model") -> KnnModel:
+    return built(KnnModel, path, **checked(data, _KNN_ROWS_TABLE, path))
 
 
 class GbtHyperparams(NamedTuple):

@@ -1,8 +1,11 @@
 import base64
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
+import shutil
 import stat
 import struct
 import tempfile
@@ -16,15 +19,16 @@ from hypothesis.extra import numpy as hnp
 
 from mgtdetect.checkpoint import (
     FORMAT_VERSION,
+    Array,
     atomic_write_text,
+    checked,
     checkpoint_text,
     decode_array,
     encode_array,
     load_checkpoint,
     narrowest_int,
+    optional,
     save_checkpoint,
-    stored_float,
-    stored_int,
 )
 from mgtdetect.cli import main as cli_main
 from mgtdetect.config import AppConfig, EnsembleSettings
@@ -36,8 +40,14 @@ from mgtdetect.embeddings import (
     save_embeddings,
 )
 from mgtdetect.errors import DataError
-from mgtdetect.kernels import svm_from_jsonable, svm_to_jsonable, svm_train
-from mgtdetect.neural import MlpParams, params_from_jsonable, params_to_jsonable
+from mgtdetect.kernels import MAX_NGRAM, svm_from_jsonable, svm_to_jsonable, svm_train
+from mgtdetect.neural import (
+    MlpParams,
+    MtlConfig,
+    TrainConfig,
+    params_from_jsonable,
+    params_to_jsonable,
+)
 from mgtdetect.pipeline import (
     FeaturizedKnn,
     Featurizer,
@@ -265,12 +275,13 @@ class TestArrayRefusals:
         "b64", ["!!!!!!!!!!!=", "AAAAAAAAAAA", "AAAA AAAAAA=", "AAAAAAAAAAé=", 12, None]
     )
     def test_bad_base64(self, b64):
-        with pytest.raises(DataError, match="base64"):
+        message = "base64" if type(b64) is str else f"^array\\.b64 must be a string, got {b64}$"
+        with pytest.raises(DataError, match=message):
             decode_array(_stored([1.0], b64=b64), np.float64)
 
     @pytest.mark.parametrize("key", ["dtype", "shape", "b64"])
     def test_missing_key(self, key):
-        with pytest.raises(DataError, match=f"missing \\['{key}'\\]"):
+        with pytest.raises(DataError, match=f"^array\\.{key} is missing$"):
             decode_array(_without(key), np.float64)
 
     @pytest.mark.parametrize("obj", [[1.0, 2.0], "AAAAAAAAAAA=", None])
@@ -572,9 +583,39 @@ class TestGoldenCheckpoint:
         assert code == 2
         assert not out.exists()
         assert (
-            f"checkpoint {damaged}: malformed neighbor model: "
-            "array holds a non-finite number"
+            f"checkpoint {damaged}: model.x holds a non-finite number"
         ) in capsys.readouterr().err
+
+    def test_unknown_key_in_a_payload(self, tmp_path):
+        # A misspelt key was ignored, and the model loaded without it.
+        def add_key(document):
+            document["payload"]["thresold"] = 0.9
+
+        path = self._golden_edited(tmp_path, add_key)
+        message = f"checkpoint {path}: thresold is an unknown field"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    def test_unknown_key_in_a_nested_table(self, tmp_path):
+        def add_key(document):
+            document["payload"]["featurizer"]["embedder"]["ngram_maximum"] = 9
+
+        path = self._golden_edited(tmp_path, add_key)
+        message = f"checkpoint {path}: featurizer.embedder.ngram_maximum is an unknown field"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    def test_digest_without_an_embeddings_file_is_refused(self, tmp_path):
+        # It loaded, the hashing embedder served, and a save dropped it.
+        def pin(document):
+            document["payload"]["featurizer"]["embeddings_sha256"] = "0" * 64
+
+        path = self._golden_edited(tmp_path, pin)
+        message = (
+            f"checkpoint {path}: featurizer.embeddings_sha256 is stored, but no embeddings_path"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
     # A string threshold such as "nan" loaded as NaN, and the knn then called
     # no document generated; a 400-digit integer overflowed float() and
@@ -615,7 +656,8 @@ class TestGoldenCheckpoint:
             document["payload"]["model"]["k"] = k
 
         path = self._golden_edited(tmp_path, set_k)
-        with pytest.raises(DataError, match="malformed neighbor model: k must be an integer"):
+        message = f"checkpoint {path}: model.k must be an integer, got {k!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
     @pytest.mark.parametrize("key", ["dim", "ngram_min", "ngram_max", "seed"])
@@ -625,8 +667,10 @@ class TestGoldenCheckpoint:
             document["payload"]["featurizer"]["embedder"][key] = value
 
         path = self._golden_edited(tmp_path, set_field)
-        message = f"malformed featurizer settings: {key} must be an integer, got {value!r}"
-        with pytest.raises(DataError, match=re.escape(message)):
+        message = (
+            f"checkpoint {path}: featurizer.embedder.{key} must be an integer, got {value!r}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
 
@@ -668,50 +712,69 @@ def _tiny_params(language_head: bool = True) -> dict:
     )
 
 
+def _manifest(tmp_path, **changes):
+    """A bundle of a manifest alone, with ``changes`` to its fields or to
+    its meta_hyperparams'."""
+    manifest = {
+        "base_names": ["knn"],
+        "meta_model": _tiny_gbt(),
+        "meta_hyperparams": {"n_estimators": 2, "max_depth": 2, "learning_rate": 0.3},
+        "threshold": 0.5,
+    }
+    for key, value in changes.items():
+        if key in manifest["meta_hyperparams"]:
+            manifest["meta_hyperparams"][key] = value
+        else:
+            manifest[key] = value
+    bundle = tmp_path / "ensemble"
+    save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
+    return bundle
+
+
 class TestStoredScalars:
-    """A payload's scalar is a JSON number of its field's kind, or a DataError
-    that names the field's key."""
+    """A payload's scalar is a JSON value of its field's kind, or a DataError
+    that names the field's path."""
 
     @pytest.mark.parametrize("value", [0, -3, 2**70])
     def test_json_integers_are_ints(self, value):
-        assert stored_int(value, "k") == value
+        assert checked({"k": value}, {"k": int}, "model") == {"k": value}
 
     @pytest.mark.parametrize("value", _NOT_INTS)
     def test_everything_else_is_no_int(self, value):
-        with pytest.raises(DataError, match=re.escape(f"k must be an integer, got {value!r}")):
-            stored_int(value, "k")
+        message = f"model.k must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            checked({"k": value}, {"k": int}, "model")
 
     @pytest.mark.parametrize(
         "value", [0, 3, -0.0, 5e-324, 1.5, pytest.param(10**308, id="int-1e308"), -1.797e308]
     )
     def test_finite_json_numbers_are_floats(self, value):
-        got = stored_float(value, "bias")
+        got = checked({"bias": value}, {"bias": float})["bias"]
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", float(value))
 
     @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
     def test_everything_else_is_no_float(self, value, message):
-        with pytest.raises(DataError, match=re.escape(f"bias {message}")):
-            stored_float(value, "bias")
+        with pytest.raises(DataError, match=f"^{re.escape(f'bias {message}')}$"):
+            checked({"bias": value}, {"bias": float})
 
     # learning_rate "inf" made every probability 0, with overflow warnings.
     @pytest.mark.parametrize("key", ["learning_rate", "base_score"])
     @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
     def test_gbt_model_floats(self, key, value, message):
         payload = _tiny_gbt() | {key: value}
-        with pytest.raises(DataError, match=re.escape(f"boosted-tree model: {key} {message}")):
+        with pytest.raises(DataError, match=re.escape(f"model.{key} {message}")):
             gbt_from_jsonable(payload)
 
     @pytest.mark.parametrize("key", ["value", "threshold"])
     @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
     def test_gbt_node_floats(self, key, value, message):
         payload = _tiny_gbt()
-        root = payload["trees"][0]
-        node = root if key == "threshold" else root["left"]
+        node, path = payload["trees"][0], "model.trees[0]"
         while key == "value" and "value" not in node:
-            node = node["left"]
+            node, path = node["left"], f"{path}.left"
         node[key] = value
-        with pytest.raises(DataError, match=re.escape(f"boosted-tree model: {key} {message}")):
+        with pytest.raises(DataError, match=re.escape(f"{path}.{key} {message}")):
             gbt_from_jsonable(payload)
 
     # int() read a split feature of 1.9, true or "1" as feature 1.
@@ -719,8 +782,8 @@ class TestStoredScalars:
     def test_gbt_split_feature(self, value):
         payload = _tiny_gbt()
         payload["trees"][0]["feature"] = value
-        message = f"boosted-tree model: feature must be an integer, got {value!r}"
-        with pytest.raises(DataError, match=re.escape(message)):
+        message = f"model.trees[0].feature must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             gbt_from_jsonable(payload)
 
     @pytest.fixture(scope="class")
@@ -732,21 +795,21 @@ class TestStoredScalars:
     @pytest.mark.parametrize("key", ["bias", "C"])
     @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
     def test_svm_floats(self, svm_payload, key, value, message):
-        with pytest.raises(DataError, match=re.escape(f"svm model: {key} {message}")):
+        with pytest.raises(DataError, match=f"^{re.escape(f'model.{key} {message}')}$"):
             svm_from_jsonable(svm_payload | {key: value})
 
     @pytest.mark.parametrize("value", _NOT_INTS)
     def test_svm_support_index(self, svm_payload, value):
         indices = [value, *svm_payload["support_indices"][1:]]
-        message = f"svm model: support_indices must be an integer, got {value!r}"
-        with pytest.raises(DataError, match=re.escape(message)):
+        message = f"model.support_indices[0] must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             svm_from_jsonable(svm_payload | {"support_indices": indices})
 
     @pytest.mark.parametrize("key", ["b_bot", "b_lang"])
     @pytest.mark.parametrize("value, message", _NOT_FLOATS + _NON_FINITE)
     def test_network_floats(self, key, value, message):
         payload = _tiny_params() | {key: value}
-        with pytest.raises(DataError, match=re.escape(f"network weights: {key} {message}")):
+        with pytest.raises(DataError, match=f"^{re.escape(f'params.{key} {message}')}$"):
             params_from_jsonable(payload)
 
     # A shape stored as 3.0 compared equal to W1's 3 and loaded.
@@ -755,43 +818,32 @@ class TestStoredScalars:
     def test_network_shape(self, key, convert):
         payload = _tiny_params(language_head=False)
         payload[key] = convert(payload[key])
-        message = f"network weights: {key} must be an integer, got {payload[key]!r}"
-        with pytest.raises(DataError, match=re.escape(message)):
+        message = f"params.{key} must be an integer, got {payload[key]!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             params_from_jsonable(payload)
 
     def test_network_round_trip_keeps_both_biases(self):
         params = params_from_jsonable(_tiny_params())
         assert (params.b_bot, params.b_lang) == (0.25, -0.5)
 
-    def _manifest(self, tmp_path, **changes):
-        manifest = {
-            "base_names": ["knn"],
-            "meta_model": _tiny_gbt(),
-            "meta_hyperparams": {"n_estimators": 2, "max_depth": 2, "learning_rate": 0.3},
-            "threshold": 0.5,
-        }
-        for key, value in changes.items():
-            if key in manifest["meta_hyperparams"]:
-                manifest["meta_hyperparams"][key] = value
-            else:
-                manifest[key] = value
-        bundle = tmp_path / "ensemble"
-        save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
-        return bundle
-
     @pytest.mark.parametrize("key", ["threshold", "learning_rate"])
     @pytest.mark.parametrize("value, message", _NOT_FLOATS)
     def test_manifest_floats(self, tmp_path, key, value, message):
-        bundle = self._manifest(tmp_path, **{key: value})
-        with pytest.raises(DataError, match=re.escape(f"ensemble manifest: {key} {message}")):
+        bundle = _manifest(tmp_path, **{key: value})
+        path = "threshold" if key == "threshold" else f"meta_hyperparams.{key}"
+        message = f"checkpoint {bundle / 'manifest.json'}: {path} {message}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(bundle)
 
     @pytest.mark.parametrize("key", ["n_estimators", "max_depth"])
     @pytest.mark.parametrize("value", _NOT_INTS)
     def test_manifest_ints(self, tmp_path, key, value):
-        bundle = self._manifest(tmp_path, **{key: value})
-        message = f"ensemble manifest: {key} must be an integer, got {value!r}"
-        with pytest.raises(DataError, match=re.escape(message)):
+        bundle = _manifest(tmp_path, **{key: value})
+        message = (
+            f"checkpoint {bundle / 'manifest.json'}: "
+            f"meta_hyperparams.{key} must be an integer, got {value!r}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(bundle)
 
 
@@ -840,7 +892,7 @@ def _refusals(payload: dict, key: str) -> list[tuple[dict, str]]:
     if key == "counts":
         bad_code["dtype"] = "<u1"
     changes = [
-        ({key: bad_code}, f"array has dtype '{bad_code['dtype']}'"),
+        ({key: bad_code}, f"model.{key} has dtype '{bad_code['dtype']}'"),
         ({key: encode_array(np.hstack([embedding, embedding[:, :1]]))}, f"{key} have shape"),
         ({"stats": encode_array(stats[:, :-1])}, "stats have shape"),
         ({"labels": encode_array(labels[:-1])}, "rows"),
@@ -943,3 +995,319 @@ class TestStoredKnnForm:
         assert loaded.models["knn"].x.tobytes() == trained.models["knn"].x.tobytes()
         probe = synthetic_corpus(5, 5, seed=2, name="probe", labeled=False)
         assert loaded.predict_proba(probe).tobytes() == trained.predict_proba(probe).tobytes()
+
+
+class TestWalker:
+    """``checked`` reads a payload against its table: every refusal names
+    the field's path in the payload."""
+
+    TABLE = {
+        "k": int,
+        "name": optional(str),
+        "flag": bool,
+        "unit": frozenset({"word", "char"}),
+        "texts": [str],
+        "rows": Array(np.float64, 2),
+        "inner": {"dim": int},
+        "raw": dict,
+        "decoded": lambda value, path: (path, value),
+    }
+
+    def _data(self, **changes):
+        data = {
+            "k": 3,
+            "flag": False,
+            "unit": "word",
+            "texts": ["a", "b"],
+            "rows": encode_array(np.ones((2, 3))),
+            "inner": {"dim": 4},
+            "raw": {"anything": [None]},
+            "decoded": 1,
+        }
+        return data | changes
+
+    def test_values_come_back_checked(self):
+        values = checked(self._data(name="n"), self.TABLE, "model")
+        rows = values.pop("rows")
+        assert rows.dtype == np.float64 and rows.shape == (2, 3)
+        assert values == {
+            "k": 3, "flag": False, "unit": "word", "texts": ["a", "b"], "inner": {"dim": 4},
+            "raw": {"anything": [None]}, "decoded": ("model.decoded", 1), "name": "n",
+        }
+        assert "name" not in checked(self._data(), self.TABLE, "model")
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"texts": ["a", None]}, "model.texts[1] must be a string, got None"),
+            ({"texts": "ab"}, "model.texts must be a list, got 'ab'"),
+            ({"flag": 0}, "model.flag must be true or false, got 0"),
+            ({"unit": "byte"}, "model.unit must be one of 'char', 'word', got 'byte'"),
+            ({"inner": {"dim": 1.0}}, "model.inner.dim must be an integer, got 1.0"),
+            ({"inner": []}, "model.inner must be an object, got []"),
+            ({"raw": "x"}, "model.raw must be an object, got 'x'"),
+            ({"name": 5}, "model.name must be a string, got 5"),
+            ({"rows": encode_array(np.ones(6))}, "model.rows must have 2 axes, got shape [6]"),
+            ({"rows": [[1.0]]}, "model.rows must be an object, got [[1.0]]"),
+            ({"rows": encode_array(np.ones(1)) | {"x": 0}}, "model.rows.x is an unknown field"),
+            ({"inner": {"dim": 4, "seed": 0}}, "model.inner.seed is an unknown field"),
+            ({"thresold": 0.5}, "model.thresold is an unknown field"),
+        ],
+    )
+    def test_refusals_name_the_path(self, changes, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            checked(self._data(**changes), self.TABLE, "model")
+
+    def test_a_missing_field_is_named_before_an_unknown_one(self):
+        data = self._data(extra=1)
+        del data["flag"]
+        with pytest.raises(DataError, match=r"^model\.flag is missing$"):
+            checked(data, self.TABLE, "model")
+
+    def test_the_payload_itself_has_an_empty_path(self):
+        with pytest.raises(DataError, match=r"^k must be an integer, got '3'$"):
+            checked({"k": "3"}, {"k": int})
+        with pytest.raises(DataError, match=r"^payload must be an object, got \[\]$"):
+            checked([], {"k": int})
+
+    def test_a_long_value_is_shown_cut(self):
+        with pytest.raises(DataError) as refused:
+            checked({"k": "x" * 10_000}, {"k": int})
+        assert len(str(refused.value)) < 80
+
+
+class TestManifestFields:
+    """Manifests that loaded wrong stacking layers before every field had a
+    table."""
+
+    def test_unknown_key_in_the_manifest(self, tmp_path):
+        bundle = _manifest(tmp_path, thresold=0.5)
+        message = f"checkpoint {bundle / 'manifest.json'}: thresold is an unknown field"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(bundle)
+
+    def test_base_names_given_as_an_object(self, tmp_path):
+        # str() of each key of an object read it as the list of its keys.
+        bundle = _manifest(tmp_path, base_names={"knn": 0})
+        message = (
+            f"checkpoint {bundle / 'manifest.json'}: base_names must be a list, got {{'knn': 0}}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(bundle)
+
+    @pytest.mark.parametrize("trees", ["", {}])
+    def test_trees_that_are_no_list(self, tmp_path, trees):
+        # Iterating "" or {} gave a model of no trees, scoring the base score.
+        bundle = _manifest(tmp_path, meta_model=_tiny_gbt() | {"trees": trees})
+        message = (
+            f"checkpoint {bundle / 'manifest.json'}: "
+            f"meta_model.trees must be a list, got {trees!r}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(bundle)
+        message = f"model.trees must be a list, got {trees!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            gbt_from_jsonable(_tiny_gbt() | {"trees": trees})
+
+
+# Fresh checkpoints of every kind: small, so each one-leaf edit of the
+# property below scores in a few milliseconds.  The network has a language
+# head, and the ensemble reads both preparations.
+_FRESH_CONFIG = dataclasses.replace(
+    AppConfig(),
+    embedder=FallbackEmbedderConfig(dim=6),
+    train=TrainConfig(epochs=1, batch_size=24, seed=0),
+    hidden=3,
+    mtl=MtlConfig(enabled=True),
+    gbt_grid=GbtGrid(estimators=(2,), depths=(2,), learning_rates=(0.3,)),
+    knn_k=3,
+    ensemble=EnsembleSettings(bases=("neural", "gbt", "knn", "svm")),
+)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """Each model path, keyed by name, with its predictions of the probe."""
+    root = tmp_path_factory.mktemp("served")
+    corpus = synthetic_corpus(40, 40, seed=6, name="fresh")
+    models = {"knn_v3": GOLDEN_PATH, "knn_v4": GOLDEN_V4_PATH}
+    for kind in ("neural", "gbt", "knn", "svm", "ensemble"):
+        trained, _ = train_model(kind, corpus, _FRESH_CONFIG)
+        models[kind] = root / (kind if kind == "ensemble" else f"{kind}.json")
+        save_model(trained, models[kind])
+    probe = root / "probe.tsv"
+    save_tsv(synthetic_corpus(3, 3, seed=2, name="probe", labeled=False), probe)
+    predictions = {}
+    for name, path in models.items():
+        code, written, _ = _predict(probe, path, root / "p.tsv")
+        assert code == 0, name
+        predictions[name] = written
+    return root, probe, models, predictions
+
+
+def _predict(probe, model_path, out):
+    """``mgtdetect predict``'s exit code, the predictions it wrote and its
+    standard error."""
+    err = io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(err):
+        code = cli_main(
+            ["predict", "--corpus", f"en={probe}", "--model-path", str(model_path),
+             "--output", str(out)]
+        )
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+def _leaf_paths(value, path=()):
+    """The path, a tuple of keys and list indices, of every JSON scalar."""
+    if isinstance(value, dict):
+        return [leaf for key, item in value.items() for leaf in _leaf_paths(item, path + (key,))]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in _leaf_paths(item, path + (i,))]
+    return [path]
+
+
+def _spelled(path):
+    """A path as a refusal spells it: ``model.trees[0].left``."""
+    text = ""
+    for part in path:
+        text += f"[{part}]" if type(part) is int else (f".{part}" if text else part)
+    return text
+
+
+def _named(payload, path, deleted):
+    """The path a refusal of the edit must name: an array's own path for a
+    part of an encoded array, the edited leaf's path, and for a deleted
+    leaf the object that held it (a deleted list item: the object that
+    holds the list; a field of the payload itself: that field)."""
+    node = payload
+    for i, part in enumerate(path):
+        if isinstance(node, dict) and set(node) == {"dtype", "shape", "b64"}:
+            return _spelled(path[:i])
+        node = node[part]
+    if not deleted:
+        return _spelled(path)
+    holder = path[:-2] if type(path[-1]) is int else path[:-1]
+    return _spelled(holder or path[:1])
+
+
+# One value of each JSON type: null, a bool, a number, a string, a list and
+# an object.
+_ONE_OF_EACH = [None, True, 7, "0.5", [1], {"a": 1}]
+
+
+def _json_type(value):
+    # JSON has one number type, whether Python reads a number as int or float.
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _edits(value):
+    """The one-leaf edits of ``value``: ("delete", None), ("set", v) for a
+    ``v`` of every other JSON type, and ("equal", v) for the same number
+    written as the other of an integer and a fraction, where that keeps its
+    bits."""
+    edits = [("delete", None)]
+    edits += [("set", v) for v in _ONE_OF_EACH if _json_type(v) != _json_type(value)]
+    if type(value) is int and abs(value) < 2**53:
+        edits.append(("equal", float(value)))
+    if type(value) is float and value.is_integer():
+        if struct.pack("<d", float(int(value))) == struct.pack("<d", value):
+            edits.append(("equal", int(value)))
+    return edits
+
+
+class TestOneLeafEdits:
+    """Replace one leaf of a payload with a value of another JSON type, or
+    delete it, and ``mgtdetect predict`` either exits 2 naming the leaf's
+    path, or, only for an equal number such as 1 for 1.0, writes the
+    unedited model's predictions.  It never exits 3 and never scores
+    differently.  The models are both goldens and a fresh checkpoint of
+    every kind and of an ensemble of every base; ``format_version`` and
+    ``kind``, outside the payload, are load_checkpoint's own checks."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_is_refused_by_its_path_or_scores_alike(self, served, data):
+        root, probe, models, predictions = served
+        name = data.draw(st.sampled_from(sorted(models)), label="model")
+        source = models[name]
+        file = data.draw(
+            st.sampled_from(sorted(source.iterdir()) if source.is_dir() else [source]),
+            label="file",
+        )
+        document = json.loads(file.read_text(encoding="utf-8"))
+        payload = document["payload"]
+        path = data.draw(st.sampled_from(_leaf_paths(payload)), label="leaf")
+        holder = payload
+        for part in path[:-1]:
+            holder = holder[part]
+        how, value = data.draw(st.sampled_from(_edits(holder[path[-1]])), label="edit")
+        named = _named(payload, path, deleted=how == "delete")
+        if how == "delete":
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+        with tempfile.TemporaryDirectory(dir=root) as tmp:
+            edited = Path(tmp) / source.name
+            if source.is_dir():
+                shutil.copytree(source, edited)
+            (edited / file.name if source.is_dir() else edited).write_text(
+                json.dumps(document, ensure_ascii=False), encoding="utf-8"
+            )
+            code, written, err = _predict(probe, edited, Path(tmp) / "p.tsv")
+            err = err.replace(tmp, "")
+        assert code in (0, 2), err
+        if code == 0:
+            assert how == "equal", err
+            assert written == predictions[name]
+        else:
+            assert written is None
+            assert named in err, (named, err)
+
+    def test_an_equal_number_scores_alike(self, served, tmp_path):
+        # The property's one load of an edit: a leaf value 1.0 written as 1.
+        root, probe, models, _ = served
+        kind, payload = load_checkpoint(models["gbt"])
+        leaf = payload["model"]["trees"][0]
+        while "value" not in leaf:
+            leaf = leaf["left"]
+        written = []
+        for value in (1.0, 1):
+            leaf["value"] = value
+            save_checkpoint(tmp_path / "gbt.json", kind, payload)
+            code, predictions, _ = _predict(probe, tmp_path / "gbt.json", tmp_path / "p.tsv")
+            assert code == 0
+            written.append(predictions)
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("base", ["neural", "gbt", "knn", "svm"])
+    def test_a_manifest_that_drops_a_base_is_refused(self, served, tmp_path, base):
+        # Without the base, the stacking layer read the next base's column.
+        root, probe, models, _ = served
+        bundle = tmp_path / "ensemble"
+        shutil.copytree(models["ensemble"], bundle)
+        _, manifest = load_checkpoint(bundle / "manifest.json")
+        manifest["base_names"].remove(base)
+        save_checkpoint(bundle / "manifest.json", "ensemble", manifest)
+        code, written, err = _predict(probe, bundle, tmp_path / "p.tsv")
+        assert (code, written) == (2, None)
+        assert (
+            f"ensemble bundle holds {base}.json, but the base_names of "
+            f"{bundle / 'manifest.json'} do not list {base!r}"
+        ) in err
+
+    @pytest.mark.parametrize("ngram_max", [MAX_NGRAM, MAX_NGRAM + 1])
+    def test_kernel_ngram_max_is_bounded(self, served, tmp_path, ngram_max):
+        kind, payload = load_checkpoint(served[2]["svm"])
+        payload["kernel"]["ngram_max"] = ngram_max
+        path = tmp_path / "svm.json"
+        save_checkpoint(path, kind, payload)
+        if ngram_max <= MAX_NGRAM:
+            assert load_model(path).preps["kernel"].ngram_max == ngram_max
+            return
+        message = (
+            f"checkpoint {path}: kernel: ngram_max must be at most {MAX_NGRAM}, "
+            f"got {ngram_max}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(path)

@@ -21,9 +21,9 @@ from mgtdetect.cli import main
 from mgtdetect.corpus import Corpus, Document, Label, Language, load_tsv, merge_bilingual, save_tsv
 from mgtdetect.evaluation import macro_f1
 from mgtdetect.embeddings import EmbeddingTable, FallbackEmbedderConfig, save_embeddings
+from mgtdetect.kernels import MAX_NGRAM
 from mgtdetect.pipeline import build_raw_features, feature_names, load_model
 from mgtdetect.readability import format_feature_matrix
-from mgtdetect.textprep import preprocess
 
 from synthdata import synthetic_corpus
 
@@ -416,9 +416,9 @@ class TestPredict:
         assert len(rows) == 16
         assert all(prob == "0" and label == "human" for _, prob, label in rows)
 
-    def test_svm_checkpoint_with_a_huge_ngram_max_predicts(self, workdir, tmp_path):
-        # No n-gram is longer than its text, so ngram_max 10**9 scores as the
-        # longest text's length does, instead of trying every n up to it.
+    def test_svm_checkpoint_ngram_max_is_bounded(self, workdir, tmp_path, capsys):
+        # An ngram_max past the texts cost the cube of their length: a kernel
+        # setting above MAX_NGRAM is refused, MAX_NGRAM itself scores.
         corpus = tmp_path / "twenty.tsv"
         save_tsv(synthetic_corpus(10, 10, seed=9, name="twenty"), corpus)
         ckpt = tmp_path / "svm.json"
@@ -427,14 +427,10 @@ class TestPredict:
         )
         assert code == 0
         kind, payload = load_checkpoint(ckpt)
-        queries = load_tsv(workdir / "small.tsv", Language.EN)
-        texts = payload["model"]["support_texts"] + [
-            preprocess(doc.text, doc.language) for doc in queries
-        ]
-        predictions = []
-        for ngram_max in (10**9, max(map(len, texts))):
+        for ngram_max, expected in ((MAX_NGRAM, 0), (MAX_NGRAM + 1, 2), (10**9, 2)):
             payload["kernel"]["ngram_max"] = ngram_max
             save_checkpoint(ckpt, kind, payload)
+            capsys.readouterr()
             out = tmp_path / f"preds-{ngram_max}.tsv"
             code = _run(
                 "predict",
@@ -442,9 +438,14 @@ class TestPredict:
                 "--model-path", str(ckpt),
                 "--output", str(out),
             )
-            assert code == 0
-            predictions.append(out.read_text())
-        assert predictions[0] == predictions[1]
+            assert code == expected
+            assert out.exists() == (expected == 0)
+            if expected:
+                message = (
+                    f"checkpoint {ckpt}: kernel: ngram_max must be at most "
+                    f"{MAX_NGRAM}, got {ngram_max}"
+                )
+                assert message in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -848,8 +849,7 @@ class TestExitCodes:
             stddevs[0] = float("nan")
             scaler["stddevs"] = encode_array(stddevs)
             message = (
-                f"checkpoint {ckpt}: malformed featurizer settings: malformed "
-                "scaler parameters: array holds a non-finite number"
+                f"checkpoint {ckpt}: featurizer.scaler.stddevs holds a non-finite number"
             )
         save_checkpoint(ckpt, kind, payload)
         out = tmp_path / "p.tsv"
@@ -888,13 +888,13 @@ class TestExitCodes:
         if field == "support_texts[1]":
             kind, payload = load_checkpoint(svm_checkpoint)
             payload["model"]["support_texts"][1] = value
-            where = "malformed svm model"
+            where = "model"
         else:
             kind, payload = load_checkpoint(table_knn_checkpoint[0])
             payload["featurizer"][field] = value
-            where = "malformed featurizer settings"
+            where = "featurizer"
         save_checkpoint(ckpt, kind, payload)
-        message = f"checkpoint {ckpt}: {where}: {field} must be a string, got {value!r}"
+        message = f"checkpoint {ckpt}: {where}.{field} must be a string, got {value!r}"
         self._predict_is_2(workdir, ckpt, tmp_path, capsys, message)
 
     def test_overflowing_checkpoint_number_is_2(
@@ -961,7 +961,8 @@ class TestExitCodes:
         )
         assert code == 2
         assert not out.exists()
-        assert "malformed ensemble manifest: 'meta_model'" in capsys.readouterr().err
+        message = f"checkpoint {bundle / 'manifest.json'}: meta_model is missing"
+        assert message in capsys.readouterr().err
 
     # A feature that is not a JSON integer was read by int(): 1.5, true and
     # "0" would all have split on a column the file does not name.
@@ -995,7 +996,7 @@ class TestExitCodes:
         if type(feature) is int:
             want = f"splits on feature {feature}"
         else:
-            want = f"malformed boosted-tree model: feature must be an integer, got {feature!r}"
+            want = f"model.trees[0].feature must be an integer, got {feature!r}"
         assert want in capsys.readouterr().err
 
     def test_manifest_repeating_a_base_is_2(self, workdir, tmp_path, capsys):

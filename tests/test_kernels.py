@@ -24,6 +24,7 @@ from mgtdetect.config import AppConfig
 from mgtdetect.corpus import Label, SplitSpec, split
 from mgtdetect.errors import ConfigError, DataError
 from mgtdetect.kernels import (
+    MAX_NGRAM,
     KernelConfig,
     NgramUnit,
     kernel_config_from_jsonable,
@@ -344,6 +345,16 @@ class TestSerialization:
     def test_kernel_config_with_a_bad_range_is_malformed_data(self):
         data = kernel_config_to_jsonable(KernelConfig()) | {"ngram_min": 0}
         with pytest.raises(DataError, match="n-gram range"):
+            kernel_config_from_jsonable(data)
+
+    # ngram_max past the texts cost the cube of their length, so it is bounded.
+    def test_kernel_config_ngram_max_is_bounded(self):
+        assert KernelConfig(3, MAX_NGRAM).ngram_max == MAX_NGRAM
+        message = f"ngram_max must be at most {MAX_NGRAM}, got {MAX_NGRAM + 1}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            KernelConfig(3, MAX_NGRAM + 1)
+        data = kernel_config_to_jsonable(KernelConfig()) | {"ngram_max": MAX_NGRAM + 1}
+        with pytest.raises(DataError, match=f"^kernel: {message}$"):
             kernel_config_from_jsonable(data)
 
     def test_kernel_config_refuses_a_boolean_ngram_bound(self):
@@ -885,16 +896,17 @@ class TestHashedIndexOverUnicode:
     @pytest.mark.parametrize(
         "cfg",
         [
-            KernelConfig(1, 10**9),
-            KernelConfig(2, 10**9, normalize=False),
-            KernelConfig(1, 10**9, unit=NgramUnit.WORD),
-            KernelConfig(2, 10**9, unit=NgramUnit.WORD, normalize=False),
+            KernelConfig(1, MAX_NGRAM),
+            KernelConfig(2, MAX_NGRAM, normalize=False),
+            KernelConfig(1, MAX_NGRAM, unit=NgramUnit.WORD),
+            KernelConfig(2, MAX_NGRAM, unit=NgramUnit.WORD, normalize=False),
         ],
     )
     @settings(max_examples=25, deadline=None)
     @given(texts=_index_texts, queries=_index_texts)
     def test_ngram_max_past_every_text(self, cfg, texts, queries):
-        # Every n-gram of a text, up to the whole text, is a table key.
+        # Every n-gram of a text, up to the whole text, is a table key: no
+        # text holds more than 24 units, fewer than MAX_NGRAM.
         assert_index_matches_pairwise(texts, cfg, queries)
 
     @pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS)
@@ -914,13 +926,15 @@ class TestHashedIndexOverUnicode:
 
 class TestHugeNgramMax:
     """No n-gram is longer than its text, so an ngram_max past the longest
-    text is that text's length."""
+    text, here the bound MAX_NGRAM, is that text's length."""
 
     def setup_method(self):
-        self.texts, self.labels = edge_case_problem(KernelConfig(), seed=4)
-        self.queries = [random_text(random.Random(8), max_len=40) for _ in range(5)]
+        texts, self.labels = edge_case_problem(KernelConfig(), seed=4)
+        self.texts = [text[: MAX_NGRAM - 2] for text in texts]
+        self.queries = [random_text(random.Random(8), max_len=MAX_NGRAM - 2) for _ in range(5)]
         longest = max(map(len, self.texts + self.queries))
-        self.huge = KernelConfig(3, 10**9)
+        assert longest < MAX_NGRAM
+        self.huge = KernelConfig(3, MAX_NGRAM)
         self.exact = KernelConfig(3, longest)
 
     def test_kernel_matrix(self):
@@ -945,7 +959,8 @@ class TestHugeNgramMax:
 
     def test_ngram_sets_stop_at_the_text(self):
         # The oracle's own sets stop too, so brute_force_kernel stays cheap.
-        assert gram_sets("abcd", KernelConfig(2, 10**9)) == gram_sets("abcd", KernelConfig(2, 4))
+        exact = gram_sets("abcd", KernelConfig(2, 4))
+        assert gram_sets("abcd", KernelConfig(2, MAX_NGRAM)) == exact
 
 
 class TestPrimalOnTheEndToEndCorpus:

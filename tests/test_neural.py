@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -694,7 +695,14 @@ class TestSerialization:
     def test_shape_mismatch_rejected(self, field, value):
         blob = params_to_jsonable(init_params(3, hidden=2, seed=0))
         blob[field] = value
-        with pytest.raises(DataError, match="malformed network weights"):
+        message = {
+            "b1": "params.b1 has shape (3,), expected (2,)",
+            "input_dim": "params.input_dim and params.hidden (999, 2) do not match "
+            "params.W1 shape (3, 2)",
+            "hidden": "params.input_dim and params.hidden (3, 7) do not match "
+            "params.W1 shape (3, 2)",
+        }[field]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             params_from_jsonable(blob)
 
 

@@ -187,7 +187,11 @@ class TestFeaturizer:
 
         del payload["featurizer"]["embeddings_sha256"]
         save_checkpoint(resaved, "knn", payload)
-        with pytest.raises(DataError, match="malformed featurizer"):
+        message = (
+            f"checkpoint {resaved}: featurizer.embeddings_sha256 is missing, "
+            f"but featurizer.embeddings_path names {vectors}"
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(resaved)
 
         first = next(iter(base_corpus)).id
@@ -356,7 +360,8 @@ class TestModelCheckpoints:
         _, payload = load_checkpoint(path)
         del payload["threshold"]
         save_checkpoint(path, "knn", payload)
-        with pytest.raises(DataError, match="missing 'threshold'"):
+        message = f"checkpoint {path}: threshold is missing"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
     def test_retrain_writes_identical_checkpoint(self, base_corpus, tmp_path):
@@ -403,7 +408,8 @@ class TestSvmCheckpoint:
         model["alphas"] = encode_array(alphas)
         model["labels"] = encode_array(2.0 * train_part.labels_as_ints() - 1.0)
         save_checkpoint(path, "svm", payload)
-        with pytest.raises(DataError, match="support_texts"):
+        message = f"checkpoint {path}: model.support_texts is missing"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
 
@@ -508,7 +514,8 @@ class TestEnsembleTraining:
         _, manifest = load_checkpoint(path / "manifest.json")
         del manifest["meta_hyperparams"]
         save_checkpoint(path / "manifest.json", "ensemble", manifest)
-        with pytest.raises(DataError, match="malformed ensemble manifest"):
+        message = f"checkpoint {path / 'manifest.json'}: meta_hyperparams is missing"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
     def test_base_named_outside_the_bundle_rejected(self, trained, tmp_path):

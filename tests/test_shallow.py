@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -898,7 +899,8 @@ class TestSerialization:
     def test_stored_node_that_is_not_an_object_rejected(self, child):
         blob = gbt_to_jsonable(_one_split_model(0))
         blob["trees"][0]["left"] = child
-        with pytest.raises(DataError, match="malformed boosted-tree model"):
+        message = f"model.trees[0].left must be an object, got {child!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             gbt_from_jsonable(blob)
 
     @pytest.mark.parametrize("rate", [-1.0, 0.0, -0.0, float("nan")])
